@@ -4,6 +4,7 @@ the verification suites."""
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
@@ -12,7 +13,13 @@ from math import comb
 from pathlib import Path
 
 from . import bounds, exact_linalg, flattening, partitions, schur_flattening
-from .exact_linalg import PrimeField, rank_mod_p, rank_rational
+from .exact_linalg import (
+    MemoryCapExceeded,
+    PrimeField,
+    RankCertificate,
+    rank_mod_p,
+    rank_rational,
+)
 from .polynomials import (
     Polynomial,
     determinant_poly,
@@ -56,31 +63,53 @@ def _build_or_load(meta_key: dict, builder, cache_dir: Path | None):
     return M
 
 
+def certify(blocks, rank) -> RankCertificate:
+    """One certificate for a matrix given as (orbit_size, block) pairs: the
+    rank is the sum of orbit_size * rank(block).  A lone whole matrix keeps
+    its own certificate."""
+    parts = [(size, rank(B)) for size, B in blocks]
+    if len(parts) == 1 and parts[0][0] == 1:
+        return parts[0][1]
+    h = hashlib.sha256()
+    for size, c in parts:
+        h.update(f"{size}:{c.matrix_hash};".encode())
+    first = parts[0][1]
+    return RankCertificate(
+        rank=sum(size * c.rank for size, c in parts),
+        method=first.method,
+        primes_used=first.primes_used,
+        matrix_hash=h.hexdigest()[:16],
+        elapsed=sum(c.elapsed for _, c in parts),
+        rational_lower_bound_only=any(c.rational_lower_bound_only for _, c in parts),
+    )
+
+
 def cmd_bound(args) -> int:
     n = args.n
-    name, poly = load_polynomial(args.poly, n)
     method = args.method
+    if method == "koszul-minor":
+        if args.poly != "det":
+            raise SystemExit("koszul-minor is only defined for --poly det")
+        name = "det"  # the minor map is built from n alone
+    else:
+        name, poly = load_polynomial(args.poly, n)
     d = args.d if args.d is not None else max(1, n // 2)
     p = args.p if args.p is not None else 2
     cache_dir = None if args.no_cache else Path(args.cache_dir)
     fld = PrimeField(args.prime)
 
     if method == "koszul-minor":
-        if args.poly != "det":
-            raise SystemExit("koszul-minor is only defined for --poly det")
-        key = {"kind": "minor", "n": n, "d": d, "p": p}
-        M = _build_or_load(
-            key, lambda: flattening.minor_koszul_matrix(n, d, p, threads=args.threads), cache_dir
-        )
+        # one small block per symmetry orbit: cheaper to rebuild than to cache
+        blocks = list(flattening.minor_orbit_blocks(n, d, p))
         t = comb(n * n - 1, p)
     elif method == "koszul-full":
         key = {"kind": "full", "poly": name, "n": n, "d": d, "p": p,
                "degree": poly.degree}
         if name == "file":
             key["poly_json"] = poly.to_json()
-        M = _build_or_load(
+        blocks = [(1, _build_or_load(
             key, lambda: flattening.full_koszul_matrix(poly, d, p, threads=args.threads), cache_dir
-        )
+        ))]
         t = comb(n * n - 1, p)
     elif method == "pieri":
         if n != 3:
@@ -88,20 +117,20 @@ def cmd_bound(args) -> int:
         key = {"kind": "pieri", "poly": name, "n": n}
         if name == "file":
             key["poly_json"] = poly.to_json()
-        M = _build_or_load(
+        blocks = [(1, _build_or_load(
             key,
             lambda: schur_flattening.pieri_flattening_matrix(poly, PI3, PIERI_ROWS, 9),
             cache_dir,
-        )
+        ))]
         t = 70  # rank of the same flattening at a cubed variable
         d = p = None
     else:
         raise SystemExit(f"unknown method {method!r}")
 
     cap = args.memory_cap << 20
-    certs = [rank_mod_p(M, fld, memory_cap_bytes=cap)]
+    certs = [certify(blocks, lambda B: rank_mod_p(B, fld, memory_cap_bytes=cap))]
     if args.rational:
-        certs.append(rank_rational(M, memory_cap_bytes=cap))
+        certs.append(certify(blocks, lambda B: rank_rational(B, memory_cap_bytes=cap)))
         if certs[0].rank != certs[1].rank:
             print("warning: modular and rational ranks disagree", file=sys.stderr)
     cert = bounds.BoundCertificate(
@@ -202,6 +231,18 @@ def run_paper_suite(prime: int = exact_linalg.DEFAULT_PRIME) -> bool:
         and bounds.main_theorem_value(5).integer_bound == 107,
         f"rank={r}",
     )
+    for n in range(5, 9):
+        d = n // 2
+        blocks = list(flattening.minor_orbit_blocks(n, d, 2))
+        ro = certify(blocks, lambda B: rank_mod_p(B, fld)).rank
+        bound = bounds.flattening_bound(ro, comb(n * n - 1, 2))
+        ok &= _check(
+            f"orbit-reduced minor({n},{d},2) rank = image dim, bound = main theorem",
+            ro == partitions.theoretical_image_dim(n, d, 2)
+            and bound == bounds.main_theorem_value(n).integer_bound
+            and (n != 5 or ro == r),
+            f"rank={ro} bound={bound} orbits={len(blocks)}",
+        )
     M4 = flattening.minor_koszul_matrix(4, 2, 2)
     r4 = rank_mod_p(M4, fld).rank
     ok &= _check(
@@ -278,7 +319,11 @@ def main(argv=None) -> int:
         raise SystemExit("thread count must be at least 1")
     if getattr(args, "memory_cap", 4096) < 256:
         raise SystemExit("memory cap must be at least 256 MiB")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, MemoryCapExceeded) as exc:
+        print(f"flatrank: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -363,7 +363,8 @@ SIZE_GUARD = 10**7  # rows*cols guard for the exact rational path
 
 def rank_mod_p(M, fld: PrimeField | None = None,
                memory_cap_bytes: int = DEFAULT_MEMORY_CAP_BYTES) -> RankCertificate:
-    """Exact rank of a flattening matrix reduced mod the field's prime."""
+    """Exact rank of a flattening matrix reduced mod the field's prime,
+    which is only a lower bound on its rank over the rationals."""
     fld = fld or PrimeField()
     t0 = time.perf_counter()
     rank = sparse_rank(len(M.rows), len(M.cols), M.entries, p=fld.modulus,
@@ -374,6 +375,7 @@ def rank_mod_p(M, fld: PrimeField | None = None,
         primes_used=(fld.modulus,),
         matrix_hash=M.basis_hash(),
         elapsed=time.perf_counter() - t0,
+        rational_lower_bound_only=True,
     )
 
 
@@ -413,8 +415,9 @@ def rank_rational(M, multi_prime: bool = False, num_primes: int = 2,
         )
     if nrows * ncols > SIZE_GUARD and len(M.entries) > SIZE_GUARD // 100:
         raise ValueError(
-            f"{nrows}x{ncols} exceeds the exact rational size guard; "
-            "request multi-prime mode"
+            f"{nrows}x{ncols} matrix with {len(M.entries)} nonzeros exceeds the "
+            f"exact rational size guard (rows*cols <= {SIZE_GUARD} or nonzeros "
+            f"<= {SIZE_GUARD // 100}); its modular rank is a certified lower bound"
         )
     rank = 0
     for comp in connected_components(M.entries):

@@ -15,7 +15,9 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
+from math import factorial
 
+from .partitions import partitions_of
 from .polynomials import Polynomial, contract, monomial, partial, var_index, var_pos
 
 Wedge = tuple[int, ...]
@@ -158,6 +160,80 @@ def minor_koszul_matrix(n: int, d: int, p: int, check_grading: bool = True,
             entries.extend(column_entries(ci))
     meta = {"kind": "minor", "polynomial": f"det{n}", "n": n, "d": d, "p": p}
     return FlatteningMatrix(rows, cols, entries, meta)
+
+
+def _arrangements(weight: tuple[int, ...]) -> int:
+    """Number of distinct rearrangements of a weight vector."""
+    out = factorial(len(weight))
+    for k in set(weight):
+        out //= factorial(weight.count(k))
+    return out
+
+
+def minor_orbit_blocks(n: int, d: int, p: int):
+    """Yield (orbit_size, block) for one weight block per symmetry orbit of
+    the minor-indexed Koszul map; the whole matrix is never built.
+
+    The map preserves the (A-weight, B-weight) torus grading computed by
+    `_bidegree_of_label`, so it is the direct sum of its weight blocks.  A
+    pair (sigma, tau) of row and column permutations of X sends det to
+    +-det, and transposition fixes det; both send minors to signed minors
+    and wedges to signed wedges.  The map is equivariant, so the block at
+    weight (sigma wa, tau wb) -- or (wb, wa) under transposition -- equals
+    the block at (wa, wb) up to signed permutations of its rows and
+    columns, and has the same rank over every field.  Every weight pair is
+    in the orbit of exactly one pair of dominant (decreasing) weights with
+    wa <= wb, and that orbit has perms(wa) * perms(wb) members, doubled
+    when wa != wb.  Summing orbit_size * rank(block) over the yielded
+    blocks therefore gives exactly the rank of `minor_koszul_matrix`, mod
+    any prime as well as over Q.
+
+    Columns of weight (wa, wb) are enumerated directly: a p-wedge w fixes
+    the remainders I = wa - rows(w) and J = wb - cols(w), which must be 0/1
+    vectors.  Rows are the codomain labels reached by `minor_column_image`.
+    """
+    if p not in (1, 2):
+        raise ValueError(f"p must be 1 or 2, got {p}")
+    if not 1 <= d <= n - 1:
+        raise ValueError(f"need 1 <= d <= n-1, got d={d}, n={n}")
+    m = n - d
+    wedges = list(combinations(range(n * n), p))
+    weights = [
+        lam + (0,) * (n - len(lam))
+        for lam in partitions_of(m + p, p + 1)
+        if len(lam) <= n
+    ]
+
+    def remainders(weight, axis):
+        """For each wedge index, the 1-based remainder set, where 0/1."""
+        out = {}
+        for k, w in enumerate(wedges):
+            rest = list(weight)
+            for x in w:
+                rest[var_pos(x, n)[axis] - 1] -= 1
+            if all(v in (0, 1) for v in rest):
+                out[k] = tuple(i + 1 for i, v in enumerate(rest) if v)
+        return out
+
+    rem_a = [remainders(wt, 0) for wt in weights]
+    rem_b = [remainders(wt, 1) for wt in weights]
+    for ia, wa in enumerate(weights):
+        for ib, wb in enumerate(weights):
+            if wb < wa:
+                continue
+            cols = [(I, rem_b[ib][k], wedges[k])
+                    for k, I in rem_a[ia].items() if k in rem_b[ib]]
+            if not cols:
+                continue
+            images = [minor_column_image(n, label) for label in cols]
+            rows = sorted({rlabel for image in images for rlabel, _ in image})
+            row_index = {label: i for i, label in enumerate(rows)}
+            entries = [(row_index[rlabel], ci, sign)
+                       for ci, image in enumerate(images) for rlabel, sign in image]
+            meta = {"kind": "minor_block", "polynomial": f"det{n}", "n": n,
+                    "d": d, "p": p, "weight": (wa, wb)}
+            size = _arrangements(wa) * _arrangements(wb) * (1 if wa == wb else 2)
+            yield size, FlatteningMatrix(rows, cols, entries, meta)
 
 
 def monomials_of_degree(nv: int, d: int) -> list[tuple[int, ...]]:

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from flatrank.cli import main
+from flatrank.partitions import theoretical_image_dim
 from flatrank.polynomials import determinant_poly
 
 
@@ -62,8 +63,34 @@ class TestBound:
         assert "modular" in methods and len(methods) == 2
         assert rec["rank"] == 80
 
+    def test_rational_at_paper_scale(self, capsys):
+        code, out = run(
+            ["bound", "--poly", "det", "--n", "5", "--method", "koszul-minor",
+             "--d", "2", "--p", "2", "--rational", "--format", "json"],
+            capsys,
+        )
+        rec = json.loads(out)
+        ranks = {c["method"]: c["rank"] for c in rec["provenance"]}
+        assert code == 0
+        assert ranks == {"modular": 29376, "rational": 29376}
+        assert rec["rank"] == 29376 and rec["bound"] == 107
+
+    @pytest.mark.parametrize("n,d,bound", [(7, 3, 1259), (8, 4, 4956)])
+    def test_orbit_reduced_main_theorem(self, capsys, tmp_path, n, d, bound):
+        code, out = run(
+            ["bound", "--poly", "det", "--n", str(n), "--method", "koszul-minor",
+             "--d", str(d), "--p", "2", "--format", "json",
+             "--cache-dir", str(tmp_path)],
+            capsys,
+        )
+        rec = json.loads(out)
+        assert code == 0
+        assert rec["rank"] == theoretical_image_dim(n, d, 2)
+        assert rec["bound"] == bound
+        assert not list(tmp_path.iterdir())  # the orbit-reduced path is not cached
+
     def test_cache_round_trip_identical(self, capsys, tmp_path):
-        argv = ["bound", "--poly", "det", "--n", "3", "--method", "koszul-minor",
+        argv = ["bound", "--poly", "det", "--n", "3", "--method", "koszul-full",
                 "--d", "1", "--p", "1", "--format", "json",
                 "--cache-dir", str(tmp_path)]
         _, first = run(argv, capsys)
@@ -115,6 +142,20 @@ class TestBound:
         with pytest.raises(SystemExit):
             main(["bound", "--poly", "det", "--n", "3",
                   "--method", "koszul-minor", "--memory-cap", "1", "--no-cache"])
+
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--poly", "det", "--n", "4", "--method", "koszul-minor", "--p", "3"],
+         "p must be 1 or 2"),
+        (["--poly", "det", "--n", "3", "--method", "koszul-full", "--d", "9"],
+         "need 1 <= d <= degree-1"),
+    ])
+    def test_bad_request_is_one_line_error(self, capsys, argv, message):
+        code = main(["bound", *argv, "--no-cache"])
+        err = capsys.readouterr().err
+        assert code != 0
+        assert err.startswith("flatrank: error: ") and message in err
+        assert err.count("\n") == 1
 
 
 class TestVerify:

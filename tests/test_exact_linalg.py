@@ -169,6 +169,11 @@ class TestCertificates:
         assert len(cert.primes_used) >= 2
         assert cert.rank == 2
 
+    def test_modular_is_flagged_lower_bound_only(self):
+        M = make_matrix([[1, 2], [3, 4]])
+        assert rank_mod_p(M).rational_lower_bound_only
+        assert not rank_rational(M).rational_lower_bound_only
+
     def test_json_dict(self):
         M = make_matrix([[1]])
         d = rank_mod_p(M).to_json_dict()

@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from flatrank.exact_linalg import rank_mod_p
+from flatrank.exact_linalg import DEFAULT_PRIME, rank_mod_p, sparse_rank
 from flatrank.flattening import (
     ALL_LEMMAS,
     apply_minor_map,
@@ -16,6 +16,7 @@ from flatrank.flattening import (
     minor_column_image,
     minor_domain_basis,
     minor_koszul_matrix,
+    minor_orbit_blocks,
     read_matrix_cache,
     verify_hwv_nonzero,
     wedge_canon,
@@ -102,15 +103,61 @@ class TestMinorMap:
         assert theoretical_image_dim(n, d, p) == rank
 
     def test_rejects_bad_args(self):
-        with pytest.raises(ValueError):
-            minor_koszul_matrix(3, 1, 3)
-        with pytest.raises(ValueError):
-            minor_koszul_matrix(3, 3, 1)
+        for build in (minor_koszul_matrix, lambda *a: list(minor_orbit_blocks(*a))):
+            with pytest.raises(ValueError):
+                build(3, 1, 3)
+            with pytest.raises(ValueError):
+                build(3, 3, 1)
 
     def test_thread_determinism(self):
         a = minor_koszul_matrix(3, 1, 2, threads=1)
         b = minor_koszul_matrix(3, 1, 2, threads=4)
         assert a.entries == b.entries and a.rows == b.rows and a.cols == b.cols
+
+
+def _orbit_key(weight):
+    """The S_n x S_n x transpose orbit of a weight pair, as its dominant
+    representative with wa <= wb."""
+    wa, wb = (tuple(sorted(w, reverse=True)) for w in weight)
+    return min((wa, wb), (wb, wa))
+
+
+class TestOrbitBlocks:
+    @pytest.mark.parametrize("n,d,p", [(4, 2, 1), (4, 2, 2), (5, 2, 2)])
+    def test_orbit_reduced_equals_all_blocks_equals_whole(self, n, d, p):
+        """Soundness gate: split the whole matrix by column bidegree; block
+        ranks are constant on each orbit and equal the representative's."""
+        M = minor_koszul_matrix(n, d, p, check_grading=False)
+        weight_of = [_bidegree_of_label(label, n) for label in M.cols]
+        blocks = {w: [] for w in weight_of}
+        for r, c, v in M.entries:
+            blocks[weight_of[c]].append((r, c, v))
+        orbit_ranks: dict = {}
+        for w, entries in blocks.items():
+            rank = sparse_rank(len(M.rows), len(M.cols), entries, p=DEFAULT_PRIME)
+            orbit_ranks.setdefault(_orbit_key(w), []).append(rank)
+        for ranks in orbit_ranks.values():
+            assert len(set(ranks)) == 1
+
+        reps = list(minor_orbit_blocks(n, d, p))
+        assert {_orbit_key(B.meta["weight"]) for _, B in reps} == set(orbit_ranks)
+        orbit_reduced = 0
+        for size, B in reps:
+            weight = B.meta["weight"]
+            assert set(B.cols) == {
+                label for label, w in zip(M.cols, weight_of) if w == weight
+            }
+            ranks = orbit_ranks[_orbit_key(weight)]
+            rank = rank_mod_p(B).rank
+            assert size == len(ranks) and rank == ranks[0]
+            orbit_reduced += size * rank
+        all_blocks = sum(sum(ranks) for ranks in orbit_ranks.values())
+        assert orbit_reduced == all_blocks == rank_mod_p(M).rank
+
+    def test_blocks_are_graded(self):
+        for _, B in minor_orbit_blocks(4, 2, 2):
+            weight = B.meta["weight"]
+            assert all(_bidegree_of_label(label, 4) == weight for label in B.rows + B.cols)
 
 
 class TestFullMap:
