@@ -43,7 +43,8 @@ class BoundCertificate:
 
     def __post_init__(self):
         b = self.bound
-        assert b * self.t >= self.rank_F > (b - 1) * self.t or self.rank_F == 0
+        if not (b * self.t >= self.rank_F > (b - 1) * self.t or self.rank_F == 0):
+            raise ValueError(f"bound {b} is not ceil({self.rank_F} / {self.t})")
 
     def to_json(self) -> str:
         rec = {

@@ -5,8 +5,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
-import os
 import sys
 import time
 from math import comb
@@ -31,13 +29,6 @@ PI3 = (2, 2, 2, 2, 1, 1, 1, 1)
 PIERI_ROWS = (1, 5, 9)
 
 
-def default_cache_dir() -> Path:
-    env = os.environ.get("FLATRANK_CACHE")
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "flatrank"
-
-
 def load_polynomial(spec: str, n: int) -> tuple[str, Polynomial]:
     if spec == "det":
         return "det", determinant_poly(n)
@@ -51,25 +42,10 @@ def load_polynomial(spec: str, n: int) -> tuple[str, Polynomial]:
     raise SystemExit(f"unknown polynomial {spec!r}")
 
 
-def _build_or_load(meta_key: dict, builder, cache_dir: Path | None):
-    if cache_dir is None:
-        return builder()
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    path = cache_dir / f"{flattening.cache_key(meta_key)}.mat"
-    if path.exists():
-        return flattening.read_matrix_cache(path)
-    M = builder()
-    flattening.write_matrix_cache(M, path)
-    return M
-
-
 def certify(blocks, rank) -> RankCertificate:
     """One certificate for a matrix given as (orbit_size, block) pairs: the
-    rank is the sum of orbit_size * rank(block).  A lone whole matrix keeps
-    its own certificate."""
+    rank is the sum of orbit_size * rank(block)."""
     parts = [(size, rank(B)) for size, B in blocks]
-    if len(parts) == 1 and parts[0][0] == 1:
-        return parts[0][1]
     h = hashlib.sha256()
     for size, c in parts:
         h.update(f"{size}:{c.matrix_hash};".encode())
@@ -81,6 +57,8 @@ def certify(blocks, rank) -> RankCertificate:
         matrix_hash=h.hexdigest()[:16],
         elapsed=sum(c.elapsed for _, c in parts),
         rational_lower_bound_only=any(c.rational_lower_bound_only for _, c in parts),
+        orbits=len(parts),
+        blocks=sum(size for size, _ in parts),
     )
 
 
@@ -95,33 +73,19 @@ def cmd_bound(args) -> int:
         name, poly = load_polynomial(args.poly, n)
     d = args.d if args.d is not None else max(1, n // 2)
     p = args.p if args.p is not None else 2
-    cache_dir = None if args.no_cache else Path(args.cache_dir)
     fld = PrimeField(args.prime)
 
+    # weight blocks, one per symmetry orbit: small enough to rebuild every run
     if method == "koszul-minor":
-        # one small block per symmetry orbit: cheaper to rebuild than to cache
         blocks = list(flattening.minor_orbit_blocks(n, d, p))
         t = comb(n * n - 1, p)
     elif method == "koszul-full":
-        key = {"kind": "full", "poly": name, "n": n, "d": d, "p": p,
-               "degree": poly.degree}
-        if name == "file":
-            key["poly_json"] = poly.to_json()
-        blocks = [(1, _build_or_load(
-            key, lambda: flattening.full_koszul_matrix(poly, d, p, threads=args.threads), cache_dir
-        ))]
+        blocks = list(flattening.full_koszul_blocks(poly, d, p))
         t = comb(n * n - 1, p)
     elif method == "pieri":
         if n != 3:
             raise SystemExit("the pieri method is supported at n=3 scale only")
-        key = {"kind": "pieri", "poly": name, "n": n}
-        if name == "file":
-            key["poly_json"] = poly.to_json()
-        blocks = [(1, _build_or_load(
-            key,
-            lambda: schur_flattening.pieri_flattening_matrix(poly, PI3, PIERI_ROWS, 9),
-            cache_dir,
-        ))]
+        blocks = list(schur_flattening.pieri_blocks(poly, PI3, PIERI_ROWS, 9))
         t = 70  # rank of the same flattening at a cubed variable
         d = p = None
     else:
@@ -250,6 +214,13 @@ def run_paper_suite(prime: int = exact_linalg.DEFAULT_PRIME) -> bool:
         r4 == 4065 and bounds.flattening_bound(r4, comb(15, 2)) >= 38,
         f"rank={r4} (equals the nine-module dimension count)",
     )
+    full4 = certify(flattening.full_koszul_blocks(determinant_poly(4), 2, 2),
+                    lambda B: rank_mod_p(B, fld)).rank
+    ok &= _check(
+        "orbit-reduced full det4 (d=2, p=2) rank = minor(4,2,2) rank = image dim",
+        full4 == r4 == partitions.theoretical_image_dim(4, 2, 2),
+        f"rank={full4} (built by contraction, no Laplace signs)",
+    )
     return bool(ok)
 
 
@@ -278,11 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp):
         sp.add_argument("--prime", type=int, default=exact_linalg.DEFAULT_PRIME)
-        sp.add_argument("--threads", type=int, default=1)
-        sp.add_argument("--cache-dir", default=str(default_cache_dir()))
-        sp.add_argument("--no-cache", action="store_true")
         sp.add_argument("--format", choices=["json", "table"], default="table")
-        sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--memory-cap", type=int, default=4096,
                         help="memory cap in MiB for elimination fill")
 
@@ -315,8 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.threads < 1:
-        raise SystemExit("thread count must be at least 1")
     if getattr(args, "memory_cap", 4096) < 256:
         raise SystemExit("memory cap must be at least 256 MiB")
     try:

@@ -20,8 +20,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
-import numpy as np
-
 DEFAULT_PRIME = 1073741789
 DEFAULT_MEMORY_CAP_BYTES = 4 << 30
 _BYTES_PER_ENTRY = 100  # rough dict-of-dicts bookkeeping cost per nonzero
@@ -84,9 +82,11 @@ class RankCertificate:
     matrix_hash: str
     elapsed: float
     rational_lower_bound_only: bool = False
+    orbits: int | None = None  # block representatives ranked
+    blocks: int | None = None  # weight blocks they stand for
 
     def to_json_dict(self) -> dict:
-        return {
+        out = {
             "rank": self.rank,
             "method": self.method,
             "primes_used": list(self.primes_used),
@@ -94,6 +94,9 @@ class RankCertificate:
             "elapsed_ms": round(self.elapsed * 1000, 3),
             "rational_lower_bound_only": self.rational_lower_bound_only,
         }
+        if self.orbits is not None:
+            out.update(orbits=self.orbits, blocks=self.blocks)
+        return out
 
 
 def matrix_hash(nrows: int, ncols: int, entries) -> str:
@@ -286,11 +289,14 @@ def dense_rank_bareiss(mat) -> int:
     return rank
 
 
-def dense_rank_mod_p(a: np.ndarray, p: int) -> int:
+def dense_rank_mod_p(a, p: int) -> int:
     """Rank of an integer matrix mod p by vectorized dense elimination.
 
-    p must fit in 31 bits so products stay inside int64.
+    p must fit in 31 bits so products stay inside int64.  A test oracle:
+    numpy is imported here so that importing the library does not load it.
     """
+    import numpy as np
+
     if p.bit_length() > 31:
         raise ValueError("prime too large for int64 products")
     a = np.ascontiguousarray(np.asarray(a, dtype=np.int64) % p)

@@ -6,19 +6,35 @@ for the determinant, whose domain basis is (row set, column set, wedge of
 variables).  Wedge basis elements are strictly increasing tuples of flat
 variable indices; insertion signs count how many present variables precede
 the inserted one.
+
+Each map is given per column (`minor_column_image`, `full_column_image`).
+The whole-matrix builders loop over every column; `weight_blocks` builds
+one torus-weight block per symmetry orbit instead, and is what the command
+line ranks.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, combinations_with_replacement
 from math import factorial
 
 from .partitions import partitions_of
-from .polynomials import Polynomial, contract, monomial, partial, var_index, var_pos
+from .polynomials import (
+    Polynomial,
+    contract,
+    exponent_variables,
+    is_bigraded,
+    is_symmetric,
+    monomial,
+    partial,
+    torus_weight,
+    var_index,
+    var_pos,
+)
 
 Wedge = tuple[int, ...]
 MinorLabel = tuple[tuple[int, ...], tuple[int, ...], Wedge]
@@ -128,38 +144,28 @@ def minor_codomain_basis(n: int, d: int, p: int) -> list[MinorLabel]:
     return [(I, J, w) for I in subs for J in subs for w in wedges]
 
 
-def minor_koszul_matrix(n: int, d: int, p: int, check_grading: bool = True,
-                        threads: int = 1) -> FlatteningMatrix:
+def minor_koszul_matrix(n: int, d: int, p: int,
+                        check_grading: bool = True) -> FlatteningMatrix:
     """Matrix of the minor-indexed Koszul map for the n x n determinant."""
-    if p not in (1, 2):
-        raise ValueError(f"p must be 1 or 2, got {p}")
-    if not 1 <= d <= n - 1:
-        raise ValueError(f"need 1 <= d <= n-1, got d={d}, n={n}")
+    _check_minor_args(n, d, p)
     cols = minor_domain_basis(n, d, p)
     rows = minor_codomain_basis(n, d, p)
     row_index = {label: i for i, label in enumerate(rows)}
     entries = []
-
-    def column_entries(ci: int) -> list:
-        label = cols[ci]
-        out = []
+    for ci, label in enumerate(cols):
         for rlabel, coeff in minor_column_image(n, label):
-            if check_grading:
-                assert _bidegree_of_label(label, n) == _bidegree_of_label(rlabel, n)
-            out.append((row_index[rlabel], ci, coeff))
-        return out
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            for chunk in ex.map(column_entries, range(len(cols))):
-                entries.extend(chunk)
-    else:
-        for ci in range(len(cols)):
-            entries.extend(column_entries(ci))
+            if check_grading and _bidegree_of_label(label, n) != _bidegree_of_label(rlabel, n):
+                raise RuntimeError(f"minor map sends {label} to {rlabel}, of another weight")
+            entries.append((row_index[rlabel], ci, coeff))
     meta = {"kind": "minor", "polynomial": f"det{n}", "n": n, "d": d, "p": p}
     return FlatteningMatrix(rows, cols, entries, meta)
+
+
+def _check_minor_args(n: int, d: int, p: int) -> None:
+    if p not in (1, 2):
+        raise ValueError(f"p must be 1 or 2, got {p}")
+    if not 1 <= d <= n - 1:
+        raise ValueError(f"need 1 <= d <= n-1, got d={d}, n={n}")
 
 
 def _arrangements(weight: tuple[int, ...]) -> int:
@@ -170,6 +176,67 @@ def _arrangements(weight: tuple[int, ...]) -> int:
     return out
 
 
+def _orbit_size(weight) -> int:
+    """Size of the S_n x S_n x transpose orbit of a weight pair (wa, wb) if
+    the pair is its orbit's representative -- both weights decreasing and
+    wa <= wb -- and 0 otherwise."""
+    wa, wb = weight
+    if wb < wa or any(x < y for w in weight for x, y in zip(w, w[1:])):
+        return 0
+    return _arrangements(wa) * _arrangements(wb) * (1 if wa == wb else 2)
+
+
+def weight_blocks(cols, weight_of, column_image, meta: dict, symmetric: bool):
+    """Yield (orbit_size, block) for a flattening map given per column.
+
+    Columns are grouped by `weight_of(label)`, their (A-weight, B-weight)
+    under the torus of GL_n x GL_n; with `weight_of=None` every column is
+    in one block.  With `symmetric`, only groups whose weight is its
+    orbit's representative (see `_orbit_size`) are kept, with their orbit
+    size; otherwise every group has size 1.  A block's rows are the labels
+    its columns reach through `column_image(label)`, a list of (row label,
+    coefficient) pairs; its meta is `meta` plus the weight.
+
+    Soundness.  The Koszul and Pieri maps of a polynomial P are
+    GL(V)-equivariant in (P, domain, codomain).  When every monomial of P
+    has the same weight, a column of weight mu maps into codomain weight
+    mu + wt(P), so the map is the direct sum of its weight blocks and the
+    sum of their ranks is its rank.  A permutation g of the variables --
+    rows, columns, or transposition -- with gP = +-P satisfies
+    F o g = +-g o F and sends weight space mu onto g mu.  On monomial and
+    wedge bases g acts by a signed permutation, and on a semistandard
+    tableau basis by an integer matrix whose inverse (the action of g^-1)
+    is also integral, so the blocks at mu and g mu have equal rank mod
+    every prime and over Q.  The weight pairs in the orbit of a
+    representative (wa, wb) are (sigma wa, tau wb) and, when wa != wb,
+    (tau wb, sigma wa): perms(wa) * perms(wb) of them, doubled when
+    wa != wb.  So sum(orbit_size * rank(block)) over the yielded blocks is
+    the rank of the whole matrix.
+    """
+    groups: dict = {}
+    for label in cols:
+        groups.setdefault(weight_of(label) if weight_of else None, []).append(label)
+    for weight, group in groups.items():
+        size = _orbit_size(weight) if symmetric else 1
+        if not size:
+            continue
+        images = [column_image(label) for label in group]
+        rows = sorted({rlabel for image in images for rlabel, _ in image})
+        row_index = {label: i for i, label in enumerate(rows)}
+        entries = [(row_index[rlabel], ci, v)
+                   for ci, image in enumerate(images) for rlabel, v in image]
+        yield size, FlatteningMatrix(rows, group, entries, {**meta, "weight": weight})
+
+
+def polynomial_blocks(P: Polynomial, cols, weight_of, column_image, meta: dict):
+    """`weight_blocks` for a map built from P: graded when every monomial
+    of P has one weight, orbit-reduced when P is also symmetric (fixed up
+    to sign by row and column permutations and transposition)."""
+    if not is_bigraded(P):
+        return weight_blocks(cols, None, column_image, meta, symmetric=False)
+    return weight_blocks(cols, weight_of, column_image, meta, is_symmetric(P))
+
+
 def minor_orbit_blocks(n: int, d: int, p: int):
     """Yield (orbit_size, block) for one weight block per symmetry orbit of
     the minor-indexed Koszul map; the whole matrix is never built.
@@ -178,24 +245,15 @@ def minor_orbit_blocks(n: int, d: int, p: int):
     `_bidegree_of_label`, so it is the direct sum of its weight blocks.  A
     pair (sigma, tau) of row and column permutations of X sends det to
     +-det, and transposition fixes det; both send minors to signed minors
-    and wedges to signed wedges.  The map is equivariant, so the block at
-    weight (sigma wa, tau wb) -- or (wb, wa) under transposition -- equals
-    the block at (wa, wb) up to signed permutations of its rows and
-    columns, and has the same rank over every field.  Every weight pair is
-    in the orbit of exactly one pair of dominant (decreasing) weights with
-    wa <= wb, and that orbit has perms(wa) * perms(wb) members, doubled
-    when wa != wb.  Summing orbit_size * rank(block) over the yielded
-    blocks therefore gives exactly the rank of `minor_koszul_matrix`, mod
-    any prime as well as over Q.
+    and wedges to signed wedges, so blocks in one orbit have equal rank
+    (the argument of `weight_blocks`).  Every weight pair is in the orbit
+    of exactly one pair of dominant (decreasing) weights with wa <= wb.
 
-    Columns of weight (wa, wb) are enumerated directly: a p-wedge w fixes
-    the remainders I = wa - rows(w) and J = wb - cols(w), which must be 0/1
-    vectors.  Rows are the codomain labels reached by `minor_column_image`.
+    Only the columns of those dominant weights are enumerated, directly: a
+    p-wedge w fixes the remainders I = wa - rows(w) and J = wb - cols(w),
+    which must be 0/1 vectors.
     """
-    if p not in (1, 2):
-        raise ValueError(f"p must be 1 or 2, got {p}")
-    if not 1 <= d <= n - 1:
-        raise ValueError(f"need 1 <= d <= n-1, got d={d}, n={n}")
+    _check_minor_args(n, d, p)
     m = n - d
     wedges = list(combinations(range(n * n), p))
     weights = [
@@ -217,23 +275,15 @@ def minor_orbit_blocks(n: int, d: int, p: int):
 
     rem_a = [remainders(wt, 0) for wt in weights]
     rem_b = [remainders(wt, 1) for wt in weights]
-    for ia, wa in enumerate(weights):
-        for ib, wb in enumerate(weights):
-            if wb < wa:
-                continue
-            cols = [(I, rem_b[ib][k], wedges[k])
-                    for k, I in rem_a[ia].items() if k in rem_b[ib]]
-            if not cols:
-                continue
-            images = [minor_column_image(n, label) for label in cols]
-            rows = sorted({rlabel for image in images for rlabel, _ in image})
-            row_index = {label: i for i, label in enumerate(rows)}
-            entries = [(row_index[rlabel], ci, sign)
-                       for ci, image in enumerate(images) for rlabel, sign in image]
-            meta = {"kind": "minor_block", "polynomial": f"det{n}", "n": n,
-                    "d": d, "p": p, "weight": (wa, wb)}
-            size = _arrangements(wa) * _arrangements(wb) * (1 if wa == wb else 2)
-            yield size, FlatteningMatrix(rows, cols, entries, meta)
+    cols = (
+        (I, rem_b[ib][k], wedges[k])
+        for ia, wa in enumerate(weights)
+        for ib, wb in enumerate(weights) if wa <= wb
+        for k, I in rem_a[ia].items() if k in rem_b[ib]
+    )
+    meta = {"kind": "minor_block", "polynomial": f"det{n}", "n": n, "d": d, "p": p}
+    return weight_blocks(cols, lambda label: _bidegree_of_label(label, n),
+                         lambda label: minor_column_image(n, label), meta, symmetric=True)
 
 
 def monomials_of_degree(nv: int, d: int) -> list[tuple[int, ...]]:
@@ -246,61 +296,83 @@ def monomials_of_degree(nv: int, d: int) -> list[tuple[int, ...]]:
     return out
 
 
-def full_koszul_matrix(P: Polynomial, d: int, p: int,
-                       threads: int = 1) -> FlatteningMatrix:
+def _full_domain_basis(P: Polynomial, d: int, p: int) -> list:
+    """Columns of the full Koszul map: (p-wedge, dual monomial of degree d)."""
+    nv = P.n * P.n
+    if not 1 <= d <= P.degree - 1:
+        raise ValueError(f"need 1 <= d <= degree-1, got d={d}, degree={P.degree}")
+    if not 0 <= p <= nv - 1:
+        raise ValueError(f"need 0 <= p <= {nv - 1}, got p={p}")
+    duals = monomials_of_degree(nv, d)
+    return [(w, a) for w in combinations(range(nv), p) for a in duals]
+
+
+def full_column_image(P: Polynomial, label, derivs: dict) -> list:
+    """Image of the column (w, a) of the full Koszul map: the sum over
+    variables x of (x wedge w) tensor d(contract(a, P))/dx, with bare
+    (non-divided) derivatives throughout.  `derivs` caches, per dual
+    monomial, the derivatives of its contraction by every variable.
+
+    Distinct x give distinct wedges, so no two terms share a row label."""
+    w, a = label
+    nv = P.n * P.n
+    if a not in derivs:
+        Q = contract(monomial(P.n, sum(a), a), P)
+        derivs[a] = [partial(Q, x) for x in range(nv)]
+    out = []
+    for x in range(nv):
+        ins = wedge_insert(w, x)
+        if ins is None:
+            continue
+        sign, neww = ins
+        out.extend(((neww, mono), sign * coeff) for mono, coeff in derivs[a][x].terms.items())
+    return out
+
+
+def full_koszul_matrix(P: Polynomial, d: int, p: int) -> FlatteningMatrix:
     """Matrix of the Koszul flattening of an arbitrary polynomial.
 
     Columns are (wedge of p variables, dual monomial of degree d); rows are
-    (wedge of p+1 variables, monomial of degree e-d-1).  The column image
-    is sum over variables x of (x wedge w) tensor d(contract(alpha, P))/dx,
-    with bare (non-divided) derivatives throughout.
+    (wedge of p+1 variables, monomial of degree e-d-1); see
+    `full_column_image`.
     """
-    n, e = P.n, P.degree
-    nv = n * n
-    if not 1 <= d <= e - 1:
-        raise ValueError(f"need 1 <= d <= degree-1, got d={d}, degree={e}")
-    if not 0 <= p <= nv - 1:
-        raise ValueError(f"need 0 <= p <= {nv - 1}, got p={p}")
-    wedges_p = list(combinations(range(nv), p))
-    wedges_p1 = list(combinations(range(nv), p + 1))
-    duals = monomials_of_degree(nv, d)
-    row_monos = monomials_of_degree(nv, e - d - 1)
-    cols = [(w, a) for w in wedges_p for a in duals]
-    rows = [(w, m) for w in wedges_p1 for m in row_monos]
+    cols = _full_domain_basis(P, d, p)
+    nv = P.n * P.n
+    row_monos = monomials_of_degree(nv, P.degree - d - 1)
+    rows = [(w, m) for w in combinations(range(nv), p + 1) for m in row_monos]
     row_index = {label: i for i, label in enumerate(rows)}
-
-    # per dual monomial: partial derivatives of the contraction, by variable
-    derivs: dict[tuple[int, ...], list[Polynomial]] = {}
-    for a in duals:
-        Q = contract(monomial(n, d, a), P)
-        derivs[a] = [partial(Q, x) for x in range(nv)]
-
-    entries = []
-
-    def column_entries(ci: int) -> list:
-        w, a = cols[ci]
-        acc: dict[int, Fraction] = {}
-        for x in range(nv):
-            ins = wedge_insert(w, x)
-            if ins is None:
-                continue
-            sign, neww = ins
-            for mono, coeff in derivs[a][x].terms.items():
-                ri = row_index[(neww, mono)]
-                acc[ri] = acc.get(ri, Fraction(0)) + sign * coeff
-        return [(ri, ci, v) for ri, v in sorted(acc.items()) if v]
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            for chunk in ex.map(column_entries, range(len(cols))):
-                entries.extend(chunk)
-    else:
-        for ci in range(len(cols)):
-            entries.extend(column_entries(ci))
-    meta = {"kind": "full", "polynomial": "custom", "n": n, "d": d, "p": p}
+    derivs: dict = {}
+    entries = [(row_index[rlabel], ci, v)
+               for ci, label in enumerate(cols)
+               for rlabel, v in full_column_image(P, label, derivs)]
+    meta = {"kind": "full", "polynomial": "custom", "n": P.n, "d": d, "p": p}
     return FlatteningMatrix(rows, cols, entries, meta)
+
+
+def full_koszul_blocks(P: Polynomial, d: int, p: int):
+    """Yield (orbit_size, block) for the full Koszul map of P (see
+    `weight_blocks` and `polynomial_blocks`); the whole matrix is never
+    built.  A column (w, a) has weight wt(w) - wt(a)."""
+    cols = _full_domain_basis(P, d, p)
+    n = P.n
+
+    @cache
+    def wedge_weight(w):
+        return torus_weight(w, n)
+
+    @cache
+    def dual_weight(a):
+        return torus_weight(exponent_variables(a), n)
+
+    def weight_of(label):
+        (wa, wb), (aa, ab) = wedge_weight(label[0]), dual_weight(label[1])
+        return (tuple(x - y for x, y in zip(wa, aa)),
+                tuple(x - y for x, y in zip(wb, ab)))
+
+    derivs: dict = {}
+    meta = {"kind": "full_block", "polynomial": "custom", "n": n, "d": d, "p": p}
+    return polynomial_blocks(P, cols, weight_of,
+                             lambda label: full_column_image(P, label, derivs), meta)
 
 
 # ---------------------------------------------------------------------------
@@ -429,44 +501,3 @@ def verify_hwv_nonzero(lemma_id: str, n: int, d: int):
     if not image:
         return False, None
     return True, min(image)
-
-
-# ---------------------------------------------------------------------------
-# matrix cache
-
-def cache_key(meta: dict) -> str:
-    return hashlib.sha256(json.dumps(meta, sort_keys=True).encode()).hexdigest()[:16]
-
-
-def write_matrix_cache(M: FlatteningMatrix, path) -> None:
-    header = dict(M.meta)
-    header.update(
-        rows=len(M.rows), cols=len(M.cols), nnz=M.nnz, basis_hash=M.basis_hash()
-    )
-    with open(path, "w") as f:
-        f.write(json.dumps(header, sort_keys=True) + "\n")
-        for r, c, v in M.entries:
-            v = Fraction(v)
-            f.write(f"{r} {c} {v.numerator}/{v.denominator}\n")
-
-
-def read_matrix_cache(path) -> FlatteningMatrix:
-    """Load a cached matrix; row/column labels are not stored, only counts
-    and the original basis hash, which is enough for rank computation."""
-    with open(path) as f:
-        header = json.loads(f.readline())
-        entries = []
-        for line in f:
-            r, c, v = line.split()
-            num, den = v.split("/")
-            entries.append((int(r), int(c), Fraction(int(num), int(den))))
-    M = FlatteningMatrix(
-        rows=list(range(header["rows"])),
-        cols=list(range(header["cols"])),
-        entries=entries,
-        meta={k: header[k] for k in header if k not in ("rows", "cols", "nnz", "basis_hash")},
-    )
-    M._hash = header["basis_hash"]
-    if len(entries) != header["nnz"]:
-        raise ValueError(f"cache corrupt: nnz mismatch in {path}")
-    return M

@@ -65,7 +65,8 @@ def schur_dim(pi: Partition, N: int) -> int:
         for j in range(part):
             hook = (part - j) + (conj[j] - i) - 1
             val *= Fraction(N + j - i, hook)
-    assert val.denominator == 1
+    if val.denominator != 1:
+        raise RuntimeError(f"hook content formula gave {val} for {pi} over N={N}")
     return int(val)
 
 

@@ -28,6 +28,25 @@ def var_pos(k: int, n: int) -> tuple[int, int]:
     return k // n + 1, k % n + 1
 
 
+Weight = tuple[tuple[int, ...], tuple[int, ...]]
+
+
+def torus_weight(variables, n: int) -> Weight:
+    """(row weight, column weight) of a product of variables, given as flat
+    indices with repetition: its weight under the diagonal torus of
+    GL_n x GL_n acting on rows and columns."""
+    wa, wb = [0] * n, [0] * n
+    for k in variables:
+        wa[k // n] += 1
+        wb[k % n] += 1
+    return tuple(wa), tuple(wb)
+
+
+def exponent_variables(exps: Exponents) -> list[int]:
+    """The variables of a monomial, each repeated by its exponent."""
+    return [k for k, e in enumerate(exps) for _ in range(e)]
+
+
 @dataclass(frozen=True)
 class Polynomial:
     n: int
@@ -106,6 +125,40 @@ class Polynomial:
             for rec in data["terms"]
         }
         return Polynomial(data["n"], data["degree"], terms)
+
+
+def is_bigraded(P: Polynomial) -> bool:
+    """Whether every monomial of P has the same torus weight."""
+    return len({torus_weight(exponent_variables(e), P.n) for e in P.terms}) <= 1
+
+
+def is_symmetric(P: Polynomial) -> bool:
+    """Whether P is fixed up to sign by every row permutation, every column
+    permutation and transposition of the matrix of variables.
+
+    Checked on generators: the swap of the first two rows and the cycle of
+    all rows, the same two for columns, and transposition.  A product of
+    generators fixes P up to the product of their signs.
+    """
+    n = P.n
+    swap, cycle = list(range(n)), [(i + 1) % n for i in range(n)]
+    if n > 1:
+        swap[0], swap[1] = 1, 0
+    gens = [[(k % n) * n + k // n for k in range(n * n)]]  # transposition
+    for perm in (swap, cycle):
+        gens.append([perm[k // n] * n + k % n for k in range(n * n)])
+        gens.append([k // n * n + perm[k % n] for k in range(n * n)])
+    negated = {e: -c for e, c in P.terms.items()}
+    for g in gens:
+        image = {}
+        for exps, c in P.terms.items():
+            new = [0] * (n * n)
+            for k, e in enumerate(exps):
+                new[g[k]] = e
+            image[tuple(new)] = c
+        if image != P.terms and image != negated:
+            return False
+    return True
 
 
 def monomial(n: int, degree: int, exps: Exponents, coeff=1) -> Polynomial:

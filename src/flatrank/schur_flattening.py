@@ -11,9 +11,9 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from .partitions import Partition, conjugate, make_partition, schur_dim
-from .polynomials import Polynomial
-from .flattening import FlatteningMatrix
+from .partitions import Partition, make_partition
+from .polynomials import Polynomial, exponent_variables, torus_weight
+from .flattening import FlatteningMatrix, polynomial_blocks
 
 Tableau = tuple[tuple[int, ...], ...]
 Columns = tuple[tuple[int, ...], ...]
@@ -139,7 +139,8 @@ def _straighten_sorted(cols: Columns) -> dict[Tableau, int]:
     # column c is sorted and exceeds column c+1 at row r, so every element
     # of A is larger than every element of B; all |A|+|B| values are distinct
     pool = A + B
-    assert len(set(pool)) == len(pool)
+    if len(set(pool)) != len(pool):
+        raise RuntimeError(f"straightening {cols}: Garnir pool {pool} repeats an entry")
     old_word = _word(cols)
     acc: dict[Tableau, int] = {}
     for subset in combinations(range(len(pool)), len(A)):
@@ -165,7 +166,8 @@ def _straighten_sorted(cols: Columns) -> dict[Tableau, int]:
         if canon is None:
             continue
         sign, canon_cols = canon
-        assert _word(canon_cols) < old_word, "straightening order must decrease"
+        if _word(canon_cols) >= old_word:
+            raise RuntimeError(f"straightening {cols}: order does not decrease")
         for tab, coeff in _straighten_sorted(canon_cols).items():
             total = acc.get(tab, 0) - shuffle_sign * sign * coeff
             if total:
@@ -212,59 +214,91 @@ def add_boxes_shape(shape: Partition, target_rows) -> Partition:
     return target
 
 
+def _pieri_target(phi: Polynomial, shape: Partition, target_rows) -> Partition:
+    target = add_boxes_shape(shape, target_rows)
+    if phi.degree != len(target_rows):
+        raise ValueError(
+            f"degree {phi.degree} does not match {len(target_rows)} added boxes"
+        )
+    return target
+
+
+def pieri_column_image(phi: Polynomial, T: Tableau, target_rows) -> list:
+    """Image of the tableau T under the Young flattening of phi.
+
+    The sum, over the monomials of phi and over all distinct arrangements
+    of each monomial's variables (with multiplicity) into the boxes added
+    at the ends of the sorted target rows, of the straightening of the
+    labeled filling; variable k is tableau entry k+1.  Returns (tableau,
+    coefficient) pairs with nonzero coefficients.
+    """
+    rows_sorted = sorted(target_rows)
+    extra = max(rows_sorted, default=0) - len(T)
+    acc: dict[Tableau, Fraction] = {}
+    for exps, coeff in sorted(phi.terms.items()):
+        labels = [k + 1 for k in exponent_variables(exps)]
+        for arrangement in sorted(set(permutations(labels))):
+            fill_rows = [list(row) for row in T] + [[] for _ in range(extra)]
+            for r, label in zip(rows_sorted, arrangement):
+                fill_rows[r - 1].append(label)
+            for tab, c in straighten(tuple(tuple(r) for r in fill_rows)).items():
+                total = acc.get(tab, 0) + coeff * c
+                if total:
+                    acc[tab] = total
+                else:
+                    acc.pop(tab, None)
+    return list(acc.items())
+
+
 def pieri_flattening_matrix(phi: Polynomial, shape: Partition, target_rows,
                             N: int) -> FlatteningMatrix:
     """Young flattening of phi in the semistandard tableau basis.
 
     Columns are semistandard tableaux of `shape`; rows are tableaux of the
-    shape with one box appended to each listed target row.  The column for
-    T sums, over the monomials of phi and over all distinct arrangements of
-    each monomial's variables (with multiplicity) into the added boxes, the
-    straightening of the labeled filling.
+    shape with one box appended to each listed target row; the column of T
+    is `pieri_column_image`.
     """
     shape = make_partition(shape)
-    target = add_boxes_shape(shape, target_rows)
-    rows_sorted = sorted(target_rows)
-    if phi.degree != len(rows_sorted):
-        raise ValueError(
-            f"degree {phi.degree} does not match {len(rows_sorted)} added boxes"
-        )
+    target = _pieri_target(phi, shape, target_rows)
     col_tabs = ssyt_enumerate(shape, N)
     row_tabs = ssyt_enumerate(target, N)
     row_index = {t: i for i, t in enumerate(row_tabs)}
-    entries = []
-    for ci, T in enumerate(col_tabs):
-        acc: dict[Tableau, Fraction] = {}
-        for exps, coeff in sorted(phi.terms.items()):
-            labels = []
-            for k, e in enumerate(exps):
-                labels.extend([k + 1] * e)  # variable k is tableau entry k+1
-            for arrangement in sorted(set(permutations(labels))):
-                fill_rows = [list(row) for row in T] + [
-                    [] for _ in range(len(target) - len(T))
-                ]
-                for r, label in zip(rows_sorted, arrangement):
-                    fill_rows[r - 1].append(label)
-                # column-entry multiset check: straightening preserves content
-                expanded = straighten(tuple(tuple(r) for r in fill_rows))
-                for tab, c in expanded.items():
-                    total = acc.get(tab, Fraction(0)) + coeff * c
-                    if total:
-                        acc[tab] = total
-                    else:
-                        acc.pop(tab, None)
-        for tab, v in acc.items():
-            entries.append((row_index[tab], ci, v))
+    entries = [(row_index[tab], ci, v)
+               for ci, T in enumerate(col_tabs)
+               for tab, v in pieri_column_image(phi, T, target_rows)]
     entries.sort(key=lambda e: (e[1], e[0]))
     meta = {
         "kind": "pieri",
         "polynomial": "custom",
         "n": phi.n,
         "shape": list(shape),
-        "target_rows": rows_sorted,
+        "target_rows": sorted(target_rows),
         "N": N,
     }
     return FlatteningMatrix(row_tabs, col_tabs, entries, meta)
+
+
+def pieri_blocks(phi: Polynomial, shape: Partition, target_rows, N: int):
+    """Yield (orbit_size, block) for the Young flattening of phi; the whole
+    matrix is never built.
+
+    Entry k+1 stands for variable k, so N must be n*n.  A tableau's weight
+    is the torus weight of its entries' variables: straightening preserves
+    content, so the map shifts it by the weight of phi when phi is graded.
+    Blocks, orbits and soundness are those of `flattening.weight_blocks`.
+    """
+    shape = make_partition(shape)
+    _pieri_target(phi, shape, target_rows)
+    n = phi.n
+    if N != n * n:
+        raise ValueError(f"pieri blocks need N = n*n = {n * n} tableau entries, got {N}")
+    meta = {"kind": "pieri_block", "polynomial": "custom", "n": n, "shape": list(shape),
+            "target_rows": sorted(target_rows), "N": N}
+    return polynomial_blocks(
+        phi, ssyt_enumerate(shape, N),
+        lambda T: torus_weight((v - 1 for row in T for v in row), n),
+        lambda T: pieri_column_image(phi, T, target_rows), meta,
+    )
 
 
 def kostka_number(shape: Partition, content) -> int:

@@ -5,6 +5,7 @@ from math import comb
 
 import pytest
 
+from flatrank import bounds
 from flatrank.bounds import (
     BoundCertificate,
     FormulaValue,
@@ -137,6 +138,11 @@ class TestBoundCertificate:
             "poly": "det", "n": 4, "method": "koszul_minor", "d": 2, "p": 1,
             "rank": 560, "t": 15, "bound": 38, "provenance": [],
         }
+
+    def test_inconsistent_bound_raises(self, monkeypatch):
+        monkeypatch.setattr(bounds, "flattening_bound", lambda rank, t: 1)
+        with pytest.raises(ValueError, match="ceil"):
+            self.make()
 
     def test_rejects_negative_rank(self):
         with pytest.raises(ValueError):

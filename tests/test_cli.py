@@ -29,11 +29,10 @@ class TestDecompose:
 
 
 class TestBound:
-    def test_minor_json(self, capsys, tmp_path):
+    def test_minor_json(self, capsys):
         code, out = run(
             ["bound", "--poly", "det", "--n", "3", "--method", "koszul-minor",
-             "--d", "1", "--p", "1", "--format", "json",
-             "--cache-dir", str(tmp_path)],
+             "--d", "1", "--p", "1", "--format", "json"],
             capsys,
         )
         rec = json.loads(out)
@@ -41,21 +40,20 @@ class TestBound:
         assert rec["rank"] == 80 and rec["t"] == 8 and rec["bound"] == 10
         assert rec["provenance"][0]["method"] == "modular"
 
-    def test_minor_table_shows_reference(self, capsys, tmp_path):
+    def test_minor_table_shows_reference(self, capsys):
         code, out = run(
             ["bound", "--poly", "det", "--n", "4", "--method", "koszul-minor",
-             "--d", "2", "--p", "1", "--cache-dir", str(tmp_path)],
+             "--d", "2", "--p", "1"],
             capsys,
         )
         assert code == 0
         assert "border rank >=  : 38" in out
         assert "preliminary_bound" in out
 
-    def test_rational_flag(self, capsys, tmp_path):
+    def test_rational_flag(self, capsys):
         code, out = run(
             ["bound", "--poly", "det", "--n", "3", "--method", "koszul-minor",
-             "--d", "1", "--p", "1", "--rational", "--format", "json",
-             "--cache-dir", str(tmp_path)],
+             "--d", "1", "--p", "1", "--rational", "--format", "json"],
             capsys,
         )
         rec = json.loads(out)
@@ -76,34 +74,16 @@ class TestBound:
         assert rec["rank"] == 29376 and rec["bound"] == 107
 
     @pytest.mark.parametrize("n,d,bound", [(7, 3, 1259), (8, 4, 4956)])
-    def test_orbit_reduced_main_theorem(self, capsys, tmp_path, n, d, bound):
+    def test_orbit_reduced_main_theorem(self, capsys, n, d, bound):
         code, out = run(
             ["bound", "--poly", "det", "--n", str(n), "--method", "koszul-minor",
-             "--d", str(d), "--p", "2", "--format", "json",
-             "--cache-dir", str(tmp_path)],
+             "--d", str(d), "--p", "2", "--format", "json"],
             capsys,
         )
         rec = json.loads(out)
         assert code == 0
         assert rec["rank"] == theoretical_image_dim(n, d, 2)
         assert rec["bound"] == bound
-        assert not list(tmp_path.iterdir())  # the orbit-reduced path is not cached
-
-    def test_cache_round_trip_identical(self, capsys, tmp_path):
-        argv = ["bound", "--poly", "det", "--n", "3", "--method", "koszul-full",
-                "--d", "1", "--p", "1", "--format", "json",
-                "--cache-dir", str(tmp_path)]
-        _, first = run(argv, capsys)
-        assert list(tmp_path.glob("*.mat"))
-        _, second = run(argv, capsys)
-
-        def strip_timing(text):
-            rec = json.loads(text)
-            for c in rec["provenance"]:
-                c.pop("elapsed_ms")
-            return rec
-
-        assert strip_timing(first) == strip_timing(second)
 
     def test_full_method_from_file(self, capsys, tmp_path):
         poly_path = tmp_path / "det2.json"
@@ -111,37 +91,46 @@ class TestBound:
         code, out = run(
             ["bound", "--poly", f"file:{poly_path}", "--n", "2",
              "--method", "koszul-full", "--d", "1", "--p", "1",
-             "--format", "json", "--no-cache"],
+             "--format", "json"],
             capsys,
         )
         rec = json.loads(out)
         assert code == 0 and rec["bound"] >= 2
 
-    def test_pieri_perm(self, capsys, tmp_path):
+    def test_pieri_perm(self, capsys):
         code, out = run(
             ["bound", "--poly", "perm", "--n", "3", "--method", "pieri",
-             "--format", "json", "--cache-dir", str(tmp_path)],
+             "--format", "json"],
             capsys,
         )
         rec = json.loads(out)
         assert rec["rank"] == 934 and rec["t"] == 70 and rec["bound"] == 14
 
+    def test_pieri_rational_is_orbit_reduced(self, capsys):
+        code, out = run(
+            ["bound", "--poly", "perm", "--n", "3", "--method", "pieri",
+             "--rational", "--format", "json"],
+            capsys,
+        )
+        rec = json.loads(out)
+        ranks = {c["method"]: c["rank"] for c in rec["provenance"]}
+        assert code == 0
+        assert ranks == {"modular": 934, "rational": 934}
+        assert all((c["orbits"], c["blocks"]) == (10, 226) for c in rec["provenance"])
+
     def test_errors(self, capsys):
         with pytest.raises(SystemExit):
             main(["bound", "--poly", "perm", "--n", "4",
-                  "--method", "koszul-minor", "--no-cache"])
+                  "--method", "koszul-minor"])
         with pytest.raises(SystemExit):
             main(["bound", "--poly", "det", "--n", "4",
-                  "--method", "pieri", "--no-cache"])
+                  "--method", "pieri"])
         with pytest.raises(SystemExit):
             main(["bound", "--poly", "nope", "--n", "3",
-                  "--method", "koszul-full", "--no-cache"])
+                  "--method", "koszul-full"])
         with pytest.raises(SystemExit):
             main(["bound", "--poly", "det", "--n", "3",
-                  "--method", "koszul-minor", "--threads", "0", "--no-cache"])
-        with pytest.raises(SystemExit):
-            main(["bound", "--poly", "det", "--n", "3",
-                  "--method", "koszul-minor", "--memory-cap", "1", "--no-cache"])
+                  "--method", "koszul-minor", "--memory-cap", "1"])
 
 
     @pytest.mark.parametrize("argv,message", [
@@ -151,7 +140,7 @@ class TestBound:
          "need 1 <= d <= degree-1"),
     ])
     def test_bad_request_is_one_line_error(self, capsys, argv, message):
-        code = main(["bound", *argv, "--no-cache"])
+        code = main(["bound", *argv])
         err = capsys.readouterr().err
         assert code != 0
         assert err.startswith("flatrank: error: ") and message in err

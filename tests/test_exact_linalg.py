@@ -1,5 +1,8 @@
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from flatrank.exact_linalg import (
     rank_rational,
     sparse_rank,
 )
+import flatrank
 from flatrank.flattening import FlatteningMatrix
 
 
@@ -206,3 +210,13 @@ class TestComponents:
         dense = [row + [0] * 7 for row in a] + [[0] * 6 + row for row in b]
         M = make_matrix(dense)
         assert rank_rational(M).rank == dense_rank_bareiss(a) + dense_rank_bareiss(b)
+
+
+def test_importing_the_cli_does_not_load_numpy():
+    """numpy serves only the dense_rank_mod_p test oracle, so a command line
+    process does not pay for importing it."""
+    src = str(Path(flatrank.__file__).resolve().parents[1])
+    code = "import flatrank.cli, sys; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={"PYTHONPATH": src}, check=True, timeout=60)
+    assert out.stdout.strip() == "False"

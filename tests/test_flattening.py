@@ -6,9 +6,11 @@ from math import comb
 import pytest
 
 from flatrank.exact_linalg import DEFAULT_PRIME, rank_mod_p, sparse_rank
+import flatrank.flattening as flattening
 from flatrank.flattening import (
     ALL_LEMMAS,
     apply_minor_map,
+    full_koszul_blocks,
     full_koszul_matrix,
     hwv_vector,
     lemma_shapes,
@@ -17,11 +19,9 @@ from flatrank.flattening import (
     minor_domain_basis,
     minor_koszul_matrix,
     minor_orbit_blocks,
-    read_matrix_cache,
     verify_hwv_nonzero,
     wedge_canon,
     wedge_insert,
-    write_matrix_cache,
     _bidegree_of_label,
 )
 from flatrank.partitions import schur_dim, theoretical_image_dim
@@ -29,11 +29,13 @@ from flatrank.polynomials import (
     determinant_poly,
     minor_poly,
     partial,
+    permanent_poly,
     random_low_rank,
     substitute_linear,
     var_index,
     variable_power,
 )
+from flatrank.schur_flattening import pieri_blocks, pieri_flattening_matrix
 
 
 class TestWedge:
@@ -109,10 +111,16 @@ class TestMinorMap:
             with pytest.raises(ValueError):
                 build(3, 3, 1)
 
-    def test_thread_determinism(self):
-        a = minor_koszul_matrix(3, 1, 2, threads=1)
-        b = minor_koszul_matrix(3, 1, 2, threads=4)
-        assert a.entries == b.entries and a.rows == b.rows and a.cols == b.cols
+    def test_grading_check_raises(self, monkeypatch):
+        image = flattening.minor_column_image
+
+        def misgraded(n, label):  # moves the row of the 1 x 1 remainder minor
+            return [((tuple(i % n + 1 for i in I), J, w), c)
+                    for (I, J, w), c in image(n, label)]
+
+        monkeypatch.setattr(flattening, "minor_column_image", misgraded)
+        with pytest.raises(RuntimeError, match="another weight"):
+            minor_koszul_matrix(3, 1, 1)
 
 
 def _orbit_key(weight):
@@ -122,37 +130,92 @@ def _orbit_key(weight):
     return min((wa, wb), (wb, wa))
 
 
+def _label_weight(n, plus=(), minus=()):
+    """Torus weight of the variables `plus` minus the monomial `minus`."""
+    wa, wb = [0] * n, [0] * n
+    for x in plus:
+        wa[x // n] += 1
+        wb[x % n] += 1
+    for x, e in enumerate(minus):
+        wa[x // n] -= e
+        wb[x % n] -= e
+    return tuple(wa), tuple(wb)
+
+
+def assert_blocks_match_whole(M, weight_of, blocks, symmetric):
+    """Soundness gate: split the whole matrix by column weight.  Block ranks
+    are constant on each orbit; each yielded block holds the columns of one
+    weight, one per orbit when symmetric, with the orbit's size and rank;
+    orbit-reduced = all-blocks = whole-matrix rank, which is returned."""
+    key = _orbit_key if symmetric else (lambda w: w)
+    weight_of_col = [weight_of(label) for label in M.cols]
+    split = {w: [] for w in weight_of_col}
+    for r, c, v in M.entries:
+        split[weight_of_col[c]].append((r, c, v))
+    orbit_ranks: dict = {}
+    for w, entries in split.items():
+        rank = sparse_rank(len(M.rows), len(M.cols), entries, p=DEFAULT_PRIME)
+        orbit_ranks.setdefault(key(w), []).append(rank)
+    for ranks in orbit_ranks.values():
+        assert len(set(ranks)) == 1
+
+    assert {key(B.meta["weight"]) for _, B in blocks} == set(orbit_ranks)
+    orbit_reduced = 0
+    for size, B in blocks:
+        weight = B.meta["weight"]
+        assert set(B.cols) == {
+            label for label, w in zip(M.cols, weight_of_col) if w == weight
+        }
+        ranks = orbit_ranks[key(weight)]
+        rank = rank_mod_p(B).rank
+        assert size == len(ranks) and rank == ranks[0]
+        orbit_reduced += size * rank
+    all_blocks = sum(sum(ranks) for ranks in orbit_ranks.values())
+    assert orbit_reduced == all_blocks == rank_mod_p(M).rank
+    return orbit_reduced
+
+
+def _full_case(P, d, p):
+    return (full_koszul_matrix(P, d, p), full_koszul_blocks(P, d, p),
+            lambda label: _label_weight(P.n, label[0], label[1]))
+
+
+def _pieri_case(P):
+    shape, rows = (2, 2, 2, 2, 1, 1, 1, 1), (1, 5, 9)
+    return (pieri_flattening_matrix(P, shape, rows, 9), pieri_blocks(P, shape, rows, 9),
+            lambda T: _label_weight(3, [v - 1 for row in T for v in row]))
+
+
 class TestOrbitBlocks:
     @pytest.mark.parametrize("n,d,p", [(4, 2, 1), (4, 2, 2), (5, 2, 2)])
     def test_orbit_reduced_equals_all_blocks_equals_whole(self, n, d, p):
-        """Soundness gate: split the whole matrix by column bidegree; block
-        ranks are constant on each orbit and equal the representative's."""
         M = minor_koszul_matrix(n, d, p, check_grading=False)
-        weight_of = [_bidegree_of_label(label, n) for label in M.cols]
-        blocks = {w: [] for w in weight_of}
-        for r, c, v in M.entries:
-            blocks[weight_of[c]].append((r, c, v))
-        orbit_ranks: dict = {}
-        for w, entries in blocks.items():
-            rank = sparse_rank(len(M.rows), len(M.cols), entries, p=DEFAULT_PRIME)
-            orbit_ranks.setdefault(_orbit_key(w), []).append(rank)
-        for ranks in orbit_ranks.values():
-            assert len(set(ranks)) == 1
+        assert_blocks_match_whole(M, lambda label: _bidegree_of_label(label, n),
+                                  list(minor_orbit_blocks(n, d, p)), symmetric=True)
 
-        reps = list(minor_orbit_blocks(n, d, p))
-        assert {_orbit_key(B.meta["weight"]) for _, B in reps} == set(orbit_ranks)
-        orbit_reduced = 0
-        for size, B in reps:
-            weight = B.meta["weight"]
-            assert set(B.cols) == {
-                label for label, w in zip(M.cols, weight_of) if w == weight
-            }
-            ranks = orbit_ranks[_orbit_key(weight)]
-            rank = rank_mod_p(B).rank
-            assert size == len(ranks) and rank == ranks[0]
-            orbit_reduced += size * rank
-        all_blocks = sum(sum(ranks) for ranks in orbit_ranks.values())
-        assert orbit_reduced == all_blocks == rank_mod_p(M).rank
+    @pytest.mark.parametrize("case,symmetric,rank", [
+        pytest.param(lambda: _full_case(determinant_poly(3), 1, 2), True, 315,
+                     id="full-det3-1-2"),
+        pytest.param(lambda: _full_case(determinant_poly(4), 2, 2), True, 4065,
+                     id="full-det4-2-2"),
+        pytest.param(lambda: _full_case(permanent_poly(4), 2, 2), True, 4053,
+                     id="full-perm4-2-2"),
+        pytest.param(lambda: _pieri_case(determinant_poly(3)), True, 950, id="pieri-det3"),
+        pytest.param(lambda: _pieri_case(permanent_poly(3)), True, 934, id="pieri-perm3"),
+        pytest.param(lambda: _pieri_case(variable_power((3, 3), 3, 3)), False, 70,
+                     id="pieri-power"),
+    ])
+    def test_full_and_pieri_blocks_match_whole(self, case, symmetric, rank):
+        M, blocks, weight_of = case()
+        blocks = list(blocks)
+        assert all(size == 1 for size, _ in blocks) != symmetric
+        assert assert_blocks_match_whole(M, weight_of, blocks, symmetric) == rank
+
+    def test_non_graded_input_is_one_block(self):
+        P = random_low_rank(2, 3, 3, 5)
+        blocks = list(full_koszul_blocks(P, 1, 2))
+        assert len(blocks) == 1 and blocks[0][0] == 1
+        assert rank_mod_p(blocks[0][1]).rank == rank_mod_p(full_koszul_matrix(P, 1, 2)).rank
 
     def test_blocks_are_graded(self):
         for _, B in minor_orbit_blocks(4, 2, 2):
@@ -174,6 +237,16 @@ class TestFullMap:
         F = full_koszul_matrix(determinant_poly(3), d, p)
         M = minor_koszul_matrix(3, d, p)
         assert rank_mod_p(F).rank == rank_mod_p(M).rank
+
+    def test_full_rank_matches_minor_rank_for_det4(self):
+        """The frozen n=4 baseline by a second construction: the full map is
+        built by contraction, with no Laplace signs."""
+        def orbit_reduced(blocks):
+            return sum(size * rank_mod_p(B).rank for size, B in blocks)
+
+        full = orbit_reduced(full_koszul_blocks(determinant_poly(4), 2, 2))
+        minor = orbit_reduced(minor_orbit_blocks(4, 2, 2))
+        assert full == minor == theoretical_image_dim(4, 2, 2) == 4065
 
     def test_power_rank_is_t(self):
         # a single e-th power contributes exactly comb(nn-1, p) to the rank
@@ -217,16 +290,12 @@ class TestFullMap:
         assert rank_mod_p(full_koszul_matrix(P, 1, 2)).rank == base
 
     def test_rejects_bad_args(self):
-        with pytest.raises(ValueError):
-            full_koszul_matrix(determinant_poly(3), 3, 1)
-        with pytest.raises(ValueError):
-            full_koszul_matrix(determinant_poly(2), 1, 4)
+        for build in (full_koszul_matrix, full_koszul_blocks):
+            with pytest.raises(ValueError):
+                build(determinant_poly(3), 3, 1)
+            with pytest.raises(ValueError):
+                build(determinant_poly(2), 1, 4)
 
-    def test_thread_determinism(self):
-        P = determinant_poly(3)
-        a = full_koszul_matrix(P, 1, 2, threads=1)
-        b = full_koszul_matrix(P, 1, 2, threads=4)
-        assert a.entries == b.entries
 
 
 class TestHighestWeightVectors:
@@ -295,24 +364,3 @@ class TestHighestWeightVectors:
             M.rows[i]: dense[i] for i in range(len(dense)) if dense[i]
         }
         assert image == want
-
-
-class TestCache:
-    def test_round_trip(self, tmp_path):
-        M = minor_koszul_matrix(3, 1, 1)
-        path = tmp_path / "m.mat"
-        write_matrix_cache(M, path)
-        back = read_matrix_cache(path)
-        assert back.entries == [(r, c, Fraction(v)) for r, c, v in M.entries]
-        assert back.basis_hash() == M.basis_hash()
-        assert len(back.rows) == len(M.rows) and len(back.cols) == len(M.cols)
-        assert rank_mod_p(back).rank == rank_mod_p(M).rank
-
-    def test_corruption_detected(self, tmp_path):
-        M = minor_koszul_matrix(2, 1, 1)
-        path = tmp_path / "m.mat"
-        write_matrix_cache(M, path)
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:-1]) + "\n")
-        with pytest.raises(ValueError, match="nnz"):
-            read_matrix_cache(path)

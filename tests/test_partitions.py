@@ -1,3 +1,4 @@
+from fractions import Fraction
 from itertools import combinations
 from math import comb
 
@@ -96,6 +97,11 @@ class TestSchurDim:
         assert schur_dim((1, 1, 1), 3) == 1
         assert schur_dim((2, 1), 3) == 8
         assert schur_dim((1, 1, 1, 1), 3) == 0
+
+    def test_non_integer_dimension_raises(self):
+        # N = 3/2 is not a dimension; the hook content product is 15/8
+        with pytest.raises(RuntimeError, match="hook content"):
+            schur_dim((2,), Fraction(3, 2))
 
     @pytest.mark.parametrize(
         "shape,N",

@@ -8,6 +8,8 @@ from flatrank.polynomials import (
     Polynomial,
     contract,
     determinant_poly,
+    is_bigraded,
+    is_symmetric,
     linear_form_power,
     minor_poly,
     monomial,
@@ -157,6 +159,42 @@ class TestContract:
             for k, e in enumerate(exps):
                 want = sympy.diff(want, syms[k], e)
             assert sympy.expand(got - want) == 0
+
+
+class TestSymmetry:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_det_and_perm_are_graded_and_symmetric(self, n):
+        for P in (determinant_poly(n), permanent_poly(n)):
+            assert is_bigraded(P) and is_symmetric(P)
+
+    def test_power_is_graded_not_symmetric(self):
+        P = variable_power((3, 3), 3, 3)
+        assert is_bigraded(P) and not is_symmetric(P)
+
+    def test_low_rank_is_not_graded(self):
+        assert not is_bigraded(random_low_rank(2, 3, 3, 5))
+
+    def test_one_sign_for_all_terms(self):
+        # flipping the sign of one term of det3 breaks row-swap symmetry
+        terms = dict(determinant_poly(3).terms)
+        first = min(terms)
+        terms[first] = -terms[first]
+        P = Polynomial(3, 3, terms)
+        assert is_bigraded(P) and not is_symmetric(P)
+
+    def test_swaps_are_generators(self):
+        # the even-permutation half of det3 is fixed by cycling rows or
+        # columns and by transposition, but a swap turns it into the odd half
+        P = Polynomial(3, 3, {e: c for e, c in determinant_poly(3).terms.items() if c > 0})
+        assert is_bigraded(P) and not is_symmetric(P)
+
+    def test_transposition_is_a_generator(self):
+        # the squared column sums of a 2x2 matrix are fixed by row and
+        # column permutations; transposition turns them into row sums
+        P = linear_form_power([1, 0, 1, 0], 2, 2) + linear_form_power([0, 1, 0, 1], 2, 2)
+        assert not is_symmetric(P)
+        assert is_symmetric(P + linear_form_power([1, 1, 0, 0], 2, 2)
+                            + linear_form_power([0, 0, 1, 1], 2, 2))
 
 
 class TestSubstitution:

@@ -8,11 +8,13 @@ import sympy
 from flatrank.exact_linalg import rank_mod_p
 from flatrank.partitions import partitions_of, schur_dim
 from flatrank.polynomials import determinant_poly, variable_power
+import flatrank.schur_flattening as schur_flattening
 from flatrank.schur_flattening import (
     add_boxes_shape,
     columns_to_rows,
     is_semistandard,
     kostka_number,
+    pieri_blocks,
     pieri_flattening_matrix,
     rows_to_columns,
     ssyt_enumerate,
@@ -108,6 +110,17 @@ class TestStraightening:
             content = sorted(v for row in filling for v in row)
             for tab in straighten(filling):
                 assert sorted(v for row in tab for v in row) == content
+
+    @pytest.mark.parametrize("cols,message", [
+        (((1, 2), (2, 1)), "repeats an entry"),
+        (((1, 2), (3, 1)), "order does not decrease"),
+    ])
+    def test_unsorted_input_raises(self, monkeypatch, cols, message):
+        """_straighten_sorted requires sorted columns; its checks catch a
+        caller that breaks this, also under python -O."""
+        monkeypatch.setattr(schur_flattening, "_straighten_cache", {})
+        with pytest.raises(RuntimeError, match=message):
+            schur_flattening._straighten_sorted(cols)
 
     def test_idempotent(self):
         rng = random.Random(13)
@@ -231,6 +244,12 @@ class TestPieriMatrix:
     def test_degree_mismatch(self):
         with pytest.raises(ValueError):
             pieri_flattening_matrix(determinant_poly(2), PI3, (1, 5, 9), 9)
+
+    def test_blocks_reject_bad_args(self):
+        with pytest.raises(ValueError, match="added boxes"):
+            pieri_blocks(determinant_poly(2), PI3, (1, 5, 9), 9)
+        with pytest.raises(ValueError, match="N = n"):
+            pieri_blocks(determinant_poly(3), PI3, (1, 5, 9), 8)
 
 
 def set_diff(big, small):
