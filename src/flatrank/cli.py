@@ -24,9 +24,7 @@ from .polynomials import (
     permanent_poly,
     variable_power,
 )
-
-PI3 = (2, 2, 2, 2, 1, 1, 1, 1)
-PIERI_ROWS = (1, 5, 9)
+from .schur_flattening import PI3, PIERI_ROWS, PIERI_T
 
 
 def load_polynomial(spec: str, n: int) -> tuple[str, Polynomial]:
@@ -86,7 +84,7 @@ def cmd_bound(args) -> int:
         if n != 3:
             raise SystemExit("the pieri method is supported at n=3 scale only")
         blocks = list(schur_flattening.pieri_blocks(poly, PI3, PIERI_ROWS, 9))
-        t = 70  # rank of the same flattening at a cubed variable
+        t = PIERI_T
         d = p = None
     else:
         raise SystemExit(f"unknown method {method!r}")
@@ -150,7 +148,7 @@ def run_quick_suite(prime: int = exact_linalg.DEFAULT_PRIME) -> bool:
                  and partitions.schur_dim(PI3, 8) == 70)
     fld = PrimeField(prime)
     for poly, name, expect in [
-        (variable_power((3, 3), 3, 3), "power", 70),
+        (variable_power((3, 3), 3, 3), "power", PIERI_T),
         (determinant_poly(3), "det3", 950),
         (permanent_poly(3), "perm3", 934),
     ]:
@@ -286,7 +284,7 @@ def main(argv=None) -> int:
         raise SystemExit("memory cap must be at least 256 MiB")
     try:
         return args.func(args)
-    except (ValueError, MemoryCapExceeded) as exc:
+    except (ValueError, OSError, MemoryCapExceeded) as exc:
         print(f"flatrank: error: {exc}", file=sys.stderr)
         return 2
 

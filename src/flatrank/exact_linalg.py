@@ -1,9 +1,9 @@
 """Exact rank computation for sparse and dense matrices.
 
-Two routes are provided: sparse Gaussian elimination over a prime field
-(Markowitz-style minimum-fill pivoting, deterministic), and exact rational
-elimination (fraction-free Bareiss on dense blocks, applied per connected
-component of the sparsity pattern).
+One sparse Gaussian elimination (Markowitz-style minimum-fill pivoting,
+deterministic) runs over a prime field or, with Fraction arithmetic, over
+the rationals.  The command line ranks small torus-weight blocks, so each
+block is eliminated whole.  The dense routines are test oracles.
 
 Soundness note: the rank of an integer matrix reduced mod p never exceeds
 its rank over the rationals, so a single modular rank already certifies a
@@ -12,11 +12,9 @@ lower bound.
 
 from __future__ import annotations
 
-import hashlib
 import heapq
-import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -63,16 +61,6 @@ class PrimeField:
         if self.modulus.bit_length() > 62 or self.modulus == 2:
             raise ValueError("modulus must be an odd prime fitting in a machine word")
 
-    def reduce_fraction(self, x: Fraction, context: str = "") -> int:
-        num = x.numerator % self.modulus
-        den = x.denominator % self.modulus
-        if den == 0:
-            raise ZeroDivisionError(
-                f"denominator of {x} divisible by prime {self.modulus}"
-                + (f" at {context}" if context else "")
-            )
-        return num * pow(den, self.modulus - 2, self.modulus) % self.modulus
-
 
 @dataclass
 class RankCertificate:
@@ -99,15 +87,6 @@ class RankCertificate:
         return out
 
 
-def matrix_hash(nrows: int, ncols: int, entries) -> str:
-    h = hashlib.sha256()
-    h.update(f"{nrows}x{ncols};".encode())
-    for r, c, v in entries:
-        v = Fraction(v)
-        h.update(f"{r},{c},{v.numerator}/{v.denominator};".encode())
-    return h.hexdigest()[:16]
-
-
 def sparse_rank(
     nrows: int,
     ncols: int,
@@ -130,20 +109,16 @@ def sparse_rank(
     col_rows: dict[int, set[int]] = {}
     nnz = 0
     for r, c, v in entries:
+        val = Fraction(v)
         if p is not None:
-            num = Fraction(v)
-            den = num.denominator % p
+            den = val.denominator % p
             if den == 0:
                 raise ZeroDivisionError(
                     f"denominator of entry ({r},{c}) divisible by prime {p}"
                 )
-            val = num.numerator % p * pow(den, p - 2, p) % p
-            if val == 0:
-                continue
-        else:
-            val = Fraction(v)
-            if val == 0:
-                continue
+            val = val.numerator % p * pow(den, p - 2, p) % p
+        if not val:
+            continue
         row = rows.setdefault(r, {})
         if c in row:
             raise ValueError(f"duplicate entry at ({r},{c})")
@@ -170,10 +145,7 @@ def sparse_rank(
         pr = min(col_rows[pc], key=lambda r: (len(rows[r]), r))
         pivrow = rows.pop(pr)
         piv = pivrow[pc]
-        if p is not None:
-            inv = pow(piv, p - 2, p)
-        else:
-            inv = 1 / piv
+        inv = 1 / piv if p is None else pow(piv, p - 2, p)
         # detach pivot row
         touched = set()
         for c in pivrow:
@@ -196,28 +168,18 @@ def sparse_rank(
             for c, v in pivrow.items():
                 if c == pc:
                     continue
+                newv = row.get(c, 0) - factor * v
                 if p is not None:
-                    newv = (row.get(c, 0) - factor * v) % p
-                    if newv:
-                        if c not in row:
-                            col_rows.setdefault(c, set()).add(r)
-                            nnz += 1
-                        row[c] = newv
-                    elif c in row:
-                        del row[c]
-                        col_rows[c].discard(r)
-                        nnz -= 1
-                else:
-                    newv = row.get(c, Fraction(0)) - factor * v
-                    if newv:
-                        if c not in row:
-                            col_rows.setdefault(c, set()).add(r)
-                            nnz += 1
-                        row[c] = newv
-                    elif c in row:
-                        del row[c]
-                        col_rows[c].discard(r)
-                        nnz -= 1
+                    newv %= p
+                if newv:
+                    if c not in row:
+                        col_rows.setdefault(c, set()).add(r)
+                        nnz += 1
+                    row[c] = newv
+                elif c in row:
+                    del row[c]
+                    col_rows[c].discard(r)
+                    nnz -= 1
             del row[pc]
             nnz -= 1
             if not row:
@@ -244,7 +206,8 @@ def dense_rank_bareiss(mat) -> int:
     """Rank of a dense matrix by fraction-free Bareiss elimination.
 
     Accepts rows of ints or Fractions; each row is scaled to clear
-    denominators first (rank invariant).
+    denominators first (rank invariant).  A test oracle for the rational
+    `sparse_rank`: no certificate path calls it.
     """
     m = []
     for row in mat:
@@ -292,8 +255,9 @@ def dense_rank_bareiss(mat) -> int:
 def dense_rank_mod_p(a, p: int) -> int:
     """Rank of an integer matrix mod p by vectorized dense elimination.
 
-    p must fit in 31 bits so products stay inside int64.  A test oracle:
-    numpy is imported here so that importing the library does not load it.
+    p must fit in 31 bits so products stay inside int64.  A test oracle
+    for the modular `sparse_rank`, which no certificate path calls: numpy
+    is imported here so that importing the library does not load it.
     """
     import numpy as np
 
@@ -325,45 +289,6 @@ def dense_rank_mod_p(a, p: int) -> int:
     return rank
 
 
-def connected_components(entries):
-    """Split a coordinate list into connected components of its bipartite
-    row/column incidence graph.  Returns a list of entry sublists."""
-    parent: dict = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
-    for r, c, _ in entries:
-        rk, ck = ("r", r), ("c", c)
-        parent.setdefault(rk, rk)
-        parent.setdefault(ck, ck)
-        union(rk, ck)
-    groups: dict = {}
-    for r, c, v in entries:
-        groups.setdefault(find(("r", r)), []).append((r, c, v))
-    return [groups[k] for k in sorted(groups, key=lambda k: min(e[:2] for e in groups[k]))]
-
-
-def _relabel(entries):
-    """Compact row/column indices of an entry list; returns (nrows, ncols, entries)."""
-    rmap, cmap = {}, {}
-    out = []
-    for r, c, v in sorted(entries, key=lambda e: (e[0], e[1])):
-        ri = rmap.setdefault(r, len(rmap))
-        ci = cmap.setdefault(c, len(cmap))
-        out.append((ri, ci, v))
-    return len(rmap), len(cmap), out
-
-
-DENSE_COMPONENT_LIMIT = 250_000  # rows*cols per component for the Bareiss path
 SIZE_GUARD = 10**7  # rows*cols guard for the exact rational path
 
 
@@ -385,57 +310,22 @@ def rank_mod_p(M, fld: PrimeField | None = None,
     )
 
 
-def rank_rational(M, multi_prime: bool = False, num_primes: int = 2,
-                  seed: int = 0,
-                  memory_cap_bytes: int = DEFAULT_MEMORY_CAP_BYTES) -> RankCertificate:
-    """Exact rank over the rationals, or a certified lower bound.
+def rank_rational(M, memory_cap_bytes: int = DEFAULT_MEMORY_CAP_BYTES) -> RankCertificate:
+    """Exact rank over the rationals: `sparse_rank` with Fraction arithmetic.
 
-    The exact path splits the sparsity pattern into connected components
-    and runs dense fraction-free elimination on each; it requires
-    rows*cols <= 10^7 and every component small enough for the dense
-    path (larger components fall back to exact sparse rational
-    elimination).  With multi_prime=True the rank is instead the maximum
-    over `num_primes` distinct random primes, which certifies only a
-    lower bound on the rational rank.
+    Requires rows*cols <= SIZE_GUARD or at most SIZE_GUARD/100 nonzeros:
+    a larger request (a non-graded input is one block of every column)
+    fails with a ValueError before any elimination.
     """
     t0 = time.perf_counter()
     nrows, ncols = len(M.rows), len(M.cols)
-    if multi_prime:
-        rng = random.Random(seed)
-        primes = []
-        while len(primes) < max(2, num_primes):
-            cand = rng.randrange(1 << 29, 1 << 30) | 1
-            if is_prime(cand) and cand not in primes:
-                primes.append(cand)
-        best = 0
-        for p in primes:
-            best = max(best, sparse_rank(nrows, ncols, M.entries, p=p,
-                                         memory_cap_bytes=memory_cap_bytes))
-        return RankCertificate(
-            rank=best,
-            method="modular",
-            primes_used=tuple(primes),
-            matrix_hash=M.basis_hash(),
-            elapsed=time.perf_counter() - t0,
-            rational_lower_bound_only=True,
-        )
     if nrows * ncols > SIZE_GUARD and len(M.entries) > SIZE_GUARD // 100:
         raise ValueError(
             f"{nrows}x{ncols} matrix with {len(M.entries)} nonzeros exceeds the "
             f"exact rational size guard (rows*cols <= {SIZE_GUARD} or nonzeros "
             f"<= {SIZE_GUARD // 100}); its modular rank is a certified lower bound"
         )
-    rank = 0
-    for comp in connected_components(M.entries):
-        cr, cc, sub = _relabel(comp)
-        if cr * cc <= DENSE_COMPONENT_LIMIT:
-            dense = [[0] * cc for _ in range(cr)]
-            for r, c, v in sub:
-                dense[r][c] = Fraction(v)
-            rank += dense_rank_bareiss(dense)
-        else:
-            rank += sparse_rank(cr, cc, sub, p=None,
-                                memory_cap_bytes=memory_cap_bytes)
+    rank = sparse_rank(nrows, ncols, M.entries, p=None, memory_cap_bytes=memory_cap_bytes)
     return RankCertificate(
         rank=rank,
         method="rational",

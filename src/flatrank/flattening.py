@@ -19,7 +19,7 @@ import hashlib
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, combinations_with_replacement
+from itertools import chain, combinations, combinations_with_replacement
 from math import factorial
 
 from .partitions import partitions_of
@@ -78,19 +78,18 @@ class FlatteningMatrix:
         return len(self.entries)
 
     def basis_hash(self) -> str:
+        """Hash of the kind, the row and column labels and the entries,
+        streamed into sha256 one item at a time."""
         if self._hash is None:
             h = hashlib.sha256()
-            h.update(repr(self.meta.get("kind")).encode())
-            h.update(repr(self.rows).encode())
-            h.update(repr(self.cols).encode())
+            kind = self.meta.get("kind")
+            h.update(f"{kind!r};{len(self.rows)}x{len(self.cols)};".encode())
+            for label in chain(self.rows, self.cols):
+                h.update(f"{label!r};".encode())
+            for r, c, v in self.entries:
+                h.update(f"{r},{c},{v.numerator}/{v.denominator};".encode())
             self._hash = h.hexdigest()[:16]
         return self._hash
-
-    def to_dense(self):
-        dense = [[Fraction(0)] * len(self.cols) for _ in self.rows]
-        for r, c, v in self.entries:
-            dense[r][c] = Fraction(v)
-        return dense
 
 
 def _bidegree_of_label(label, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -144,17 +143,20 @@ def minor_codomain_basis(n: int, d: int, p: int) -> list[MinorLabel]:
     return [(I, J, w) for I in subs for J in subs for w in wedges]
 
 
-def minor_koszul_matrix(n: int, d: int, p: int,
-                        check_grading: bool = True) -> FlatteningMatrix:
-    """Matrix of the minor-indexed Koszul map for the n x n determinant."""
+def minor_koszul_matrix(n: int, d: int, p: int) -> FlatteningMatrix:
+    """Matrix of the minor-indexed Koszul map for the n x n determinant.
+
+    Raises if an entry joins labels of different weights: the orbit blocks
+    of `minor_orbit_blocks` rest on that grading."""
     _check_minor_args(n, d, p)
     cols = minor_domain_basis(n, d, p)
     rows = minor_codomain_basis(n, d, p)
     row_index = {label: i for i, label in enumerate(rows)}
     entries = []
     for ci, label in enumerate(cols):
+        weight = _bidegree_of_label(label, n)
         for rlabel, coeff in minor_column_image(n, label):
-            if check_grading and _bidegree_of_label(label, n) != _bidegree_of_label(rlabel, n):
+            if _bidegree_of_label(rlabel, n) != weight:
                 raise RuntimeError(f"minor map sends {label} to {rlabel}, of another weight")
             entries.append((row_index[rlabel], ci, coeff))
     meta = {"kind": "minor", "polynomial": f"det{n}", "n": n, "d": d, "p": p}

@@ -11,7 +11,6 @@ import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import comb
 
 log = logging.getLogger(__name__)
 
@@ -43,12 +42,6 @@ def conjugate(pi: Partition) -> Partition:
         for j in range(part):
             cols[j] += 1
     return tuple(cols)
-
-
-def hook_length(pi: Partition, i: int, j: int) -> int:
-    """Hook length of cell (i, j), 0-based."""
-    conj = conjugate(pi)
-    return (pi[i] - j) + (conj[j] - i) - 1
 
 
 def schur_dim(pi: Partition, N: int) -> int:
@@ -248,7 +241,3 @@ def candidate_image(n: int, d: int, p: int) -> ModuleList:
 def theoretical_image_dim(n: int, d: int, p: int) -> int:
     """Dimension of the candidate image over n-dimensional spaces."""
     return candidate_image(n, d, p).total_dimension(n)
-
-
-def binom(n: int, k: int) -> int:
-    return comb(n, k)

@@ -18,6 +18,12 @@ from .flattening import FlatteningMatrix, polynomial_blocks
 Tableau = tuple[tuple[int, ...], ...]
 Columns = tuple[tuple[int, ...], ...]
 
+# The n=3 Pieri flattening: tableaux of shape PI3 over C^9, one box added
+# to each of rows PIERI_ROWS; PIERI_T = 70 is its rank at a cubed variable.
+PI3 = (2, 2, 2, 2, 1, 1, 1, 1)
+PIERI_ROWS = (1, 5, 9)
+PIERI_T = 70
+
 
 def tableau_shape(t: Tableau) -> Partition:
     return make_partition(len(row) for row in t)

@@ -22,9 +22,7 @@ from flatrank.polynomials import (
     random_low_rank,
     variable_power,
 )
-
-PI3 = (2, 2, 2, 2, 1, 1, 1, 1)
-PIERI_ROWS = (1, 5, 9)
+from flatrank.schur_flattening import PI3, PIERI_ROWS, PIERI_T
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -59,8 +57,8 @@ def test_criterion_2_pieri_ranks():
         results[name] = cert.rank
     ok = (
         results == {"cube": 70, "det3": 950, "perm3": 934}
-        and bounds.flattening_bound(950, 70) == 14
-        and bounds.flattening_bound(934, 70) == 14
+        and bounds.flattening_bound(950, PIERI_T) == 14
+        and bounds.flattening_bound(934, PIERI_T) == 14
     )
     report(2, ok, f"pieri ranks {results}, bounds 14 / 14")
 

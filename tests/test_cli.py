@@ -132,6 +132,27 @@ class TestBound:
             main(["bound", "--poly", "det", "--n", "3",
                   "--method", "koszul-minor", "--memory-cap", "1"])
 
+    def test_missing_file_is_one_line_error(self, capsys, tmp_path):
+        missing = tmp_path / "nonexistent.json"
+        code = main(["bound", "--poly", f"file:{missing}", "--n", "3",
+                     "--method", "koszul-full"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("flatrank: error: ") and str(missing) in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["--n", "3", "--method", "pieri"],
+        ["--n", "4", "--method", "koszul-full", "--d", "2", "--p", "2"],
+    ])
+    def test_matrix_hash_tells_det_from_perm(self, capsys, argv):
+        """det and perm share every block's labels, not its entries."""
+        hashes = {}
+        for poly in ("det", "perm"):
+            code, out = run(["bound", "--poly", poly, *argv, "--format", "json"], capsys)
+            assert code == 0
+            hashes[poly] = json.loads(out)["provenance"][0]["matrix_hash"]
+        assert hashes["det"] != hashes["perm"]
 
     @pytest.mark.parametrize("argv,message", [
         (["--poly", "det", "--n", "4", "--method", "koszul-minor", "--p", "3"],

@@ -35,7 +35,7 @@ from flatrank.polynomials import (
     var_index,
     variable_power,
 )
-from flatrank.schur_flattening import pieri_blocks, pieri_flattening_matrix
+from flatrank.schur_flattening import PI3, PIERI_ROWS, pieri_blocks, pieri_flattening_matrix
 
 
 class TestWedge:
@@ -88,7 +88,7 @@ class TestMinorMap:
                 assert coeff in (1, -1)
 
     def test_grading_preserved(self):
-        M = minor_koszul_matrix(3, 1, 2, check_grading=False)
+        M = minor_koszul_matrix(3, 1, 2)
         for r, c, _ in M.entries:
             assert _bidegree_of_label(M.cols[c], 3) == _bidegree_of_label(
                 M.rows[r], 3
@@ -181,15 +181,15 @@ def _full_case(P, d, p):
 
 
 def _pieri_case(P):
-    shape, rows = (2, 2, 2, 2, 1, 1, 1, 1), (1, 5, 9)
-    return (pieri_flattening_matrix(P, shape, rows, 9), pieri_blocks(P, shape, rows, 9),
+    return (pieri_flattening_matrix(P, PI3, PIERI_ROWS, 9),
+            pieri_blocks(P, PI3, PIERI_ROWS, 9),
             lambda T: _label_weight(3, [v - 1 for row in T for v in row]))
 
 
 class TestOrbitBlocks:
     @pytest.mark.parametrize("n,d,p", [(4, 2, 1), (4, 2, 2), (5, 2, 2)])
     def test_orbit_reduced_equals_all_blocks_equals_whole(self, n, d, p):
-        M = minor_koszul_matrix(n, d, p, check_grading=False)
+        M = minor_koszul_matrix(n, d, p)
         assert_blocks_match_whole(M, lambda label: _bidegree_of_label(label, n),
                                   list(minor_orbit_blocks(n, d, p)), symmetric=True)
 

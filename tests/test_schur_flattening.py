@@ -10,6 +10,8 @@ from flatrank.partitions import partitions_of, schur_dim
 from flatrank.polynomials import determinant_poly, variable_power
 import flatrank.schur_flattening as schur_flattening
 from flatrank.schur_flattening import (
+    PI3,
+    PIERI_ROWS,
     add_boxes_shape,
     columns_to_rows,
     is_semistandard,
@@ -21,8 +23,6 @@ from flatrank.schur_flattening import (
     straighten,
     tableau_shape,
 )
-
-PI3 = (2, 2, 2, 2, 1, 1, 1, 1)
 
 
 def bideterminant(filling, syms):
@@ -175,7 +175,7 @@ class TestKostka:
 
 class TestAddBoxes:
     def test_examples(self):
-        assert add_boxes_shape(PI3, (1, 5, 9)) == (3,) + PI3
+        assert add_boxes_shape(PI3, PIERI_ROWS) == (3,) + PI3
         assert add_boxes_shape((2, 1), (1,)) == (3, 1)
         assert add_boxes_shape((1,), (2,)) == (1, 1)
 
@@ -204,7 +204,7 @@ class TestPieriMatrix:
         }
 
     def test_paper_matrix_is_square_1050(self):
-        M = pieri_flattening_matrix(determinant_poly(3), PI3, (1, 5, 9), 9)
+        M = pieri_flattening_matrix(determinant_poly(3), PI3, PIERI_ROWS, 9)
         assert (len(M.rows), len(M.cols)) == (1050, 1050)
 
     @pytest.mark.parametrize(
@@ -212,19 +212,19 @@ class TestPieriMatrix:
         [(variable_power((3, 3), 3, 3), 70), (determinant_poly(3), 950)],
     )
     def test_paper_ranks(self, poly, rank):
-        M = pieri_flattening_matrix(poly, PI3, (1, 5, 9), 9)
+        M = pieri_flattening_matrix(poly, PI3, PIERI_ROWS, 9)
         assert rank_mod_p(M).rank == rank
 
     def test_scale_invariance_of_rank(self):
         phi = determinant_poly(3)
-        a = pieri_flattening_matrix(phi, PI3, (1, 5, 9), 9)
-        b = pieri_flattening_matrix(phi.scale(Fraction(3, 7)), PI3, (1, 5, 9), 9)
+        a = pieri_flattening_matrix(phi, PI3, PIERI_ROWS, 9)
+        b = pieri_flattening_matrix(phi.scale(Fraction(3, 7)), PI3, PIERI_ROWS, 9)
         assert rank_mod_p(a).rank == rank_mod_p(b).rank
 
     def test_cubed_variable_column_structure(self):
         # for the cube of the last variable every image tableau contains
         # three copies of the label 9
-        M = pieri_flattening_matrix(variable_power((3, 3), 3, 3), PI3, (1, 5, 9), 9)
+        M = pieri_flattening_matrix(variable_power((3, 3), 3, 3), PI3, PIERI_ROWS, 9)
         for r, c, v in M.entries:
             tab = M.rows[r]
             assert sum(row.count(9) for row in tab) >= 3
@@ -243,13 +243,13 @@ class TestPieriMatrix:
 
     def test_degree_mismatch(self):
         with pytest.raises(ValueError):
-            pieri_flattening_matrix(determinant_poly(2), PI3, (1, 5, 9), 9)
+            pieri_flattening_matrix(determinant_poly(2), PI3, PIERI_ROWS, 9)
 
     def test_blocks_reject_bad_args(self):
         with pytest.raises(ValueError, match="added boxes"):
-            pieri_blocks(determinant_poly(2), PI3, (1, 5, 9), 9)
+            pieri_blocks(determinant_poly(2), PI3, PIERI_ROWS, 9)
         with pytest.raises(ValueError, match="N = n"):
-            pieri_blocks(determinant_poly(3), PI3, (1, 5, 9), 8)
+            pieri_blocks(determinant_poly(3), PI3, PIERI_ROWS, 8)
 
 
 def set_diff(big, small):
