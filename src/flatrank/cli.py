@@ -27,17 +27,37 @@ from .polynomials import (
 from .schur_flattening import PI3, PIERI_ROWS, PIERI_T
 
 
-def load_polynomial(spec: str, n: int) -> tuple[str, Polynomial]:
+def load_polynomial(spec: str, n: int) -> Polynomial:
     if spec == "det":
-        return "det", determinant_poly(n)
+        return determinant_poly(n)
     if spec == "perm":
-        return "perm", permanent_poly(n)
+        return permanent_poly(n)
     if spec == "power":
-        return "power", variable_power((n, n), n, n)
+        return variable_power((n, n), n, n)
     if spec.startswith("file:"):
-        text = Path(spec[5:]).read_text()
-        return "file", Polynomial.from_json(text)
-    raise SystemExit(f"unknown polynomial {spec!r}")
+        P = Polynomial.from_json(Path(spec[5:]).read_text())
+        if P.n != n:
+            raise ValueError(f"{spec} is a polynomial at n={P.n}, not at --n {n}")
+        return P
+    raise ValueError(f"unknown polynomial {spec!r}")
+
+
+def flattening_blocks(method: str, spec: str, n: int, d: int | None,
+                      p: int | None) -> tuple[list, int]:
+    """The (orbit_size, block) pairs of a flattening of the polynomial named
+    by `spec`, and t, the rank of the same flattening at a power of a linear
+    form.  The pieri method ignores d and p."""
+    if method == "koszul-minor":
+        if spec != "det":
+            raise ValueError("koszul-minor is only defined for --poly det")
+        # the minor map is built from n alone
+        return list(flattening.minor_orbit_blocks(n, d, p)), comb(n * n - 1, p)
+    poly = load_polynomial(spec, n)
+    if method == "koszul-full":
+        return list(flattening.full_koszul_blocks(poly, d, p)), comb(n * n - 1, p)
+    if n != 3:
+        raise ValueError("the pieri method is supported at n=3 only")
+    return list(schur_flattening.pieri_blocks(poly, PI3, PIERI_ROWS, 9)), PIERI_T
 
 
 def certify(blocks, rank) -> RankCertificate:
@@ -61,35 +81,18 @@ def certify(blocks, rank) -> RankCertificate:
 
 
 def cmd_bound(args) -> int:
-    n = args.n
-    method = args.method
-    if method == "koszul-minor":
-        if args.poly != "det":
-            raise SystemExit("koszul-minor is only defined for --poly det")
-        name = "det"  # the minor map is built from n alone
-    else:
-        name, poly = load_polynomial(args.poly, n)
+    if args.memory_cap < 256:
+        raise ValueError("--memory-cap must be at least 256 MiB")
+    cap = args.memory_cap << 20
+    fld = PrimeField(args.prime)
+    n, method = args.n, args.method
     d = args.d if args.d is not None else max(1, n // 2)
     p = args.p if args.p is not None else 2
-    fld = PrimeField(args.prime)
-
     # weight blocks, one per symmetry orbit: small enough to rebuild every run
-    if method == "koszul-minor":
-        blocks = list(flattening.minor_orbit_blocks(n, d, p))
-        t = comb(n * n - 1, p)
-    elif method == "koszul-full":
-        blocks = list(flattening.full_koszul_blocks(poly, d, p))
-        t = comb(n * n - 1, p)
-    elif method == "pieri":
-        if n != 3:
-            raise SystemExit("the pieri method is supported at n=3 scale only")
-        blocks = list(schur_flattening.pieri_blocks(poly, PI3, PIERI_ROWS, 9))
-        t = PIERI_T
+    blocks, t = flattening_blocks(method, args.poly, n, d, p)
+    if method == "pieri":
         d = p = None
-    else:
-        raise SystemExit(f"unknown method {method!r}")
-
-    cap = args.memory_cap << 20
+    name = "file" if args.poly.startswith("file:") else args.poly
     certs = [certify(blocks, lambda B: rank_mod_p(B, fld, memory_cap_bytes=cap))]
     if args.rational:
         certs.append(certify(blocks, lambda B: rank_rational(B, memory_cap_bytes=cap)))
@@ -134,104 +137,73 @@ def cmd_decompose(args) -> int:
     return 0
 
 
+def rank_checks(suite: str) -> list[tuple]:
+    """The ranks a suite certifies, as (label, method, poly, n, d, p,
+    expected rank, expected bound), each ranked on orbit blocks as `bound`
+    ranks it.  A number's second route is another row (the minor map
+    against the full map) or the module dimension count as expected rank."""
+    rows = [
+        ("pieri power", "pieri", "power", 3, None, None, PIERI_T, 1),
+        ("pieri det3", "pieri", "det", 3, None, None, 950, 14),
+        ("pieri perm3", "pieri", "perm", 3, None, None, 934, 14),
+        ("minor(4,2,1)", "koszul-minor", "det", 4, 2, 1, 560, 38),
+        ("full det3 (d=1, p=2)", "koszul-full", "det", 3, 1, 2, 315, 12),
+    ]
+    if suite == "paper":
+        rows += [
+            (f"minor({n},{n // 2},2) = image dim, bound = main theorem",
+             "koszul-minor", "det", n, n // 2, 2,
+             partitions.theoretical_image_dim(n, n // 2, 2),
+             bounds.main_theorem_value(n).integer_bound)
+            for n in range(5, 9)
+        ]
+        rows += [
+            ("full det5 (d=2, p=2) = minor(5,2,2), by contraction",
+             "koszul-full", "det", 5, 2, 2, 29376, 107),
+            ("minor(4,2,2) baseline", "koszul-minor", "det", 4, 2, 2, 4065, 39),
+            ("full det4 (d=2, p=2) = minor(4,2,2) = image dim", "koszul-full",
+             "det", 4, 2, 2, partitions.theoretical_image_dim(4, 2, 2), 39),
+        ]
+    return rows
+
+
 def _check(name: str, ok: bool, detail: str = "") -> bool:
     status = "PASS" if ok else "FAIL"
     print(f"[{status}] {name}" + (f"  {detail}" if detail else ""))
     return ok
 
 
-def run_quick_suite(prime: int = exact_linalg.DEFAULT_PRIME) -> bool:
+def run_suite(suite: str, prime: int) -> bool:
+    """quick: the dimension and formula checks and the small ranks; paper:
+    those, the paper's ranks and the hwv checks; hwv: the hwv checks."""
     ok = True
-    ok &= _check("schur dims 1050/1050/70",
-                 partitions.schur_dim(PI3, 9) == 1050
-                 and partitions.schur_dim((3,) + PI3, 9) == 1050
-                 and partitions.schur_dim(PI3, 8) == 70)
-    fld = PrimeField(prime)
-    for poly, name, expect in [
-        (variable_power((3, 3), 3, 3), "power", PIERI_T),
-        (determinant_poly(3), "det3", 950),
-        (permanent_poly(3), "perm3", 934),
-    ]:
-        M = schur_flattening.pieri_flattening_matrix(poly, PI3, PIERI_ROWS, 9)
-        r = rank_mod_p(M, fld).rank
-        ok &= _check(f"pieri rank {name}", r == expect, f"rank={r}")
-    M = flattening.minor_koszul_matrix(4, 2, 1)
-    r = rank_mod_p(M, fld).rank
-    ok &= _check("minor(4,2,1) rank 560 -> bound 38",
-                 r == 560 and bounds.flattening_bound(r, 15) == 38, f"rank={r}")
-    F = flattening.full_koszul_matrix(determinant_poly(3), 1, 2)
-    r = rank_mod_p(F, fld).rank
-    ok &= _check("full det3 wedge-2 bound 12",
-                 bounds.flattening_bound(r, 28) == 12, f"rank={r}")
-    ok &= _check("formula identities n=5..12",
-                 all(bounds.image_dim_identity(n) and bounds.optimal_d(n) == n // 2
-                     for n in range(5, 13)))
-    return bool(ok)
-
-
-def run_hwv_suite() -> bool:
-    ok = True
-    for n in range(5, 9):
-        d = n // 2
-        for lid in flattening.ALL_LEMMAS:
-            nz, witness = flattening.verify_hwv_nonzero(lid, n, d)
-            ok &= _check(f"hwv {lid} n={n} d={d}", nz)
-    return bool(ok)
-
-
-def run_paper_suite(prime: int = exact_linalg.DEFAULT_PRIME) -> bool:
-    ok = run_quick_suite(prime)
-    ok &= run_hwv_suite()
-    fld = PrimeField(prime)
-    M5 = flattening.minor_koszul_matrix(5, 2, 2)
-    r = rank_mod_p(M5, fld).rank
-    ok &= _check(
-        "minor(5,2,2) rank 29376 -> bound 107",
-        r == 29376
-        and r == partitions.theoretical_image_dim(5, 2, 2)
-        and bounds.flattening_bound(r, comb(24, 2)) == 107
-        and bounds.main_theorem_value(5).integer_bound == 107,
-        f"rank={r}",
-    )
-    for n in range(5, 9):
-        d = n // 2
-        blocks = list(flattening.minor_orbit_blocks(n, d, 2))
-        ro = certify(blocks, lambda B: rank_mod_p(B, fld)).rank
-        bound = bounds.flattening_bound(ro, comb(n * n - 1, 2))
-        ok &= _check(
-            f"orbit-reduced minor({n},{d},2) rank = image dim, bound = main theorem",
-            ro == partitions.theoretical_image_dim(n, d, 2)
-            and bound == bounds.main_theorem_value(n).integer_bound
-            and (n != 5 or ro == r),
-            f"rank={ro} bound={bound} orbits={len(blocks)}",
-        )
-    M4 = flattening.minor_koszul_matrix(4, 2, 2)
-    r4 = rank_mod_p(M4, fld).rank
-    ok &= _check(
-        "minor(4,2,2) baseline 4065, bound consistent with det4 theorem",
-        r4 == 4065 and bounds.flattening_bound(r4, comb(15, 2)) >= 38,
-        f"rank={r4} (equals the nine-module dimension count)",
-    )
-    full4 = certify(flattening.full_koszul_blocks(determinant_poly(4), 2, 2),
-                    lambda B: rank_mod_p(B, fld)).rank
-    ok &= _check(
-        "orbit-reduced full det4 (d=2, p=2) rank = minor(4,2,2) rank = image dim",
-        full4 == r4 == partitions.theoretical_image_dim(4, 2, 2),
-        f"rank={full4} (built by contraction, no Laplace signs)",
-    )
+    if suite != "hwv":
+        ok &= _check("schur dims 1050/1050/70",
+                     partitions.schur_dim(PI3, 9) == 1050
+                     and partitions.schur_dim((3,) + PI3, 9) == 1050
+                     and partitions.schur_dim(PI3, 8) == 70)
+        ok &= _check("formula identities n=5..12",
+                     all(bounds.image_dim_identity(n) and bounds.optimal_d(n) == n // 2
+                         for n in range(5, 13)))
+        fld = PrimeField(prime)
+        for label, method, poly, n, d, p, rank, bound in rank_checks(suite):
+            blocks, t = flattening_blocks(method, poly, n, d, p)
+            r = certify(blocks, lambda B: rank_mod_p(B, fld)).rank
+            b = bounds.flattening_bound(r, t)
+            ok &= _check(f"{label}: rank {rank}, bound {bound}",
+                         r == rank and b == bound,
+                         f"rank={r} bound={b} orbits={len(blocks)}")
+    if suite != "quick":
+        for n in range(5, 9):
+            for lid in flattening.ALL_LEMMAS:
+                nz, _ = flattening.verify_hwv_nonzero(lid, n, n // 2)
+                ok &= _check(f"hwv {lid} n={n} d={n // 2}", nz)
     return bool(ok)
 
 
 def cmd_verify(args) -> int:
     t0 = time.time()
-    if args.suite == "quick":
-        ok = run_quick_suite(args.prime)
-    elif args.suite == "hwv":
-        ok = run_hwv_suite()
-    elif args.suite == "paper":
-        ok = run_paper_suite(args.prime)
-    else:
-        raise SystemExit(f"unknown suite {args.suite!r}")
+    ok = run_suite(args.suite, args.prime)
     print(f"suite {args.suite}: {'PASS' if ok else 'FAIL'} "
           f"({time.time() - t0:.1f}s)")
     return 0 if ok else 1
@@ -245,12 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--prime", type=int, default=exact_linalg.DEFAULT_PRIME)
-        sp.add_argument("--format", choices=["json", "table"], default="table")
-        sp.add_argument("--memory-cap", type=int, default=4096,
-                        help="memory cap in MiB for elimination fill")
-
     sp = sub.add_parser("bound", help="compute a border-rank bound certificate")
     sp.add_argument("--poly", required=True,
                     help="det, perm, power, or file:<path>")
@@ -261,27 +227,28 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=int)
     sp.add_argument("--rational", action="store_true",
                     help="also certify the rank over the rationals")
-    common(sp)
+    sp.add_argument("--memory-cap", type=int, default=4096,
+                    help="memory cap in MiB for elimination fill")
+    sp.add_argument("--prime", type=int, default=exact_linalg.DEFAULT_PRIME)
+    sp.add_argument("--format", choices=["json", "table"], default="table")
     sp.set_defaults(func=cmd_bound)
 
     sp = sub.add_parser("decompose", help="print the candidate image modules")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--d", type=int, required=True)
     sp.add_argument("--p", type=int, required=True)
-    common(sp)
+    sp.add_argument("--format", choices=["json", "table"], default="table")
     sp.set_defaults(func=cmd_decompose)
 
     sp = sub.add_parser("verify", help="run a verification suite")
     sp.add_argument("--suite", choices=["quick", "paper", "hwv"], default="quick")
-    common(sp)
+    sp.add_argument("--prime", type=int, default=exact_linalg.DEFAULT_PRIME)
     sp.set_defaults(func=cmd_verify)
     return ap
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "memory_cap", 4096) < 256:
-        raise SystemExit("memory cap must be at least 256 MiB")
     try:
         return args.func(args)
     except (ValueError, OSError, MemoryCapExceeded) as exc:

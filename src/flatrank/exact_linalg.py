@@ -292,22 +292,28 @@ def dense_rank_mod_p(a, p: int) -> int:
 SIZE_GUARD = 10**7  # rows*cols guard for the exact rational path
 
 
+def _certified_rank(M, p: int | None, memory_cap_bytes: int) -> RankCertificate:
+    """`sparse_rank` of M mod p, or over the rationals for p=None; only the
+    elimination is timed, not the hash."""
+    t0 = time.perf_counter()
+    rank = sparse_rank(len(M.rows), len(M.cols), M.entries, p=p,
+                       memory_cap_bytes=memory_cap_bytes)
+    elapsed = time.perf_counter() - t0
+    return RankCertificate(
+        rank=rank,
+        method="rational" if p is None else "modular",
+        primes_used=() if p is None else (p,),
+        matrix_hash=M.basis_hash(),
+        elapsed=elapsed,
+        rational_lower_bound_only=p is not None,
+    )
+
+
 def rank_mod_p(M, fld: PrimeField | None = None,
                memory_cap_bytes: int = DEFAULT_MEMORY_CAP_BYTES) -> RankCertificate:
     """Exact rank of a flattening matrix reduced mod the field's prime,
     which is only a lower bound on its rank over the rationals."""
-    fld = fld or PrimeField()
-    t0 = time.perf_counter()
-    rank = sparse_rank(len(M.rows), len(M.cols), M.entries, p=fld.modulus,
-                       memory_cap_bytes=memory_cap_bytes)
-    return RankCertificate(
-        rank=rank,
-        method="modular",
-        primes_used=(fld.modulus,),
-        matrix_hash=M.basis_hash(),
-        elapsed=time.perf_counter() - t0,
-        rational_lower_bound_only=True,
-    )
+    return _certified_rank(M, (fld or PrimeField()).modulus, memory_cap_bytes)
 
 
 def rank_rational(M, memory_cap_bytes: int = DEFAULT_MEMORY_CAP_BYTES) -> RankCertificate:
@@ -317,7 +323,6 @@ def rank_rational(M, memory_cap_bytes: int = DEFAULT_MEMORY_CAP_BYTES) -> RankCe
     a larger request (a non-graded input is one block of every column)
     fails with a ValueError before any elimination.
     """
-    t0 = time.perf_counter()
     nrows, ncols = len(M.rows), len(M.cols)
     if nrows * ncols > SIZE_GUARD and len(M.entries) > SIZE_GUARD // 100:
         raise ValueError(
@@ -325,11 +330,4 @@ def rank_rational(M, memory_cap_bytes: int = DEFAULT_MEMORY_CAP_BYTES) -> RankCe
             f"exact rational size guard (rows*cols <= {SIZE_GUARD} or nonzeros "
             f"<= {SIZE_GUARD // 100}); its modular rank is a certified lower bound"
         )
-    rank = sparse_rank(nrows, ncols, M.entries, p=None, memory_cap_bytes=memory_cap_bytes)
-    return RankCertificate(
-        rank=rank,
-        method="rational",
-        primes_used=(),
-        matrix_hash=M.basis_hash(),
-        elapsed=time.perf_counter() - t0,
-    )
+    return _certified_rank(M, None, memory_cap_bytes)

@@ -31,6 +31,7 @@ from .polynomials import (
     is_symmetric,
     monomial,
     partial,
+    sort_sign as wedge_canon,
     torus_weight,
     var_index,
     var_pos,
@@ -49,20 +50,6 @@ def wedge_insert(w: Wedge, x: int) -> tuple[int, Wedge] | None:
     pos = sum(1 for y in w if y < x)
     sign = -1 if pos % 2 else 1
     return sign, w[:pos] + (x,) + w[pos:]
-
-
-def wedge_canon(vars_: list[int]) -> tuple[int, Wedge] | None:
-    """Canonical ascending form of a wedge product, with sorting sign."""
-    if len(set(vars_)) != len(vars_):
-        return None
-    sign = 1
-    v = list(vars_)
-    for i in range(len(v)):
-        for j in range(i + 1, len(v)):
-            if v[i] > v[j]:
-                v[i], v[j] = v[j], v[i]
-                sign = -sign
-    return sign, tuple(v)
 
 
 @dataclass

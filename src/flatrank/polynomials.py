@@ -178,7 +178,7 @@ def determinant_poly(n: int) -> Polynomial:
         raise ValueError("n must be at least 1")
     terms = {}
     for perm in permutations(range(1, n + 1)):
-        sign = perm_sign(perm)
+        sign = sort_sign(perm)[0]
         terms[_perm_monomial(perm, n)] = Fraction(sign)
     return Polynomial(n, n, terms)
 
@@ -193,14 +193,18 @@ def permanent_poly(n: int) -> Polynomial:
     return Polynomial(n, n, terms)
 
 
-def perm_sign(perm) -> int:
-    """Sign of a permutation given as a sequence of distinct values."""
-    inv = 0
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                inv += 1
-    return -1 if inv % 2 else 1
+def sort_sign(seq) -> tuple[int, tuple[int, ...]] | None:
+    """Sort a sequence: (sign of the sorting permutation, sorted tuple), or
+    None if an entry repeats (a wedge or a column of a tableau with a
+    repeated entry is zero)."""
+    vals = tuple(seq)
+    inversions = 0
+    for i, x in enumerate(vals):
+        for y in vals[i + 1:]:
+            if x == y:
+                return None
+            inversions += x > y
+    return (-1 if inversions % 2 else 1), tuple(sorted(vals))
 
 
 def variable_power(v: tuple[int, int], e: int, n: int) -> Polynomial:
@@ -295,7 +299,7 @@ def minor_poly(n: int, I, J) -> Polynomial:
         return Polynomial(n, 0, {tuple([0] * (n * n)): Fraction(1)})
     terms = {}
     for perm in permutations(range(k)):
-        sign = perm_sign(perm)
+        sign = sort_sign(perm)[0]
         exps = [0] * (n * n)
         for a in range(k):
             exps[var_index(I[a], J[perm[a]], n)] += 1

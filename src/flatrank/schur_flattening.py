@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 from .partitions import Partition, make_partition
-from .polynomials import Polynomial, exponent_variables, torus_weight
+from .polynomials import Polynomial, exponent_variables, sort_sign, torus_weight
 from .flattening import FlatteningMatrix, polynomial_blocks
 
 Tableau = tuple[tuple[int, ...], ...]
@@ -84,25 +84,11 @@ def columns_to_rows(cols: Columns) -> Tableau:
     )
 
 
-def _sort_sign(seq) -> tuple[int, tuple[int, ...]] | None:
-    """Sort a column; None on repeated entries, else (sign, sorted tuple)."""
-    vals = list(seq)
-    if len(set(vals)) != len(vals):
-        return None
-    sign = 1
-    for i in range(len(vals)):
-        for j in range(i + 1, len(vals)):
-            if vals[i] > vals[j]:
-                vals[i], vals[j] = vals[j], vals[i]
-                sign = -sign
-    return sign, tuple(vals)
-
-
 def _canonical(cols: Columns) -> tuple[int, Columns] | None:
     sign = 1
     out = []
     for col in cols:
-        res = _sort_sign(col)
+        res = sort_sign(col)
         if res is None:
             return None
         s, sorted_col = res
@@ -155,16 +141,9 @@ def _straighten_sorted(cols: Columns) -> dict[Tableau, int]:
         S = [pool[i] for i in subset]
         comp_idx = [i for i in range(len(pool)) if i not in subset]
         comp = [pool[i] for i in comp_idx]
-        # shuffle sign: the permutation taking pool order to (S part, B part)
-        # as subsequences; inversions occur only between the two parts
-        arrangement = list(subset) + comp_idx
-        inv = sum(
-            1
-            for i in range(len(arrangement))
-            for j in range(i + 1, len(arrangement))
-            if arrangement[i] > arrangement[j]
-        )
-        shuffle_sign = -1 if inv % 2 else 1
+        # shuffle sign: the sign of the permutation taking pool order to
+        # (S part, B part) as subsequences
+        shuffle_sign = sort_sign(list(subset) + comp_idx)[0]
         new_cols = list(cols)
         new_cols[c] = cols[c][:r] + tuple(S)
         new_cols[c + 1] = tuple(comp) + cols[c + 1][r + 1:]

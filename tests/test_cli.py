@@ -118,20 +118,6 @@ class TestBound:
         assert ranks == {"modular": 934, "rational": 934}
         assert all((c["orbits"], c["blocks"]) == (10, 226) for c in rec["provenance"])
 
-    def test_errors(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["bound", "--poly", "perm", "--n", "4",
-                  "--method", "koszul-minor"])
-        with pytest.raises(SystemExit):
-            main(["bound", "--poly", "det", "--n", "4",
-                  "--method", "pieri"])
-        with pytest.raises(SystemExit):
-            main(["bound", "--poly", "nope", "--n", "3",
-                  "--method", "koszul-full"])
-        with pytest.raises(SystemExit):
-            main(["bound", "--poly", "det", "--n", "3",
-                  "--method", "koszul-minor", "--memory-cap", "1"])
-
     def test_missing_file_is_one_line_error(self, capsys, tmp_path):
         missing = tmp_path / "nonexistent.json"
         code = main(["bound", "--poly", f"file:{missing}", "--n", "3",
@@ -159,11 +145,23 @@ class TestBound:
          "p must be 1 or 2"),
         (["--poly", "det", "--n", "3", "--method", "koszul-full", "--d", "9"],
          "need 1 <= d <= degree-1"),
+        (["--poly", "perm", "--n", "4", "--method", "koszul-minor"],
+         "only defined for --poly det"),
+        (["--poly", "det", "--n", "4", "--method", "pieri"], "n=3 only"),
+        (["--poly", "nope", "--n", "3", "--method", "koszul-full"],
+         "unknown polynomial"),
+        (["--poly", "det", "--n", "3", "--method", "koszul-minor",
+          "--memory-cap", "1"], "at least 256 MiB"),
+        # the file holds det3: t must not be taken from --n 2
+        (["--poly", "file:{det3}", "--n", "2", "--method", "koszul-full",
+          "--d", "1", "--p", "2"], "at n=3, not at --n 2"),
     ])
-    def test_bad_request_is_one_line_error(self, capsys, argv, message):
-        code = main(["bound", *argv])
+    def test_bad_request_is_one_line_error(self, capsys, tmp_path, argv, message):
+        det3 = tmp_path / "det3.json"
+        det3.write_text(determinant_poly(3).to_json())
+        code = main(["bound", *(a.format(det3=det3) for a in argv)])
         err = capsys.readouterr().err
-        assert code != 0
+        assert code == 2
         assert err.startswith("flatrank: error: ") and message in err
         assert err.count("\n") == 1
 
@@ -174,3 +172,21 @@ class TestVerify:
         assert code == 0
         assert "[FAIL]" not in out
         assert "suite quick: PASS" in out
+
+    def test_paper_suite_passes(self, capsys):
+        code, out = run(["verify", "--suite", "paper"], capsys)
+        assert code == 0
+        assert "[FAIL]" not in out
+        assert "suite paper: PASS" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["decompose", "--n", "4", "--d", "2", "--p", "1", "--prime", "7"],
+    ["decompose", "--n", "4", "--d", "2", "--p", "1", "--memory-cap", "512"],
+    ["verify", "--format", "json"],
+    ["verify", "--memory-cap", "512"],
+])
+def test_subcommands_take_only_the_options_they_read(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2

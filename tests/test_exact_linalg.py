@@ -1,6 +1,7 @@
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -200,6 +201,15 @@ class TestCertificates:
             "rank", "method", "primes_used", "matrix_hash", "elapsed_ms",
             "rational_lower_bound_only",
         }
+
+    @pytest.mark.parametrize("certify", [rank_mod_p, rank_rational])
+    def test_elapsed_times_the_elimination_only(self, monkeypatch, certify):
+        """Both certificates time the same window, so a slow hash shows in
+        neither."""
+        M = make_matrix([[1, 2], [3, 4]])
+        monkeypatch.setattr(M, "basis_hash", lambda: time.sleep(0.2) or "slow")
+        cert = certify(M)
+        assert cert.matrix_hash == "slow" and cert.elapsed < 0.1
 
     def test_size_guard(self):
         entries = [(i, i, 1) for i in range(150_000)]
