@@ -4,20 +4,13 @@ the verification suites."""
 from __future__ import annotations
 
 import argparse
-import hashlib
 import sys
 import time
 from math import comb
 from pathlib import Path
 
 from . import bounds, exact_linalg, flattening, partitions, schur_flattening
-from .exact_linalg import (
-    MemoryCapExceeded,
-    PrimeField,
-    RankCertificate,
-    rank_mod_p,
-    rank_rational,
-)
+from .exact_linalg import MemoryCapExceeded, rank_mod_p, rank_rational
 from .polynomials import (
     Polynomial,
     determinant_poly,
@@ -57,34 +50,13 @@ def flattening_blocks(method: str, spec: str, n: int, d: int | None,
         return list(flattening.full_koszul_blocks(poly, d, p)), comb(n * n - 1, p)
     if n != 3:
         raise ValueError("the pieri method is supported at n=3 only")
-    return list(schur_flattening.pieri_blocks(poly, PI3, PIERI_ROWS, 9)), PIERI_T
-
-
-def certify(blocks, rank) -> RankCertificate:
-    """One certificate for a matrix given as (orbit_size, block) pairs: the
-    rank is the sum of orbit_size * rank(block)."""
-    parts = [(size, rank(B)) for size, B in blocks]
-    h = hashlib.sha256()
-    for size, c in parts:
-        h.update(f"{size}:{c.matrix_hash};".encode())
-    first = parts[0][1]
-    return RankCertificate(
-        rank=sum(size * c.rank for size, c in parts),
-        method=first.method,
-        primes_used=first.primes_used,
-        matrix_hash=h.hexdigest()[:16],
-        elapsed=sum(c.elapsed for _, c in parts),
-        rational_lower_bound_only=any(c.rational_lower_bound_only for _, c in parts),
-        orbits=len(parts),
-        blocks=sum(size for size, _ in parts),
-    )
+    return list(schur_flattening.pieri_blocks(poly, PI3, PIERI_ROWS)), PIERI_T
 
 
 def cmd_bound(args) -> int:
     if args.memory_cap < 256:
         raise ValueError("--memory-cap must be at least 256 MiB")
     cap = args.memory_cap << 20
-    fld = PrimeField(args.prime)
     n, method = args.n, args.method
     d = args.d if args.d is not None else max(1, n // 2)
     p = args.p if args.p is not None else 2
@@ -93,9 +65,9 @@ def cmd_bound(args) -> int:
     if method == "pieri":
         d = p = None
     name = "file" if args.poly.startswith("file:") else args.poly
-    certs = [certify(blocks, lambda B: rank_mod_p(B, fld, memory_cap_bytes=cap))]
+    certs = [rank_mod_p(blocks, args.prime, memory_cap_bytes=cap)]
     if args.rational:
-        certs.append(certify(blocks, lambda B: rank_rational(B, memory_cap_bytes=cap)))
+        certs.append(rank_rational(blocks, memory_cap_bytes=cap))
         if certs[0].rank != certs[1].rank:
             print("warning: modular and rational ranks disagree", file=sys.stderr)
     cert = bounds.BoundCertificate(
@@ -131,9 +103,6 @@ def cmd_decompose(args) -> int:
             fval = bounds.f_formula(n, d) * comb(n, d) ** 2
             note = "" if fval == total else "  (differs: shapes filtered at this n)"
             print(f"f(n,d)*C(n,d)^2: {fval}{note}")
-        if n < 5 and p == 2:
-            print("note: some predicted shapes exceed n rows at this size "
-                  "and were dropped")
     return 0
 
 
@@ -185,10 +154,9 @@ def run_suite(suite: str, prime: int) -> bool:
         ok &= _check("formula identities n=5..12",
                      all(bounds.image_dim_identity(n) and bounds.optimal_d(n) == n // 2
                          for n in range(5, 13)))
-        fld = PrimeField(prime)
         for label, method, poly, n, d, p, rank, bound in rank_checks(suite):
             blocks, t = flattening_blocks(method, poly, n, d, p)
-            r = certify(blocks, lambda B: rank_mod_p(B, fld)).rank
+            r = rank_mod_p(blocks, prime).rank
             b = bounds.flattening_bound(r, t)
             ok &= _check(f"{label}: rank {rank}, bound {bound}",
                          r == rank and b == bound,

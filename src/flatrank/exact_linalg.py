@@ -3,7 +3,9 @@
 One sparse Gaussian elimination (Markowitz-style minimum-fill pivoting,
 deterministic) runs over a prime field or, with Fraction arithmetic, over
 the rationals.  The command line ranks small torus-weight blocks, so each
-block is eliminated whole.  The dense routines are test oracles.
+block is eliminated whole; `rank_mod_p` and `rank_rational` certify a
+matrix given as (orbit_size, block) pairs.  The dense routines are test
+oracles.
 
 Soundness note: the rank of an integer matrix reduced mod p never exceeds
 its rank over the rationals, so a single modular rank already certifies a
@@ -12,6 +14,7 @@ lower bound.
 
 from __future__ import annotations
 
+import hashlib
 import heapq
 import time
 from dataclasses import dataclass
@@ -51,40 +54,30 @@ def is_prime(m: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PrimeField:
-    modulus: int = DEFAULT_PRIME
-
-    def __post_init__(self):
-        if not is_prime(self.modulus):
-            raise ValueError(f"{self.modulus} is not prime")
-        if self.modulus.bit_length() > 62 or self.modulus == 2:
-            raise ValueError("modulus must be an odd prime fitting in a machine word")
-
-
 @dataclass
 class RankCertificate:
+    """The rank of a matrix given as (orbit_size, block) pairs: the sum of
+    orbit_size * rank(block), mod `prime` or, for prime=None, over the
+    rationals."""
+
     rank: int
-    method: str  # "modular" or "rational"
-    primes_used: tuple[int, ...]
+    prime: int | None
     matrix_hash: str
-    elapsed: float
-    rational_lower_bound_only: bool = False
-    orbits: int | None = None  # block representatives ranked
-    blocks: int | None = None  # weight blocks they stand for
+    elapsed: float  # seconds spent in elimination
+    orbits: int  # blocks ranked
+    blocks: int  # weight blocks they stand for
 
     def to_json_dict(self) -> dict:
-        out = {
+        return {
             "rank": self.rank,
-            "method": self.method,
-            "primes_used": list(self.primes_used),
+            "method": "rational" if self.prime is None else "modular",
+            "primes_used": [] if self.prime is None else [self.prime],
             "matrix_hash": self.matrix_hash,
             "elapsed_ms": round(self.elapsed * 1000, 3),
-            "rational_lower_bound_only": self.rational_lower_bound_only,
+            "rational_lower_bound_only": self.prime is not None,
+            "orbits": self.orbits,
+            "blocks": self.blocks,
         }
-        if self.orbits is not None:
-            out.update(orbits=self.orbits, blocks=self.blocks)
-        return out
 
 
 def sparse_rank(
@@ -102,7 +95,7 @@ def sparse_rank(
     elimination order are deterministic.
 
     p=None runs over the rationals with Fraction arithmetic; otherwise all
-    entries are reduced mod p first (raising if a denominator vanishes).
+    entries are reduced mod p first (a ValueError if a denominator vanishes).
     """
     cap_entries = memory_cap_bytes // _BYTES_PER_ENTRY
     rows: dict[int, dict[int, object]] = {}
@@ -113,8 +106,9 @@ def sparse_rank(
         if p is not None:
             den = val.denominator % p
             if den == 0:
-                raise ZeroDivisionError(
-                    f"denominator of entry ({r},{c}) divisible by prime {p}"
+                raise ValueError(
+                    f"the denominator of entry ({r},{c}) is divisible by the prime "
+                    f"{p}; choose another prime with --prime"
                 )
             val = val.numerator % p * pow(den, p - 2, p) % p
         if not val:
@@ -292,42 +286,51 @@ def dense_rank_mod_p(a, p: int) -> int:
 SIZE_GUARD = 10**7  # rows*cols guard for the exact rational path
 
 
-def _certified_rank(M, p: int | None, memory_cap_bytes: int) -> RankCertificate:
-    """`sparse_rank` of M mod p, or over the rationals for p=None; only the
-    elimination is timed, not the hash."""
-    t0 = time.perf_counter()
-    rank = sparse_rank(len(M.rows), len(M.cols), M.entries, p=p,
-                       memory_cap_bytes=memory_cap_bytes)
-    elapsed = time.perf_counter() - t0
-    return RankCertificate(
-        rank=rank,
-        method="rational" if p is None else "modular",
-        primes_used=() if p is None else (p,),
-        matrix_hash=M.basis_hash(),
-        elapsed=elapsed,
-        rational_lower_bound_only=p is not None,
-    )
+def _certified_rank(blocks, p: int | None, memory_cap_bytes: int) -> RankCertificate:
+    """`sparse_rank` of each block mod p, or over the rationals for p=None,
+    weighted by its orbit size.  Only the eliminations are timed; the hash
+    covers each block's basis and entries with its orbit size."""
+    rank = orbits = total = 0
+    elapsed = 0.0
+    h = hashlib.sha256()
+    for size, B in blocks:
+        t0 = time.perf_counter()
+        r = sparse_rank(len(B.rows), len(B.cols), B.entries, p=p,
+                        memory_cap_bytes=memory_cap_bytes)
+        elapsed += time.perf_counter() - t0
+        h.update(f"{size}:{B.basis_hash()};".encode())
+        rank += size * r
+        orbits += 1
+        total += size
+    return RankCertificate(rank, p, h.hexdigest()[:16], elapsed, orbits, total)
 
 
-def rank_mod_p(M, fld: PrimeField | None = None,
+def rank_mod_p(blocks, prime: int = DEFAULT_PRIME,
                memory_cap_bytes: int = DEFAULT_MEMORY_CAP_BYTES) -> RankCertificate:
-    """Exact rank of a flattening matrix reduced mod the field's prime,
-    which is only a lower bound on its rank over the rationals."""
-    return _certified_rank(M, (fld or PrimeField()).modulus, memory_cap_bytes)
+    """Certified rank of (orbit_size, block) pairs reduced mod `prime`,
+    which is only a lower bound on the rank over the rationals."""
+    if not is_prime(prime):
+        raise ValueError(f"{prime} is not prime")
+    if prime.bit_length() > 62 or prime == 2:
+        raise ValueError("modulus must be an odd prime fitting in a machine word")
+    return _certified_rank(blocks, prime, memory_cap_bytes)
 
 
-def rank_rational(M, memory_cap_bytes: int = DEFAULT_MEMORY_CAP_BYTES) -> RankCertificate:
-    """Exact rank over the rationals: `sparse_rank` with Fraction arithmetic.
+def rank_rational(blocks, memory_cap_bytes: int = DEFAULT_MEMORY_CAP_BYTES) -> RankCertificate:
+    """Certified rank of (orbit_size, block) pairs over the rationals:
+    `sparse_rank` with Fraction arithmetic.
 
-    Requires rows*cols <= SIZE_GUARD or at most SIZE_GUARD/100 nonzeros:
-    a larger request (a non-graded input is one block of every column)
-    fails with a ValueError before any elimination.
+    Each block needs rows*cols <= SIZE_GUARD or at most SIZE_GUARD/100
+    nonzeros: a larger one (a non-graded input is one block of every
+    column) fails with a ValueError before any elimination.
     """
-    nrows, ncols = len(M.rows), len(M.cols)
-    if nrows * ncols > SIZE_GUARD and len(M.entries) > SIZE_GUARD // 100:
-        raise ValueError(
-            f"{nrows}x{ncols} matrix with {len(M.entries)} nonzeros exceeds the "
-            f"exact rational size guard (rows*cols <= {SIZE_GUARD} or nonzeros "
-            f"<= {SIZE_GUARD // 100}); its modular rank is a certified lower bound"
-        )
-    return _certified_rank(M, None, memory_cap_bytes)
+    blocks = list(blocks)
+    for _, B in blocks:
+        nrows, ncols = len(B.rows), len(B.cols)
+        if nrows * ncols > SIZE_GUARD and len(B.entries) > SIZE_GUARD // 100:
+            raise ValueError(
+                f"{nrows}x{ncols} matrix with {len(B.entries)} nonzeros exceeds the "
+                f"exact rational size guard (rows*cols <= {SIZE_GUARD} or nonzeros "
+                f"<= {SIZE_GUARD // 100}); its modular rank is a certified lower bound"
+            )
+    return _certified_rank(blocks, None, memory_cap_bytes)

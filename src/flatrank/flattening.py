@@ -16,7 +16,7 @@ line ranks.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import chain, combinations, combinations_with_replacement
@@ -57,7 +57,8 @@ class FlatteningMatrix:
     rows: list
     cols: list
     entries: list  # (row index, col index, coefficient)
-    meta: dict = field(default_factory=dict)
+    kind: str
+    weight: tuple | None = None  # the torus weight of a weight block's columns
     _hash: str | None = None
 
     @property
@@ -69,8 +70,7 @@ class FlatteningMatrix:
         streamed into sha256 one item at a time."""
         if self._hash is None:
             h = hashlib.sha256()
-            kind = self.meta.get("kind")
-            h.update(f"{kind!r};{len(self.rows)}x{len(self.cols)};".encode())
+            h.update(f"{self.kind!r};{len(self.rows)}x{len(self.cols)};".encode())
             for label in chain(self.rows, self.cols):
                 h.update(f"{label!r};".encode())
             for r, c, v in self.entries:
@@ -146,8 +146,7 @@ def minor_koszul_matrix(n: int, d: int, p: int) -> FlatteningMatrix:
             if _bidegree_of_label(rlabel, n) != weight:
                 raise RuntimeError(f"minor map sends {label} to {rlabel}, of another weight")
             entries.append((row_index[rlabel], ci, coeff))
-    meta = {"kind": "minor", "polynomial": f"det{n}", "n": n, "d": d, "p": p}
-    return FlatteningMatrix(rows, cols, entries, meta)
+    return FlatteningMatrix(rows, cols, entries, "minor")
 
 
 def _check_minor_args(n: int, d: int, p: int) -> None:
@@ -175,7 +174,7 @@ def _orbit_size(weight) -> int:
     return _arrangements(wa) * _arrangements(wb) * (1 if wa == wb else 2)
 
 
-def weight_blocks(cols, weight_of, column_image, meta: dict, symmetric: bool):
+def weight_blocks(cols, weight_of, column_image, kind: str, symmetric: bool):
     """Yield (orbit_size, block) for a flattening map given per column.
 
     Columns are grouped by `weight_of(label)`, their (A-weight, B-weight)
@@ -184,7 +183,7 @@ def weight_blocks(cols, weight_of, column_image, meta: dict, symmetric: bool):
     orbit's representative (see `_orbit_size`) are kept, with their orbit
     size; otherwise every group has size 1.  A block's rows are the labels
     its columns reach through `column_image(label)`, a list of (row label,
-    coefficient) pairs; its meta is `meta` plus the weight.
+    coefficient) pairs; it carries `kind` and its weight.
 
     Soundness.  The Koszul and Pieri maps of a polynomial P are
     GL(V)-equivariant in (P, domain, codomain).  When every monomial of P
@@ -214,16 +213,16 @@ def weight_blocks(cols, weight_of, column_image, meta: dict, symmetric: bool):
         row_index = {label: i for i, label in enumerate(rows)}
         entries = [(row_index[rlabel], ci, v)
                    for ci, image in enumerate(images) for rlabel, v in image]
-        yield size, FlatteningMatrix(rows, group, entries, {**meta, "weight": weight})
+        yield size, FlatteningMatrix(rows, group, entries, kind, weight)
 
 
-def polynomial_blocks(P: Polynomial, cols, weight_of, column_image, meta: dict):
+def polynomial_blocks(P: Polynomial, cols, weight_of, column_image, kind: str):
     """`weight_blocks` for a map built from P: graded when every monomial
     of P has one weight, orbit-reduced when P is also symmetric (fixed up
     to sign by row and column permutations and transposition)."""
     if not is_bigraded(P):
-        return weight_blocks(cols, None, column_image, meta, symmetric=False)
-    return weight_blocks(cols, weight_of, column_image, meta, is_symmetric(P))
+        return weight_blocks(cols, None, column_image, kind, symmetric=False)
+    return weight_blocks(cols, weight_of, column_image, kind, is_symmetric(P))
 
 
 def minor_orbit_blocks(n: int, d: int, p: int):
@@ -270,9 +269,9 @@ def minor_orbit_blocks(n: int, d: int, p: int):
         for ib, wb in enumerate(weights) if wa <= wb
         for k, I in rem_a[ia].items() if k in rem_b[ib]
     )
-    meta = {"kind": "minor_block", "polynomial": f"det{n}", "n": n, "d": d, "p": p}
     return weight_blocks(cols, lambda label: _bidegree_of_label(label, n),
-                         lambda label: minor_column_image(n, label), meta, symmetric=True)
+                         lambda label: minor_column_image(n, label), "minor_block",
+                         symmetric=True)
 
 
 def monomials_of_degree(nv: int, d: int) -> list[tuple[int, ...]]:
@@ -334,8 +333,7 @@ def full_koszul_matrix(P: Polynomial, d: int, p: int) -> FlatteningMatrix:
     entries = [(row_index[rlabel], ci, v)
                for ci, label in enumerate(cols)
                for rlabel, v in full_column_image(P, label, derivs)]
-    meta = {"kind": "full", "polynomial": "custom", "n": P.n, "d": d, "p": p}
-    return FlatteningMatrix(rows, cols, entries, meta)
+    return FlatteningMatrix(rows, cols, entries, "full")
 
 
 def full_koszul_blocks(P: Polynomial, d: int, p: int):
@@ -359,9 +357,8 @@ def full_koszul_blocks(P: Polynomial, d: int, p: int):
                 tuple(x - y for x, y in zip(wb, ab)))
 
     derivs: dict = {}
-    meta = {"kind": "full_block", "polynomial": "custom", "n": n, "d": d, "p": p}
     return polynomial_blocks(P, cols, weight_of,
-                             lambda label: full_column_image(P, label, derivs), meta)
+                             lambda label: full_column_image(P, label, derivs), "full_block")
 
 
 # ---------------------------------------------------------------------------

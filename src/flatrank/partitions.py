@@ -7,12 +7,9 @@ with no trailing zeros; the empty tuple is the trivial partition.
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-
-log = logging.getLogger(__name__)
 
 Partition = tuple[int, ...]
 
@@ -215,8 +212,8 @@ def candidate_image(n: int, d: int, p: int) -> ModuleList:
     """Modules that can appear in the image of the minor-indexed Koszul map.
 
     Intersection (with minimum multiplicities) of the domain decomposition
-    with the codomain decomposition; shapes with more than n rows are
-    filtered out by construction.
+    with the codomain decomposition.  No shape has more than n rows:
+    `cauchy_wedge` and `pieri_column` keep only shapes that fit.
     """
     if p not in (1, 2):
         raise ValueError(f"p must be 1 or 2, got {p}")
@@ -229,12 +226,6 @@ def candidate_image(n: int, d: int, p: int) -> ModuleList:
         mc = codomain.multiplicity(a, b)
         if mc > 0:
             out.add(a, b, min(m, mc))
-    dropped = [
-        (a, b) for a, b, _ in out.entries if len(a) > n or len(b) > n
-    ]
-    if dropped:
-        log.info("dropping %d shape pairs with more than %d rows", len(dropped), n)
-    out.entries = [(a, b, m) for a, b, m in out.entries if len(a) <= n and len(b) <= n]
     return out.sorted()
 
 

@@ -11,7 +11,7 @@ import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import permutations
+from itertools import chain, permutations
 
 Exponents = tuple[int, ...]
 
@@ -119,12 +119,20 @@ class Polynomial:
 
     @staticmethod
     def from_json(text: str) -> "Polynomial":
-        data = json.loads(text)
-        terms = {
-            tuple(rec["exps"]): Fraction(int(rec["num"]), int(rec["den"]))
-            for rec in data["terms"]
-        }
-        return Polynomial(data["n"], data["degree"], terms)
+        """The polynomial `to_json` wrote; ValueError for any other text."""
+        try:
+            data = json.loads(text)
+            n, degree = data["n"], data["degree"]
+            terms = {
+                tuple(rec["exps"]): Fraction(int(rec["num"]), int(rec["den"]))
+                for rec in data["terms"]
+            }
+        except (KeyError, TypeError, ZeroDivisionError) as exc:
+            raise ValueError(f"not a polynomial in JSON form: {exc!r}") from None
+        if not all(type(x) is int and x >= 0 for x in (n, degree, *chain(*terms))):
+            raise ValueError("not a polynomial in JSON form: n, degree and "
+                             "exponents must be nonnegative integers")
+        return Polynomial(n, degree, terms)
 
 
 def is_bigraded(P: Polynomial) -> bool:

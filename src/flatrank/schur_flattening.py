@@ -252,37 +252,26 @@ def pieri_flattening_matrix(phi: Polynomial, shape: Partition, target_rows,
                for ci, T in enumerate(col_tabs)
                for tab, v in pieri_column_image(phi, T, target_rows)]
     entries.sort(key=lambda e: (e[1], e[0]))
-    meta = {
-        "kind": "pieri",
-        "polynomial": "custom",
-        "n": phi.n,
-        "shape": list(shape),
-        "target_rows": sorted(target_rows),
-        "N": N,
-    }
-    return FlatteningMatrix(row_tabs, col_tabs, entries, meta)
+    return FlatteningMatrix(row_tabs, col_tabs, entries, "pieri")
 
 
-def pieri_blocks(phi: Polynomial, shape: Partition, target_rows, N: int):
+def pieri_blocks(phi: Polynomial, shape: Partition, target_rows):
     """Yield (orbit_size, block) for the Young flattening of phi; the whole
     matrix is never built.
 
-    Entry k+1 stands for variable k, so N must be n*n.  A tableau's weight
-    is the torus weight of its entries' variables: straightening preserves
-    content, so the map shifts it by the weight of phi when phi is graded.
+    Entry k+1 stands for variable k, so the entries run over 1..n*n.  A
+    tableau's weight is the torus weight of its entries' variables:
+    straightening preserves content, so the map shifts it by the weight of
+    phi when phi is graded.
     Blocks, orbits and soundness are those of `flattening.weight_blocks`.
     """
     shape = make_partition(shape)
     _pieri_target(phi, shape, target_rows)
     n = phi.n
-    if N != n * n:
-        raise ValueError(f"pieri blocks need N = n*n = {n * n} tableau entries, got {N}")
-    meta = {"kind": "pieri_block", "polynomial": "custom", "n": n, "shape": list(shape),
-            "target_rows": sorted(target_rows), "N": N}
     return polynomial_blocks(
-        phi, ssyt_enumerate(shape, N),
+        phi, ssyt_enumerate(shape, n * n),
         lambda T: torus_weight((v - 1 for row in T for v in row), n),
-        lambda T: pieri_column_image(phi, T, target_rows), meta,
+        lambda T: pieri_column_image(phi, T, target_rows), "pieri_block",
     )
 
 

@@ -32,7 +32,7 @@ def report(num: int, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def minor_4_2_2_rank():
-    return rank_mod_p(flattening.minor_koszul_matrix(4, 2, 2)).rank
+    return rank_mod_p([(1, flattening.minor_koszul_matrix(4, 2, 2))]).rank
 
 
 def test_criterion_1_schur_dimensions():
@@ -52,8 +52,8 @@ def test_criterion_2_pieri_ranks():
         (permanent_poly(3), "perm3"),
     ]:
         M = schur_flattening.pieri_flattening_matrix(poly, PI3, PIERI_ROWS, 9)
-        cert = rank_rational(M)
-        assert not cert.rational_lower_bound_only
+        cert = rank_rational([(1, M)])
+        assert cert.prime is None
         results[name] = cert.rank
     ok = (
         results == {"cube": 70, "det3": 950, "perm3": 934}
@@ -65,15 +65,15 @@ def test_criterion_2_pieri_ranks():
 
 def test_criterion_3_n4_preliminary():
     M = flattening.minor_koszul_matrix(4, 2, 1)
-    r = rank_mod_p(M).rank
-    assert rank_rational(M).rank == r
+    r = rank_mod_p([(1, M)]).rank
+    assert rank_rational([(1, M)]).rank == r
     ok = r == 560 and bounds.flattening_bound(r, 15) == 38
     report(3, ok, f"minor(4,2,1) rank {r}, bound {bounds.flattening_bound(r, 15)}")
 
 
 def test_criterion_4_n3_koszul_young():
     F = flattening.full_koszul_matrix(determinant_poly(3), 1, 2)
-    r = rank_mod_p(F).rank
+    r = rank_mod_p([(1, F)]).rank
     b = bounds.flattening_bound(r, 28)
     ok = b == 12 and comb(8, 2) == 28
     report(4, ok, f"full det3 wedge-2 rank {r}, t 28, bound {b}")
@@ -81,7 +81,7 @@ def test_criterion_4_n3_koszul_young():
 
 def test_criterion_5_n5_main():
     M = flattening.minor_koszul_matrix(5, 2, 2)
-    r = rank_mod_p(M).rank
+    r = rank_mod_p([(1, M)]).rank
     v = bounds.main_theorem_value(5)
     ok = (
         r == 29376
@@ -123,7 +123,7 @@ def test_criterion_8_property_suites():
         P = random_low_rank(r, 3, n, seed)
         F = flattening.full_koszul_matrix(P, 1, p)
         t = comb(n * n - 1, p)
-        ok &= bounds.flattening_bound(rank_mod_p(F).rank, t) <= r
+        ok &= bounds.flattening_bound(rank_mod_p([(1, F)]).rank, t) <= r
     # straightening idempotence and dimension bookkeeping
     for tab in schur_flattening.ssyt_enumerate((2, 2, 1), 4):
         ok &= schur_flattening.straighten(tab) == {tab: Fraction(1)}

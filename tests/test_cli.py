@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -155,11 +156,32 @@ class TestBound:
         # the file holds det3: t must not be taken from --n 2
         (["--poly", "file:{det3}", "--n", "2", "--method", "koszul-full",
           "--d", "1", "--p", "2"], "at n=3, not at --n 2"),
+        (["--poly", "file:{empty}", "--n", "3", "--method", "koszul-full"],
+         "not a polynomial"),
+        (["--poly", "file:{array}", "--n", "3", "--method", "koszul-full"],
+         "not a polynomial"),
+        (["--poly", "file:{text_n}", "--n", "3", "--method", "koszul-full"],
+         "not a polynomial"),
+        # every coefficient has the default prime as its denominator
+        (["--poly", "file:{over_prime}", "--n", "3", "--method", "koszul-full",
+          "--d", "1", "--p", "2"], "divisible by the prime 1073741789; choose "
+         "another prime with --prime"),
     ])
     def test_bad_request_is_one_line_error(self, capsys, tmp_path, argv, message):
-        det3 = tmp_path / "det3.json"
-        det3.write_text(determinant_poly(3).to_json())
-        code = main(["bound", *(a.format(det3=det3) for a in argv)])
+        det3 = determinant_poly(3)
+        text_n = json.loads(det3.to_json())
+        text_n["n"] = "3"
+        files = {
+            "det3": det3.to_json(),
+            "empty": "{}",
+            "array": "[1, 2]",
+            "text_n": json.dumps(text_n),
+            "over_prime": det3.scale(Fraction(1, 1073741789)).to_json(),
+        }
+        paths = {name: tmp_path / f"{name}.json" for name in files}
+        for name, text in files.items():
+            paths[name].write_text(text)
+        code = main(["bound", *(a.format(**paths) for a in argv)])
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("flatrank: error: ") and message in err

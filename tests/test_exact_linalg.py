@@ -1,3 +1,4 @@
+import hashlib
 import random
 import subprocess
 import sys
@@ -10,8 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flatrank.exact_linalg import (
+    DEFAULT_PRIME,
     MemoryCapExceeded,
-    PrimeField,
     dense_rank_bareiss,
     dense_rank_mod_p,
     is_prime,
@@ -31,8 +32,7 @@ def make_matrix(dense, kind="test"):
         for c, v in enumerate(row)
         if v
     ]
-    return FlatteningMatrix(list(range(nrows)), list(range(ncols)), entries,
-                            {"kind": kind})
+    return FlatteningMatrix(list(range(nrows)), list(range(ncols)), entries, kind)
 
 
 def random_dense(rng, nrows, ncols, density=0.3, lo=-5, hi=5):
@@ -44,11 +44,12 @@ def random_dense(rng, nrows, ncols, density=0.3, lo=-5, hi=5):
 
 class TestPrimeField:
     def test_default_is_prime(self):
-        PrimeField()
+        assert rank_mod_p([]).prime == DEFAULT_PRIME
 
     def test_rejects_composite(self):
-        with pytest.raises(ValueError):
-            PrimeField(1073741790)
+        for prime in (1073741790, 2, 2**89 - 1):
+            with pytest.raises(ValueError):
+                rank_mod_p([], prime)
 
     def test_is_prime(self):
         assert is_prime(2) and is_prime(1073741789) and is_prime(999999937)
@@ -66,7 +67,7 @@ class TestSparseRank:
 
     def test_denominator_divisible_by_p(self):
         entries = [(0, 0, Fraction(1, 5))]
-        with pytest.raises(ZeroDivisionError, match=r"\(0,0\)"):
+        with pytest.raises(ValueError, match=r"\(0,0\) is divisible by the prime 5"):
             sparse_rank(1, 1, entries, p=5)
 
     def test_matches_dense_oracle(self):
@@ -158,16 +159,14 @@ class TestRandomBattery:
     def test_modular_vs_rational_500(self):
         """Modular never exceeds rational; disagreements are rare."""
         rng = random.Random(2024)
-        fld1 = PrimeField(1073741789)
-        fld2 = PrimeField(999999937)
         disagreements = 0
         for _ in range(500):
             nr, nc = rng.randint(1, 40), rng.randint(1, 40)
             dense = random_dense(rng, nr, nc, density=0.2)
             M = make_matrix(dense)
             rational = dense_rank_bareiss(dense)
-            for fld in (fld1, fld2):
-                modular = sparse_rank(nr, nc, M.entries, p=fld.modulus)
+            for prime in (1073741789, 999999937):
+                modular = sparse_rank(nr, nc, M.entries, p=prime)
                 assert modular <= rational
                 if modular != rational:
                     disagreements += 1
@@ -177,29 +176,36 @@ class TestRandomBattery:
         # a matrix whose rank drops mod 7 but not rationally
         M = make_matrix([[7, 0], [0, 1]])
         assert sparse_rank(2, 2, M.entries, p=7) == 1
-        assert rank_rational(M).rank == 2
+        assert rank_rational([(1, M)]).rank == 2
 
 
 class TestCertificates:
     def test_determinism(self):
         M = make_matrix([[1, 2, 3], [4, 5, 6], [7, 8, 10]])
-        a = rank_mod_p(M)
-        b = rank_mod_p(M)
-        assert (a.rank, a.method, a.primes_used, a.matrix_hash) == (
-            b.rank, b.method, b.primes_used, b.matrix_hash
-        )
+        a = rank_mod_p([(1, M)])
+        b = rank_mod_p([(1, M)])
+        assert (a.rank, a.prime, a.matrix_hash) == (b.rank, b.prime, b.matrix_hash)
 
     def test_modular_is_flagged_lower_bound_only(self):
         M = make_matrix([[1, 2], [3, 4]])
-        assert rank_mod_p(M).rational_lower_bound_only
-        assert not rank_rational(M).rational_lower_bound_only
+        assert rank_mod_p([(1, M)]).to_json_dict()["rational_lower_bound_only"]
+        assert not rank_rational([(1, M)]).to_json_dict()["rational_lower_bound_only"]
+
+    def test_orbit_weighting(self):
+        """The certified rank is the sum of orbit_size * rank(block)."""
+        a = make_matrix([[1, 2], [2, 4]])
+        b = make_matrix([[1, 0], [0, 1]], kind="other")
+        for certify in (rank_mod_p, rank_rational):
+            cert = certify([(3, a), (1, b)])
+            assert (cert.rank, cert.orbits, cert.blocks) == (5, 2, 4)
+            assert cert.matrix_hash != certify([(1, a), (3, b)]).matrix_hash
 
     def test_json_dict(self):
         M = make_matrix([[1]])
-        d = rank_mod_p(M).to_json_dict()
+        d = rank_mod_p([(1, M)]).to_json_dict()
         assert set(d) == {
             "rank", "method", "primes_used", "matrix_hash", "elapsed_ms",
-            "rational_lower_bound_only",
+            "rational_lower_bound_only", "orbits", "blocks",
         }
 
     @pytest.mark.parametrize("certify", [rank_mod_p, rank_rational])
@@ -208,16 +214,15 @@ class TestCertificates:
         neither."""
         M = make_matrix([[1, 2], [3, 4]])
         monkeypatch.setattr(M, "basis_hash", lambda: time.sleep(0.2) or "slow")
-        cert = certify(M)
-        assert cert.matrix_hash == "slow" and cert.elapsed < 0.1
+        cert = certify([(1, M)])
+        assert cert.matrix_hash == hashlib.sha256(b"1:slow;").hexdigest()[:16]
+        assert cert.elapsed < 0.1
 
     def test_size_guard(self):
         entries = [(i, i, 1) for i in range(150_000)]
-        M = FlatteningMatrix(
-            list(range(200_000)), list(range(200_000)), entries, {"kind": "big"}
-        )
+        M = FlatteningMatrix(list(range(200_000)), list(range(200_000)), entries, "big")
         with pytest.raises(ValueError, match="guard"):
-            rank_rational(M)
+            rank_rational([(1, M)])
 
 
 class TestComponents:
@@ -228,7 +233,7 @@ class TestComponents:
         b = random_dense(rng, 5, 7, density=0.7)
         dense = [row + [0] * 7 for row in a] + [[0] * 6 + row for row in b]
         M = make_matrix(dense)
-        assert rank_rational(M).rank == dense_rank_bareiss(a) + dense_rank_bareiss(b)
+        assert rank_rational([(1, M)]).rank == dense_rank_bareiss(a) + dense_rank_bareiss(b)
 
 
 def test_importing_the_cli_does_not_load_numpy():

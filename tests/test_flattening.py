@@ -101,7 +101,7 @@ class TestMinorMap:
     )
     def test_rank_equals_module_dimension_count(self, n, d, p, rank):
         M = minor_koszul_matrix(n, d, p)
-        assert rank_mod_p(M).rank == rank
+        assert rank_mod_p([(1, M)]).rank == rank
         assert theoretical_image_dim(n, d, p) == rank
 
     def test_rejects_bad_args(self):
@@ -146,7 +146,8 @@ def assert_blocks_match_whole(M, weight_of, blocks, symmetric):
     """Soundness gate: split the whole matrix by column weight.  Block ranks
     are constant on each orbit; each yielded block holds the columns of one
     weight, one per orbit when symmetric, with the orbit's size and rank;
-    orbit-reduced = all-blocks = whole-matrix rank, which is returned."""
+    the certified orbit-reduced rank = all-blocks = whole-matrix rank, which
+    is returned."""
     key = _orbit_key if symmetric else (lambda w: w)
     weight_of_col = [weight_of(label) for label in M.cols]
     split = {w: [] for w in weight_of_col}
@@ -159,19 +160,16 @@ def assert_blocks_match_whole(M, weight_of, blocks, symmetric):
     for ranks in orbit_ranks.values():
         assert len(set(ranks)) == 1
 
-    assert {key(B.meta["weight"]) for _, B in blocks} == set(orbit_ranks)
-    orbit_reduced = 0
+    assert {key(B.weight) for _, B in blocks} == set(orbit_ranks)
     for size, B in blocks:
-        weight = B.meta["weight"]
         assert set(B.cols) == {
-            label for label, w in zip(M.cols, weight_of_col) if w == weight
+            label for label, w in zip(M.cols, weight_of_col) if w == B.weight
         }
-        ranks = orbit_ranks[key(weight)]
-        rank = rank_mod_p(B).rank
-        assert size == len(ranks) and rank == ranks[0]
-        orbit_reduced += size * rank
+        ranks = orbit_ranks[key(B.weight)]
+        assert size == len(ranks) and rank_mod_p([(1, B)]).rank == ranks[0]
+    orbit_reduced = rank_mod_p(blocks).rank
     all_blocks = sum(sum(ranks) for ranks in orbit_ranks.values())
-    assert orbit_reduced == all_blocks == rank_mod_p(M).rank
+    assert orbit_reduced == all_blocks == rank_mod_p([(1, M)]).rank
     return orbit_reduced
 
 
@@ -182,7 +180,7 @@ def _full_case(P, d, p):
 
 def _pieri_case(P):
     return (pieri_flattening_matrix(P, PI3, PIERI_ROWS, 9),
-            pieri_blocks(P, PI3, PIERI_ROWS, 9),
+            pieri_blocks(P, PI3, PIERI_ROWS),
             lambda T: _label_weight(3, [v - 1 for row in T for v in row]))
 
 
@@ -215,12 +213,11 @@ class TestOrbitBlocks:
         P = random_low_rank(2, 3, 3, 5)
         blocks = list(full_koszul_blocks(P, 1, 2))
         assert len(blocks) == 1 and blocks[0][0] == 1
-        assert rank_mod_p(blocks[0][1]).rank == rank_mod_p(full_koszul_matrix(P, 1, 2)).rank
+        assert rank_mod_p(blocks).rank == rank_mod_p([(1, full_koszul_matrix(P, 1, 2))]).rank
 
     def test_blocks_are_graded(self):
         for _, B in minor_orbit_blocks(4, 2, 2):
-            weight = B.meta["weight"]
-            assert all(_bidegree_of_label(label, 4) == weight for label in B.rows + B.cols)
+            assert all(_bidegree_of_label(label, 4) == B.weight for label in B.rows + B.cols)
 
 
 class TestFullMap:
@@ -236,16 +233,13 @@ class TestFullMap:
         therefore agree."""
         F = full_koszul_matrix(determinant_poly(3), d, p)
         M = minor_koszul_matrix(3, d, p)
-        assert rank_mod_p(F).rank == rank_mod_p(M).rank
+        assert rank_mod_p([(1, F)]).rank == rank_mod_p([(1, M)]).rank
 
     def test_full_rank_matches_minor_rank_for_det4(self):
         """The frozen n=4 baseline by a second construction: the full map is
         built by contraction, with no Laplace signs."""
-        def orbit_reduced(blocks):
-            return sum(size * rank_mod_p(B).rank for size, B in blocks)
-
-        full = orbit_reduced(full_koszul_blocks(determinant_poly(4), 2, 2))
-        minor = orbit_reduced(minor_orbit_blocks(4, 2, 2))
+        full = rank_mod_p(full_koszul_blocks(determinant_poly(4), 2, 2)).rank
+        minor = rank_mod_p(minor_orbit_blocks(4, 2, 2)).rank
         assert full == minor == theoretical_image_dim(4, 2, 2) == 4065
 
     def test_power_rank_is_t(self):
@@ -253,7 +247,7 @@ class TestFullMap:
         for n, p in [(2, 1), (2, 2), (3, 1)]:
             P = variable_power((1, 1), 3, n)
             F = full_koszul_matrix(P, 1, p)
-            assert rank_mod_p(F).rank == comb(n * n - 1, p)
+            assert rank_mod_p([(1, F)]).rank == comb(n * n - 1, p)
 
     @pytest.mark.parametrize("seed", range(25))
     def test_low_rank_inputs_respect_the_bound(self, seed):
@@ -264,7 +258,7 @@ class TestFullMap:
                 P = random_low_rank(r, 3, n, seed)
                 F = full_koszul_matrix(P, 1, p)
                 t = comb(n * n - 1, p)
-                assert -(-rank_mod_p(F).rank // t) <= r
+                assert -(-rank_mod_p([(1, F)]).rank // t) <= r
 
     def test_equivariance_under_row_column_action(self):
         """Substituting X -> A X B with invertible A, B leaves the rank of
@@ -286,8 +280,8 @@ class TestFullMap:
 
         assert round(np.linalg.det(np.array(M, dtype=float))) != 0
         P = substitute_linear(determinant_poly(n), M)
-        base = rank_mod_p(full_koszul_matrix(determinant_poly(n), 1, 2)).rank
-        assert rank_mod_p(full_koszul_matrix(P, 1, 2)).rank == base
+        base = rank_mod_p([(1, full_koszul_matrix(determinant_poly(n), 1, 2))]).rank
+        assert rank_mod_p([(1, full_koszul_matrix(P, 1, 2))]).rank == base
 
     def test_rejects_bad_args(self):
         for build in (full_koszul_matrix, full_koszul_blocks):

@@ -231,3 +231,14 @@ class TestJson:
         p = determinant_poly(3).scale(Fraction(3, 7))
         q = Polynomial.from_json(p.to_json())
         assert q.terms == p.terms and q.n == p.n and q.degree == p.degree
+
+    @pytest.mark.parametrize("text", [
+        '{"n": 2, "degree": 2, "terms": [{"exps": [1, 1, 0, 0], "num": "1"}]}',
+        '{"n": 2, "degree": 2, "terms": [{"exps": [1, 1, 0, 0], "num": "1", "den": "0"}]}',
+        '{"n": 2, "degree": 2, "terms": [{"exps": [3, -1, 0, 0], "num": "1", "den": "1"}]}',
+        '{"n": 2, "degree": 2, "terms": [{"exps": ["1", 1, 0, 0], "num": "1", "den": "1"}]}',
+        "not json",
+    ])
+    def test_malformed_text_is_a_value_error(self, text):
+        with pytest.raises(ValueError):
+            Polynomial.from_json(text)
