@@ -10,7 +10,12 @@ from math import comb
 from pathlib import Path
 
 from . import bounds, exact_linalg, flattening, partitions, schur_flattening
-from .exact_linalg import MemoryCapExceeded, rank_mod_p, rank_rational
+from .exact_linalg import (
+    MemoryCapExceeded,
+    PrimeDividesDenominator,
+    rank_mod_p,
+    rank_rational,
+)
 from .polynomials import (
     Polynomial,
     determinant_poly,
@@ -65,10 +70,17 @@ def cmd_bound(args) -> int:
     if method == "pieri":
         d = p = None
     name = "file" if args.poly.startswith("file:") else args.poly
-    certs = [rank_mod_p(blocks, args.prime, memory_cap_bytes=cap)]
+    certs = []
+    try:
+        certs.append(rank_mod_p(blocks, args.prime, memory_cap_bytes=cap))
+    except PrimeDividesDenominator as exc:
+        if not args.rational:
+            raise
+        # the rational certificate needs no reduction mod p
+        print(f"warning: no modular certificate: {exc}", file=sys.stderr)
     if args.rational:
         certs.append(rank_rational(blocks, memory_cap_bytes=cap))
-        if certs[0].rank != certs[1].rank:
+        if certs[0].rank != certs[-1].rank:
             print("warning: modular and rational ranks disagree", file=sys.stderr)
     cert = bounds.BoundCertificate(
         polynomial=name, method=method.replace("-", "_"), n=n, d=d, p=p,

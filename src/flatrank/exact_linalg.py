@@ -1,11 +1,10 @@
-"""Exact rank computation for sparse and dense matrices.
+"""Exact rank computation for sparse matrices.
 
 One sparse Gaussian elimination (Markowitz-style minimum-fill pivoting,
 deterministic) runs over a prime field or, with Fraction arithmetic, over
 the rationals.  The command line ranks small torus-weight blocks, so each
 block is eliminated whole; `rank_mod_p` and `rank_rational` certify a
-matrix given as (orbit_size, block) pairs.  The dense routines are test
-oracles.
+matrix given as (orbit_size, block) pairs.
 
 Soundness note: the rank of an integer matrix reduced mod p never exceeds
 its rank over the rationals, so a single modular rank already certifies a
@@ -19,7 +18,6 @@ import heapq
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 DEFAULT_PRIME = 1073741789
 DEFAULT_MEMORY_CAP_BYTES = 4 << 30
@@ -28,6 +26,10 @@ _BYTES_PER_ENTRY = 100  # rough dict-of-dicts bookkeeping cost per nonzero
 
 class MemoryCapExceeded(RuntimeError):
     pass
+
+
+class PrimeDividesDenominator(ValueError):
+    """A matrix entry has no reduction mod the prime."""
 
 
 def is_prime(m: int) -> bool:
@@ -95,18 +97,23 @@ def sparse_rank(
     elimination order are deterministic.
 
     p=None runs over the rationals with Fraction arithmetic; otherwise all
-    entries are reduced mod p first (a ValueError if a denominator vanishes).
+    entries are reduced mod p first: an int directly, any other value as a
+    Fraction (`PrimeDividesDenominator` if its denominator vanishes).
     """
     cap_entries = memory_cap_bytes // _BYTES_PER_ENTRY
     rows: dict[int, dict[int, object]] = {}
     col_rows: dict[int, set[int]] = {}
     nnz = 0
     for r, c, v in entries:
-        val = Fraction(v)
-        if p is not None:
+        if p is None:
+            val = Fraction(v)
+        elif isinstance(v, int):
+            val = v % p
+        else:
+            val = Fraction(v)
             den = val.denominator % p
             if den == 0:
-                raise ValueError(
+                raise PrimeDividesDenominator(
                     f"the denominator of entry ({r},{c}) is divisible by the prime "
                     f"{p}; choose another prime with --prime"
                 )
@@ -193,93 +200,6 @@ def sparse_rank(
             raise MemoryCapExceeded(
                 f"fill reached {nnz} entries, over cap {cap_entries}"
             )
-    return rank
-
-
-def dense_rank_bareiss(mat) -> int:
-    """Rank of a dense matrix by fraction-free Bareiss elimination.
-
-    Accepts rows of ints or Fractions; each row is scaled to clear
-    denominators first (rank invariant).  A test oracle for the rational
-    `sparse_rank`: no certificate path calls it.
-    """
-    m = []
-    for row in mat:
-        row = [Fraction(x) for x in row]
-        mult = lcm(*(x.denominator for x in row)) if row else 1
-        m.append([int(x * mult) for x in row])
-    if not m or not m[0]:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    active_cols = list(range(ncols))
-    prev = 1
-    rank = 0
-    r = 0
-    while r < nrows and active_cols:
-        # first nonzero scanning active columns left to right, rows top down
-        found = None
-        for ci, c in enumerate(active_cols):
-            for i in range(r, nrows):
-                if m[i][c]:
-                    found = (i, ci)
-                    break
-            if found:
-                break
-        if not found:
-            break
-        i, ci = found
-        m[r], m[i] = m[i], m[r]
-        active_cols[0], active_cols[ci] = active_cols[ci], active_cols[0]
-        pc = active_cols[0]
-        piv = m[r][pc]
-        for i in range(r + 1, nrows):
-            mic = m[i][pc]
-            mrow = m[r]
-            irow = m[i]
-            for c in active_cols[1:]:
-                irow[c] = (irow[c] * piv - mic * mrow[c]) // prev
-            irow[pc] = 0
-        prev = piv
-        active_cols = active_cols[1:]
-        rank += 1
-        r += 1
-    return rank
-
-
-def dense_rank_mod_p(a, p: int) -> int:
-    """Rank of an integer matrix mod p by vectorized dense elimination.
-
-    p must fit in 31 bits so products stay inside int64.  A test oracle
-    for the modular `sparse_rank`, which no certificate path calls: numpy
-    is imported here so that importing the library does not load it.
-    """
-    import numpy as np
-
-    if p.bit_length() > 31:
-        raise ValueError("prime too large for int64 products")
-    a = np.ascontiguousarray(np.asarray(a, dtype=np.int64) % p)
-    nrows, ncols = a.shape
-    rank = 0
-    row = 0
-    for col in range(ncols):
-        if row == nrows:
-            break
-        nz = np.nonzero(a[row:, col])[0]
-        if nz.size == 0:
-            continue
-        piv_row = row + int(nz[0])
-        if piv_row != row:
-            a[[row, piv_row]] = a[[piv_row, row]]
-        inv = pow(int(a[row, col]), p - 2, p)
-        a[row, col:] = a[row, col:] * inv % p
-        below = a[row + 1:, col]
-        mask = below != 0
-        if mask.any():
-            a[row + 1:, col:][mask] = (
-                a[row + 1:, col:][mask] - below[mask, None] * a[row, col:][None, :]
-            ) % p
-        rank += 1
-        row += 1
     return rank
 
 

@@ -1,4 +1,5 @@
-"""Sparse matrices of the Koszul flattening maps.
+"""Sparse matrices of the Koszul flattening maps, one torus-weight block
+at a time.
 
 Two constructions are provided: the full map for an arbitrary polynomial
 (wedge factor tensored with a catalecticant), and the minor-indexed maps
@@ -8,9 +9,10 @@ variable indices; insertion signs count how many present variables precede
 the inserted one.
 
 Each map is given per column (`minor_column_image`, `full_column_image`).
-The whole-matrix builders loop over every column; `weight_blocks` builds
-one torus-weight block per symmetry orbit instead, and is what the command
-line ranks.
+Each construction enumerates only the columns of the weights it keeps,
+grouped by weight, and `weight_blocks` builds one block per kept weight:
+one per symmetry orbit for a symmetric polynomial.  No whole matrix is
+built.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from itertools import chain, combinations, combinations_with_replacement
 from math import factorial
+from operator import sub
 
 from .partitions import partitions_of
 from .polynomials import (
@@ -79,21 +81,6 @@ class FlatteningMatrix:
         return self._hash
 
 
-def _bidegree_of_label(label, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(A-weight, B-weight) of a minor-map basis label."""
-    I, J, w = label
-    wa, wb = [0] * n, [0] * n
-    for i in I:
-        wa[i - 1] += 1
-    for j in J:
-        wb[j - 1] += 1
-    for x in w:
-        r, c = var_pos(x, n)
-        wa[r - 1] += 1
-        wb[c - 1] += 1
-    return tuple(wa), tuple(wb)
-
-
 def minor_column_image(n: int, label: MinorLabel) -> list[tuple[MinorLabel, int]]:
     """Image of one domain basis element of the minor-indexed map.
 
@@ -114,39 +101,6 @@ def minor_column_image(n: int, label: MinorLabel) -> list[tuple[MinorLabel, int]
             newJ = tuple(x for x in J if x != j)
             out.append(((newI, newJ, neww), sign))
     return out
-
-
-def minor_domain_basis(n: int, d: int, p: int) -> list[MinorLabel]:
-    nv = n * n
-    subs = list(combinations(range(1, n + 1), n - d))
-    wedges = list(combinations(range(nv), p))
-    return [(I, J, w) for I in subs for J in subs for w in wedges]
-
-
-def minor_codomain_basis(n: int, d: int, p: int) -> list[MinorLabel]:
-    nv = n * n
-    subs = list(combinations(range(1, n + 1), n - d - 1))
-    wedges = list(combinations(range(nv), p + 1))
-    return [(I, J, w) for I in subs for J in subs for w in wedges]
-
-
-def minor_koszul_matrix(n: int, d: int, p: int) -> FlatteningMatrix:
-    """Matrix of the minor-indexed Koszul map for the n x n determinant.
-
-    Raises if an entry joins labels of different weights: the orbit blocks
-    of `minor_orbit_blocks` rest on that grading."""
-    _check_minor_args(n, d, p)
-    cols = minor_domain_basis(n, d, p)
-    rows = minor_codomain_basis(n, d, p)
-    row_index = {label: i for i, label in enumerate(rows)}
-    entries = []
-    for ci, label in enumerate(cols):
-        weight = _bidegree_of_label(label, n)
-        for rlabel, coeff in minor_column_image(n, label):
-            if _bidegree_of_label(rlabel, n) != weight:
-                raise RuntimeError(f"minor map sends {label} to {rlabel}, of another weight")
-            entries.append((row_index[rlabel], ci, coeff))
-    return FlatteningMatrix(rows, cols, entries, "minor")
 
 
 def _check_minor_args(n: int, d: int, p: int) -> None:
@@ -174,16 +128,15 @@ def _orbit_size(weight) -> int:
     return _arrangements(wa) * _arrangements(wb) * (1 if wa == wb else 2)
 
 
-def weight_blocks(cols, weight_of, column_image, kind: str, symmetric: bool):
+def weight_blocks(groups, column_image, kind: str):
     """Yield (orbit_size, block) for a flattening map given per column.
 
-    Columns are grouped by `weight_of(label)`, their (A-weight, B-weight)
-    under the torus of GL_n x GL_n; with `weight_of=None` every column is
-    in one block.  With `symmetric`, only groups whose weight is its
-    orbit's representative (see `_orbit_size`) are kept, with their orbit
-    size; otherwise every group has size 1.  A block's rows are the labels
-    its columns reach through `column_image(label)`, a list of (row label,
-    coefficient) pairs; it carries `kind` and its weight.
+    `groups` holds (orbit_size, weight, columns) triples: the columns of
+    one (A-weight, B-weight) under the torus of GL_n x GL_n, or every
+    column with weight None; a group without columns is skipped.  A
+    block's rows are the labels its columns reach through
+    `column_image(label)`, a list of (row label, coefficient) pairs; it
+    carries `kind` and its weight.
 
     Soundness.  The Koszul and Pieri maps of a polynomial P are
     GL(V)-equivariant in (P, domain, codomain).  When every monomial of P
@@ -198,15 +151,11 @@ def weight_blocks(cols, weight_of, column_image, kind: str, symmetric: bool):
     every prime and over Q.  The weight pairs in the orbit of a
     representative (wa, wb) are (sigma wa, tau wb) and, when wa != wb,
     (tau wb, sigma wa): perms(wa) * perms(wb) of them, doubled when
-    wa != wb.  So sum(orbit_size * rank(block)) over the yielded blocks is
-    the rank of the whole matrix.
+    wa != wb (`_orbit_size`).  So sum(orbit_size * rank(block)) over one
+    block per orbit representative is the rank of the whole matrix.
     """
-    groups: dict = {}
-    for label in cols:
-        groups.setdefault(weight_of(label) if weight_of else None, []).append(label)
-    for weight, group in groups.items():
-        size = _orbit_size(weight) if symmetric else 1
-        if not size:
+    for size, weight, group in groups:
+        if not group:
             continue
         images = [column_image(label) for label in group]
         rows = sorted({rlabel for image in images for rlabel, _ in image})
@@ -216,26 +165,40 @@ def weight_blocks(cols, weight_of, column_image, kind: str, symmetric: bool):
         yield size, FlatteningMatrix(rows, group, entries, kind, weight)
 
 
-def polynomial_blocks(P: Polynomial, cols, weight_of, column_image, kind: str):
-    """`weight_blocks` for a map built from P: graded when every monomial
-    of P has one weight, orbit-reduced when P is also symmetric (fixed up
-    to sign by row and column permutations and transposition)."""
+def polynomial_blocks(P: Polynomial, column_groups, column_image, kind: str):
+    """`weight_blocks` for a map built from P.
+
+    `column_groups(size_of)` enumerates the map's columns: for each weight
+    with size_of(weight) > 0, the triple (size_of(weight), weight, columns),
+    columns in basis order and weights in the order of their first column;
+    for size_of=None, the one triple (1, None, every column in basis
+    order).  The choice is read off P: one block when P is not bigraded
+    (its monomials have several weights), every weight with size 1 when it
+    is, and only orbit representatives (`_orbit_size`) when P is also
+    symmetric (fixed up to sign by row and column permutations and
+    transposition)."""
     if not is_bigraded(P):
-        return weight_blocks(cols, None, column_image, kind, symmetric=False)
-    return weight_blocks(cols, weight_of, column_image, kind, is_symmetric(P))
+        size_of = None
+    elif is_symmetric(P):
+        size_of = _orbit_size
+    else:
+        size_of = lambda weight: 1
+    return weight_blocks(column_groups(size_of), column_image, kind)
 
 
 def minor_orbit_blocks(n: int, d: int, p: int):
     """Yield (orbit_size, block) for one weight block per symmetry orbit of
     the minor-indexed Koszul map; the whole matrix is never built.
 
-    The map preserves the (A-weight, B-weight) torus grading computed by
-    `_bidegree_of_label`, so it is the direct sum of its weight blocks.  A
-    pair (sigma, tau) of row and column permutations of X sends det to
-    +-det, and transposition fixes det; both send minors to signed minors
-    and wedges to signed wedges, so blocks in one orbit have equal rank
-    (the argument of `weight_blocks`).  Every weight pair is in the orbit
-    of exactly one pair of dominant (decreasing) weights with wa <= wb.
+    The map preserves the (A-weight, B-weight) torus grading: a label
+    (I, J, w) has row weight I + rows(w) and column weight J + cols(w), and
+    so does each label of its image.  So the map is the direct sum of its
+    weight blocks.  A pair (sigma, tau) of row and column permutations of X
+    sends det to +-det, and transposition fixes det; both send minors to
+    signed minors and wedges to signed wedges, so blocks in one orbit have
+    equal rank (the argument of `weight_blocks`).  Every weight pair is in
+    the orbit of exactly one pair of dominant (decreasing) weights with
+    wa <= wb.
 
     Only the columns of those dominant weights are enumerated, directly: a
     p-wedge w fixes the remainders I = wa - rows(w) and J = wb - cols(w),
@@ -263,15 +226,13 @@ def minor_orbit_blocks(n: int, d: int, p: int):
 
     rem_a = [remainders(wt, 0) for wt in weights]
     rem_b = [remainders(wt, 1) for wt in weights]
-    cols = (
-        (I, rem_b[ib][k], wedges[k])
+    groups = (
+        (_orbit_size((wa, wb)), (wa, wb),
+         [(I, rem_b[ib][k], wedges[k]) for k, I in rem_a[ia].items() if k in rem_b[ib]])
         for ia, wa in enumerate(weights)
         for ib, wb in enumerate(weights) if wa <= wb
-        for k, I in rem_a[ia].items() if k in rem_b[ib]
     )
-    return weight_blocks(cols, lambda label: _bidegree_of_label(label, n),
-                         lambda label: minor_column_image(n, label), "minor_block",
-                         symmetric=True)
+    return weight_blocks(groups, lambda label: minor_column_image(n, label), "minor_block")
 
 
 def monomials_of_degree(nv: int, d: int) -> list[tuple[int, ...]]:
@@ -284,15 +245,16 @@ def monomials_of_degree(nv: int, d: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _full_domain_basis(P: Polynomial, d: int, p: int) -> list:
-    """Columns of the full Koszul map: (p-wedge, dual monomial of degree d)."""
+def _full_domain_factors(P: Polynomial, d: int, p: int) -> tuple[list, list]:
+    """The two factors of the full Koszul map's columns (w, a): the
+    p-wedges w and the dual monomials a of degree d, each in basis order;
+    the columns are every w with every a, w-major."""
     nv = P.n * P.n
     if not 1 <= d <= P.degree - 1:
         raise ValueError(f"need 1 <= d <= degree-1, got d={d}, degree={P.degree}")
     if not 0 <= p <= nv - 1:
         raise ValueError(f"need 0 <= p <= {nv - 1}, got p={p}")
-    duals = monomials_of_degree(nv, d)
-    return [(w, a) for w in combinations(range(nv), p) for a in duals]
+    return list(combinations(range(nv), p)), monomials_of_degree(nv, d)
 
 
 def full_column_image(P: Polynomial, label, derivs: dict) -> list:
@@ -317,47 +279,41 @@ def full_column_image(P: Polynomial, label, derivs: dict) -> list:
     return out
 
 
-def full_koszul_matrix(P: Polynomial, d: int, p: int) -> FlatteningMatrix:
-    """Matrix of the Koszul flattening of an arbitrary polynomial.
+def _full_column_groups(P: Polynomial, d: int, p: int, size_of) -> list:
+    """The columns (w, a) of the full Koszul map grouped by their weight
+    wt(w) - wt(a), as `polynomial_blocks` asks.
 
-    Columns are (wedge of p variables, dual monomial of degree d); rows are
-    (wedge of p+1 variables, monomial of degree e-d-1); see
-    `full_column_image`.
-    """
-    cols = _full_domain_basis(P, d, p)
-    nv = P.n * P.n
-    row_monos = monomials_of_degree(nv, P.degree - d - 1)
-    rows = [(w, m) for w in combinations(range(nv), p + 1) for m in row_monos]
-    row_index = {label: i for i, label in enumerate(rows)}
-    derivs: dict = {}
-    entries = [(row_index[rlabel], ci, v)
-               for ci, label in enumerate(cols)
-               for rlabel, v in full_column_image(P, label, derivs)]
-    return FlatteningMatrix(rows, cols, entries, "full")
+    Wedges and dual monomials are first grouped into classes of equal
+    weight, and a weight is computed once per pair of classes: a kept
+    weight takes every column of each class pair that gives it."""
+    wedges, duals = _full_domain_factors(P, d, p)
+    if size_of is None:
+        return [(1, None, [(w, a) for w in wedges for a in duals])]
+    n = P.n
+    dual_classes: dict = {}
+    for a in duals:
+        dual_classes.setdefault(torus_weight(exponent_variables(a), n), []).append(a)
+    kept: dict = {}  # wedge weight -> [(kept weight, its dual class)]
+    groups: dict = {}
+    for w in wedges:
+        wa, wb = torus_weight(w, n)
+        if (wa, wb) not in kept:
+            kept[wa, wb] = [
+                (weight, D) for (da, db), D in dual_classes.items()
+                if size_of(weight := (tuple(map(sub, wa, da)), tuple(map(sub, wb, db))))
+            ]
+        for weight, D in kept[wa, wb]:
+            groups.setdefault(weight, []).extend((w, a) for a in D)
+    return [(size_of(weight), weight, cols) for weight, cols in groups.items()]
 
 
 def full_koszul_blocks(P: Polynomial, d: int, p: int):
     """Yield (orbit_size, block) for the full Koszul map of P (see
     `weight_blocks` and `polynomial_blocks`); the whole matrix is never
-    built.  A column (w, a) has weight wt(w) - wt(a)."""
-    cols = _full_domain_basis(P, d, p)
-    n = P.n
-
-    @cache
-    def wedge_weight(w):
-        return torus_weight(w, n)
-
-    @cache
-    def dual_weight(a):
-        return torus_weight(exponent_variables(a), n)
-
-    def weight_of(label):
-        (wa, wb), (aa, ab) = wedge_weight(label[0]), dual_weight(label[1])
-        return (tuple(x - y for x, y in zip(wa, aa)),
-                tuple(x - y for x, y in zip(wb, ab)))
-
+    built, and only the columns of kept weights are enumerated.  A column
+    (w, a) has weight wt(w) - wt(a)."""
     derivs: dict = {}
-    return polynomial_blocks(P, cols, weight_of,
+    return polynomial_blocks(P, lambda size_of: _full_column_groups(P, d, p, size_of),
                              lambda label: full_column_image(P, label, derivs), "full_block")
 
 

@@ -1,19 +1,24 @@
-"""Young flattenings in the semistandard tableau basis.
+"""Young flattenings in the semistandard tableau basis, one torus-weight
+block at a time.
 
 Tableaux are tuples of row tuples; semistandard means rows weakly increase
-and columns strictly increase.  Arbitrary fillings are legal as input to
-the straightening engine, which rewrites them in the semistandard basis
-via column antisymmetry and Garnir shuffle relations.
+and columns strictly increase.  A block's columns are the tableaux of one
+kept weight, enumerated content by content (`ssyt_by_content`).  Arbitrary
+fillings are legal as input to the straightening engine, which rewrites
+them in the semistandard basis via column antisymmetry and Garnir shuffle
+relations; a column image straightens T's sorted columns with one entry
+inserted into each.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
+from operator import le
 
-from .partitions import Partition, make_partition
-from .polynomials import Polynomial, exponent_variables, sort_sign, torus_weight
-from .flattening import FlatteningMatrix, polynomial_blocks
+from .partitions import Partition, conjugate, make_partition
+from .polynomials import Polynomial, exponent_variables, sort_sign
+from .flattening import polynomial_blocks, wedge_insert
 
 Tableau = tuple[tuple[int, ...], ...]
 Columns = tuple[tuple[int, ...], ...]
@@ -39,49 +44,99 @@ def is_semistandard(t: Tableau) -> bool:
     return True
 
 
-def ssyt_enumerate(shape: Partition, N: int) -> list[Tableau]:
-    """All semistandard tableaux of the shape with entries in 1..N,
-    ordered lexicographically by row-reading word."""
+def _compositions(total: int, bounds) -> list[tuple[int, ...]]:
+    """The tuples x with 0 <= x[i] <= bounds[i] and sum(x) = total, in
+    lexicographic order; each prefix is kept only if the rest can fit."""
+    layer = [((), total)]
+    room = sum(bounds)
+    for bound in bounds:
+        room -= bound
+        layer = [(prefix + (x,), left - x) for prefix, left in layer
+                 for x in range(max(0, left - room), min(bound, left) + 1)]
+    return [prefix for prefix, _ in layer]
+
+
+def ssyt_by_content(shape: Partition, content) -> list[Tableau]:
+    """The semistandard tableaux of the shape with content[v - 1] entries
+    equal to v.
+
+    Built one column at a time, left to right.  An entry appears at most
+    once in a column, so a value with as many copies left as columns left
+    must be in the next column; the rest of that column is chosen among
+    the other values left, and kept when every row weakly increases."""
     shape = make_partition(shape)
-    cells = [(r, c) for r, part in enumerate(shape) for c in range(part)]
+    return _fill_columns(conjugate(shape), content)
+
+
+def _fill_columns(heights: Partition, content) -> list[Tableau]:
+    """`ssyt_by_content` for the shape whose column heights are `heights`."""
     out: list[Tableau] = []
-    rows = [[0] * part for part in shape]
 
-    def fill(idx: int):
-        if idx == len(cells):
-            out.append(tuple(tuple(row) for row in rows))
+    def fill(j: int, left: list, cols: tuple) -> None:
+        if j == len(heights):
+            out.append(columns_to_rows(cols))
             return
-        r, c = cells[idx]
-        lo = 1
-        if c > 0:
-            lo = max(lo, rows[r][c - 1])
-        if r > 0:
-            lo = max(lo, rows[r - 1][c] + 1)
-        for v in range(lo, N + 1):
-            rows[r][c] = v
-            fill(idx + 1)
-        rows[r][c] = 0
+        rest = len(heights) - j
+        forced = [v for v, c in enumerate(left, 1) if c == rest]
+        free = [v for v, c in enumerate(left, 1) if 0 < c < rest]
+        if len(forced) > heights[j] or max(left) > rest:
+            return
+        for extra in combinations(free, heights[j] - len(forced)):
+            col = tuple(sorted(forced + list(extra)))
+            if cols and not all(map(le, cols[-1], col)):
+                continue
+            new = list(left)
+            for v in col:
+                new[v - 1] -= 1
+            fill(j + 1, new, cols + (col,))
 
-    fill(0)
+    if sum(content) == sum(heights):
+        fill(0, list(content), ())
     return out
 
 
+def _tableau_groups(shape: Partition, n: int, size_of) -> list:
+    """The semistandard tableaux of the shape over 1..n*n grouped by weight,
+    as `flattening.polynomial_blocks` asks; a group's tableaux are in the
+    lexicographic order of their row-reading words.
+
+    Entry k+1 stands for variable k, so a tableau's content is an n x n
+    matrix whose row and column sums are its weight (wa, wb), and an entry
+    appears at most once per column.  Only the contents of kept weights
+    are filled (`ssyt_by_content`)."""
+    if size_of is None:
+        every = _tableau_groups(shape, n, lambda weight: 1)
+        return [(1, None, sorted(T for _, _, group in every for T in group))]
+    heights = conjugate(shape)
+    cap = len(heights)
+    margins = _compositions(sum(shape), [n * cap] * n)
+    groups = []
+    for wa in margins:
+        kept = {wb: size for wb in margins if (size := size_of((wa, wb)))}
+        if not kept:
+            continue
+        by_wb: dict = {}
+        for rows in product(*(_compositions(a, [cap] * n) for a in wa)):
+            wb = tuple(map(sum, zip(*rows)))
+            if wb in kept:
+                by_wb.setdefault(wb, []).extend(_fill_columns(heights, sum(rows, ())))
+        groups += [(kept[wb], (wa, wb), sorted(tabs)) for wb, tabs in by_wb.items() if tabs]
+    return sorted(groups, key=lambda group: group[2][0])
+
+
 def rows_to_columns(t: Tableau) -> Columns:
+    """The columns of a tableau, top to bottom.  Its rows are the columns
+    of its transpose, so the same function turns columns back into rows."""
     if not t:
         return ()
-    return tuple(
-        tuple(t[r][c] for r in range(len(t)) if c < len(t[r]))
-        for c in range(len(t[0]))
-    )
+    cols: list[list[int]] = [[] for _ in t[0]]
+    for row in t:
+        for col, v in zip(cols, row):
+            col.append(v)
+    return tuple(map(tuple, cols))
 
 
-def columns_to_rows(cols: Columns) -> Tableau:
-    if not cols:
-        return ()
-    return tuple(
-        tuple(cols[c][r] for c in range(len(cols)) if r < len(cols[c]))
-        for r in range(len(cols[0]))
-    )
+columns_to_rows = rows_to_columns
 
 
 def _canonical(cols: Columns) -> tuple[int, Columns] | None:
@@ -216,43 +271,37 @@ def pieri_column_image(phi: Polynomial, T: Tableau, target_rows) -> list:
     at the ends of the sorted target rows, of the straightening of the
     labeled filling; variable k is tableau entry k+1.  Returns (tableau,
     coefficient) pairs with nonzero coefficients.
+
+    The box added to row r lands at the bottom of column len(T[r - 1]), so
+    each arrangement inserts one entry into each of those columns of T:
+    with the sign of moving it up past the larger entries, and zero on a
+    repeat (`wedge_insert`).  The sorted columns then straighten directly.
     """
-    rows_sorted = sorted(target_rows)
-    extra = max(rows_sorted, default=0) - len(T)
+    cols = list(rows_to_columns(T))
+    slots = [len(T[r - 1]) if r <= len(T) else 0 for r in sorted(target_rows)]
+    cols += [()] * (max(slots, default=-1) + 1 - len(cols))
     acc: dict[Tableau, Fraction] = {}
     for exps, coeff in sorted(phi.terms.items()):
+        if coeff.denominator == 1:
+            coeff = coeff.numerator  # the same values in int arithmetic
         labels = [k + 1 for k in exponent_variables(exps)]
         for arrangement in sorted(set(permutations(labels))):
-            fill_rows = [list(row) for row in T] + [[] for _ in range(extra)]
-            for r, label in zip(rows_sorted, arrangement):
-                fill_rows[r - 1].append(label)
-            for tab, c in straighten(tuple(tuple(r) for r in fill_rows)).items():
-                total = acc.get(tab, 0) + coeff * c
-                if total:
-                    acc[tab] = total
-                else:
-                    acc.pop(tab, None)
+            filled, sign = list(cols), coeff
+            for c, label in zip(slots, arrangement):
+                ins = wedge_insert(filled[c], label)
+                if ins is None:
+                    break
+                # wedge_insert's sign is that of passing the smaller entries
+                sign *= ins[0] if len(filled[c]) % 2 == 0 else -ins[0]
+                filled[c] = ins[1]
+            else:
+                for tab, v in _straighten_sorted(tuple(filled)).items():
+                    total = acc.get(tab, 0) + sign * v
+                    if total:
+                        acc[tab] = total
+                    else:
+                        acc.pop(tab, None)
     return list(acc.items())
-
-
-def pieri_flattening_matrix(phi: Polynomial, shape: Partition, target_rows,
-                            N: int) -> FlatteningMatrix:
-    """Young flattening of phi in the semistandard tableau basis.
-
-    Columns are semistandard tableaux of `shape`; rows are tableaux of the
-    shape with one box appended to each listed target row; the column of T
-    is `pieri_column_image`.
-    """
-    shape = make_partition(shape)
-    target = _pieri_target(phi, shape, target_rows)
-    col_tabs = ssyt_enumerate(shape, N)
-    row_tabs = ssyt_enumerate(target, N)
-    row_index = {t: i for i, t in enumerate(row_tabs)}
-    entries = [(row_index[tab], ci, v)
-               for ci, T in enumerate(col_tabs)
-               for tab, v in pieri_column_image(phi, T, target_rows)]
-    entries.sort(key=lambda e: (e[1], e[0]))
-    return FlatteningMatrix(row_tabs, col_tabs, entries, "pieri")
 
 
 def pieri_blocks(phi: Polynomial, shape: Partition, target_rows):
@@ -262,28 +311,13 @@ def pieri_blocks(phi: Polynomial, shape: Partition, target_rows):
     Entry k+1 stands for variable k, so the entries run over 1..n*n.  A
     tableau's weight is the torus weight of its entries' variables:
     straightening preserves content, so the map shifts it by the weight of
-    phi when phi is graded.
-    Blocks, orbits and soundness are those of `flattening.weight_blocks`.
+    phi when phi is graded.  Only the tableaux of kept weights are
+    enumerated (`_tableau_groups`).  Blocks, orbits and soundness are those
+    of `flattening.weight_blocks`.
     """
     shape = make_partition(shape)
     _pieri_target(phi, shape, target_rows)
-    n = phi.n
     return polynomial_blocks(
-        phi, ssyt_enumerate(shape, n * n),
-        lambda T: torus_weight((v - 1 for row in T for v in row), n),
+        phi, lambda size_of: _tableau_groups(shape, phi.n, size_of),
         lambda T: pieri_column_image(phi, T, target_rows), "pieri_block",
-    )
-
-
-def kostka_number(shape: Partition, content) -> int:
-    """Number of semistandard tableaux of the shape with given content
-    (content[i] copies of i+1); brute-force oracle."""
-    shape = make_partition(shape)
-    N = len(content)
-    return sum(
-        1
-        for t in ssyt_enumerate(shape, N)
-        if all(
-            sum(row.count(i + 1) for row in t) == content[i] for i in range(N)
-        )
     )

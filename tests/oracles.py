@@ -1,0 +1,280 @@
+"""Reference implementations the tests check the library against.
+
+Whole-matrix builders, the all-columns weight grouping, brute-force
+tableau enumeration and dense eliminations.  No certificate path uses
+them: the library builds one weight block per kept weight and ranks it
+by sparse elimination.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from itertools import combinations, permutations
+from math import lcm
+
+from flatrank import flattening
+from flatrank.flattening import FlatteningMatrix, full_column_image, monomials_of_degree
+from flatrank.partitions import Partition, make_partition
+from flatrank.polynomials import Polynomial, var_pos
+from flatrank.schur_flattening import Tableau, _pieri_target, pieri_column_image, straighten
+
+
+def group_by_weight(cols, weight_of) -> dict:
+    """The columns grouped by weight: weights in the order of their first
+    column, each group's columns in basis order."""
+    groups: dict = {}
+    for label in cols:
+        groups.setdefault(weight_of(label), []).append(label)
+    return groups
+
+
+# ---------------------------------------------------------------------------
+# minor-indexed map
+
+def bidegree_of_label(label, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(A-weight, B-weight) of a minor-map basis label."""
+    I, J, w = label
+    wa, wb = [0] * n, [0] * n
+    for i in I:
+        wa[i - 1] += 1
+    for j in J:
+        wb[j - 1] += 1
+    for x in w:
+        r, c = var_pos(x, n)
+        wa[r - 1] += 1
+        wb[c - 1] += 1
+    return tuple(wa), tuple(wb)
+
+
+def minor_domain_basis(n: int, d: int, p: int) -> list:
+    nv = n * n
+    subs = list(combinations(range(1, n + 1), n - d))
+    wedges = list(combinations(range(nv), p))
+    return [(I, J, w) for I in subs for J in subs for w in wedges]
+
+
+def minor_codomain_basis(n: int, d: int, p: int) -> list:
+    nv = n * n
+    subs = list(combinations(range(1, n + 1), n - d - 1))
+    wedges = list(combinations(range(nv), p + 1))
+    return [(I, J, w) for I in subs for J in subs for w in wedges]
+
+
+def minor_koszul_matrix(n: int, d: int, p: int) -> FlatteningMatrix:
+    """Matrix of the minor-indexed Koszul map for the n x n determinant.
+
+    Raises if an entry joins labels of different weights: the orbit blocks
+    of `minor_orbit_blocks` rest on that grading."""
+    flattening._check_minor_args(n, d, p)
+    cols = minor_domain_basis(n, d, p)
+    rows = minor_codomain_basis(n, d, p)
+    row_index = {label: i for i, label in enumerate(rows)}
+    entries = []
+    for ci, label in enumerate(cols):
+        weight = bidegree_of_label(label, n)
+        for rlabel, coeff in flattening.minor_column_image(n, label):
+            if bidegree_of_label(rlabel, n) != weight:
+                raise RuntimeError(f"minor map sends {label} to {rlabel}, of another weight")
+            entries.append((row_index[rlabel], ci, coeff))
+    return FlatteningMatrix(rows, cols, entries, "minor")
+
+
+# ---------------------------------------------------------------------------
+# full Koszul map
+
+def full_domain_basis(P: Polynomial, d: int, p: int) -> list:
+    """Columns of the full Koszul map: (p-wedge, dual monomial of degree d)."""
+    wedges, duals = flattening._full_domain_factors(P, d, p)
+    return [(w, a) for w in wedges for a in duals]
+
+
+def full_koszul_matrix(P: Polynomial, d: int, p: int) -> FlatteningMatrix:
+    """Matrix of the Koszul flattening of an arbitrary polynomial.
+
+    Columns are (wedge of p variables, dual monomial of degree d); rows are
+    (wedge of p+1 variables, monomial of degree e-d-1); see
+    `full_column_image`.
+    """
+    cols = full_domain_basis(P, d, p)
+    nv = P.n * P.n
+    row_monos = monomials_of_degree(nv, P.degree - d - 1)
+    rows = [(w, m) for w in combinations(range(nv), p + 1) for m in row_monos]
+    row_index = {label: i for i, label in enumerate(rows)}
+    derivs: dict = {}
+    entries = [(row_index[rlabel], ci, v)
+               for ci, label in enumerate(cols)
+               for rlabel, v in full_column_image(P, label, derivs)]
+    return FlatteningMatrix(rows, cols, entries, "full")
+
+
+# ---------------------------------------------------------------------------
+# tableaux and the Pieri map
+
+def ssyt_enumerate(shape: Partition, N: int) -> list[Tableau]:
+    """All semistandard tableaux of the shape with entries in 1..N,
+    ordered lexicographically by row-reading word."""
+    shape = make_partition(shape)
+    cells = [(r, c) for r, part in enumerate(shape) for c in range(part)]
+    out: list[Tableau] = []
+    rows = [[0] * part for part in shape]
+
+    def fill(idx: int):
+        if idx == len(cells):
+            out.append(tuple(tuple(row) for row in rows))
+            return
+        r, c = cells[idx]
+        lo = 1
+        if c > 0:
+            lo = max(lo, rows[r][c - 1])
+        if r > 0:
+            lo = max(lo, rows[r - 1][c] + 1)
+        for v in range(lo, N + 1):
+            rows[r][c] = v
+            fill(idx + 1)
+        rows[r][c] = 0
+
+    fill(0)
+    return out
+
+
+def kostka_number(shape: Partition, content) -> int:
+    """Number of semistandard tableaux of the shape with given content
+    (content[i] copies of i+1), by brute force."""
+    shape = make_partition(shape)
+    N = len(content)
+    return sum(
+        1
+        for t in ssyt_enumerate(shape, N)
+        if all(
+            sum(row.count(i + 1) for row in t) == content[i] for i in range(N)
+        )
+    )
+
+
+def pieri_flattening_matrix(phi: Polynomial, shape: Partition, target_rows,
+                            N: int) -> FlatteningMatrix:
+    """Young flattening of phi in the semistandard tableau basis.
+
+    Columns are semistandard tableaux of `shape`; rows are tableaux of the
+    shape with one box appended to each listed target row; the column of T
+    is `pieri_column_image`.
+    """
+    shape = make_partition(shape)
+    target = _pieri_target(phi, shape, target_rows)
+    col_tabs = ssyt_enumerate(shape, N)
+    row_tabs = ssyt_enumerate(target, N)
+    row_index = {t: i for i, t in enumerate(row_tabs)}
+    entries = [(row_index[tab], ci, v)
+               for ci, T in enumerate(col_tabs)
+               for tab, v in pieri_column_image(phi, T, target_rows)]
+    entries.sort(key=lambda e: (e[1], e[0]))
+    return FlatteningMatrix(row_tabs, col_tabs, entries, "pieri")
+
+
+def pieri_column_image_by_straightening(phi: Polynomial, T: Tableau, target_rows) -> list:
+    """`pieri_column_image` as defined: every arrangement of each
+    monomial's variables is written into a copy of T's rows and the whole
+    filling is straightened."""
+    rows_sorted = sorted(target_rows)
+    extra = max(rows_sorted, default=0) - len(T)
+    acc: dict = {}
+    for exps, coeff in sorted(phi.terms.items()):
+        labels = [k + 1 for k, e in enumerate(exps) for _ in range(e)]
+        for arrangement in sorted(set(permutations(labels))):
+            fill_rows = [list(row) for row in T] + [[] for _ in range(extra)]
+            for r, label in zip(rows_sorted, arrangement):
+                fill_rows[r - 1].append(label)
+            for tab, c in straighten(tuple(tuple(r) for r in fill_rows)).items():
+                total = acc.get(tab, 0) + coeff * c
+                if total:
+                    acc[tab] = total
+                else:
+                    acc.pop(tab, None)
+    return list(acc.items())
+
+
+# ---------------------------------------------------------------------------
+# dense eliminations
+
+def dense_rank_bareiss(mat) -> int:
+    """Rank of a dense matrix by fraction-free Bareiss elimination.
+
+    Accepts rows of ints or Fractions; each row is scaled to clear
+    denominators first (rank invariant).
+    """
+    m = []
+    for row in mat:
+        row = [Fraction(x) for x in row]
+        mult = lcm(*(x.denominator for x in row)) if row else 1
+        m.append([int(x * mult) for x in row])
+    if not m or not m[0]:
+        return 0
+    nrows, ncols = len(m), len(m[0])
+    active_cols = list(range(ncols))
+    prev = 1
+    rank = 0
+    r = 0
+    while r < nrows and active_cols:
+        # first nonzero scanning active columns left to right, rows top down
+        found = None
+        for ci, c in enumerate(active_cols):
+            for i in range(r, nrows):
+                if m[i][c]:
+                    found = (i, ci)
+                    break
+            if found:
+                break
+        if not found:
+            break
+        i, ci = found
+        m[r], m[i] = m[i], m[r]
+        active_cols[0], active_cols[ci] = active_cols[ci], active_cols[0]
+        pc = active_cols[0]
+        piv = m[r][pc]
+        for i in range(r + 1, nrows):
+            mic = m[i][pc]
+            mrow = m[r]
+            irow = m[i]
+            for c in active_cols[1:]:
+                irow[c] = (irow[c] * piv - mic * mrow[c]) // prev
+            irow[pc] = 0
+        prev = piv
+        active_cols = active_cols[1:]
+        rank += 1
+        r += 1
+    return rank
+
+
+def dense_rank_mod_p(a, p: int) -> int:
+    """Rank of an integer matrix mod p by vectorized dense elimination.
+
+    p must fit in 31 bits so products stay inside int64.
+    """
+    import numpy as np
+
+    if p.bit_length() > 31:
+        raise ValueError("prime too large for int64 products")
+    a = np.ascontiguousarray(np.asarray(a, dtype=np.int64) % p)
+    nrows, ncols = a.shape
+    rank = 0
+    row = 0
+    for col in range(ncols):
+        if row == nrows:
+            break
+        nz = np.nonzero(a[row:, col])[0]
+        if nz.size == 0:
+            continue
+        piv_row = row + int(nz[0])
+        if piv_row != row:
+            a[[row, piv_row]] = a[[piv_row, row]]
+        inv = pow(int(a[row, col]), p - 2, p)
+        a[row, col:] = a[row, col:] * inv % p
+        below = a[row + 1:, col]
+        mask = below != 0
+        if mask.any():
+            a[row + 1:, col:][mask] = (
+                a[row + 1:, col:][mask] - below[mask, None] * a[row, col:][None, :]
+            ) % p
+        rank += 1
+        row += 1
+    return rank

@@ -187,6 +187,23 @@ class TestBound:
         assert err.startswith("flatrank: error: ") and message in err
         assert err.count("\n") == 1
 
+    def test_rational_certificate_stands_when_the_prime_divides_a_denominator(
+            self, capsys, tmp_path):
+        path = tmp_path / "over_prime.json"
+        path.write_text(determinant_poly(3).scale(Fraction(1, 1073741789)).to_json())
+        argv = ["bound", "--poly", f"file:{path}", "--n", "3", "--method",
+                "koszul-full", "--d", "1", "--p", "2", "--format", "json"]
+        code = main(argv + ["--rational"])
+        captured = capsys.readouterr()
+        cert = json.loads(captured.out)
+        assert code == 0 and (cert["rank"], cert["bound"]) == (315, 12)
+        assert [(c["method"], c["rank"]) for c in cert["provenance"]] == [("rational", 315)]
+        assert "divisible by the prime" in captured.err and captured.err.count("\n") == 1
+        # without --rational there is no certificate: a one-line error
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("flatrank: error: ") and err.count("\n") == 1
+
 
 class TestVerify:
     def test_quick_suite_passes(self, capsys):

@@ -13,8 +13,6 @@ from hypothesis import given, settings, strategies as st
 from flatrank.exact_linalg import (
     DEFAULT_PRIME,
     MemoryCapExceeded,
-    dense_rank_bareiss,
-    dense_rank_mod_p,
     is_prime,
     rank_mod_p,
     rank_rational,
@@ -22,6 +20,7 @@ from flatrank.exact_linalg import (
 )
 import flatrank
 from flatrank.flattening import FlatteningMatrix
+from oracles import dense_rank_bareiss, dense_rank_mod_p
 
 
 def make_matrix(dense, kind="test"):
@@ -132,6 +131,17 @@ class TestSparseRank:
         ]
         with pytest.raises(MemoryCapExceeded):
             sparse_rank(20, 20, entries, p=1009, memory_cap_bytes=1000)
+
+    def test_int_entries_reduce_like_fractions(self):
+        """Integer entries take the fast path (v % p); Fractions of the same
+        values take the general one, with the same rank."""
+        rng = random.Random(5)
+        for _ in range(50):
+            dense = random_dense(rng, 8, 8, density=0.5, lo=-10**12, hi=10**12)
+            ints = [(r, c, v) for r, row in enumerate(dense) for c, v in enumerate(row) if v]
+            fracs = [(r, c, Fraction(v)) for r, c, v in ints]
+            for p in (7, 1009, DEFAULT_PRIME):
+                assert sparse_rank(8, 8, ints, p=p) == sparse_rank(8, 8, fracs, p=p)
 
 
 class TestDenseBareiss:

@@ -11,18 +11,13 @@ from flatrank.flattening import (
     ALL_LEMMAS,
     apply_minor_map,
     full_koszul_blocks,
-    full_koszul_matrix,
     hwv_vector,
     lemma_shapes,
-    minor_codomain_basis,
     minor_column_image,
-    minor_domain_basis,
-    minor_koszul_matrix,
     minor_orbit_blocks,
     verify_hwv_nonzero,
     wedge_canon,
     wedge_insert,
-    _bidegree_of_label,
 )
 from flatrank.partitions import schur_dim, theoretical_image_dim
 from flatrank.polynomials import (
@@ -35,7 +30,19 @@ from flatrank.polynomials import (
     var_index,
     variable_power,
 )
-from flatrank.schur_flattening import PI3, PIERI_ROWS, pieri_blocks, pieri_flattening_matrix
+from flatrank.schur_flattening import PI3, PIERI_ROWS, _tableau_groups, pieri_blocks
+from flatrank.cli import flattening_blocks
+from oracles import (
+    bidegree_of_label as _bidegree_of_label,
+    full_domain_basis,
+    full_koszul_matrix,
+    group_by_weight,
+    minor_codomain_basis,
+    minor_domain_basis,
+    minor_koszul_matrix,
+    pieri_flattening_matrix,
+    ssyt_enumerate,
+)
 
 
 class TestWedge:
@@ -218,6 +225,59 @@ class TestOrbitBlocks:
     def test_blocks_are_graded(self):
         for _, B in minor_orbit_blocks(4, 2, 2):
             assert all(_bidegree_of_label(label, 4) == B.weight for label in B.rows + B.cols)
+
+
+def _tableau_weight(T):
+    return _label_weight(3, [v - 1 for row in T for v in row])
+
+
+def _all_columns_grouped(cols, weight_of, symmetric):
+    """The reference for the per-weight enumerators: the whole domain basis
+    grouped by weight, a weight kept with its orbit size when symmetric
+    (`_orbit_size`) and with size 1 otherwise."""
+    size_of = flattening._orbit_size if symmetric else (lambda weight: 1)
+    return [(size_of(w), w, group)
+            for w, group in group_by_weight(cols, weight_of).items() if size_of(w)]
+
+
+class TestColumnEnumeration:
+    """Soundness gate of the per-weight column enumerators: each block holds
+    exactly the columns of its weight, in basis order, and the blocks come
+    in the order of their weights' first columns: the blocks, and so the
+    certificate hashes, of grouping the whole domain basis."""
+
+    @pytest.mark.parametrize("poly,d,p,symmetric", [
+        pytest.param(determinant_poly(3), 1, 1, True, id="det3-1-1"),
+        pytest.param(determinant_poly(3), 1, 2, True, id="det3-1-2"),
+        pytest.param(determinant_poly(3), 2, 2, True, id="det3-2-2"),
+        pytest.param(determinant_poly(4), 2, 2, True, id="det4-2-2"),
+        pytest.param(permanent_poly(4), 2, 2, True, id="perm4-2-2"),
+        pytest.param(variable_power((3, 3), 3, 3), 1, 2, False, id="power3-1-2"),
+    ])
+    def test_full_columns_per_weight(self, poly, d, p, symmetric):
+        got = [(size, B.weight, B.cols) for size, B in full_koszul_blocks(poly, d, p)]
+        assert got == _all_columns_grouped(
+            full_domain_basis(poly, d, p),
+            lambda label: _label_weight(poly.n, label[0], label[1]), symmetric)
+
+    @pytest.mark.parametrize("poly,symmetric", [
+        pytest.param(determinant_poly(3), True, id="det3"),
+        pytest.param(permanent_poly(3), True, id="perm3"),
+        pytest.param(variable_power((3, 3), 3, 3), False, id="power"),
+    ])
+    def test_pieri_columns_per_weight(self, poly, symmetric):
+        got = [(size, B.weight, B.cols) for size, B in pieri_blocks(poly, PI3, PIERI_ROWS)]
+        assert got == _all_columns_grouped(ssyt_enumerate(PI3, 9), _tableau_weight, symmetric)
+
+    def test_non_graded_file_input_is_one_block_of_every_column(self, tmp_path):
+        P = random_low_rank(2, 3, 3, 5)
+        path = tmp_path / "cubic.json"
+        path.write_text(P.to_json())
+        blocks, _ = flattening_blocks("koszul-full", f"file:{path}", 3, 1, 2)
+        got = [(size, B.weight, B.cols) for size, B in blocks]
+        assert got == [(1, None, full_domain_basis(P, 1, 2))]
+        # the Pieri columns of such an input, without the slow column images
+        assert _tableau_groups(PI3, 3, None) == [(1, None, ssyt_enumerate(PI3, 9))]
 
 
 class TestFullMap:

@@ -7,7 +7,12 @@ import sympy
 
 from flatrank.exact_linalg import rank_mod_p
 from flatrank.partitions import partitions_of, schur_dim
-from flatrank.polynomials import determinant_poly, variable_power
+from flatrank.polynomials import (
+    determinant_poly,
+    permanent_poly,
+    random_low_rank,
+    variable_power,
+)
 import flatrank.schur_flattening as schur_flattening
 from flatrank.schur_flattening import (
     PI3,
@@ -15,13 +20,18 @@ from flatrank.schur_flattening import (
     add_boxes_shape,
     columns_to_rows,
     is_semistandard,
-    kostka_number,
     pieri_blocks,
-    pieri_flattening_matrix,
+    pieri_column_image,
     rows_to_columns,
-    ssyt_enumerate,
+    ssyt_by_content,
     straighten,
     tableau_shape,
+)
+from oracles import (
+    kostka_number,
+    pieri_column_image_by_straightening,
+    pieri_flattening_matrix,
+    ssyt_enumerate,
 )
 
 
@@ -71,6 +81,31 @@ class TestEnumeration:
         tabs = ssyt_enumerate((2, 1), 3)
         words = [tuple(v for row in t for v in row) for t in tabs]
         assert words == sorted(words)
+
+
+class TestSsytByContent:
+    @pytest.mark.parametrize("shape,N", [(PI3, 9), ((2, 1), 3), ((3, 2, 2), 4)])
+    def test_every_content_gives_the_whole_enumeration(self, shape, N):
+        """Over every content -- also those with more copies of a value than
+        the shape has columns -- the tableaux by content are the tableaux
+        of the shape, each once and with its content."""
+        found = []
+        for content in product(range(shape[0] + 2), repeat=N):
+            if sum(content) != sum(shape):
+                continue
+            tabs = ssyt_by_content(shape, content)
+            for T in tabs:
+                assert is_semistandard(T) and tableau_shape(T) == shape
+                assert all(sum(row.count(v) for row in T) == c
+                           for v, c in enumerate(content, 1))
+            found += tabs
+        assert sorted(found) == ssyt_enumerate(shape, N)
+
+    def test_kostka_numbers(self):
+        for content in [(1, 1, 1), (3,), (2, 1, 0), (0, 1, 2)]:
+            assert len(ssyt_by_content((2, 1), content)) == kostka_number((2, 1), content)
+        assert ssyt_by_content((), ()) == [()]
+        assert ssyt_by_content((2,), (1,)) == []
 
 
 class TestStraightening:
@@ -248,6 +283,24 @@ class TestPieriMatrix:
     def test_blocks_reject_bad_args(self):
         with pytest.raises(ValueError, match="added boxes"):
             pieri_blocks(determinant_poly(2), PI3, PIERI_ROWS)
+
+
+class TestPieriColumnImage:
+    @pytest.mark.parametrize("phi,shape,rows,N", [
+        pytest.param(determinant_poly(3), PI3, PIERI_ROWS, 9, id="det3"),
+        pytest.param(permanent_poly(3), PI3, PIERI_ROWS, 9, id="perm3"),
+        pytest.param(random_low_rank(2, 3, 3, 5).scale(Fraction(2, 7)), PI3, PIERI_ROWS, 9,
+                     id="non-graded-fractions"),
+        pytest.param(determinant_poly(2), (2, 1), (1, 2), 4, id="new-column"),
+        pytest.param(determinant_poly(2), (2, 1), (1, 3), 4, id="new-row"),
+    ])
+    def test_matches_straightening_the_whole_filling(self, phi, shape, rows, N):
+        """One insertion per added box gives the image, and the order of its
+        terms, of straightening each whole filling."""
+        tabs = ssyt_enumerate(shape, N)
+        for T in random.Random(3).sample(tabs, min(40, len(tabs))):
+            assert pieri_column_image(phi, T, rows) == \
+                pieri_column_image_by_straightening(phi, T, rows)
 
 
 def set_diff(big, small):
