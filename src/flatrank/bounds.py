@@ -4,47 +4,36 @@ border-rank bound certificates."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, comb, factorial, pi
 
-from .partitions import theoretical_image_dim
 
-
-@dataclass
 class FormulaValue:
-    n: int
-    name: str
-    value: Fraction
-
-    def __post_init__(self):
-        if self.value <= 0:
+    def __init__(self, n: int, name: str, value: Fraction):
+        if value <= 0:
             raise ValueError("formula values must be positive")
+        self.n, self.name, self.value = n, name, value
 
     @property
     def integer_bound(self) -> int:
         return ceil(self.value)
 
 
-@dataclass
 class BoundCertificate:
-    polynomial: str
-    method: str  # koszul_full | koszul_minor | pieri
-    n: int
-    d: int | None
-    p: int | None
-    rank_F: int
-    t: int
-    provenance: list = field(default_factory=list)
+    def __init__(self, polynomial: str, method: str, n: int, d: int | None,
+                 p: int | None, rank_F: int, t: int, provenance: list | None = None):
+        self.polynomial = polynomial
+        self.method = method  # koszul_full | koszul_minor | pieri
+        self.n, self.d, self.p = n, d, p
+        self.rank_F, self.t = rank_F, t
+        self.provenance = [] if provenance is None else provenance
+        b = self.bound
+        if not (b * t >= rank_F > (b - 1) * t or rank_F == 0):
+            raise ValueError(f"bound {b} is not ceil({rank_F} / {t})")
 
     @property
     def bound(self) -> int:
         return flattening_bound(self.rank_F, self.t)
-
-    def __post_init__(self):
-        b = self.bound
-        if not (b * self.t >= self.rank_F > (b - 1) * self.t or self.rank_F == 0):
-            raise ValueError(f"bound {b} is not ceil({self.rank_F} / {self.t})")
 
     def to_json(self) -> str:
         rec = {
@@ -163,4 +152,6 @@ def image_dim_identity(n: int) -> bool:
 
 
 def theoretical_matches_f(n: int, d: int) -> bool:
+    from .partitions import theoretical_image_dim
+
     return f_formula(n, d) * comb(n, d) ** 2 == theoretical_image_dim(n, d, 2)

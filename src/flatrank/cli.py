@@ -1,5 +1,10 @@
 """Command-line interface: bound certificates, module decompositions, and
-the verification suites."""
+the verification suites.
+
+Only `exact_linalg` and `bounds`, which every `bound` run uses, are
+imported with this module; each command imports the construction and
+combinatorics modules it runs, so a run loads only those of its method.
+"""
 
 from __future__ import annotations
 
@@ -9,23 +14,18 @@ import time
 from math import comb
 from pathlib import Path
 
-from . import bounds, exact_linalg, flattening, partitions, schur_flattening
+from . import bounds, exact_linalg
 from .exact_linalg import (
     MemoryCapExceeded,
     PrimeDividesDenominator,
     rank_mod_p,
     rank_rational,
 )
-from .polynomials import (
-    Polynomial,
-    determinant_poly,
-    permanent_poly,
-    variable_power,
-)
-from .schur_flattening import PI3, PIERI_ROWS, PIERI_T
 
 
-def load_polynomial(spec: str, n: int) -> Polynomial:
+def load_polynomial(spec: str, n: int):
+    from .polynomials import Polynomial, determinant_poly, permanent_poly, variable_power
+
     if spec == "det":
         return determinant_poly(n)
     if spec == "perm":
@@ -44,18 +44,25 @@ def flattening_blocks(method: str, spec: str, n: int, d: int | None,
                       p: int | None) -> tuple[list, int]:
     """The (orbit_size, block) pairs of a flattening of the polynomial named
     by `spec`, and t, the rank of the same flattening at a power of a linear
-    form.  The pieri method ignores d and p."""
+    form.  The pieri method ignores d and p.  Only the construction module
+    of the method is imported."""
     if method == "koszul-minor":
         if spec != "det":
             raise ValueError("koszul-minor is only defined for --poly det")
+        from . import flattening
+
         # the minor map is built from n alone
         return list(flattening.minor_orbit_blocks(n, d, p)), comb(n * n - 1, p)
     poly = load_polynomial(spec, n)
     if method == "koszul-full":
+        from . import flattening
+
         return list(flattening.full_koszul_blocks(poly, d, p)), comb(n * n - 1, p)
     if n != 3:
         raise ValueError("the pieri method is supported at n=3 only")
-    return list(schur_flattening.pieri_blocks(poly, PI3, PIERI_ROWS)), PIERI_T
+    from .schur_flattening import PI3, PIERI_ROWS, PIERI_T, pieri_blocks
+
+    return list(pieri_blocks(poly, PI3, PIERI_ROWS)), PIERI_T
 
 
 def cmd_bound(args) -> int:
@@ -101,6 +108,8 @@ def cmd_bound(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    from . import partitions
+
     n, d, p = args.n, args.d, args.p
     ml = partitions.candidate_image(n, d, p)
     if args.format == "json":
@@ -123,6 +132,9 @@ def rank_checks(suite: str) -> list[tuple]:
     expected rank, expected bound), each ranked on orbit blocks as `bound`
     ranks it.  A number's second route is another row (the minor map
     against the full map) or the module dimension count as expected rank."""
+    from .partitions import theoretical_image_dim
+    from .schur_flattening import PIERI_T
+
     rows = [
         ("pieri power", "pieri", "power", 3, None, None, PIERI_T, 1),
         ("pieri det3", "pieri", "det", 3, None, None, 950, 14),
@@ -134,7 +146,7 @@ def rank_checks(suite: str) -> list[tuple]:
         rows += [
             (f"minor({n},{n // 2},2) = image dim, bound = main theorem",
              "koszul-minor", "det", n, n // 2, 2,
-             partitions.theoretical_image_dim(n, n // 2, 2),
+             theoretical_image_dim(n, n // 2, 2),
              bounds.main_theorem_value(n).integer_bound)
             for n in range(5, 9)
         ]
@@ -143,7 +155,7 @@ def rank_checks(suite: str) -> list[tuple]:
              "koszul-full", "det", 5, 2, 2, 29376, 107),
             ("minor(4,2,2) baseline", "koszul-minor", "det", 4, 2, 2, 4065, 39),
             ("full det4 (d=2, p=2) = minor(4,2,2) = image dim", "koszul-full",
-             "det", 4, 2, 2, partitions.theoretical_image_dim(4, 2, 2), 39),
+             "det", 4, 2, 2, theoretical_image_dim(4, 2, 2), 39),
         ]
     return rows
 
@@ -157,12 +169,16 @@ def _check(name: str, ok: bool, detail: str = "") -> bool:
 def run_suite(suite: str, prime: int) -> bool:
     """quick: the dimension and formula checks and the small ranks; paper:
     those, the paper's ranks and the hwv checks; hwv: the hwv checks."""
+    from .flattening import ALL_LEMMAS, verify_hwv_nonzero
+    from .partitions import schur_dim
+    from .schur_flattening import PI3
+
     ok = True
     if suite != "hwv":
         ok &= _check("schur dims 1050/1050/70",
-                     partitions.schur_dim(PI3, 9) == 1050
-                     and partitions.schur_dim((3,) + PI3, 9) == 1050
-                     and partitions.schur_dim(PI3, 8) == 70)
+                     schur_dim(PI3, 9) == 1050
+                     and schur_dim((3,) + PI3, 9) == 1050
+                     and schur_dim(PI3, 8) == 70)
         ok &= _check("formula identities n=5..12",
                      all(bounds.image_dim_identity(n) and bounds.optimal_d(n) == n // 2
                          for n in range(5, 13)))
@@ -175,8 +191,8 @@ def run_suite(suite: str, prime: int) -> bool:
                          f"rank={r} bound={b} orbits={len(blocks)}")
     if suite != "quick":
         for n in range(5, 9):
-            for lid in flattening.ALL_LEMMAS:
-                nz, _ = flattening.verify_hwv_nonzero(lid, n, n // 2)
+            for lid in ALL_LEMMAS:
+                nz, _ = verify_hwv_nonzero(lid, n, n // 2)
                 ok &= _check(f"hwv {lid} n={n} d={n // 2}", nz)
     return bool(ok)
 

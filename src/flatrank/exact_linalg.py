@@ -16,7 +16,6 @@ from __future__ import annotations
 import hashlib
 import heapq
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 DEFAULT_PRIME = 1073741789
@@ -56,18 +55,16 @@ def is_prime(m: int) -> bool:
     return True
 
 
-@dataclass
 class RankCertificate:
     """The rank of a matrix given as (orbit_size, block) pairs: the sum of
     orbit_size * rank(block), mod `prime` or, for prime=None, over the
-    rationals."""
+    rationals.  `elapsed` is the seconds spent in elimination, `orbits` the
+    blocks ranked and `blocks` the weight blocks they stand for."""
 
-    rank: int
-    prime: int | None
-    matrix_hash: str
-    elapsed: float  # seconds spent in elimination
-    orbits: int  # blocks ranked
-    blocks: int  # weight blocks they stand for
+    def __init__(self, rank: int, prime: int | None, matrix_hash: str,
+                 elapsed: float, orbits: int, blocks: int):
+        self.rank, self.prime, self.matrix_hash = rank, prime, matrix_hash
+        self.elapsed, self.orbits, self.blocks = elapsed, orbits, blocks
 
     def to_json_dict(self) -> dict:
         return {

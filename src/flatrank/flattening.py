@@ -18,13 +18,11 @@ built.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, combinations_with_replacement
 from math import factorial
-from operator import sub
+from operator import ge, sub
 
-from .partitions import partitions_of
 from .polynomials import (
     Polynomial,
     contract,
@@ -54,14 +52,16 @@ def wedge_insert(w: Wedge, x: int) -> tuple[int, Wedge] | None:
     return sign, w[:pos] + (x,) + w[pos:]
 
 
-@dataclass
 class FlatteningMatrix:
-    rows: list
-    cols: list
-    entries: list  # (row index, col index, coefficient)
-    kind: str
-    weight: tuple | None = None  # the torus weight of a weight block's columns
-    _hash: str | None = None
+    """A sparse matrix with labelled rows and columns; `entries` holds
+    (row index, col index, coefficient) triples, and `weight` is the torus
+    weight of a weight block's columns."""
+
+    def __init__(self, rows: list, cols: list, entries: list, kind: str,
+                 weight: tuple | None = None):
+        self.rows, self.cols, self.entries = rows, cols, entries
+        self.kind, self.weight = kind, weight
+        self._hash: str | None = None
 
     @property
     def nnz(self) -> int:
@@ -118,12 +118,17 @@ def _arrangements(weight: tuple[int, ...]) -> int:
     return out
 
 
+def _decreasing(values) -> bool:
+    w = tuple(values)
+    return all(map(ge, w, w[1:]))
+
+
 def _orbit_size(weight) -> int:
     """Size of the S_n x S_n x transpose orbit of a weight pair (wa, wb) if
     the pair is its orbit's representative -- both weights decreasing and
     wa <= wb -- and 0 otherwise."""
     wa, wb = weight
-    if wb < wa or any(x < y for w in weight for x, y in zip(w, w[1:])):
+    if wb < wa or not (_decreasing(wa) and _decreasing(wb)):
         return 0
     return _arrangements(wa) * _arrangements(wb) * (1 if wa == wb else 2)
 
@@ -207,11 +212,10 @@ def minor_orbit_blocks(n: int, d: int, p: int):
     _check_minor_args(n, d, p)
     m = n - d
     wedges = list(combinations(range(n * n), p))
-    weights = [
-        lam + (0,) * (n - len(lam))
-        for lam in partitions_of(m + p, p + 1)
-        if len(lam) <= n
-    ]
+    # the dominant weights: partitions of m + p with parts at most p + 1 and
+    # at most n of them, zero-padded, largest first part first
+    weights = [w for w in combinations_with_replacement(range(p + 1, -1, -1), n)
+               if sum(w) == m + p]
 
     def remainders(weight, axis):
         """For each wedge index, the 1-based remainder set, where 0/1."""
@@ -285,7 +289,10 @@ def _full_column_groups(P: Polynomial, d: int, p: int, size_of) -> list:
 
     Wedges and dual monomials are first grouped into classes of equal
     weight, and a weight is computed once per pair of classes: a kept
-    weight takes every column of each class pair that gives it."""
+    weight takes every column of each class pair that gives it.  For a
+    symmetric P a kept weight decreases on each axis, so a wedge class is
+    paired only with the dual classes whose A-part and B-part both leave
+    it decreasing, found per axis."""
     wedges, duals = _full_domain_factors(P, d, p)
     if size_of is None:
         return [(1, None, [(w, a) for w in wedges for a in duals])]
@@ -293,13 +300,24 @@ def _full_column_groups(P: Polynomial, d: int, p: int, size_of) -> list:
     dual_classes: dict = {}
     for a in duals:
         dual_classes.setdefault(torus_weight(exponent_variables(a), n), []).append(a)
+    classes = list(dual_classes.items())
+    if size_of is _orbit_size:
+        by_da: dict = {}  # A-part -> indices of the dual classes with it
+        for i, ((da, _), _) in enumerate(classes):
+            by_da.setdefault(da, []).append(i)
+
+        def pairable(wa, wb):
+            return sorted(i for da, ids in by_da.items() if _decreasing(map(sub, wa, da))
+                          for i in ids if _decreasing(map(sub, wb, classes[i][0][1])))
+    else:
+        pairable = lambda wa, wb: range(len(classes))
     kept: dict = {}  # wedge weight -> [(kept weight, its dual class)]
     groups: dict = {}
     for w in wedges:
         wa, wb = torus_weight(w, n)
         if (wa, wb) not in kept:
             kept[wa, wb] = [
-                (weight, D) for (da, db), D in dual_classes.items()
+                (weight, D) for (da, db), D in map(classes.__getitem__, pairable(wa, wb))
                 if size_of(weight := (tuple(map(sub, wa, da)), tuple(map(sub, wb, db))))
             ]
         for weight, D in kept[wa, wb]:

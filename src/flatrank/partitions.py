@@ -7,7 +7,6 @@ with no trailing zeros; the empty tuple is the trivial partition.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
@@ -135,11 +134,11 @@ def pieri_column(pi: Partition, k: int, N: int) -> list[Partition]:
     return results
 
 
-@dataclass
 class ModuleList:
     """Multiset of irreducible GL x GL modules with multiplicities."""
 
-    entries: list[tuple[Partition, Partition, int]] = field(default_factory=list)
+    def __init__(self, entries: list[tuple[Partition, Partition, int]] | None = None):
+        self.entries = [] if entries is None else entries
 
     def add(self, a: Partition, b: Partition, mult: int = 1) -> None:
         for idx, (ea, eb, m) in enumerate(self.entries):

@@ -8,8 +8,6 @@ coefficients are exact rationals.
 from __future__ import annotations
 
 import json
-import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, permutations
 
@@ -47,19 +45,27 @@ def exponent_variables(exps: Exponents) -> list[int]:
     return [k for k, e in enumerate(exps) for _ in range(e)]
 
 
-@dataclass(frozen=True)
 class Polynomial:
-    n: int
-    degree: int
-    terms: dict[Exponents, Fraction] = field(default_factory=dict)
+    """A homogeneous polynomial of `degree` in the n*n matrix variables:
+    `terms` maps each exponent vector to its nonzero coefficient."""
 
-    def __post_init__(self):
-        nv = self.n * self.n
+    def __init__(self, n: int, degree: int, terms: dict[Exponents, Fraction] | None = None):
+        self.n, self.degree = n, degree
+        self.terms = {} if terms is None else terms
+        nv = n * n
         for exps, coeff in self.terms.items():
-            if len(exps) != nv or sum(exps) != self.degree:
-                raise ValueError(f"bad exponent vector {exps} for degree {self.degree}")
+            if len(exps) != nv or sum(exps) != degree:
+                raise ValueError(f"bad exponent vector {exps} for degree {degree}")
             if coeff == 0:
                 raise ValueError("zero coefficients must not be stored")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Polynomial):
+            return NotImplemented
+        return (self.n, self.degree, self.terms) == (other.n, other.degree, other.terms)
+
+    def __repr__(self) -> str:
+        return f"Polynomial(n={self.n}, degree={self.degree}, terms={self.terms!r})"
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         if self.n != other.n or self.degree != other.degree:
@@ -224,27 +230,6 @@ def variable_power(v: tuple[int, int], e: int, n: int) -> Polynomial:
     return monomial(n, e, tuple(exps))
 
 
-def linear_form_power(coeffs, e: int, n: int) -> Polynomial:
-    """The e-th power of a linear form, expanded with multinomial coefficients."""
-    if e < 1:
-        raise ValueError("exponent must be at least 1")
-    coeffs = [Fraction(c) for c in coeffs]
-    if len(coeffs) != n * n:
-        raise ValueError(f"expected {n * n} coefficients, got {len(coeffs)}")
-    if all(c == 0 for c in coeffs):
-        raise ValueError("zero linear form")
-    linear = Polynomial(
-        n, 1, {
-            tuple(1 if k == i else 0 for k in range(n * n)): c
-            for i, c in enumerate(coeffs) if c
-        },
-    )
-    out = linear
-    for _ in range(e - 1):
-        out = out * linear
-    return out
-
-
 def partial(P: Polynomial, k: int) -> Polynomial:
     """Bare partial derivative with respect to variable index k."""
     if P.degree == 0:
@@ -274,57 +259,4 @@ def contract(alpha: Polynomial, P: Polynomial) -> Polynomial:
             for _ in range(e):
                 Q = partial(Q, k)
         out = out + Q.scale(coeff)
-    return out
-
-
-def substitute_linear(P: Polynomial, M) -> Polynomial:
-    """Apply the linear change of variables x_k -> sum_l M[k][l] x_l."""
-    nv = P.n * P.n
-    images = []
-    for k in range(nv):
-        terms = {
-            tuple(1 if t == l else 0 for t in range(nv)): Fraction(M[k][l])
-            for l in range(nv) if M[k][l]
-        }
-        images.append(Polynomial(P.n, 1, terms))
-    out = Polynomial(P.n, P.degree, {})
-    for exps, coeff in P.terms.items():
-        prod = Polynomial(P.n, 0, {tuple([0] * nv): coeff})
-        for k, e in enumerate(exps):
-            for _ in range(e):
-                prod = prod * images[k]
-        out = out + prod
-    return out
-
-
-def minor_poly(n: int, I, J) -> Polynomial:
-    """The |I| x |I| minor of the generic matrix on rows I and columns J (1-based)."""
-    I, J = tuple(I), tuple(J)
-    if len(I) != len(J):
-        raise ValueError("row and column sets must have equal size")
-    k = len(I)
-    if k == 0:
-        return Polynomial(n, 0, {tuple([0] * (n * n)): Fraction(1)})
-    terms = {}
-    for perm in permutations(range(k)):
-        sign = sort_sign(perm)[0]
-        exps = [0] * (n * n)
-        for a in range(k):
-            exps[var_index(I[a], J[perm[a]], n)] += 1
-        terms[tuple(exps)] = Fraction(sign)
-    return Polynomial(n, k, terms)
-
-
-def random_low_rank(r: int, e: int, n: int, seed: int) -> Polynomial:
-    """Sum of r e-th powers of pseudorandom small-integer linear forms."""
-    if r < 1 or e < 1:
-        raise ValueError("r and e must be at least 1")
-    rng = random.Random(seed)
-    out = Polynomial(n, e, {})
-    for _ in range(r):
-        while True:
-            coeffs = [rng.randint(-3, 3) for _ in range(n * n)]
-            if any(coeffs):
-                break
-        out = out + linear_form_power(coeffs, e, n)
     return out

@@ -1,13 +1,14 @@
 """Reference implementations the tests check the library against.
 
 Whole-matrix builders, the all-columns weight grouping, brute-force
-tableau enumeration and dense eliminations.  No certificate path uses
-them: the library builds one weight block per kept weight and ranks it
-by sparse elimination.
+tableau enumeration, dense eliminations, and the polynomials the tests
+build as inputs.  No certificate path uses them: the library builds one
+weight block per kept weight and ranks it by sparse elimination.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import lcm
@@ -15,7 +16,7 @@ from math import lcm
 from flatrank import flattening
 from flatrank.flattening import FlatteningMatrix, full_column_image, monomials_of_degree
 from flatrank.partitions import Partition, make_partition
-from flatrank.polynomials import Polynomial, var_pos
+from flatrank.polynomials import Polynomial, sort_sign, var_index, var_pos
 from flatrank.schur_flattening import Tableau, _pieri_target, pieri_column_image, straighten
 
 
@@ -26,6 +27,83 @@ def group_by_weight(cols, weight_of) -> dict:
     for label in cols:
         groups.setdefault(weight_of(label), []).append(label)
     return groups
+
+
+# ---------------------------------------------------------------------------
+# test polynomials
+
+def linear_form_power(coeffs, e: int, n: int) -> Polynomial:
+    """The e-th power of a linear form, expanded with multinomial coefficients."""
+    if e < 1:
+        raise ValueError("exponent must be at least 1")
+    coeffs = [Fraction(c) for c in coeffs]
+    if len(coeffs) != n * n:
+        raise ValueError(f"expected {n * n} coefficients, got {len(coeffs)}")
+    if all(c == 0 for c in coeffs):
+        raise ValueError("zero linear form")
+    linear = Polynomial(
+        n, 1, {
+            tuple(1 if k == i else 0 for k in range(n * n)): c
+            for i, c in enumerate(coeffs) if c
+        },
+    )
+    out = linear
+    for _ in range(e - 1):
+        out = out * linear
+    return out
+
+
+def substitute_linear(P: Polynomial, M) -> Polynomial:
+    """Apply the linear change of variables x_k -> sum_l M[k][l] x_l."""
+    nv = P.n * P.n
+    images = []
+    for k in range(nv):
+        terms = {
+            tuple(1 if t == l else 0 for t in range(nv)): Fraction(M[k][l])
+            for l in range(nv) if M[k][l]
+        }
+        images.append(Polynomial(P.n, 1, terms))
+    out = Polynomial(P.n, P.degree, {})
+    for exps, coeff in P.terms.items():
+        prod = Polynomial(P.n, 0, {tuple([0] * nv): coeff})
+        for k, e in enumerate(exps):
+            for _ in range(e):
+                prod = prod * images[k]
+        out = out + prod
+    return out
+
+
+def minor_poly(n: int, I, J) -> Polynomial:
+    """The |I| x |I| minor of the generic matrix on rows I and columns J (1-based)."""
+    I, J = tuple(I), tuple(J)
+    if len(I) != len(J):
+        raise ValueError("row and column sets must have equal size")
+    k = len(I)
+    if k == 0:
+        return Polynomial(n, 0, {tuple([0] * (n * n)): Fraction(1)})
+    terms = {}
+    for perm in permutations(range(k)):
+        sign = sort_sign(perm)[0]
+        exps = [0] * (n * n)
+        for a in range(k):
+            exps[var_index(I[a], J[perm[a]], n)] += 1
+        terms[tuple(exps)] = Fraction(sign)
+    return Polynomial(n, k, terms)
+
+
+def random_low_rank(r: int, e: int, n: int, seed: int) -> Polynomial:
+    """Sum of r e-th powers of pseudorandom small-integer linear forms."""
+    if r < 1 or e < 1:
+        raise ValueError("r and e must be at least 1")
+    rng = random.Random(seed)
+    out = Polynomial(n, e, {})
+    for _ in range(r):
+        while True:
+            coeffs = [rng.randint(-3, 3) for _ in range(n * n)]
+            if any(coeffs):
+                break
+        out = out + linear_form_power(coeffs, e, n)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -19,11 +19,11 @@ from flatrank.exact_linalg import rank_mod_p, rank_rational
 from flatrank.polynomials import (
     determinant_poly,
     permanent_poly,
-    random_low_rank,
     variable_power,
 )
 from flatrank.schur_flattening import PI3, PIERI_ROWS, PIERI_T
 import oracles
+from oracles import random_low_rank
 
 
 def report(num: int, ok: bool, detail: str) -> None:

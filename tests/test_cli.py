@@ -1,8 +1,12 @@
 import json
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import flatrank
 from flatrank.cli import main
 from flatrank.partitions import theoretical_image_dim
 from flatrank.polynomials import determinant_poly
@@ -229,3 +233,39 @@ def test_subcommands_take_only_the_options_they_read(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+def loaded_by(code: str) -> list[str]:
+    """The modules a fresh interpreter loads while it runs `code`, beyond
+    those it holds at start-up; no bytecode is written."""
+    src = str(Path(flatrank.__file__).resolve().parents[1])
+    script = ("import contextlib, io, sys\n"
+              "before = set(sys.modules)\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              + "".join(f"    {line}\n" for line in code.splitlines())
+              + "print(*sorted(set(sys.modules) - before))")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
+                         check=True, timeout=120)
+    return out.stdout.split()
+
+
+def test_importing_the_cli_loads_no_construction_or_introspection_modules():
+    """A `bound` process imports only what its method runs: the cli module
+    brings `exact_linalg` and `bounds`, and no dataclass machinery."""
+    loaded = loaded_by("import flatrank.cli")
+    assert "flatrank.cli" in loaded
+    for name in ("dataclasses", "inspect", "random",
+                 "flatrank.schur_flattening", "flatrank.partitions"):
+        assert name not in loaded, name
+
+
+@pytest.mark.parametrize("argv", [
+    ["--poly", "det", "--n", "4", "--method", "koszul-minor", "--d", "2", "--p", "1"],
+    ["--poly", "det", "--n", "3", "--method", "koszul-full", "--d", "1", "--p", "2"],
+], ids=["koszul-minor", "koszul-full"])
+def test_a_koszul_bound_run_loads_no_pieri_or_partition_code(argv):
+    loaded = loaded_by(f"from flatrank.cli import main\nassert main({['bound', *argv]!r}) == 0")
+    assert "flatrank.flattening" in loaded
+    assert "flatrank.schur_flattening" not in loaded
+    assert "flatrank.partitions" not in loaded

@@ -252,5 +252,6 @@ def test_importing_the_cli_does_not_load_numpy():
     src = str(Path(flatrank.__file__).resolve().parents[1])
     code = "import flatrank.cli, sys; print('numpy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env={"PYTHONPATH": src}, check=True, timeout=60)
+                         env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
+                         check=True, timeout=60)
     assert out.stdout.strip() == "False"

@@ -22,11 +22,8 @@ from flatrank.flattening import (
 from flatrank.partitions import schur_dim, theoretical_image_dim
 from flatrank.polynomials import (
     determinant_poly,
-    minor_poly,
     partial,
     permanent_poly,
-    random_low_rank,
-    substitute_linear,
     var_index,
     variable_power,
 )
@@ -40,8 +37,11 @@ from oracles import (
     minor_codomain_basis,
     minor_domain_basis,
     minor_koszul_matrix,
+    minor_poly,
     pieri_flattening_matrix,
+    random_low_rank,
     ssyt_enumerate,
+    substitute_linear,
 )
 
 
@@ -252,6 +252,7 @@ class TestColumnEnumeration:
         pytest.param(determinant_poly(3), 2, 2, True, id="det3-2-2"),
         pytest.param(determinant_poly(4), 2, 2, True, id="det4-2-2"),
         pytest.param(permanent_poly(4), 2, 2, True, id="perm4-2-2"),
+        pytest.param(determinant_poly(5), 2, 2, True, id="det5-2-2"),
         pytest.param(variable_power((3, 3), 3, 3), 1, 2, False, id="power3-1-2"),
     ])
     def test_full_columns_per_weight(self, poly, d, p, symmetric):

@@ -10,15 +10,12 @@ from flatrank.polynomials import (
     determinant_poly,
     is_bigraded,
     is_symmetric,
-    linear_form_power,
-    minor_poly,
     monomial,
     permanent_poly,
-    random_low_rank,
-    substitute_linear,
     var_index,
     variable_power,
 )
+from oracles import linear_form_power, minor_poly, random_low_rank, substitute_linear
 
 
 def to_sympy(P, syms):
@@ -76,6 +73,33 @@ class TestConstructors:
             import math
 
             assert permanent_poly(n).evaluate([1] * n * n) == math.factorial(n)
+
+
+class TestPolynomialClass:
+    def test_equality_compares_n_degree_and_terms(self):
+        assert determinant_poly(3) == determinant_poly(3)
+        assert determinant_poly(3) == Polynomial(3, 3, dict(determinant_poly(3).terms))
+        assert determinant_poly(3) != permanent_poly(3)
+        assert determinant_poly(3) != determinant_poly(3).scale(2)
+        # the same (empty) terms at another degree or size
+        assert Polynomial(2, 2) == Polynomial(2, 2, {})
+        assert Polynomial(2, 2) != Polynomial(2, 3)
+        assert Polynomial(2, 2) != Polynomial(3, 2)
+        assert determinant_poly(2) != determinant_poly(2).terms
+
+    @pytest.mark.parametrize("terms", [
+        {(1, 1, 0): Fraction(1)},  # too short for n=2
+        {(1, 1, 0, 0, 0): Fraction(1)},  # too long
+        {(1, 0, 0, 0): Fraction(1)},  # degree 1, not 2
+        {(1, 1, 0, 0): Fraction(1), (2, 1, 0, 0): Fraction(1)},  # one bad vector of two
+    ])
+    def test_bad_exponent_vector_is_a_value_error(self, terms):
+        with pytest.raises(ValueError, match="bad exponent vector"):
+            Polynomial(2, 2, terms)
+
+    def test_zero_coefficient_is_a_value_error(self):
+        with pytest.raises(ValueError, match="zero coefficients"):
+            Polynomial(2, 2, {(1, 0, 0, 1): Fraction(1), (0, 1, 1, 0): Fraction(0)})
 
 
 class TestPowers:

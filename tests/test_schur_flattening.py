@@ -10,7 +10,6 @@ from flatrank.partitions import partitions_of, schur_dim
 from flatrank.polynomials import (
     determinant_poly,
     permanent_poly,
-    random_low_rank,
     variable_power,
 )
 import flatrank.schur_flattening as schur_flattening
@@ -31,6 +30,7 @@ from oracles import (
     kostka_number,
     pieri_column_image_by_straightening,
     pieri_flattening_matrix,
+    random_low_rank,
     ssyt_enumerate,
 )
 
