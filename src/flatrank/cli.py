@@ -166,10 +166,11 @@ def _check(name: str, ok: bool, detail: str = "") -> bool:
     return ok
 
 
-def run_suite(suite: str, prime: int) -> bool:
+def run_suite(suite: str) -> bool:
     """quick: the dimension and formula checks and the small ranks; paper:
-    those, the paper's ranks and the hwv checks; hwv: the hwv checks."""
-    from .flattening import ALL_LEMMAS, verify_hwv_nonzero
+    those, the paper's ranks and the hwv checks; hwv: the hwv checks.
+    Ranks are taken mod `exact_linalg.DEFAULT_PRIME`."""
+    from .hwv import ALL_LEMMAS, verify_hwv_nonzero
     from .partitions import schur_dim
     from .schur_flattening import PI3
 
@@ -184,7 +185,7 @@ def run_suite(suite: str, prime: int) -> bool:
                          for n in range(5, 13)))
         for label, method, poly, n, d, p, rank, bound in rank_checks(suite):
             blocks, t = flattening_blocks(method, poly, n, d, p)
-            r = rank_mod_p(blocks, prime).rank
+            r = rank_mod_p(blocks).rank
             b = bounds.flattening_bound(r, t)
             ok &= _check(f"{label}: rank {rank}, bound {bound}",
                          r == rank and b == bound,
@@ -199,7 +200,7 @@ def run_suite(suite: str, prime: int) -> bool:
 
 def cmd_verify(args) -> int:
     t0 = time.time()
-    ok = run_suite(args.suite, args.prime)
+    ok = run_suite(args.suite)
     print(f"suite {args.suite}: {'PASS' if ok else 'FAIL'} "
           f"({time.time() - t0:.1f}s)")
     return 0 if ok else 1
@@ -238,7 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="run a verification suite")
     sp.add_argument("--suite", choices=["quick", "paper", "hwv"], default="quick")
-    sp.add_argument("--prime", type=int, default=exact_linalg.DEFAULT_PRIME)
     sp.set_defaults(func=cmd_verify)
     return ap
 

@@ -93,6 +93,11 @@ def sparse_rank(
     column index, then the lowest row index, so the result and the full
     elimination order are deterministic.
 
+    A heap entry (count, c) is live while len(col_rows[c]) == count; a
+    pivot column leaves `col_rows` when popped, and each pivot re-pushes
+    its row's columns.  The fill capped by `memory_cap_bytes` keeps the
+    entries of eliminated pivot rows.
+
     p=None runs over the rationals with Fraction arithmetic; otherwise all
     entries are reduced mod p first: an int directly, any other value as a
     Fraction (`PrimeDividesDenominator` if its denominator vanishes).
@@ -126,38 +131,29 @@ def sparse_rank(
     if nnz > cap_entries:
         raise MemoryCapExceeded(f"initial fill {nnz} exceeds cap {cap_entries}")
 
-    colcount = {c: len(s) for c, s in col_rows.items()}
-    heap = [(cnt, c) for c, cnt in colcount.items()]
+    heap = [(len(s), c) for c, s in col_rows.items()]
     heapq.heapify(heap)
     rank = 0
 
     while heap:
         cnt, pc = heapq.heappop(heap)
-        if pc not in col_rows or colcount[pc] != cnt:
+        targets = col_rows.get(pc)
+        if targets is None or len(targets) != cnt:
             continue
-        if not col_rows[pc]:
-            del col_rows[pc]
-            del colcount[pc]
+        del col_rows[pc]
+        if not targets:
             continue
         # pivot row: min nnz, then lowest index
-        pr = min(col_rows[pc], key=lambda r: (len(rows[r]), r))
+        pr = min(targets, key=lambda r: (len(rows[r]), r))
         pivrow = rows.pop(pr)
         piv = pivrow[pc]
         inv = 1 / piv if p is None else pow(piv, p - 2, p)
         # detach pivot row
-        touched = set()
+        targets.discard(pr)
         for c in pivrow:
-            s = col_rows.get(c)
-            if s is not None:
-                s.discard(pr)
-                if s:
-                    colcount[c] = len(s)
-                    touched.add(c)
-                else:
-                    del col_rows[c]
-                    del colcount[c]
+            if c != pc:
+                col_rows[c].discard(pr)
         # eliminate pc from all remaining rows
-        targets = list(col_rows.get(pc, ()))
         for r in targets:
             row = rows[r]
             factor = row[pc] * inv
@@ -182,15 +178,9 @@ def sparse_rank(
             nnz -= 1
             if not row:
                 del rows[r]
-            touched.update(pivrow.keys())
-        if pc in col_rows:
-            del col_rows[pc]
-            del colcount[pc]
-        touched.discard(pc)
-        for c in touched:
+        for c in pivrow:
             s = col_rows.get(c)
             if s is not None:
-                colcount[c] = len(s)
                 heapq.heappush(heap, (len(s), c))
         rank += 1
         if nnz > cap_entries:

@@ -228,6 +228,7 @@ class TestVerify:
     ["decompose", "--n", "4", "--d", "2", "--p", "1", "--memory-cap", "512"],
     ["verify", "--format", "json"],
     ["verify", "--memory-cap", "512"],
+    ["verify", "--prime", "7"],
 ])
 def test_subcommands_take_only_the_options_they_read(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -255,7 +256,7 @@ def test_importing_the_cli_loads_no_construction_or_introspection_modules():
     brings `exact_linalg` and `bounds`, and no dataclass machinery."""
     loaded = loaded_by("import flatrank.cli")
     assert "flatrank.cli" in loaded
-    for name in ("dataclasses", "inspect", "random",
+    for name in ("dataclasses", "inspect", "random", "flatrank.hwv",
                  "flatrank.schur_flattening", "flatrank.partitions"):
         assert name not in loaded, name
 
@@ -269,3 +270,4 @@ def test_a_koszul_bound_run_loads_no_pieri_or_partition_code(argv):
     assert "flatrank.flattening" in loaded
     assert "flatrank.schur_flattening" not in loaded
     assert "flatrank.partitions" not in loaded
+    assert "flatrank.hwv" not in loaded

@@ -132,6 +132,16 @@ class TestSparseRank:
         with pytest.raises(MemoryCapExceeded):
             sparse_rank(20, 20, entries, p=1009, memory_cap_bytes=1000)
 
+    def test_memory_cap_boundary_mid_elimination(self):
+        """A 12x12 circulant band (row i holds columns i, i+1, i+3 mod 12)
+        starts at 36 entries and peaks at 44 during elimination, the
+        entries of eliminated pivot rows included: a cap of 44 entries
+        lets it finish, a cap of 43 stops it mid-way."""
+        entries = [(i, (i + k) % 12, 1 + i + k) for i in range(12) for k in (0, 1, 3)]
+        assert sparse_rank(12, 12, entries, p=1009, memory_cap_bytes=4400) == 12
+        with pytest.raises(MemoryCapExceeded, match="fill reached 44 entries, over cap 43"):
+            sparse_rank(12, 12, entries, p=1009, memory_cap_bytes=4300)
+
     def test_int_entries_reduce_like_fractions(self):
         """Integer entries take the fast path (v % p); Fractions of the same
         values take the general one, with the same rank."""

@@ -8,22 +8,24 @@ import pytest
 from flatrank.exact_linalg import DEFAULT_PRIME, rank_mod_p, sparse_rank
 import flatrank.flattening as flattening
 from flatrank.flattening import (
-    ALL_LEMMAS,
-    apply_minor_map,
     full_koszul_blocks,
-    hwv_vector,
-    lemma_shapes,
     minor_column_image,
     minor_orbit_blocks,
-    verify_hwv_nonzero,
-    wedge_canon,
     wedge_insert,
+)
+from flatrank.hwv import (
+    ALL_LEMMAS,
+    apply_minor_map,
+    hwv_vector,
+    lemma_shapes,
+    verify_hwv_nonzero,
 )
 from flatrank.partitions import schur_dim, theoretical_image_dim
 from flatrank.polynomials import (
     determinant_poly,
     partial,
     permanent_poly,
+    sort_sign,
     var_index,
     variable_power,
 )
@@ -53,10 +55,10 @@ class TestWedge:
         assert wedge_insert((1, 3), 3) is None
 
     def test_canon(self):
-        assert wedge_canon([3, 1]) == (-1, (1, 3))
-        assert wedge_canon([1, 3]) == (1, (1, 3))
-        assert wedge_canon([2, 2]) is None
-        assert wedge_canon([5, 1, 3]) == (1, (1, 3, 5))
+        assert sort_sign([3, 1]) == (-1, (1, 3))
+        assert sort_sign([1, 3]) == (1, (1, 3))
+        assert sort_sign([2, 2]) is None
+        assert sort_sign([5, 1, 3]) == (1, (1, 3, 5))
 
 
 class TestMinorMap:

@@ -16,3 +16,22 @@ def test_library_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert SOURCES and not found, found
+
+
+def test_library_has_no_unused_imports():
+    """Every name a module imports at its top level is read somewhere in
+    that module, so moving code out of a module leaves no orphan import."""
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                found += [
+                    f"{path.name}:{node.lineno} {alias.name}"
+                    for alias in node.names
+                    if (alias.asname or alias.name.split(".")[0]) not in used
+                ]
+    assert SOURCES and not found, found
