@@ -150,8 +150,3 @@ def image_dim_identity(n: int) -> bool:
     rhs = f_formula(n, d) * comb(n, d) ** 2
     return lhs == rhs
 
-
-def theoretical_matches_f(n: int, d: int) -> bool:
-    from .partitions import theoretical_image_dim
-
-    return f_formula(n, d) * comb(n, d) ** 2 == theoretical_image_dim(n, d, 2)

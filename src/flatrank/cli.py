@@ -40,19 +40,27 @@ def load_polynomial(spec: str, n: int):
     raise ValueError(f"unknown polynomial {spec!r}")
 
 
-def flattening_blocks(method: str, spec: str, n: int, d: int | None,
-                      p: int | None) -> tuple[list, int]:
+def flattening_blocks(method: str, spec: str, n: int, d: int | None, p: int | None,
+                      memory_cap_bytes: int = exact_linalg.DEFAULT_MEMORY_CAP_BYTES
+                      ) -> tuple[list, int]:
     """The (orbit_size, block) pairs of a flattening of the polynomial named
     by `spec`, and t, the rank of the same flattening at a power of a linear
-    form.  The pieri method ignores d and p.  Only the construction module
-    of the method is imported."""
-    if method == "koszul-minor":
+    form.  koszul-minor gives its highest-weight blocks, whose ranks
+    `certify` turns into the map's rank; minor-orbits, one block per orbit
+    of the same map, is `verify`'s second route for it.  The pieri method
+    ignores d and p.  Only the construction module of the method is
+    imported."""
+    if method in ("koszul-minor", "minor-orbits"):
         if spec != "det":
             raise ValueError("koszul-minor is only defined for --poly det")
         from . import flattening
 
         # the minor map is built from n alone
-        return list(flattening.minor_orbit_blocks(n, d, p)), comb(n * n - 1, p)
+        if method == "minor-orbits":
+            blocks = flattening.minor_orbit_blocks(n, d, p)
+        else:
+            blocks = flattening.highest_weight_blocks(n, d, p, memory_cap_bytes)
+        return list(blocks), comb(n * n - 1, p)
     poly = load_polynomial(spec, n)
     if method == "koszul-full":
         from . import flattening
@@ -65,6 +73,28 @@ def flattening_blocks(method: str, spec: str, n: int, d: int | None,
     return list(pieri_blocks(poly, PI3, PIERI_ROWS)), PIERI_T
 
 
+def certify(method: str, blocks: list, n: int, d: int | None, p: int | None,
+            prime: int | None,
+            memory_cap_bytes: int = exact_linalg.DEFAULT_MEMORY_CAP_BYTES):
+    """The rank certificate of `flattening_blocks`' blocks, mod `prime` or,
+    for prime=None, over the rationals.  For koszul-minor the blocks are
+    highest-weight blocks: the certificate's rank becomes the map's rank
+    solved from their ranks, and its `modules` the image modules
+    (`flattening.image_modules`)."""
+    if prime is None:
+        cert = rank_rational(blocks, memory_cap_bytes=memory_cap_bytes)
+    else:
+        cert = rank_mod_p(blocks, prime, memory_cap_bytes=memory_cap_bytes)
+    if method == "koszul-minor":
+        from .flattening import image_modules
+
+        weights = {B.weight: r for (_, B), r in zip(blocks, cert.block_ranks)}
+        cert.rank, modules = image_modules(n, d, p, weights, prime)
+        cert.modules = [{"a": list(a), "b": list(b), "m": m, "schur_max": top}
+                        for a, b, m, top in modules]
+    return cert
+
+
 def cmd_bound(args) -> int:
     if args.memory_cap < 256:
         raise ValueError("--memory-cap must be at least 256 MiB")
@@ -72,21 +102,25 @@ def cmd_bound(args) -> int:
     n, method = args.n, args.method
     d = args.d if args.d is not None else max(1, n // 2)
     p = args.p if args.p is not None else 2
-    # weight blocks, one per symmetry orbit: small enough to rebuild every run
-    blocks, t = flattening_blocks(method, args.poly, n, d, p)
+    if method == "koszul-minor":
+        from .flattening import check_module_prime
+
+        check_module_prime(n, d, p, args.prime)
+    # weight blocks, few and small enough to rebuild every run
+    blocks, t = flattening_blocks(method, args.poly, n, d, p, cap)
     if method == "pieri":
         d = p = None
     name = "file" if args.poly.startswith("file:") else args.poly
     certs = []
     try:
-        certs.append(rank_mod_p(blocks, args.prime, memory_cap_bytes=cap))
+        certs.append(certify(method, blocks, n, d, p, args.prime, cap))
     except PrimeDividesDenominator as exc:
         if not args.rational:
             raise
         # the rational certificate needs no reduction mod p
         print(f"warning: no modular certificate: {exc}", file=sys.stderr)
     if args.rational:
-        certs.append(rank_rational(blocks, memory_cap_bytes=cap))
+        certs.append(certify(method, blocks, n, d, p, None, cap))
         if certs[0].rank != certs[-1].rank:
             print("warning: modular and rational ranks disagree", file=sys.stderr)
     cert = bounds.BoundCertificate(
@@ -129,9 +163,10 @@ def cmd_decompose(args) -> int:
 
 def rank_checks(suite: str) -> list[tuple]:
     """The ranks a suite certifies, as (label, method, poly, n, d, p,
-    expected rank, expected bound), each ranked on orbit blocks as `bound`
-    ranks it.  A number's second route is another row (the minor map
-    against the full map) or the module dimension count as expected rank."""
+    expected rank, expected bound), each ranked on the blocks `bound` ranks
+    for the method.  A number's second route is another row (the minor map
+    against the full map, or its highest-weight blocks against its orbit
+    blocks) or the module dimension count as expected rank."""
     from .partitions import theoretical_image_dim
     from .schur_flattening import PIERI_T
 
@@ -147,6 +182,12 @@ def rank_checks(suite: str) -> list[tuple]:
             (f"minor({n},{n // 2},2) = image dim, bound = main theorem",
              "koszul-minor", "det", n, n // 2, 2,
              theoretical_image_dim(n, n // 2, 2),
+             bounds.main_theorem_value(n).integer_bound)
+            for n in range(5, 9)
+        ]
+        rows += [
+            (f"minor({n},{n // 2},2) by orbit blocks = by highest weights",
+             "minor-orbits", "det", n, n // 2, 2, theoretical_image_dim(n, n // 2, 2),
              bounds.main_theorem_value(n).integer_bound)
             for n in range(5, 9)
         ]
@@ -185,7 +226,7 @@ def run_suite(suite: str) -> bool:
                          for n in range(5, 13)))
         for label, method, poly, n, d, p, rank, bound in rank_checks(suite):
             blocks, t = flattening_blocks(method, poly, n, d, p)
-            r = rank_mod_p(blocks).rank
+            r = certify(method, blocks, n, d, p, exact_linalg.DEFAULT_PRIME).rank
             b = bounds.flattening_bound(r, t)
             ok &= _check(f"{label}: rank {rank}, bound {bound}",
                          r == rank and b == bound,

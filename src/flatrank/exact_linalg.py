@@ -59,15 +59,22 @@ class RankCertificate:
     """The rank of a matrix given as (orbit_size, block) pairs: the sum of
     orbit_size * rank(block), mod `prime` or, for prime=None, over the
     rationals.  `elapsed` is the seconds spent in elimination, `orbits` the
-    blocks ranked and `blocks` the weight blocks they stand for."""
+    blocks ranked and `blocks` the weight blocks they stand for;
+    `block_ranks` holds each block's own rank, in block order.
+
+    A caller that derives the rank from the block ranks in another way
+    replaces `rank` and may set `modules`, a list of JSON-ready records of
+    how the rank decomposes, which the JSON form then carries."""
 
     def __init__(self, rank: int, prime: int | None, matrix_hash: str,
-                 elapsed: float, orbits: int, blocks: int):
+                 elapsed: float, blocks: int, block_ranks: list[int]):
         self.rank, self.prime, self.matrix_hash = rank, prime, matrix_hash
-        self.elapsed, self.orbits, self.blocks = elapsed, orbits, blocks
+        self.elapsed, self.blocks, self.block_ranks = elapsed, blocks, block_ranks
+        self.orbits = len(block_ranks)
+        self.modules: list[dict] | None = None
 
     def to_json_dict(self) -> dict:
-        return {
+        out = {
             "rank": self.rank,
             "method": "rational" if self.prime is None else "modular",
             "primes_used": [] if self.prime is None else [self.prime],
@@ -77,6 +84,9 @@ class RankCertificate:
             "orbits": self.orbits,
             "blocks": self.blocks,
         }
+        if self.modules is not None:
+            out["modules"] = self.modules
+        return out
 
 
 def sparse_rank(
@@ -197,19 +207,20 @@ def _certified_rank(blocks, p: int | None, memory_cap_bytes: int) -> RankCertifi
     """`sparse_rank` of each block mod p, or over the rationals for p=None,
     weighted by its orbit size.  Only the eliminations are timed; the hash
     covers each block's basis and entries with its orbit size."""
-    rank = orbits = total = 0
+    rank = total = 0
     elapsed = 0.0
     h = hashlib.sha256()
+    block_ranks = []
     for size, B in blocks:
         t0 = time.perf_counter()
         r = sparse_rank(len(B.rows), len(B.cols), B.entries, p=p,
                         memory_cap_bytes=memory_cap_bytes)
         elapsed += time.perf_counter() - t0
         h.update(f"{size}:{B.basis_hash()};".encode())
+        block_ranks.append(r)
         rank += size * r
-        orbits += 1
         total += size
-    return RankCertificate(rank, p, h.hexdigest()[:16], elapsed, orbits, total)
+    return RankCertificate(rank, p, h.hexdigest()[:16], elapsed, total, block_ranks)
 
 
 def rank_mod_p(blocks, prime: int = DEFAULT_PRIME,

@@ -12,16 +12,20 @@ Each map is given per column (`minor_column_image`, `full_column_image`).
 Each construction enumerates only the columns of the weights it keeps,
 grouped by weight, and `weight_blocks` builds one block per kept weight:
 one per symmetry orbit for a symmetric polynomial.  No whole matrix is
-built.
+built.  The minor map is certified from fewer blocks still: those at the
+highest weights of its candidate image modules (`highest_weight_blocks`),
+whose ranks give the modules' multiplicities (`image_modules`).
 """
 
 from __future__ import annotations
 
 import hashlib
+from functools import cache
 from itertools import chain, combinations, combinations_with_replacement
-from math import factorial
+from math import comb, factorial
 from operator import ge, sub
 
+from .exact_linalg import DEFAULT_MEMORY_CAP_BYTES
 from .polynomials import (
     Polynomial,
     contract,
@@ -32,11 +36,13 @@ from .polynomials import (
     partial,
     torus_weight,
     var_index,
-    var_pos,
 )
 
 Wedge = tuple[int, ...]
 MinorLabel = tuple[tuple[int, ...], tuple[int, ...], Wedge]
+# peak build memory per p-wedge: the wedge list, its row and column groups
+# and the blocks (a traced peak of 344 bytes at n=30, p=2)
+_BYTES_PER_WEDGE = 400
 
 
 def wedge_insert(w: Wedge, x: int) -> tuple[int, Wedge] | None:
@@ -97,11 +103,21 @@ def minor_column_image(n: int, label: MinorLabel) -> list[tuple[MinorLabel, int]
     return out
 
 
-def _check_minor_args(n: int, d: int, p: int) -> None:
+def _check_minor_args(n: int, d: int, p: int,
+                      memory_cap_bytes: int = DEFAULT_MEMORY_CAP_BYTES) -> None:
+    """Reject a bad request, or one whose list of p-wedges alone would not
+    fit in the memory cap, before anything is enumerated."""
     if p not in (1, 2):
         raise ValueError(f"p must be 1 or 2, got {p}")
     if not 1 <= d <= n - 1:
         raise ValueError(f"need 1 <= d <= n-1, got d={d}, n={n}")
+    wedges = comb(n * n, p)
+    if wedges * _BYTES_PER_WEDGE > memory_cap_bytes:
+        raise ValueError(
+            f"the minor map at n={n}, p={p} enumerates {wedges} wedges, about "
+            f"{wedges * _BYTES_PER_WEDGE >> 20} MiB, over the memory cap of "
+            f"{memory_cap_bytes >> 20} MiB"
+        )
 
 
 def _arrangements(weight: tuple[int, ...]) -> int:
@@ -185,6 +201,43 @@ def polynomial_blocks(P: Polynomial, column_groups, column_image, kind: str):
     return weight_blocks(column_groups(size_of), column_image, kind)
 
 
+def _minor_blocks(n: int, p: int, weights):
+    """`weight_blocks` of the minor-indexed map at the given (size, (wa,
+    wb)) pairs, in that order.
+
+    A p-wedge w fixes the remainders I = wa - rows(w) and J = wb - cols(w),
+    which must be 0/1 vectors.  Wedges are grouped by their row (column)
+    multiset, so a remainder is computed once per group; a block's columns
+    are the wedges with both remainders, in wedge order."""
+    wedges = list(combinations(range(n * n), p))
+    groups: tuple[dict, dict] = ({}, {})  # 0-based rows (cols) of a wedge -> its indices
+    for k, w in enumerate(wedges):
+        groups[0].setdefault(tuple(x // n for x in w), []).append(k)
+        groups[1].setdefault(tuple(sorted(x % n for x in w)), []).append(k)
+    scans: dict = {}
+
+    def remainders(weight, axis):
+        """For each wedge index, in order, the 1-based remainder set, where 0/1."""
+        if (weight, axis) not in scans:
+            found = []
+            for content, ks in groups[axis].items():
+                rest = list(weight)
+                for i in content:
+                    rest[i] -= 1
+                if all(v in (0, 1) for v in rest):
+                    I = tuple(i + 1 for i, v in enumerate(rest) if v)
+                    found += ((k, I) for k in ks)
+            scans[weight, axis] = dict(sorted(found))
+        return scans[weight, axis]
+
+    def columns(wa, wb):
+        rem_a, rem_b = remainders(wa, 0), remainders(wb, 1)
+        return [(I, rem_b[k], wedges[k]) for k, I in rem_a.items() if k in rem_b]
+
+    return weight_blocks(((size, (wa, wb), columns(wa, wb)) for size, (wa, wb) in weights),
+                         lambda label: minor_column_image(n, label), "minor_block")
+
+
 def minor_orbit_blocks(n: int, d: int, p: int):
     """Yield (orbit_size, block) for one weight block per symmetry orbit of
     the minor-indexed Koszul map; the whole matrix is never built.
@@ -197,40 +250,103 @@ def minor_orbit_blocks(n: int, d: int, p: int):
     signed minors and wedges to signed wedges, so blocks in one orbit have
     equal rank (the argument of `weight_blocks`).  Every weight pair is in
     the orbit of exactly one pair of dominant (decreasing) weights with
-    wa <= wb.
+    wa <= wb, and only their columns are enumerated (`_minor_blocks`).
 
-    Only the columns of those dominant weights are enumerated, directly: a
-    p-wedge w fixes the remainders I = wa - rows(w) and J = wb - cols(w),
-    which must be 0/1 vectors.
+    `highest_weight_blocks` is the route `bound` certifies through; this
+    one ranks every orbit and is its independent second route.
     """
     _check_minor_args(n, d, p)
-    m = n - d
-    wedges = list(combinations(range(n * n), p))
-    # the dominant weights: partitions of m + p with parts at most p + 1 and
+    # the dominant weights: partitions of n - d + p with parts at most p + 1 and
     # at most n of them, zero-padded, largest first part first
     weights = [w for w in combinations_with_replacement(range(p + 1, -1, -1), n)
-               if sum(w) == m + p]
+               if sum(w) == n - d + p]
+    return _minor_blocks(n, p, [(_orbit_size((wa, wb)), (wa, wb))
+                                for wa in weights for wb in weights if wa <= wb])
 
-    def remainders(weight, axis):
-        """For each wedge index, the 1-based remainder set, where 0/1."""
-        out = {}
-        for k, w in enumerate(wedges):
-            rest = list(weight)
-            for x in w:
-                rest[var_pos(x, n)[axis] - 1] -= 1
-            if all(v in (0, 1) for v in rest):
-                out[k] = tuple(i + 1 for i, v in enumerate(rest) if v)
-        return out
 
-    rem_a = [remainders(wt, 0) for wt in weights]
-    rem_b = [remainders(wt, 1) for wt in weights]
-    groups = (
-        (_orbit_size((wa, wb)), (wa, wb),
-         [(I, rem_b[ib][k], wedges[k]) for k, I in rem_a[ia].items() if k in rem_b[ib]])
-        for ia, wa in enumerate(weights)
-        for ib, wb in enumerate(weights) if wa <= wb
-    )
-    return weight_blocks(groups, lambda label: minor_column_image(n, label), "minor_block")
+def _padded(shape, n: int) -> tuple[int, ...]:
+    return tuple(shape) + (0,) * (n - len(shape))
+
+
+def highest_weight_blocks(n: int, d: int, p: int,
+                          memory_cap_bytes: int = DEFAULT_MEMORY_CAP_BYTES):
+    """Yield (size, block) for the weight blocks of the minor-indexed map at
+    the highest weights of the candidate image modules
+    (`partitions.candidate_image`), zero-padded to n parts.
+
+    Transposition sends the block at (wa, wb) onto the one at (wb, wa)
+    with equal rank (`weight_blocks`), so one block is built per transpose
+    pair, at the pair with wa <= wb; its size is the number of candidate
+    weights it stands for, 2 for a pair of distinct weights and 1 otherwise.
+    `image_modules` turns the blocks' ranks into the rank of the map.
+    """
+    from .partitions import candidate_image
+
+    _check_minor_args(n, d, p, memory_cap_bytes)
+    sizes: dict = {}
+    for a, b, _ in candidate_image(n, d, p).entries:
+        wa, wb = _padded(a, n), _padded(b, n)
+        sizes[min((wa, wb), (wb, wa))] = 1 if wa == wb else 2
+    return _minor_blocks(n, p, [(size, weight) for weight, size in sizes.items()])
+
+
+def check_module_prime(n: int, d: int, p: int, prime: int | None) -> None:
+    """Reject a prime at most the degree n - d + p of the minor map's
+    GL_n modules: `image_modules` is sound mod a larger prime only."""
+    if prime is not None and prime <= n - d + p:
+        raise ValueError(
+            f"the prime {prime} is at most the degree {n - d + p} of the minor map's "
+            f"modules; the highest-weight certificate needs a larger prime"
+        )
+
+
+def image_modules(n: int, d: int, p: int, ranks_by_weight: dict,
+                  prime: int | None) -> tuple[int, list[tuple]]:
+    """The rank of the minor-indexed map, mod `prime` or over Q for
+    prime=None, from the ranks of its highest-weight blocks.
+
+    `ranks_by_weight` maps the weight of each block of
+    `highest_weight_blocks` to its rank.  Returns (rank, modules): modules lists (a, b, m,
+    schur_max) for each candidate module S_a(A) x S_b(B), with m its
+    multiplicity in the image and schur_max its candidate multiplicity, and
+    rank = sum(m * dim S_a * dim S_b).
+
+    The block at the weight (la, lb) has rank
+        r(l) = sum over candidates v of m_v * K(va, la) * K(vb, lb),
+    K the Kostka numbers (weight multiplicities), which vanish unless v
+    dominates l on both sides and equal 1 at v = l.  Pair-lex order extends
+    that dominance, so the m_l are solved in decreasing pair-lex order; a
+    negative m_l, or one above its Schur maximum, is a RuntimeError.
+
+    Soundness.  The map is GL_n x GL_n-equivariant and defined over Z.
+    Over Q its image is a submodule of the codomain and a quotient of the
+    domain, so by Schur's lemma it is a sum of the candidate modules, each
+    at most schur_max times, and its weight spaces have the dimensions
+    above.  Mod a prime above the degree m + p (m = n - d) of each GL_n
+    factor, polynomial representations of that degree are semisimple and
+    the Weyl modules are simple with the same characters (Green,
+    *Polynomial Representations of GL_n*), so the same holds for the
+    image mod p, whose rank is then the modular rank of the map.  The rank
+    mod p is at most the rank over Q, so the bound is never overstated.
+    A smaller prime is refused (`check_module_prime`).
+    """
+    from .partitions import candidate_image, kostka, schur_dim
+
+    check_module_prime(n, d, p, prime)
+    K = cache(kostka)  # few distinct shapes, each pair met many times
+    solved = []
+    candidates = sorted(candidate_image(n, d, p).entries,
+                        key=lambda e: (_padded(e[0], n), _padded(e[1], n)), reverse=True)
+    for a, b, schur_max in candidates:
+        wa, wb = _padded(a, n), _padded(b, n)
+        m = ranks_by_weight[min((wa, wb), (wb, wa))] - sum(
+            mv * K(va, a) * K(vb, b) for va, vb, mv, _ in solved)
+        if not 0 <= m <= schur_max:
+            raise RuntimeError(
+                f"solved multiplicity {m} of {a} x {b} is outside 0..{schur_max}")
+        solved.append((a, b, m, schur_max))
+    rank = sum(m * schur_dim(a, n) * schur_dim(b, n) for a, b, m, _ in solved)
+    return rank, solved
 
 
 def monomials_of_degree(nv: int, d: int) -> list[tuple[int, ...]]:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from itertools import combinations
+from operator import le
 
 Partition = tuple[int, ...]
 
@@ -110,6 +111,29 @@ def pieri_row(pi: Partition, d: int, N: int) -> list[Partition]:
     return [mu for mu in results if valid(mu)]
 
 
+def kostka(shape: Partition, content) -> int:
+    """Number of semistandard tableaux of the shape with content[i] entries
+    equal to i+1: the dimension of the weight-`content` space of the Schur
+    module of the shape.
+
+    Such a tableau is a chain () = s0 < s1 < ... < s_k = shape in which
+    s_i / s_(i-1) is a horizontal strip of content[i-1] boxes (the entries
+    equal to i), so the chains are counted strip by strip (`pieri_row`),
+    keeping only the shapes inside `shape`."""
+    shape = make_partition(shape)
+    counts = {(): 1}
+    for c in content:
+        if not c:
+            continue
+        step: dict[Partition, int] = {}
+        for s, k in counts.items():
+            for t in pieri_row(s, c, len(shape)):
+                if all(map(le, t, shape)):
+                    step[t] = step.get(t, 0) + k
+        counts = step
+    return counts.get(shape, 0)
+
+
 def pieri_column(pi: Partition, k: int, N: int) -> list[Partition]:
     """Partitions obtained from pi by adding k boxes, no two in the same row.
 
@@ -196,15 +220,6 @@ def _decompose_wedge_tensor(wedge: int, p: int, n: int) -> ModuleList:
             for b in pieri_column(lamc, wedge, n):
                 out.add(a, b, mult)
     return out.sorted()
-
-
-def decompose_wedge_product(n: int, d: int, p: int) -> ModuleList:
-    """Full decomposition of the domain of the minor-indexed Koszul map."""
-    if not 0 < d < n:
-        raise ValueError(f"need 0 < d < n, got d={d}, n={n}")
-    if p < 0:
-        raise ValueError(f"need p >= 0, got {p}")
-    return _decompose_wedge_tensor(n - d, p, n)
 
 
 def candidate_image(n: int, d: int, p: int) -> ModuleList:

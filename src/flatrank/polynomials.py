@@ -21,11 +21,6 @@ def var_index(row: int, col: int, n: int) -> int:
     return (row - 1) * n + (col - 1)
 
 
-def var_pos(k: int, n: int) -> tuple[int, int]:
-    """Inverse of var_index: (row, col), 1-based."""
-    return k // n + 1, k % n + 1
-
-
 Weight = tuple[tuple[int, ...], tuple[int, ...]]
 
 
@@ -87,34 +82,6 @@ class Polynomial:
         if c == 0:
             return Polynomial(self.n, self.degree, {})
         return Polynomial(self.n, self.degree, {e: c * v for e, v in self.terms.items()})
-
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        if self.n != other.n:
-            raise ValueError("incompatible polynomials")
-        terms: dict[Exponents, Fraction] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                acc = terms.get(e, Fraction(0)) + ca * cb
-                if acc:
-                    terms[e] = acc
-                else:
-                    terms.pop(e, None)
-        return Polynomial(self.n, self.degree + other.degree, terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def evaluate(self, values) -> Fraction:
-        """Evaluate at a flat sequence of n*n rational values."""
-        total = Fraction(0)
-        for exps, coeff in self.terms.items():
-            prod = coeff
-            for k, e in enumerate(exps):
-                if e:
-                    prod *= Fraction(values[k]) ** e
-            total += prod
-        return total
 
     def to_json(self) -> str:
         records = [

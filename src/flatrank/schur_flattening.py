@@ -3,7 +3,7 @@ block at a time.
 
 Tableaux are tuples of row tuples; semistandard means rows weakly increase
 and columns strictly increase.  A block's columns are the tableaux of one
-kept weight, enumerated content by content (`ssyt_by_content`).  Arbitrary
+kept weight, enumerated content by content (`_fill_columns`).  Arbitrary
 fillings are legal as input to the straightening engine, which rewrites
 them in the semistandard basis via column antisymmetry and Garnir shuffle
 relations; a column image straightens T's sorted columns with one entry
@@ -30,20 +30,6 @@ PIERI_ROWS = (1, 5, 9)
 PIERI_T = 70
 
 
-def tableau_shape(t: Tableau) -> Partition:
-    return make_partition(len(row) for row in t)
-
-
-def is_semistandard(t: Tableau) -> bool:
-    for r, row in enumerate(t):
-        for c in range(len(row)):
-            if c + 1 < len(row) and row[c] > row[c + 1]:
-                return False
-            if r + 1 < len(t) and c < len(t[r + 1]) and t[r + 1][c] <= row[c]:
-                return False
-    return True
-
-
 def _compositions(total: int, bounds) -> list[tuple[int, ...]]:
     """The tuples x with 0 <= x[i] <= bounds[i] and sum(x) = total, in
     lexicographic order; each prefix is kept only if the rest can fit."""
@@ -56,20 +42,14 @@ def _compositions(total: int, bounds) -> list[tuple[int, ...]]:
     return [prefix for prefix, _ in layer]
 
 
-def ssyt_by_content(shape: Partition, content) -> list[Tableau]:
-    """The semistandard tableaux of the shape with content[v - 1] entries
-    equal to v.
+def _fill_columns(heights: Partition, content) -> list[Tableau]:
+    """The semistandard tableaux with column heights `heights` and
+    content[v - 1] entries equal to v.
 
     Built one column at a time, left to right.  An entry appears at most
     once in a column, so a value with as many copies left as columns left
     must be in the next column; the rest of that column is chosen among
     the other values left, and kept when every row weakly increases."""
-    shape = make_partition(shape)
-    return _fill_columns(conjugate(shape), content)
-
-
-def _fill_columns(heights: Partition, content) -> list[Tableau]:
-    """`ssyt_by_content` for the shape whose column heights are `heights`."""
     out: list[Tableau] = []
 
     def fill(j: int, left: list, cols: tuple) -> None:
@@ -103,7 +83,7 @@ def _tableau_groups(shape: Partition, n: int, size_of) -> list:
     Entry k+1 stands for variable k, so a tableau's content is an n x n
     matrix whose row and column sums are its weight (wa, wb), and an entry
     appears at most once per column.  Only the contents of kept weights
-    are filled (`ssyt_by_content`)."""
+    are filled (`_fill_columns`)."""
     if size_of is None:
         every = _tableau_groups(shape, n, lambda weight: 1)
         return [(1, None, sorted(T for _, _, group in every for T in group))]
@@ -216,23 +196,6 @@ def _straighten_sorted(cols: Columns) -> dict[Tableau, int]:
                 acc.pop(tab, None)
     _straighten_cache[cols] = acc
     return acc
-
-
-def straighten(filling: Tableau) -> dict[Tableau, Fraction]:
-    """Express an arbitrary filling in the semistandard basis.
-
-    Rules: a column with a repeated entry is zero; sorting a column
-    contributes the sign of the sorting permutation; a row violation is
-    resolved by the Garnir shuffle relation on the two columns involved.
-    """
-    canon = _canonical(rows_to_columns(filling))
-    if canon is None:
-        return {}
-    sign, cols = canon
-    return {
-        tab: Fraction(sign * coeff)
-        for tab, coeff in _straighten_sorted(cols).items()
-    }
 
 
 def add_boxes_shape(shape: Partition, target_rows) -> Partition:

@@ -11,13 +11,29 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import lcm
+from math import comb, lcm
 
 from flatrank import flattening
+from flatrank.bounds import f_formula
 from flatrank.flattening import FlatteningMatrix, full_column_image, monomials_of_degree
-from flatrank.partitions import Partition, make_partition
-from flatrank.polynomials import Polynomial, sort_sign, var_index, var_pos
-from flatrank.schur_flattening import Tableau, _pieri_target, pieri_column_image, straighten
+from flatrank.partitions import (
+    ModuleList,
+    Partition,
+    _decompose_wedge_tensor,
+    conjugate,
+    make_partition,
+    theoretical_image_dim,
+)
+from flatrank.polynomials import Exponents, Polynomial, sort_sign, var_index
+from flatrank.schur_flattening import (
+    Tableau,
+    _canonical,
+    _fill_columns,
+    _pieri_target,
+    _straighten_sorted,
+    pieri_column_image,
+    rows_to_columns,
+)
 
 
 def group_by_weight(cols, weight_of) -> dict:
@@ -31,6 +47,34 @@ def group_by_weight(cols, weight_of) -> dict:
 
 # ---------------------------------------------------------------------------
 # test polynomials
+
+def poly_mul(P: Polynomial, Q: Polynomial) -> Polynomial:
+    """The product of two polynomials in the same variables."""
+    if P.n != Q.n:
+        raise ValueError("incompatible polynomials")
+    terms: dict[Exponents, Fraction] = {}
+    for ea, ca in P.terms.items():
+        for eb, cb in Q.terms.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            acc = terms.get(e, Fraction(0)) + ca * cb
+            if acc:
+                terms[e] = acc
+            else:
+                terms.pop(e, None)
+    return Polynomial(P.n, P.degree + Q.degree, terms)
+
+
+def evaluate(P: Polynomial, values) -> Fraction:
+    """P at a flat sequence of n*n rational values."""
+    total = Fraction(0)
+    for exps, coeff in P.terms.items():
+        prod = coeff
+        for k, e in enumerate(exps):
+            if e:
+                prod *= Fraction(values[k]) ** e
+        total += prod
+    return total
+
 
 def linear_form_power(coeffs, e: int, n: int) -> Polynomial:
     """The e-th power of a linear form, expanded with multinomial coefficients."""
@@ -49,7 +93,7 @@ def linear_form_power(coeffs, e: int, n: int) -> Polynomial:
     )
     out = linear
     for _ in range(e - 1):
-        out = out * linear
+        out = poly_mul(out, linear)
     return out
 
 
@@ -68,7 +112,7 @@ def substitute_linear(P: Polynomial, M) -> Polynomial:
         prod = Polynomial(P.n, 0, {tuple([0] * nv): coeff})
         for k, e in enumerate(exps):
             for _ in range(e):
-                prod = prod * images[k]
+                prod = poly_mul(prod, images[k])
         out = out + prod
     return out
 
@@ -108,6 +152,11 @@ def random_low_rank(r: int, e: int, n: int, seed: int) -> Polynomial:
 
 # ---------------------------------------------------------------------------
 # minor-indexed map
+
+def var_pos(k: int, n: int) -> tuple[int, int]:
+    """Inverse of var_index: (row, col), 1-based."""
+    return k // n + 1, k % n + 1
+
 
 def bidegree_of_label(label, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(A-weight, B-weight) of a minor-map basis label."""
@@ -186,7 +235,61 @@ def full_koszul_matrix(P: Polynomial, d: int, p: int) -> FlatteningMatrix:
 
 
 # ---------------------------------------------------------------------------
+# modules
+
+def decompose_wedge_product(n: int, d: int, p: int) -> ModuleList:
+    """Full decomposition of the domain of the minor-indexed Koszul map."""
+    if not 0 < d < n:
+        raise ValueError(f"need 0 < d < n, got d={d}, n={n}")
+    if p < 0:
+        raise ValueError(f"need p >= 0, got {p}")
+    return _decompose_wedge_tensor(n - d, p, n)
+
+
+def theoretical_matches_f(n: int, d: int) -> bool:
+    """The candidate image dimension equals the paper's f(n, d) * C(n, d)^2."""
+    return f_formula(n, d) * comb(n, d) ** 2 == theoretical_image_dim(n, d, 2)
+
+
+# ---------------------------------------------------------------------------
 # tableaux and the Pieri map
+
+def ssyt_by_content(shape: Partition, content) -> list[Tableau]:
+    """The library's enumerator `_fill_columns` for a shape given by its
+    rows: the semistandard tableaux with content[v - 1] entries equal to v."""
+    return _fill_columns(conjugate(make_partition(shape)), content)
+
+
+def tableau_shape(t: Tableau) -> Partition:
+    return make_partition(len(row) for row in t)
+
+
+def is_semistandard(t: Tableau) -> bool:
+    for r, row in enumerate(t):
+        for c in range(len(row)):
+            if c + 1 < len(row) and row[c] > row[c + 1]:
+                return False
+            if r + 1 < len(t) and c < len(t[r + 1]) and t[r + 1][c] <= row[c]:
+                return False
+    return True
+
+
+def straighten(filling: Tableau) -> dict[Tableau, Fraction]:
+    """Express an arbitrary filling in the semistandard basis.
+
+    Rules: a column with a repeated entry is zero; sorting a column
+    contributes the sign of the sorting permutation; a row violation is
+    resolved by the Garnir shuffle relation on the two columns involved.
+    """
+    canon = _canonical(rows_to_columns(filling))
+    if canon is None:
+        return {}
+    sign, cols = canon
+    return {
+        tab: Fraction(sign * coeff)
+        for tab, coeff in _straighten_sorted(cols).items()
+    }
+
 
 def ssyt_enumerate(shape: Partition, N: int) -> list[Tableau]:
     """All semistandard tableaux of the shape with entries in 1..N,

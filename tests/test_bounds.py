@@ -16,8 +16,8 @@ from flatrank.bounds import (
     optimal_d,
     preliminary_theorem_value,
     reference_bounds,
-    theoretical_matches_f,
 )
+from oracles import theoretical_matches_f
 
 
 class TestFlatteningBound:

@@ -78,6 +78,23 @@ class TestBound:
         assert ranks == {"modular": 29376, "rational": 29376}
         assert rec["rank"] == 29376 and rec["bound"] == 107
 
+    def test_minor_certificate_lists_its_modules(self, capsys):
+        """The smallest prime above the degree 5 certifies det5's 107, and
+        each provenance entry lists the nine image modules, each at its
+        Schur maximum, solved from five highest-weight blocks."""
+        code, out = run(
+            ["bound", "--poly", "det", "--n", "5", "--method", "koszul-minor",
+             "--d", "2", "--p", "2", "--prime", "7", "--rational", "--format", "json"],
+            capsys,
+        )
+        rec = json.loads(out)
+        assert code == 0 and (rec["rank"], rec["bound"]) == (29376, 107)
+        for c in rec["provenance"]:
+            assert (c["rank"], c["orbits"], c["blocks"]) == (29376, 5, 9)
+            assert len(c["modules"]) == 9
+            assert all(m["m"] == m["schur_max"] == 1 for m in c["modules"])
+            assert {"a", "b", "m", "schur_max"} == set(c["modules"][0])
+
     @pytest.mark.parametrize("n,d,bound", [(7, 3, 1259), (8, 4, 4956)])
     def test_orbit_reduced_main_theorem(self, capsys, n, d, bound):
         code, out = run(
@@ -170,6 +187,12 @@ class TestBound:
         (["--poly", "file:{over_prime}", "--n", "3", "--method", "koszul-full",
           "--d", "1", "--p", "2"], "divisible by the prime 1073741789; choose "
          "another prime with --prime"),
+        # the minor map's modules have degree n - d + p = 5
+        (["--poly", "det", "--n", "5", "--method", "koszul-minor", "--d", "2", "--p", "2",
+          "--prime", "5"], "the prime 5 is at most the degree 5"),
+        # C(3600, 2) wedges would not fit in 256 MiB
+        (["--poly", "det", "--n", "60", "--method", "koszul-minor", "--d", "30",
+          "--p", "2", "--memory-cap", "256"], "over the memory cap of 256 MiB"),
     ])
     def test_bad_request_is_one_line_error(self, capsys, tmp_path, argv, message):
         det3 = determinant_poly(3)
@@ -261,13 +284,15 @@ def test_importing_the_cli_loads_no_construction_or_introspection_modules():
         assert name not in loaded, name
 
 
-@pytest.mark.parametrize("argv", [
-    ["--poly", "det", "--n", "4", "--method", "koszul-minor", "--d", "2", "--p", "1"],
-    ["--poly", "det", "--n", "3", "--method", "koszul-full", "--d", "1", "--p", "2"],
+@pytest.mark.parametrize("argv,solves_modules", [
+    (["--poly", "det", "--n", "4", "--method", "koszul-minor", "--d", "2", "--p", "1"], True),
+    (["--poly", "det", "--n", "3", "--method", "koszul-full", "--d", "1", "--p", "2"], False),
 ], ids=["koszul-minor", "koszul-full"])
-def test_a_koszul_bound_run_loads_no_pieri_or_partition_code(argv):
+def test_a_koszul_bound_run_loads_no_pieri_code(argv, solves_modules):
+    """koszul-minor solves its rank over the candidate image modules, so it
+    alone loads `partitions`."""
     loaded = loaded_by(f"from flatrank.cli import main\nassert main({['bound', *argv]!r}) == 0")
     assert "flatrank.flattening" in loaded
     assert "flatrank.schur_flattening" not in loaded
-    assert "flatrank.partitions" not in loaded
+    assert ("flatrank.partitions" in loaded) == solves_modules
     assert "flatrank.hwv" not in loaded

@@ -218,6 +218,7 @@ class TestCertificates:
         for certify in (rank_mod_p, rank_rational):
             cert = certify([(3, a), (1, b)])
             assert (cert.rank, cert.orbits, cert.blocks) == (5, 2, 4)
+            assert cert.block_ranks == [1, 2]
             assert cert.matrix_hash != certify([(1, a), (3, b)]).matrix_hash
 
     def test_json_dict(self):
@@ -227,6 +228,9 @@ class TestCertificates:
             "rank", "method", "primes_used", "matrix_hash", "elapsed_ms",
             "rational_lower_bound_only", "orbits", "blocks",
         }
+        cert = rank_mod_p([(1, M)])
+        cert.modules = [{"a": [1], "b": [1], "m": 1, "schur_max": 1}]
+        assert cert.to_json_dict()["modules"] == cert.modules
 
     @pytest.mark.parametrize("certify", [rank_mod_p, rank_rational])
     def test_elapsed_times_the_elimination_only(self, monkeypatch, certify):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from math import comb
 
@@ -9,6 +10,8 @@ from flatrank.exact_linalg import DEFAULT_PRIME, rank_mod_p, sparse_rank
 import flatrank.flattening as flattening
 from flatrank.flattening import (
     full_koszul_blocks,
+    highest_weight_blocks,
+    image_modules,
     minor_column_image,
     minor_orbit_blocks,
     wedge_insert,
@@ -20,7 +23,7 @@ from flatrank.hwv import (
     lemma_shapes,
     verify_hwv_nonzero,
 )
-from flatrank.partitions import schur_dim, theoretical_image_dim
+from flatrank.partitions import candidate_image, schur_dim, theoretical_image_dim
 from flatrank.polynomials import (
     determinant_poly,
     partial,
@@ -30,7 +33,7 @@ from flatrank.polynomials import (
     variable_power,
 )
 from flatrank.schur_flattening import PI3, PIERI_ROWS, _tableau_groups, pieri_blocks
-from flatrank.cli import flattening_blocks
+from flatrank.cli import certify, flattening_blocks
 from oracles import (
     bidegree_of_label as _bidegree_of_label,
     full_domain_basis,
@@ -193,10 +196,14 @@ def _pieri_case(P):
             lambda T: _label_weight(3, [v - 1 for row in T for v in row]))
 
 
+# the whole minor matrices are slow to build; two test classes share them
+whole_minor_matrix = cache(minor_koszul_matrix)
+
+
 class TestOrbitBlocks:
     @pytest.mark.parametrize("n,d,p", [(4, 2, 1), (4, 2, 2), (5, 2, 2)])
     def test_orbit_reduced_equals_all_blocks_equals_whole(self, n, d, p):
-        M = minor_koszul_matrix(n, d, p)
+        M = whole_minor_matrix(n, d, p)
         assert_blocks_match_whole(M, lambda label: _bidegree_of_label(label, n),
                                   list(minor_orbit_blocks(n, d, p)), symmetric=True)
 
@@ -227,6 +234,65 @@ class TestOrbitBlocks:
     def test_blocks_are_graded(self):
         for _, B in minor_orbit_blocks(4, 2, 2):
             assert all(_bidegree_of_label(label, 4) == B.weight for label in B.rows + B.cols)
+
+
+class TestHighestWeightBlocks:
+    @pytest.mark.parametrize("n,d,p", [(3, 1, 1), (4, 2, 1), (4, 2, 2), (5, 2, 2)])
+    @pytest.mark.parametrize("prime", [DEFAULT_PRIME, None], ids=["mod-p", "rational"])
+    def test_equals_orbit_route_and_whole_matrix(self, n, d, p, prime):
+        """The rank solved from the highest-weight blocks equals the rank of
+        every orbit block and of the whole matrix, mod p and over Q."""
+        hw = list(highest_weight_blocks(n, d, p))
+        orbits = list(minor_orbit_blocks(n, d, p))
+        M = whole_minor_matrix(n, d, p)
+        whole = sparse_rank(len(M.rows), len(M.cols), M.entries, p=prime)
+        assert certify("koszul-minor", hw, n, d, p, prime).rank == whole
+        assert certify("minor-orbits", orbits, n, d, p, prime).rank == whole
+
+    @pytest.mark.parametrize("n,d,p", [(4, 2, 2), (5, 2, 2), (6, 3, 2), (7, 2, 1)])
+    def test_one_block_per_transpose_pair_of_candidates(self, n, d, p):
+        """Each block sits at a padded candidate highest weight (wa, wb) with
+        wa <= wb, and the sizes count every candidate weight once."""
+        pad = lambda shape: tuple(shape) + (0,) * (n - len(shape))
+        weights = {(pad(a), pad(b)) for a, b, _ in candidate_image(n, d, p).entries}
+        blocks = list(highest_weight_blocks(n, d, p))
+        assert {B.weight for _, B in blocks} == {w for w in weights if w[0] <= w[1]}
+        assert sum(size for size, _ in blocks) == len(weights)
+        for size, B in blocks:
+            wa, wb = B.weight
+            assert size == (1 if wa == wb else 2) and (wb, wa) in weights
+            assert all(_bidegree_of_label(label, n) == B.weight for label in B.cols)
+
+    def test_modules_reach_their_schur_maximum_at_det5(self):
+        hw = list(highest_weight_blocks(5, 2, 2))
+        cert = certify("koszul-minor", hw, 5, 2, 2, DEFAULT_PRIME)
+        assert (cert.rank, cert.orbits, cert.blocks) == (29376, 5, 9)
+        assert len(cert.modules) == 9
+        assert all(rec["m"] == rec["schur_max"] == 1 for rec in cert.modules)
+        assert [(tuple(r["a"]), tuple(r["b"]), r["schur_max"]) for r in cert.modules] == \
+            sorted(candidate_image(5, 2, 2).entries, reverse=True)
+
+    def test_inconsistent_block_ranks_raise(self):
+        """A negative multiplicity, or one above its Schur maximum, is an
+        error, never a silently smaller or larger rank."""
+        weights = [B.weight for _, B in highest_weight_blocks(4, 2, 2)]
+        top = max(weights)
+        for ranks in ({w: int(w == top) for w in weights}, {w: 2 for w in weights}):
+            with pytest.raises(RuntimeError, match="outside 0..1"):
+                image_modules(4, 2, 2, ranks, DEFAULT_PRIME)
+
+    @pytest.mark.parametrize("prime", [2, 3, 5])
+    def test_rejects_a_prime_at_most_the_degree(self, prime):
+        with pytest.raises(ValueError, match="at most the degree 5"):
+            image_modules(5, 2, 2, {}, prime)
+
+    def test_oversized_request_fails_before_enumeration(self, monkeypatch):
+        monkeypatch.setattr(flattening, "combinations", None)  # enumerating would crash
+        with pytest.raises(ValueError, match="over the memory cap of 256 MiB"):
+            list(highest_weight_blocks(60, 30, 2, memory_cap_bytes=256 << 20))
+        with pytest.raises(ValueError, match="over the memory cap"):
+            list(minor_orbit_blocks(200, 100, 2))
+        flattening._check_minor_args(24, 12, 2)  # det24 fits the default cap
 
 
 def _tableau_weight(T):

@@ -10,7 +10,7 @@ from flatrank.partitions import (
     candidate_image,
     cauchy_wedge,
     conjugate,
-    decompose_wedge_product,
+    kostka,
     make_partition,
     partitions_of,
     pieri_column,
@@ -18,6 +18,7 @@ from flatrank.partitions import (
     schur_dim,
     theoretical_image_dim,
 )
+from oracles import decompose_wedge_product, kostka_number
 
 partitions = st.lists(st.integers(1, 9), max_size=8).map(
     lambda xs: make_partition(sorted(xs, reverse=True))
@@ -153,6 +154,20 @@ class TestPieri:
         col = pieri_column(pi, d, 9)
         assert len(row) == len(set(row))
         assert len(col) == len(set(col))
+
+
+class TestKostka:
+    @pytest.mark.parametrize("size", range(9))
+    def test_matches_brute_force_on_every_shape(self, size):
+        for shape in partitions_of(size):
+            for content in partitions_of(size):
+                assert kostka(shape, content) == kostka_number(shape, content)
+
+    def test_content_order_and_zeros(self):
+        assert kostka((2, 1), (1, 1, 1)) == 2
+        assert kostka((3, 1), (0, 1, 2, 0, 1)) == kostka((3, 1), (2, 1, 1)) == 2
+        assert kostka((2, 2), (1, 3)) == 0
+        assert kostka((2,), (1, 1, 1)) == 0
 
 
 class TestCauchyWedge:

@@ -15,7 +15,7 @@ from flatrank.polynomials import (
     var_index,
     variable_power,
 )
-from oracles import linear_form_power, minor_poly, random_low_rank, substitute_linear
+from oracles import evaluate, linear_form_power, minor_poly, random_low_rank, substitute_linear
 
 
 def to_sympy(P, syms):
@@ -69,10 +69,10 @@ class TestConstructors:
     def test_evaluations(self):
         for n in (2, 3, 4):
             ident = [1 if (k // n) == (k % n) else 0 for k in range(n * n)]
-            assert determinant_poly(n).evaluate(ident) == 1
+            assert evaluate(determinant_poly(n), ident) == 1
             import math
 
-            assert permanent_poly(n).evaluate([1] * n * n) == math.factorial(n)
+            assert evaluate(permanent_poly(n), [1] * n * n) == math.factorial(n)
 
 
 class TestPolynomialClass:
@@ -147,7 +147,7 @@ class TestContract:
 
     def test_annihilates_other_variable(self):
         alpha = monomial(2, 1, (0, 1, 0, 0))
-        assert contract(alpha, variable_power((1, 1), 3, 2)).is_zero()
+        assert contract(alpha, variable_power((1, 1), 3, 2)).terms == {}
 
     def test_degree_mismatch(self):
         with pytest.raises(ValueError):

@@ -18,20 +18,20 @@ from flatrank.schur_flattening import (
     PIERI_ROWS,
     add_boxes_shape,
     columns_to_rows,
-    is_semistandard,
     pieri_blocks,
     pieri_column_image,
     rows_to_columns,
-    ssyt_by_content,
-    straighten,
-    tableau_shape,
 )
 from oracles import (
+    is_semistandard,
     kostka_number,
     pieri_column_image_by_straightening,
     pieri_flattening_matrix,
     random_low_rank,
+    ssyt_by_content,
     ssyt_enumerate,
+    straighten,
+    tableau_shape,
 )
 
 
