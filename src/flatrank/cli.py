@@ -9,6 +9,7 @@ combinatorics modules it runs, so a run loads only those of its method.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 import time
 from math import comb
@@ -65,7 +66,8 @@ def flattening_blocks(method: str, spec: str, n: int, d: int | None, p: int | No
     if method == "koszul-full":
         from . import flattening
 
-        return list(flattening.full_koszul_blocks(poly, d, p)), comb(n * n - 1, p)
+        blocks = flattening.full_koszul_blocks(poly, d, p, memory_cap_bytes)
+        return list(blocks), comb(n * n - 1, p)
     if n != 3:
         raise ValueError("the pieri method is supported at n=3 only")
     from .schur_flattening import PI3, PIERI_ROWS, PIERI_T, pieri_blocks
@@ -145,14 +147,17 @@ def cmd_decompose(args) -> int:
     from . import partitions
 
     n, d, p = args.n, args.d, args.p
-    ml = partitions.candidate_image(n, d, p)
+    modules = partitions.candidate_image(n, d, p)
+    total = partitions.total_dimension(modules, n)
     if args.format == "json":
-        print(ml.to_json(n))
+        print(json.dumps([{"a": list(a), "b": list(b), "mult": m,
+                           "dim_a": partitions.schur_dim(a, n),
+                           "dim_b": partitions.schur_dim(b, n)} for a, b, m in modules]
+                         + [{"total_dim": total}]))
     else:
-        for a, b, m in ml.sorted().entries:
+        for a, b, m in modules:
             da, db = partitions.schur_dim(a, n), partitions.schur_dim(b, n)
             print(f"  {a} x {b}  mult {m}  dim {da}*{db} = {da * db}")
-        total = ml.total_dimension(n)
         print(f"total dimension: {total}")
         if p == 2 and 1 <= d <= n - 2:
             fval = bounds.f_formula(n, d) * comb(n, d) ** 2

@@ -103,21 +103,27 @@ def minor_column_image(n: int, label: MinorLabel) -> list[tuple[MinorLabel, int]
     return out
 
 
+def _check_wedge_count(name: str, n: int, p: int, memory_cap_bytes: int) -> None:
+    """Reject a request whose list of p-wedges of the n*n variables alone
+    would not fit in the memory cap, before anything is enumerated."""
+    wedges = comb(n * n, p)
+    if wedges * _BYTES_PER_WEDGE > memory_cap_bytes:
+        raise ValueError(
+            f"the {name} map at n={n}, p={p} enumerates {wedges} wedges, about "
+            f"{wedges * _BYTES_PER_WEDGE >> 20} MiB, over the memory cap of "
+            f"{memory_cap_bytes >> 20} MiB"
+        )
+
+
 def _check_minor_args(n: int, d: int, p: int,
                       memory_cap_bytes: int = DEFAULT_MEMORY_CAP_BYTES) -> None:
-    """Reject a bad request, or one whose list of p-wedges alone would not
-    fit in the memory cap, before anything is enumerated."""
+    """Reject a bad request to the minor map, or an oversized one
+    (`_check_wedge_count`), before anything is enumerated."""
     if p not in (1, 2):
         raise ValueError(f"p must be 1 or 2, got {p}")
     if not 1 <= d <= n - 1:
         raise ValueError(f"need 1 <= d <= n-1, got d={d}, n={n}")
-    wedges = comb(n * n, p)
-    if wedges * _BYTES_PER_WEDGE > memory_cap_bytes:
-        raise ValueError(
-            f"the minor map at n={n}, p={p} enumerates {wedges} wedges, about "
-            f"{wedges * _BYTES_PER_WEDGE >> 20} MiB, over the memory cap of "
-            f"{memory_cap_bytes >> 20} MiB"
-        )
+    _check_wedge_count("minor", n, p, memory_cap_bytes)
 
 
 def _arrangements(weight: tuple[int, ...]) -> int:
@@ -284,7 +290,7 @@ def highest_weight_blocks(n: int, d: int, p: int,
 
     _check_minor_args(n, d, p, memory_cap_bytes)
     sizes: dict = {}
-    for a, b, _ in candidate_image(n, d, p).entries:
+    for a, b, _ in candidate_image(n, d, p):
         wa, wb = _padded(a, n), _padded(b, n)
         sizes[min((wa, wb), (wb, wa))] = 1 if wa == wb else 2
     return _minor_blocks(n, p, [(size, weight) for weight, size in sizes.items()])
@@ -335,7 +341,7 @@ def image_modules(n: int, d: int, p: int, ranks_by_weight: dict,
     check_module_prime(n, d, p, prime)
     K = cache(kostka)  # few distinct shapes, each pair met many times
     solved = []
-    candidates = sorted(candidate_image(n, d, p).entries,
+    candidates = sorted(candidate_image(n, d, p),
                         key=lambda e: (_padded(e[0], n), _padded(e[1], n)), reverse=True)
     for a, b, schur_max in candidates:
         wa, wb = _padded(a, n), _padded(b, n)
@@ -359,7 +365,8 @@ def monomials_of_degree(nv: int, d: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _full_domain_factors(P: Polynomial, d: int, p: int) -> tuple[list, list]:
+def _full_domain_factors(P: Polynomial, d: int, p: int,
+                         memory_cap_bytes: int) -> tuple[list, list]:
     """The two factors of the full Koszul map's columns (w, a): the
     p-wedges w and the dual monomials a of degree d, each in basis order;
     the columns are every w with every a, w-major."""
@@ -368,6 +375,7 @@ def _full_domain_factors(P: Polynomial, d: int, p: int) -> tuple[list, list]:
         raise ValueError(f"need 1 <= d <= degree-1, got d={d}, degree={P.degree}")
     if not 0 <= p <= nv - 1:
         raise ValueError(f"need 0 <= p <= {nv - 1}, got p={p}")
+    _check_wedge_count("full", P.n, p, memory_cap_bytes)
     return list(combinations(range(nv), p)), monomials_of_degree(nv, d)
 
 
@@ -393,7 +401,8 @@ def full_column_image(P: Polynomial, label, derivs: dict) -> list:
     return out
 
 
-def _full_column_groups(P: Polynomial, d: int, p: int, size_of) -> list:
+def _full_column_groups(P: Polynomial, d: int, p: int, size_of,
+                        memory_cap_bytes: int) -> list:
     """The columns (w, a) of the full Koszul map grouped by their weight
     wt(w) - wt(a), as `polynomial_blocks` asks.
 
@@ -403,7 +412,7 @@ def _full_column_groups(P: Polynomial, d: int, p: int, size_of) -> list:
     symmetric P a kept weight decreases on each axis, so a wedge class is
     paired only with the dual classes whose A-part and B-part both leave
     it decreasing, found per axis."""
-    wedges, duals = _full_domain_factors(P, d, p)
+    wedges, duals = _full_domain_factors(P, d, p, memory_cap_bytes)
     if size_of is None:
         return [(1, None, [(w, a) for w in wedges for a in duals])]
     n = P.n
@@ -435,12 +444,14 @@ def _full_column_groups(P: Polynomial, d: int, p: int, size_of) -> list:
     return [(size_of(weight), weight, cols) for weight, cols in groups.items()]
 
 
-def full_koszul_blocks(P: Polynomial, d: int, p: int):
+def full_koszul_blocks(P: Polynomial, d: int, p: int,
+                       memory_cap_bytes: int = DEFAULT_MEMORY_CAP_BYTES):
     """Yield (orbit_size, block) for the full Koszul map of P (see
     `weight_blocks` and `polynomial_blocks`); the whole matrix is never
     built, and only the columns of kept weights are enumerated.  A column
     (w, a) has weight wt(w) - wt(a)."""
     derivs: dict = {}
-    return polynomial_blocks(P, lambda size_of: _full_column_groups(P, d, p, size_of),
-                             lambda label: full_column_image(P, label, derivs), "full_block")
+    return polynomial_blocks(
+        P, lambda size_of: _full_column_groups(P, d, p, size_of, memory_cap_bytes),
+        lambda label: full_column_image(P, label, derivs), "full_block")
 

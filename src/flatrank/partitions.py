@@ -6,9 +6,8 @@ with no trailing zeros; the empty tuple is the trivial partition.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
-from itertools import combinations
+from functools import cache
 from operator import le
 
 Partition = tuple[int, ...]
@@ -76,39 +75,24 @@ def pieri_row(pi: Partition, d: int, N: int) -> list[Partition]:
     """Partitions obtained from pi by adding d boxes, no two in the same column.
 
     This is the horizontal-strip (Pieri) rule for tensoring with the d-th
-    symmetric power; results with more than N rows are discarded.
+    symmetric power: row i grows from pi[i] to at most pi[i-1], the first
+    row without limit.  Results with more than N rows are discarded.
     """
     if len(pi) > N:
         return []
     results: list[Partition] = []
-    nrows = min(len(pi) + 1, N)
 
-    def extend(row: int, remaining: int, built: list[int]):
-        if row == nrows:
-            if remaining == 0:
-                results.append(make_partition(built))
-            return
-        old = pi[row] if row < len(pi) else 0
-        below = pi[row + 1] if row + 1 < len(pi) else 0
-        # horizontal strip: old <= new <= old + remaining, and the row below
-        # may grow at most up to old (no two added boxes in one column)
-        upper = old + remaining
-        if row > 0:
-            upper = min(upper, built[-1])
-        for new in range(old, upper + 1):
-            # all lower rows must stay >= below; new boxes in lower rows are
-            # capped by `old` via the strip condition checked at that level
-            extend(row + 1, remaining - (new - old), built + [new])
+    def grow(i: int, left: int, built: Partition):
+        if left == 0:
+            results.append(built + pi[i:])
+        elif i <= len(pi) and i < N:
+            old = pi[i] if i < len(pi) else 0
+            most = left if i == 0 else min(left, pi[i - 1] - old)
+            for add in range(most + 1):
+                grow(i + 1, left - add, built + (old + add,))
 
-    # strip condition between consecutive rows: mu[i+1] <= pi[i]; enforce here
-    def valid(mu: Partition) -> bool:
-        for i in range(1, len(mu)):
-            if mu[i] > (pi[i - 1] if i - 1 < len(pi) else 0):
-                return False
-        return True
-
-    extend(0, d, [])
-    return [mu for mu in results if valid(mu)]
+    grow(0, d, ())
+    return results
 
 
 def kostka(shape: Partition, content) -> int:
@@ -137,93 +121,37 @@ def kostka(shape: Partition, content) -> int:
 def pieri_column(pi: Partition, k: int, N: int) -> list[Partition]:
     """Partitions obtained from pi by adding k boxes, no two in the same row.
 
-    Vertical-strip rule for tensoring with the k-th exterior power; results
+    Vertical-strip rule for tensoring with the k-th exterior power: the
+    conjugates of the horizontal strips added to conjugate(pi).  Results
     with more than N rows are discarded.
     """
-    if k == 0:
-        return [pi] if len(pi) <= N else []
-    results = []
-    nrows = len(pi) + k
-    for rows in combinations(range(nrows), k):
-        mu = list(pi) + [0] * k
-        for r in rows:
-            mu[r] += 1
-        try:
-            cand = make_partition(mu)
-        except ValueError:
-            continue
-        if len(cand) <= N:
-            results.append(cand)
-    # combinations over row positions can hit the same shape at most once
-    return results
+    pc = conjugate(pi)
+    return [mu for mu in map(conjugate, pieri_row(pc, k, len(pc) + 1)) if len(mu) <= N]
 
 
-class ModuleList:
-    """Multiset of irreducible GL x GL modules with multiplicities."""
-
-    def __init__(self, entries: list[tuple[Partition, Partition, int]] | None = None):
-        self.entries = [] if entries is None else entries
-
-    def add(self, a: Partition, b: Partition, mult: int = 1) -> None:
-        for idx, (ea, eb, m) in enumerate(self.entries):
-            if ea == a and eb == b:
-                self.entries[idx] = (ea, eb, m + mult)
-                return
-        self.entries.append((a, b, mult))
-
-    def multiplicity(self, a: Partition, b: Partition) -> int:
-        for ea, eb, m in self.entries:
-            if ea == a and eb == b:
-                return m
-        return 0
-
-    def sorted(self) -> "ModuleList":
-        return ModuleList(sorted(self.entries))
-
-    def total_dimension(self, N: int) -> int:
-        return sum(m * schur_dim(a, N) * schur_dim(b, N) for a, b, m in self.entries)
-
-    def to_json(self, N: int) -> str:
-        records = [
-            {
-                "a": list(a),
-                "b": list(b),
-                "mult": m,
-                "dim_a": schur_dim(a, N),
-                "dim_b": schur_dim(b, N),
-            }
-            for a, b, m in self.sorted().entries
-        ]
-        records.append({"total_dim": self.total_dimension(N)})
-        return json.dumps(records)
+def cauchy_wedge(p: int, n: int) -> dict:
+    """Decompose the p-th exterior power of A tensor B, both spaces
+    n-dimensional: {(lam, conjugate(lam)): 1} for each partition lam of p
+    fitting in an n x n box."""
+    return {(lam, conjugate(lam)): 1 for lam in partitions_of(p, n) if len(lam) <= n}
 
 
-def cauchy_wedge(p: int, Na: int, Nb: int) -> ModuleList:
-    """Decompose the p-th exterior power of a tensor product of spaces.
-
-    One entry (lam, conjugate(lam), 1) per partition lam of p fitting in an
-    Na x Nb box.
-    """
-    ml = ModuleList()
-    for lam in partitions_of(p):
-        if len(lam) <= Na and len(conjugate(lam)) <= Nb:
-            ml.add(lam, conjugate(lam), 1)
-    return ml
-
-
-def _decompose_wedge_tensor(wedge: int, p: int, n: int) -> ModuleList:
-    """Decomposition of wedge^wedge(A) x wedge^wedge(B) x wedge^p(A tensor B)
-    over GL(A) x GL(B), both spaces n-dimensional."""
-    out = ModuleList()
-    for lam, lamc, mult in cauchy_wedge(p, n, n).entries:
+def _decompose_wedge_tensor(wedge: int, p: int, n: int) -> dict:
+    """Decomposition {(a, b): multiplicity} of
+    wedge^wedge(A) x wedge^wedge(B) x wedge^p(A tensor B) over
+    GL(A) x GL(B), both spaces n-dimensional."""
+    out: dict = {}
+    for (lam, lamc), mult in cauchy_wedge(p, n).items():
         for a in pieri_column(lam, wedge, n):
             for b in pieri_column(lamc, wedge, n):
-                out.add(a, b, mult)
-    return out.sorted()
+                out[a, b] = out.get((a, b), 0) + mult
+    return out
 
 
-def candidate_image(n: int, d: int, p: int) -> ModuleList:
-    """Modules that can appear in the image of the minor-indexed Koszul map.
+@cache
+def candidate_image(n: int, d: int, p: int) -> tuple[tuple[Partition, Partition, int], ...]:
+    """Modules that can appear in the image of the minor-indexed Koszul map,
+    as sorted (a, b, multiplicity) triples for S_a(A) x S_b(B).
 
     Intersection (with minimum multiplicities) of the domain decomposition
     with the codomain decomposition.  No shape has more than n rows:
@@ -235,14 +163,16 @@ def candidate_image(n: int, d: int, p: int) -> ModuleList:
         raise ValueError(f"need 0 < d < n, got d={d}, n={n}")
     domain = _decompose_wedge_tensor(n - d, p, n)
     codomain = _decompose_wedge_tensor(n - d - 1, p + 1, n)
-    out = ModuleList()
-    for a, b, m in domain.entries:
-        mc = codomain.multiplicity(a, b)
-        if mc > 0:
-            out.add(a, b, min(m, mc))
-    return out.sorted()
+    return tuple(sorted((a, b, min(m, codomain[a, b]))
+                        for (a, b), m in domain.items() if (a, b) in codomain))
+
+
+def total_dimension(modules, N: int) -> int:
+    """Dimension of a sum of modules given as (a, b, multiplicity) triples,
+    over N-dimensional spaces."""
+    return sum(m * schur_dim(a, N) * schur_dim(b, N) for a, b, m in modules)
 
 
 def theoretical_image_dim(n: int, d: int, p: int) -> int:
     """Dimension of the candidate image over n-dimensional spaces."""
-    return candidate_image(n, d, p).total_dimension(n)
+    return total_dimension(candidate_image(n, d, p), n)

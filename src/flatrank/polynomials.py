@@ -74,9 +74,6 @@ class Polynomial:
                 terms.pop(exps, None)
         return Polynomial(self.n, self.degree, terms)
 
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + other.scale(Fraction(-1))
-
     def scale(self, c) -> "Polynomial":
         c = Fraction(c)
         if c == 0:

@@ -15,9 +15,9 @@ from math import comb, lcm
 
 from flatrank import flattening
 from flatrank.bounds import f_formula
+from flatrank.exact_linalg import DEFAULT_MEMORY_CAP_BYTES
 from flatrank.flattening import FlatteningMatrix, full_column_image, monomials_of_degree
 from flatrank.partitions import (
-    ModuleList,
     Partition,
     _decompose_wedge_tensor,
     conjugate,
@@ -211,7 +211,7 @@ def minor_koszul_matrix(n: int, d: int, p: int) -> FlatteningMatrix:
 
 def full_domain_basis(P: Polynomial, d: int, p: int) -> list:
     """Columns of the full Koszul map: (p-wedge, dual monomial of degree d)."""
-    wedges, duals = flattening._full_domain_factors(P, d, p)
+    wedges, duals = flattening._full_domain_factors(P, d, p, DEFAULT_MEMORY_CAP_BYTES)
     return [(w, a) for w in wedges for a in duals]
 
 
@@ -237,13 +237,14 @@ def full_koszul_matrix(P: Polynomial, d: int, p: int) -> FlatteningMatrix:
 # ---------------------------------------------------------------------------
 # modules
 
-def decompose_wedge_product(n: int, d: int, p: int) -> ModuleList:
-    """Full decomposition of the domain of the minor-indexed Koszul map."""
+def decompose_wedge_product(n: int, d: int, p: int) -> tuple:
+    """Full decomposition of the domain of the minor-indexed Koszul map, as
+    sorted (a, b, multiplicity) triples."""
     if not 0 < d < n:
         raise ValueError(f"need 0 < d < n, got d={d}, n={n}")
     if p < 0:
         raise ValueError(f"need p >= 0, got {p}")
-    return _decompose_wedge_tensor(n - d, p, n)
+    return tuple(sorted((a, b, m) for (a, b), m in _decompose_wedge_tensor(n - d, p, n).items()))
 
 
 def theoretical_matches_f(n: int, d: int) -> bool:

@@ -73,9 +73,9 @@ class TestFormulas:
             assert main_theorem_value(n).integer_bound > classical
 
     def test_f_formula_matches_module_dimensions(self):
-        for n in range(4, 9):
-            for d in range(2, n - 1):
-                assert theoretical_matches_f(n, d)
+        cases = [(n, d) for n in range(4, 9) for d in range(2, n - 1)]
+        for n, d in cases + [(100, 50), (200, 100)]:
+            assert theoretical_matches_f(n, d)
 
     def test_image_dim_identity(self):
         for n in range(5, 13):

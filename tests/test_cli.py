@@ -8,7 +8,12 @@ import pytest
 
 import flatrank
 from flatrank.cli import main
-from flatrank.partitions import theoretical_image_dim
+from flatrank.partitions import (
+    candidate_image,
+    schur_dim,
+    theoretical_image_dim,
+    total_dimension,
+)
 from flatrank.polynomials import determinant_poly
 
 
@@ -31,6 +36,56 @@ class TestDecompose:
         )
         data = json.loads(out)
         assert data[-1] == {"total_dim": 560}
+
+    def test_json_records(self, capsys):
+        """One record per candidate module, with its Schur dimensions, then
+        the total dimension."""
+        code, out = run(
+            ["decompose", "--n", "5", "--d", "2", "--p", "2", "--format", "json"], capsys)
+        modules = candidate_image(5, 2, 2)
+        assert json.loads(out) == [
+            {"a": list(a), "b": list(b), "mult": m,
+             "dim_a": schur_dim(a, 5), "dim_b": schur_dim(b, 5)} for a, b, m in modules
+        ] + [{"total_dim": total_dimension(modules, 5)}]
+
+    @pytest.mark.parametrize("argv,expected", [
+        (["--n", "4", "--d", "2", "--p", "1"],
+         "  (1, 1, 1) x (2, 1)  mult 1  dim 4*20 = 80\n"
+         "  (2, 1) x (1, 1, 1)  mult 1  dim 20*4 = 80\n"
+         "  (2, 1) x (2, 1)  mult 1  dim 20*20 = 400\n"
+         "total dimension: 560\n"),
+        (["--n", "4", "--d", "2", "--p", "1", "--format", "json"],
+         '[{"a": [1, 1, 1], "b": [2, 1], "mult": 1, "dim_a": 4, "dim_b": 20}, '
+         '{"a": [2, 1], "b": [1, 1, 1], "mult": 1, "dim_a": 20, "dim_b": 4}, '
+         '{"a": [2, 1], "b": [2, 1], "mult": 1, "dim_a": 20, "dim_b": 20}, '
+         '{"total_dim": 560}]\n'),
+        (["--n", "5", "--d", "2", "--p", "2"],
+         "  (1, 1, 1, 1, 1) x (3, 1, 1)  mult 1  dim 1*126 = 126\n"
+         "  (2, 1, 1, 1) x (2, 1, 1, 1)  mult 1  dim 24*24 = 576\n"
+         "  (2, 1, 1, 1) x (2, 2, 1)  mult 1  dim 24*75 = 1800\n"
+         "  (2, 1, 1, 1) x (3, 1, 1)  mult 1  dim 24*126 = 3024\n"
+         "  (2, 2, 1) x (2, 1, 1, 1)  mult 1  dim 75*24 = 1800\n"
+         "  (2, 2, 1) x (3, 1, 1)  mult 1  dim 75*126 = 9450\n"
+         "  (3, 1, 1) x (1, 1, 1, 1, 1)  mult 1  dim 126*1 = 126\n"
+         "  (3, 1, 1) x (2, 1, 1, 1)  mult 1  dim 126*24 = 3024\n"
+         "  (3, 1, 1) x (2, 2, 1)  mult 1  dim 126*75 = 9450\n"
+         "total dimension: 29376\n"
+         "f(n,d)*C(n,d)^2: 29376\n"),
+        (["--n", "5", "--d", "2", "--p", "2", "--format", "json"],
+         '[{"a": [1, 1, 1, 1, 1], "b": [3, 1, 1], "mult": 1, "dim_a": 1, "dim_b": 126}, '
+         '{"a": [2, 1, 1, 1], "b": [2, 1, 1, 1], "mult": 1, "dim_a": 24, "dim_b": 24}, '
+         '{"a": [2, 1, 1, 1], "b": [2, 2, 1], "mult": 1, "dim_a": 24, "dim_b": 75}, '
+         '{"a": [2, 1, 1, 1], "b": [3, 1, 1], "mult": 1, "dim_a": 24, "dim_b": 126}, '
+         '{"a": [2, 2, 1], "b": [2, 1, 1, 1], "mult": 1, "dim_a": 75, "dim_b": 24}, '
+         '{"a": [2, 2, 1], "b": [3, 1, 1], "mult": 1, "dim_a": 75, "dim_b": 126}, '
+         '{"a": [3, 1, 1], "b": [1, 1, 1, 1, 1], "mult": 1, "dim_a": 126, "dim_b": 1}, '
+         '{"a": [3, 1, 1], "b": [2, 1, 1, 1], "mult": 1, "dim_a": 126, "dim_b": 24}, '
+         '{"a": [3, 1, 1], "b": [2, 2, 1], "mult": 1, "dim_a": 126, "dim_b": 75}, '
+         '{"total_dim": 29376}]\n'),
+    ])
+    def test_output_is_pinned(self, capsys, argv, expected):
+        """The table and JSON outputs, byte for byte."""
+        assert run(["decompose", *argv], capsys) == (0, expected)
 
 
 class TestBound:

@@ -254,7 +254,7 @@ class TestHighestWeightBlocks:
         """Each block sits at a padded candidate highest weight (wa, wb) with
         wa <= wb, and the sizes count every candidate weight once."""
         pad = lambda shape: tuple(shape) + (0,) * (n - len(shape))
-        weights = {(pad(a), pad(b)) for a, b, _ in candidate_image(n, d, p).entries}
+        weights = {(pad(a), pad(b)) for a, b, _ in candidate_image(n, d, p)}
         blocks = list(highest_weight_blocks(n, d, p))
         assert {B.weight for _, B in blocks} == {w for w in weights if w[0] <= w[1]}
         assert sum(size for size, _ in blocks) == len(weights)
@@ -270,7 +270,7 @@ class TestHighestWeightBlocks:
         assert len(cert.modules) == 9
         assert all(rec["m"] == rec["schur_max"] == 1 for rec in cert.modules)
         assert [(tuple(r["a"]), tuple(r["b"]), r["schur_max"]) for r in cert.modules] == \
-            sorted(candidate_image(5, 2, 2).entries, reverse=True)
+            sorted(candidate_image(5, 2, 2), reverse=True)
 
     def test_inconsistent_block_ranks_raise(self):
         """A negative multiplicity, or one above its Schur maximum, is an
@@ -418,6 +418,15 @@ class TestFullMap:
                 build(determinant_poly(3), 3, 1)
             with pytest.raises(ValueError):
                 build(determinant_poly(2), 1, 4)
+
+    def test_oversized_request_fails_before_enumeration(self, monkeypatch):
+        """C(64, 8) wedges would not fit in any cap; C(49, 5) fit the default
+        cap but not 256 MiB, which `flattening_blocks` passes on."""
+        monkeypatch.setattr(flattening, "combinations", None)  # enumerating would crash
+        with pytest.raises(ValueError, match="the full map at n=8, p=8 enumerates 4426165368"):
+            full_koszul_blocks(variable_power((8, 8), 8, 8), 2, 8)
+        with pytest.raises(ValueError, match="over the memory cap of 256 MiB"):
+            flattening_blocks("koszul-full", "power", 7, 2, 5, memory_cap_bytes=256 << 20)
 
 
 

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from flatrank.partitions import (
-    ModuleList,
     candidate_image,
     cauchy_wedge,
     conjugate,
@@ -17,6 +16,7 @@ from flatrank.partitions import (
     pieri_row,
     schur_dim,
     theoretical_image_dim,
+    total_dimension,
 )
 from oracles import decompose_wedge_product, kostka_number
 
@@ -126,6 +126,18 @@ class TestPieri:
             (3, 2), (3, 1, 1), (2, 2, 1), (2, 1, 1, 1)
         }
 
+    @pytest.mark.parametrize("size", range(7))
+    def test_matches_brute_force_on_every_small_case(self, size):
+        for pi in partitions_of(size):
+            for k in range(5):
+                for N in range(9):
+                    for rule, same_column_forbidden in ((pieri_row, True),
+                                                        (pieri_column, False)):
+                        got = rule(pi, k, N)
+                        want = {m for m in brute_force_add_boxes(pi, k, same_column_forbidden)
+                                if len(m) <= N}
+                        assert len(got) == len(set(got)) and set(got) == want
+
     @given(partitions, st.integers(1, 4), st.integers(1, 9))
     def test_row_matches_brute_force(self, pi, d, N):
         got = set(pieri_row(pi, d, N))
@@ -170,38 +182,43 @@ class TestKostka:
         assert kostka((2,), (1, 1, 1)) == 0
 
 
+def triples(modules: dict) -> list:
+    """A {(a, b): multiplicity} decomposition as (a, b, multiplicity) triples."""
+    return [(a, b, m) for (a, b), m in modules.items()]
+
+
 class TestCauchyWedge:
     def test_examples(self):
-        ml = cauchy_wedge(2, 3, 3)
-        assert set(ml.entries) == {((2,), (1, 1), 1), ((1, 1), (2,), 1)}
-        assert ml.total_dimension(3) == comb(9, 2)
-        assert cauchy_wedge(0, 4, 4).entries == [((), (), 1)]
-        ml1 = cauchy_wedge(1, 4, 4)
-        assert ml1.entries == [((1,), (1,), 1)]
-        assert ml1.total_dimension(4) == 16
+        ml = cauchy_wedge(2, 3)
+        assert ml == {((2,), (1, 1)): 1, ((1, 1), (2,)): 1}
+        assert total_dimension(triples(ml), 3) == comb(9, 2)
+        assert cauchy_wedge(0, 4) == {((), ()): 1}
+        ml1 = cauchy_wedge(1, 4)
+        assert ml1 == {((1,), (1,)): 1}
+        assert total_dimension(triples(ml1), 4) == 16
 
     @pytest.mark.parametrize("p", range(5))
     @pytest.mark.parametrize("N", range(2, 7))
     def test_total_dimension(self, p, N):
-        assert cauchy_wedge(p, N, N).total_dimension(N) == comb(N * N, p)
+        assert total_dimension(triples(cauchy_wedge(p, N)), N) == comb(N * N, p)
 
 
 class TestDecompose:
     def test_no_wedge_factor(self):
-        assert decompose_wedge_product(5, 2, 0).entries == [
-            ((1, 1, 1), (1, 1, 1), 1)
-        ]
+        assert decompose_wedge_product(5, 2, 0) == (
+            ((1, 1, 1), (1, 1, 1), 1),
+        )
 
     def test_dimension_bookkeeping(self):
-        assert decompose_wedge_product(5, 2, 2).total_dimension(5) == 100 * 300
+        assert total_dimension(decompose_wedge_product(5, 2, 2), 5) == 100 * 300
         for n in range(2, 7):
             for d in range(1, n):
                 for p in (1, 2):
                     ml = decompose_wedge_product(n, d, p)
-                    assert ml.total_dimension(n) == comb(n, d) ** 2 * comb(n * n, p)
+                    assert total_dimension(ml, n) == comb(n, d) ** 2 * comb(n * n, p)
 
     def test_four_term_sum(self):
-        got = set(decompose_wedge_product(4, 2, 1).entries)
+        got = set(decompose_wedge_product(4, 2, 1))
         assert got == {
             ((2, 1), (1, 1, 1), 1),
             ((1, 1, 1), (2, 1), 1),
@@ -218,7 +235,7 @@ class TestDecompose:
 
 class TestCandidateImage:
     def test_three_module_list(self):
-        got = set(candidate_image(6, 3, 1).entries)
+        got = set(candidate_image(6, 3, 1))
         assert got == {
             ((2, 1, 1), (1, 1, 1, 1), 1),
             ((1, 1, 1, 1), (2, 1, 1), 1),
@@ -242,14 +259,14 @@ class TestCandidateImage:
             ((2, 2) + one(m - 2), (2,) + one(m)),
         }
         got = candidate_image(6, 3, 2)
-        assert {(a, b) for a, b, _ in got.entries} == expected
-        assert all(mult == 1 for _, _, mult in got.entries)
+        assert {(a, b) for a, b, _ in got} == expected
+        assert all(mult == 1 for _, _, mult in got)
 
     def test_length_filter_at_n3(self):
         got = candidate_image(3, 1, 2)
-        assert all(len(a) <= 3 and len(b) <= 3 for a, b, _ in got.entries)
+        assert all(len(a) <= 3 and len(b) <= 3 for a, b, _ in got)
         # (1^4) and (2,1,1,1) shapes are dropped at n=3
-        assert len(got.entries) < 9
+        assert len(got) < 9
 
     def test_rejects_bad_p(self):
         with pytest.raises(ValueError):
@@ -270,21 +287,7 @@ class TestTheoreticalImageDim:
                 )
 
 
-class TestModuleList:
-    def test_json_round_trip_shape(self):
-        import json
-
-        ml = ModuleList([((3, 1), (1, 1, 1, 1), 1)])
-        data = json.loads(ml.to_json(5))
-        assert data[0] == {
-            "a": [3, 1],
-            "b": [1, 1, 1, 1],
-            "mult": 1,
-            "dim_a": schur_dim((3, 1), 5),
-            "dim_b": schur_dim((1, 1, 1, 1), 5),
-        }
-        assert data[-1] == {"total_dim": ml.total_dimension(5)}
-
+class TestPartitionsOf:
     def test_partitions_of(self):
         assert sorted(partitions_of(4)) == [
             (1, 1, 1, 1), (2, 1, 1), (2, 2), (3, 1), (4,)
