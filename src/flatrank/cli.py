@@ -51,28 +51,26 @@ def flattening_blocks(method: str, spec: str, n: int, d: int | None, p: int | No
     of the same map, is `verify`'s second route for it.  The pieri method
     ignores d and p.  Only the construction module of the method is
     imported."""
-    if method in ("koszul-minor", "minor-orbits"):
-        if spec != "det":
-            raise ValueError("koszul-minor is only defined for --poly det")
-        from . import flattening
+    if method == "pieri":
+        if n != 3:
+            raise ValueError("the pieri method is supported at n=3 only")
+        from .schur_flattening import PI3, PIERI_ROWS, PIERI_T, pieri_blocks
 
-        # the minor map is built from n alone
-        if method == "minor-orbits":
-            blocks = flattening.minor_orbit_blocks(n, d, p)
-        else:
-            blocks = flattening.highest_weight_blocks(n, d, p, memory_cap_bytes)
-        return list(blocks), comb(n * n - 1, p)
-    poly = load_polynomial(spec, n)
+        return list(pieri_blocks(load_polynomial(spec, n), PI3, PIERI_ROWS)), PIERI_T
+    from . import flattening
+
     if method == "koszul-full":
-        from . import flattening
-
-        blocks = flattening.full_koszul_blocks(poly, d, p, memory_cap_bytes)
-        return list(blocks), comb(n * n - 1, p)
-    if n != 3:
-        raise ValueError("the pieri method is supported at n=3 only")
-    from .schur_flattening import PI3, PIERI_ROWS, PIERI_T, pieri_blocks
-
-    return list(pieri_blocks(poly, PI3, PIERI_ROWS)), PIERI_T
+        # refuse an oversized request before the polynomial takes seconds to build
+        flattening.check_full_size(n, d, p, memory_cap_bytes)
+        blocks = flattening.full_koszul_blocks(load_polynomial(spec, n), d, p,
+                                               memory_cap_bytes)
+    elif spec != "det":
+        raise ValueError("koszul-minor is only defined for --poly det")
+    elif method == "minor-orbits":
+        blocks = flattening.minor_orbit_blocks(n, d, p)
+    else:
+        blocks = flattening.highest_weight_blocks(n, d, p, memory_cap_bytes)
+    return list(blocks), comb(n * n - 1, p)
 
 
 def certify(method: str, blocks: list, n: int, d: int | None, p: int | None,

@@ -35,14 +35,18 @@ from .polynomials import (
     monomial,
     partial,
     torus_weight,
-    var_index,
 )
 
 Wedge = tuple[int, ...]
 MinorLabel = tuple[tuple[int, ...], tuple[int, ...], Wedge]
-# peak build memory per p-wedge: the wedge list, its row and column groups
-# and the blocks (a traced peak of 344 bytes at n=30, p=2)
+# build memory charged per p-wedge: the full map lists every wedge, and the
+# minor map, which lists each weight's cells only, peaks below the charge
+# (p=2: max RSS 295 MiB against 487 MiB at n=40, 584 MiB against 1012 MiB at n=48)
 _BYTES_PER_WEDGE = 400
+# per dual monomial of the full map, beyond its tuple's 8 bytes per variable
+# (traced peaks of the dual list and its weight classes: 232, 384 and 680
+# bytes per dual at (n, d) = (3, 4), (5, 3) and (8, 3))
+_BYTES_PER_DUAL = 200
 
 
 def wedge_insert(w: Wedge, x: int) -> tuple[int, Wedge] | None:
@@ -84,22 +88,18 @@ class FlatteningMatrix:
 def minor_column_image(n: int, label: MinorLabel) -> list[tuple[MinorLabel, int]]:
     """Image of one domain basis element of the minor-indexed map.
 
-    The sign for (i, j) in I x J is (-1) to the sum of the 1-based
-    positions of i in I and j in J (Laplace-expansion signs), times the
-    wedge insertion sign.
+    The sign for (i, j) in I x J is (-1) to the sum of the positions of i
+    in I and j in J (Laplace-expansion signs), times the wedge insertion
+    sign.
     """
     I, J, w = label
     out = []
-    for pi, i in enumerate(I, start=1):
-        for pj, j in enumerate(J, start=1):
-            ins = wedge_insert(w, var_index(i, j, n))
-            if ins is None:
-                continue
-            wsign, neww = ins
-            sign = wsign if (pi + pj) % 2 == 0 else -wsign
-            newI = tuple(x for x in I if x != i)
-            newJ = tuple(x for x in J if x != j)
-            out.append(((newI, newJ, neww), sign))
+    for a, i in enumerate(I):
+        rest_I = I[:a] + I[a + 1:]
+        for b, j in enumerate(J):
+            if ins := wedge_insert(w, (i - 1) * n + j - 1):
+                wsign, neww = ins
+                out.append(((rest_I, J[:b] + J[b + 1:], neww), -wsign if (a + b) % 2 else wsign))
     return out
 
 
@@ -211,34 +211,22 @@ def _minor_blocks(n: int, p: int, weights):
     """`weight_blocks` of the minor-indexed map at the given (size, (wa,
     wb)) pairs, in that order.
 
-    A p-wedge w fixes the remainders I = wa - rows(w) and J = wb - cols(w),
-    which must be 0/1 vectors.  Wedges are grouped by their row (column)
-    multiset, so a remainder is computed once per group; a block's columns
-    are the wedges with both remainders, in wedge order."""
-    wedges = list(combinations(range(n * n), p))
-    groups: tuple[dict, dict] = ({}, {})  # 0-based rows (cols) of a wedge -> its indices
-    for k, w in enumerate(wedges):
-        groups[0].setdefault(tuple(x // n for x in w), []).append(k)
-        groups[1].setdefault(tuple(sorted(x % n for x in w)), []).append(k)
-    scans: dict = {}
-
-    def remainders(weight, axis):
-        """For each wedge index, in order, the 1-based remainder set, where 0/1."""
-        if (weight, axis) not in scans:
-            found = []
-            for content, ks in groups[axis].items():
-                rest = list(weight)
-                for i in content:
-                    rest[i] -= 1
-                if all(v in (0, 1) for v in rest):
-                    I = tuple(i + 1 for i, v in enumerate(rest) if v)
-                    found += ((k, I) for k in ks)
-            scans[weight, axis] = dict(sorted(found))
-        return scans[weight, axis]
+    A column's p-wedge w takes cells (i, j) with wa[i] and wb[j] nonzero,
+    in increasing order, so in wedge order; its remainders I = wa - rows(w)
+    and J = wb - cols(w) must be 0/1 vectors."""
 
     def columns(wa, wb):
-        rem_a, rem_b = remainders(wa, 0), remainders(wb, 1)
-        return [(I, rem_b[k], wedges[k]) for k, I in rem_a.items() if k in rem_b]
+        cells = [i * n + j for i in range(n) if wa[i] for j in range(n) if wb[j]]
+        out = []
+        for w in combinations(cells, p):
+            rest_a, rest_b = list(wa), list(wb)
+            for x in w:
+                rest_a[x // n] -= 1
+                rest_b[x % n] -= 1
+            if {*rest_a, *rest_b} <= {0, 1}:
+                out.append((tuple(i + 1 for i, v in enumerate(rest_a) if v),
+                            tuple(j + 1 for j, v in enumerate(rest_b) if v), w))
+        return out
 
     return weight_blocks(((size, (wa, wb), columns(wa, wb)) for size, (wa, wb) in weights),
                          lambda label: minor_column_image(n, label), "minor_block")
@@ -365,18 +353,30 @@ def monomials_of_degree(nv: int, d: int) -> list[tuple[int, ...]]:
     return out
 
 
+def check_full_size(n: int, d: int, p: int, memory_cap_bytes: int) -> None:
+    """Reject a bad p, or a full-map request whose p-wedges or dual monomials
+    of degree d would not fit in the memory cap; it needs no polynomial."""
+    nv = n * n
+    if not 0 <= p <= nv - 1:
+        raise ValueError(f"need 0 <= p <= {nv - 1}, got p={p}")
+    _check_wedge_count("full", n, p, memory_cap_bytes)
+    duals = comb(nv + d - 1, d) if d > 0 else 0
+    if (need := duals * (8 * nv + _BYTES_PER_DUAL)) > memory_cap_bytes:
+        raise ValueError(
+            f"the full map at n={n}, d={d} enumerates {duals} dual monomials, about "
+            f"{need >> 20} MiB, over the memory cap of {memory_cap_bytes >> 20} MiB"
+        )
+
+
 def _full_domain_factors(P: Polynomial, d: int, p: int,
                          memory_cap_bytes: int) -> tuple[list, list]:
     """The two factors of the full Koszul map's columns (w, a): the
     p-wedges w and the dual monomials a of degree d, each in basis order;
     the columns are every w with every a, w-major."""
-    nv = P.n * P.n
     if not 1 <= d <= P.degree - 1:
         raise ValueError(f"need 1 <= d <= degree-1, got d={d}, degree={P.degree}")
-    if not 0 <= p <= nv - 1:
-        raise ValueError(f"need 0 <= p <= {nv - 1}, got p={p}")
-    _check_wedge_count("full", P.n, p, memory_cap_bytes)
-    return list(combinations(range(nv), p)), monomials_of_degree(nv, d)
+    check_full_size(P.n, d, p, memory_cap_bytes)
+    return list(combinations(range(P.n * P.n), p)), monomials_of_degree(P.n * P.n, d)
 
 
 def full_column_image(P: Polynomial, label, derivs: dict) -> list:

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import flatrank
+from flatrank import cli
 from flatrank.cli import main
 from flatrank.partitions import (
     candidate_image,
@@ -150,7 +151,7 @@ class TestBound:
             assert all(m["m"] == m["schur_max"] == 1 for m in c["modules"])
             assert {"a", "b", "m", "schur_max"} == set(c["modules"][0])
 
-    @pytest.mark.parametrize("n,d,bound", [(7, 3, 1259), (8, 4, 4956)])
+    @pytest.mark.parametrize("n,d,bound", [(7, 3, 1259), (8, 4, 4956), (16, 8, 165908566)])
     def test_orbit_reduced_main_theorem(self, capsys, n, d, bound):
         code, out = run(
             ["bound", "--poly", "det", "--n", str(n), "--method", "koszul-minor",
@@ -268,6 +269,18 @@ class TestBound:
         assert code == 2
         assert err.startswith("flatrank: error: ") and message in err
         assert err.count("\n") == 1
+
+    def test_full_map_size_guard_runs_before_the_polynomial_is_built(
+            self, capsys, monkeypatch):
+        def build(spec, n):
+            raise AssertionError("the polynomial was built before the size check")
+
+        monkeypatch.setattr(cli, "load_polynomial", build)
+        code = main(["bound", "--poly", "det", "--n", "8", "--method", "koszul-full",
+                     "--d", "2", "--p", "8", "--memory-cap", "256"])
+        err = capsys.readouterr().err
+        assert code == 2 and err.count("\n") == 1
+        assert err.startswith("flatrank: error: the full map at n=8, p=8 enumerates")
 
     def test_rational_certificate_stands_when_the_prime_divides_a_denominator(
             self, capsys, tmp_path):

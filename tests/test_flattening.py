@@ -338,6 +338,31 @@ class TestColumnEnumeration:
         got = [(size, B.weight, B.cols) for size, B in pieri_blocks(poly, PI3, PIERI_ROWS)]
         assert got == _all_columns_grouped(ssyt_enumerate(PI3, 9), _tableau_weight, symmetric)
 
+    @pytest.mark.parametrize("n,d,p", [(3, 1, 2), (4, 2, 1), (4, 2, 2), (5, 2, 2)])
+    @pytest.mark.parametrize("route", [highest_weight_blocks, minor_orbit_blocks])
+    def test_minor_columns_per_weight(self, route, n, d, p):
+        """Each minor block holds the domain basis labels of its weight in
+        wedge order, and the rows and entries of the whole matrix at those
+        columns; each entry is the Laplace-signed derivative of its minor."""
+        M = whole_minor_matrix(n, d, p)
+        by_weight = group_by_weight(minor_domain_basis(n, d, p),
+                                    lambda label: _bidegree_of_label(label, n))
+        image = {label: [] for label in M.cols}
+        for r, c, v in M.entries:
+            image[M.cols[c]].append((M.rows[r], v))
+        minor = cache(minor_poly)
+        for _, B in route(n, d, p):
+            assert B.cols == sorted(by_weight[B.weight], key=lambda label: label[2])
+            want = [(rlabel, c, v)
+                    for c, label in enumerate(B.cols) for rlabel, v in image[label]]
+            assert B.rows == sorted({rlabel for rlabel, _, _ in want})
+            assert [(B.rows[r], c, v) for r, c, v in B.entries] == want
+            for (I2, J2, w2), c, v in want:
+                I, J, w = B.cols[c]
+                (x,) = set(w2) - set(w)
+                sign = wedge_insert(w, x)[0]
+                assert partial(minor(n, I, J), x).terms == minor(n, I2, J2).scale(v * sign).terms
+
     def test_non_graded_file_input_is_one_block_of_every_column(self, tmp_path):
         P = random_low_rank(2, 3, 3, 5)
         path = tmp_path / "cubic.json"
@@ -427,6 +452,16 @@ class TestFullMap:
             full_koszul_blocks(variable_power((8, 8), 8, 8), 2, 8)
         with pytest.raises(ValueError, match="over the memory cap of 256 MiB"):
             flattening_blocks("koszul-full", "power", 7, 2, 5, memory_cap_bytes=256 << 20)
+
+    def test_oversized_dual_request_fails_before_enumeration(self, monkeypatch):
+        """C(69, 6) dual monomials of degree 6 in 64 variables would not fit
+        in the default cap, though their 64 wedges would."""
+        monkeypatch.setattr(flattening, "monomials_of_degree", None)  # listing would crash
+        with pytest.raises(ValueError, match="the full map at n=8, d=6 enumerates 119877472 "
+                           "dual monomials"):
+            full_koszul_blocks(variable_power((8, 8), 8, 8), 6, 1)
+        with pytest.raises(ValueError, match="over the memory cap of 256 MiB"):
+            flattening_blocks("koszul-full", "power", 8, 6, 1, memory_cap_bytes=256 << 20)
 
 
 
