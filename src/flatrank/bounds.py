@@ -3,13 +3,11 @@ border-rank bound certificates."""
 
 from __future__ import annotations
 
-import json
-from fractions import Fraction
 from math import ceil, comb, factorial, pi
 
 
 class FormulaValue:
-    def __init__(self, n: int, name: str, value: Fraction):
+    def __init__(self, n: int, name: str, value):
         if value <= 0:
             raise ValueError("formula values must be positive")
         self.n, self.name, self.value = n, name, value
@@ -36,6 +34,8 @@ class BoundCertificate:
         return flattening_bound(self.rank_F, self.t)
 
     def to_json(self) -> str:
+        import json
+
         rec = {
             "poly": self.polynomial,
             "n": self.n,
@@ -61,6 +61,8 @@ def flattening_bound(rank_F: int, t: int) -> int:
 
 def preliminary_theorem_value(n: int) -> FormulaValue:
     """The closed-form bound from the wedge-1 minor map (valid for n >= 3)."""
+    from fractions import Fraction
+
     if n < 3:
         raise ValueError("defined for n >= 3")
     if n % 2 == 0:
@@ -72,6 +74,8 @@ def preliminary_theorem_value(n: int) -> FormulaValue:
 
 def main_theorem_value(n: int) -> FormulaValue:
     """The closed-form bound from the wedge-2 minor map (valid for n >= 5)."""
+    from fractions import Fraction
+
     if n < 5:
         raise ValueError("defined for n >= 5")
     if n % 2 == 0:
@@ -89,8 +93,10 @@ def main_theorem_value(n: int) -> FormulaValue:
     return FormulaValue(n, "main", val)
 
 
-def f_formula(n: int, d: int) -> Fraction:
+def f_formula(n: int, d: int):
     """The five-term rational factor with image dimension f(n,d) * C(n,d)^2."""
+    from fractions import Fraction
+
     if not 1 <= d <= n - 2:
         raise ValueError(f"need 1 <= d <= n-2, got d={d}, n={n}")
     m = n - d
@@ -131,8 +137,8 @@ def reference_bounds(n: int, which_poly: str = "det") -> dict:
     if n >= 5:
         out["main_bound"] = main_theorem_value(n).integer_bound
     out["symmetric_rank_lower"] = comb(n, half) ** 2 + n * n - (half + 1) ** 2
-    upper = Fraction(5, 6) ** (n // 3) * 2 ** (n - 1) * factorial(n)
-    out["symmetric_rank_upper"] = float(upper)
+    # int / int is correctly rounded, as float(Fraction) is
+    out["symmetric_rank_upper"] = 5 ** (n // 3) * 2 ** (n - 1) * factorial(n) / 6 ** (n // 3)
     out["asymptotic_estimate"] = 2 ** (2 * n + 1) / (pi * n) + 2 ** (2 * n + 1) / (
         pi * n**4
     )

@@ -1,21 +1,20 @@
 """Command-line interface: bound certificates, module decompositions, and
 the verification suites.
 
-Only `exact_linalg` and `bounds`, which every `bound` run uses, are
-imported with this module; each command imports the construction and
-combinatorics modules it runs, so a run loads only those of its method.
+Only `exact_linalg`, which every `bound` run uses, is imported with this
+module; each command imports the other modules it runs, so a run loads
+only those of its method and output format.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from math import comb
 from pathlib import Path
 
-from . import bounds, exact_linalg
+from . import exact_linalg
 from .exact_linalg import (
     MemoryCapExceeded,
     PrimeDividesDenominator,
@@ -96,6 +95,8 @@ def certify(method: str, blocks: list, n: int, d: int | None, p: int | None,
 
 
 def cmd_bound(args) -> int:
+    from . import bounds
+
     if args.memory_cap < 256:
         raise ValueError("--memory-cap must be at least 256 MiB")
     cap = args.memory_cap << 20
@@ -142,7 +143,9 @@ def cmd_bound(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    from . import partitions
+    import json
+
+    from . import bounds, partitions
 
     n, d, p = args.n, args.d, args.p
     modules = partitions.candidate_image(n, d, p)
@@ -170,6 +173,7 @@ def rank_checks(suite: str) -> list[tuple]:
     for the method.  A number's second route is another row (the minor map
     against the full map, or its highest-weight blocks against its orbit
     blocks) or the module dimension count as expected rank."""
+    from . import bounds
     from .partitions import theoretical_image_dim
     from .schur_flattening import PIERI_T
 
@@ -200,6 +204,8 @@ def rank_checks(suite: str) -> list[tuple]:
             ("minor(4,2,2) baseline", "koszul-minor", "det", 4, 2, 2, 4065, 39),
             ("full det4 (d=2, p=2) = minor(4,2,2) = image dim", "koszul-full",
              "det", 4, 2, 2, theoretical_image_dim(4, 2, 2), 39),
+            ("full det3 (d=1, p=4) = pieri det3", "koszul-full", "det", 3, 1, 4, 950, 14),
+            ("full perm3 (d=1, p=4) = pieri perm3", "koszul-full", "perm", 3, 1, 4, 934, 14),
         ]
     return rows
 
@@ -214,6 +220,7 @@ def run_suite(suite: str) -> bool:
     """quick: the dimension and formula checks and the small ranks; paper:
     those, the paper's ranks and the hwv checks; hwv: the hwv checks.
     Ranks are taken mod `exact_linalg.DEFAULT_PRIME`."""
+    from . import bounds
     from .hwv import ALL_LEMMAS, verify_hwv_nonzero
     from .partitions import schur_dim
     from .schur_flattening import PI3

@@ -13,10 +13,16 @@ lower bound.
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 import time
-from fractions import Fraction
+
+try:  # CPython's built-in sha256 (`_sha2` from 3.12): `hashlib` would load OpenSSL
+    from _sha256 import sha256
+except ImportError:
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 DEFAULT_PRIME = 1073741789
 DEFAULT_MEMORY_CAP_BYTES = 4 << 30
@@ -109,9 +115,12 @@ def sparse_rank(
     entries of eliminated pivot rows.
 
     p=None runs over the rationals with Fraction arithmetic; otherwise all
-    entries are reduced mod p first: an int directly, any other value as a
-    Fraction (`PrimeDividesDenominator` if its denominator vanishes).
+    entries are reduced mod p first: an int directly, any other rational
+    by its numerator and denominator (`PrimeDividesDenominator` if the
+    denominator vanishes).
     """
+    if p is None:
+        from fractions import Fraction
     cap_entries = memory_cap_bytes // _BYTES_PER_ENTRY
     rows: dict[int, dict[int, object]] = {}
     col_rows: dict[int, set[int]] = {}
@@ -122,14 +131,13 @@ def sparse_rank(
         elif isinstance(v, int):
             val = v % p
         else:
-            val = Fraction(v)
-            den = val.denominator % p
+            den = v.denominator % p
             if den == 0:
                 raise PrimeDividesDenominator(
                     f"the denominator of entry ({r},{c}) is divisible by the prime "
                     f"{p}; choose another prime with --prime"
                 )
-            val = val.numerator % p * pow(den, p - 2, p) % p
+            val = v.numerator % p * pow(den, p - 2, p) % p
         if not val:
             continue
         row = rows.setdefault(r, {})
@@ -209,7 +217,7 @@ def _certified_rank(blocks, p: int | None, memory_cap_bytes: int) -> RankCertifi
     covers each block's basis and entries with its orbit size."""
     rank = total = 0
     elapsed = 0.0
-    h = hashlib.sha256()
+    h = sha256()
     block_ranks = []
     for size, B in blocks:
         t0 = time.perf_counter()

@@ -14,28 +14,20 @@ grouped by weight, and `weight_blocks` builds one block per kept weight:
 one per symmetry orbit for a symmetric polynomial.  No whole matrix is
 built.  The minor map is certified from fewer blocks still: those at the
 highest weights of its candidate image modules (`highest_weight_blocks`),
-whose ranks give the modules' multiplicities (`image_modules`).
+whose ranks give the modules' multiplicities (`image_modules`).  The minor
+map needs no polynomial, so only the code of the other maps imports
+`polynomials`.
 """
 
 from __future__ import annotations
 
-import hashlib
+from bisect import bisect_left
 from functools import cache
 from itertools import chain, combinations, combinations_with_replacement
 from math import comb, factorial
 from operator import ge, sub
 
-from .exact_linalg import DEFAULT_MEMORY_CAP_BYTES
-from .polynomials import (
-    Polynomial,
-    contract,
-    exponent_variables,
-    is_bigraded,
-    is_symmetric,
-    monomial,
-    partial,
-    torus_weight,
-)
+from .exact_linalg import DEFAULT_MEMORY_CAP_BYTES, sha256
 
 Wedge = tuple[int, ...]
 MinorLabel = tuple[tuple[int, ...], tuple[int, ...], Wedge]
@@ -53,11 +45,10 @@ def wedge_insert(w: Wedge, x: int) -> tuple[int, Wedge] | None:
     """Insert variable x into the increasing wedge w.
 
     Returns (sign, new wedge) or None if x is already present."""
-    if x in w:
+    pos = bisect_left(w, x)
+    if pos < len(w) and w[pos] == x:
         return None
-    pos = sum(1 for y in w if y < x)
-    sign = -1 if pos % 2 else 1
-    return sign, w[:pos] + (x,) + w[pos:]
+    return (-1 if pos % 2 else 1), w[:pos] + (x,) + w[pos:]
 
 
 class FlatteningMatrix:
@@ -75,7 +66,7 @@ class FlatteningMatrix:
         """Hash of the kind, the row and column labels and the entries,
         streamed into sha256 one item at a time."""
         if self._hash is None:
-            h = hashlib.sha256()
+            h = sha256()
             h.update(f"{self.kind!r};{len(self.rows)}x{len(self.cols)};".encode())
             for label in chain(self.rows, self.cols):
                 h.update(f"{label!r};".encode())
@@ -186,7 +177,7 @@ def weight_blocks(groups, column_image, kind: str):
         yield size, FlatteningMatrix(rows, group, entries, kind, weight)
 
 
-def polynomial_blocks(P: Polynomial, column_groups, column_image, kind: str):
+def polynomial_blocks(P, column_groups, column_image, kind: str):
     """`weight_blocks` for a map built from P.
 
     `column_groups(size_of)` enumerates the map's columns: for each weight
@@ -198,6 +189,8 @@ def polynomial_blocks(P: Polynomial, column_groups, column_image, kind: str):
     is, and only orbit representatives (`_orbit_size`) when P is also
     symmetric (fixed up to sign by row and column permutations and
     transposition)."""
+    from .polynomials import is_bigraded, is_symmetric
+
     if not is_bigraded(P):
         size_of = None
     elif is_symmetric(P):
@@ -368,7 +361,7 @@ def check_full_size(n: int, d: int, p: int, memory_cap_bytes: int) -> None:
         )
 
 
-def _full_domain_factors(P: Polynomial, d: int, p: int,
+def _full_domain_factors(P, d: int, p: int,
                          memory_cap_bytes: int) -> tuple[list, list]:
     """The two factors of the full Koszul map's columns (w, a): the
     p-wedges w and the dual monomials a of degree d, each in basis order;
@@ -379,29 +372,42 @@ def _full_domain_factors(P: Polynomial, d: int, p: int,
     return list(combinations(range(P.n * P.n), p)), monomials_of_degree(P.n * P.n, d)
 
 
-def full_column_image(P: Polynomial, label, derivs: dict) -> list:
+def _partial(terms: dict, k: int) -> dict:
+    """The bare partial derivative by variable k of a polynomial's term
+    dict, its terms in the same order."""
+    out = {}
+    for exps, coeff in terms.items():
+        if e := exps[k]:
+            out[exps[:k] + (e - 1,) + exps[k + 1:]] = coeff * e
+    return out
+
+
+def full_column_image(P, label, derivs: dict) -> list:
     """Image of the column (w, a) of the full Koszul map: the sum over
-    variables x of (x wedge w) tensor d(contract(a, P))/dx, with bare
-    (non-divided) derivatives throughout.  `derivs` caches, per dual
-    monomial, the derivatives of its contraction by every variable.
+    variables x of (x wedge w) tensor d(d^a P)/dx, with the dual monomial a
+    acting as the bare (non-divided) derivative d^a.  `derivs` caches, per
+    dual monomial, the (x, terms) pairs of the nonzero derivatives of d^a P
+    by the variables x.
 
     Distinct x give distinct wedges, so no two terms share a row label."""
     w, a = label
-    nv = P.n * P.n
     if a not in derivs:
-        Q = contract(monomial(P.n, sum(a), a), P)
-        derivs[a] = [partial(Q, x) for x in range(nv)]
+        Q = P.terms
+        for k, e in enumerate(a):
+            for _ in range(e):
+                Q = _partial(Q, k)
+        derivs[a] = [(x, D) for x in range(len(a)) if (D := _partial(Q, x))]
     out = []
-    for x in range(nv):
+    for x, terms in derivs[a]:
         ins = wedge_insert(w, x)
         if ins is None:
             continue
         sign, neww = ins
-        out.extend(((neww, mono), sign * coeff) for mono, coeff in derivs[a][x].terms.items())
+        out.extend(((neww, mono), sign * coeff) for mono, coeff in terms.items())
     return out
 
 
-def _full_column_groups(P: Polynomial, d: int, p: int, size_of,
+def _full_column_groups(P, d: int, p: int, size_of,
                         memory_cap_bytes: int) -> list:
     """The columns (w, a) of the full Koszul map grouped by their weight
     wt(w) - wt(a), as `polynomial_blocks` asks.
@@ -412,6 +418,8 @@ def _full_column_groups(P: Polynomial, d: int, p: int, size_of,
     symmetric P a kept weight decreases on each axis, so a wedge class is
     paired only with the dual classes whose A-part and B-part both leave
     it decreasing, found per axis."""
+    from .polynomials import exponent_variables, torus_weight
+
     wedges, duals = _full_domain_factors(P, d, p, memory_cap_bytes)
     if size_of is None:
         return [(1, None, [(w, a) for w in wedges for a in duals])]
@@ -444,7 +452,7 @@ def _full_column_groups(P: Polynomial, d: int, p: int, size_of,
     return [(size_of(weight), weight, cols) for weight, cols in groups.items()]
 
 
-def full_koszul_blocks(P: Polynomial, d: int, p: int,
+def full_koszul_blocks(P, d: int, p: int,
                        memory_cap_bytes: int = DEFAULT_MEMORY_CAP_BYTES):
     """Yield (orbit_size, block) for the full Koszul map of P (see
     `weight_blocks` and `polynomial_blocks`); the whole matrix is never

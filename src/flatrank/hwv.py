@@ -4,8 +4,6 @@ nonzero.  Only the `verify` suites use this module."""
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .flattening import MinorLabel, minor_column_image
 from .polynomials import sort_sign, var_index
 
@@ -98,13 +96,13 @@ def hwv_vector(lemma_id: str, n: int, d: int) -> dict[MinorLabel, int]:
     return vec
 
 
-def apply_minor_map(n: int, vec: dict[MinorLabel, int | Fraction]) -> dict[MinorLabel, Fraction]:
+def apply_minor_map(n: int, vec: dict[MinorLabel, int]) -> dict[MinorLabel, int]:
     """Apply the minor-indexed map to a sparse domain vector without
     materializing the matrix (shares the per-column image generator)."""
-    out: dict[MinorLabel, Fraction] = {}
+    out: dict[MinorLabel, int] = {}
     for label, coeff in vec.items():
         for rlabel, sign in minor_column_image(n, label):
-            acc = out.get(rlabel, Fraction(0)) + Fraction(coeff) * sign
+            acc = out.get(rlabel, 0) + coeff * sign
             if acc:
                 out[rlabel] = acc
             else:

@@ -6,7 +6,6 @@ with no trailing zeros; the empty tuple is the trivial partition.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 from operator import le
 
@@ -49,14 +48,15 @@ def schur_dim(pi: Partition, N: int) -> int:
     if len(pi) > N:
         return 0
     conj = conjugate(pi)
-    val = Fraction(1)
+    contents = hooks = 1
     for i, part in enumerate(pi):
         for j in range(part):
-            hook = (part - j) + (conj[j] - i) - 1
-            val *= Fraction(N + j - i, hook)
-    if val.denominator != 1:
-        raise RuntimeError(f"hook content formula gave {val} for {pi} over N={N}")
-    return int(val)
+            contents *= N + j - i
+            hooks *= (part - j) + (conj[j] - i) - 1
+    val, rest = divmod(contents, hooks)
+    if rest:
+        raise RuntimeError(f"hook content formula gave {contents}/{hooks} for {pi} over N={N}")
+    return val
 
 
 def partitions_of(p: int, max_part: int | None = None):

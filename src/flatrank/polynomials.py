@@ -2,13 +2,12 @@
 
 Variables are ordered row-major: index k = (row-1)*n + (col-1) for the
 variable in matrix position (row, col), rows and columns 1-based.  All
-coefficients are exact rationals.
+coefficients are exact rationals: ints where they are integers, as for
+every polynomial built here, and Fractions otherwise.
 """
 
 from __future__ import annotations
 
-import json
-from fractions import Fraction
 from itertools import chain, permutations
 
 Exponents = tuple[int, ...]
@@ -42,9 +41,10 @@ def exponent_variables(exps: Exponents) -> list[int]:
 
 class Polynomial:
     """A homogeneous polynomial of `degree` in the n*n matrix variables:
-    `terms` maps each exponent vector to its nonzero coefficient."""
+    `terms` maps each exponent vector to its nonzero coefficient, an int or
+    a Fraction."""
 
-    def __init__(self, n: int, degree: int, terms: dict[Exponents, Fraction] | None = None):
+    def __init__(self, n: int, degree: int, terms: dict | None = None):
         self.n, self.degree = n, degree
         self.terms = {} if terms is None else terms
         nv = n * n
@@ -62,25 +62,9 @@ class Polynomial:
     def __repr__(self) -> str:
         return f"Polynomial(n={self.n}, degree={self.degree}, terms={self.terms!r})"
 
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        if self.n != other.n or self.degree != other.degree:
-            raise ValueError("incompatible polynomials")
-        terms = dict(self.terms)
-        for exps, c in other.terms.items():
-            acc = terms.get(exps, Fraction(0)) + c
-            if acc:
-                terms[exps] = acc
-            else:
-                terms.pop(exps, None)
-        return Polynomial(self.n, self.degree, terms)
-
-    def scale(self, c) -> "Polynomial":
-        c = Fraction(c)
-        if c == 0:
-            return Polynomial(self.n, self.degree, {})
-        return Polynomial(self.n, self.degree, {e: c * v for e, v in self.terms.items()})
-
     def to_json(self) -> str:
+        import json
+
         records = [
             {"exps": list(e), "num": str(c.numerator), "den": str(c.denominator)}
             for e, c in sorted(self.terms.items())
@@ -89,14 +73,18 @@ class Polynomial:
 
     @staticmethod
     def from_json(text: str) -> "Polynomial":
-        """The polynomial `to_json` wrote; ValueError for any other text."""
+        """The polynomial `to_json` wrote, with int coefficients where they
+        are integers; ValueError for any other text."""
+        import json
+        from fractions import Fraction
+
         try:
             data = json.loads(text)
             n, degree = data["n"], data["degree"]
-            terms = {
-                tuple(rec["exps"]): Fraction(int(rec["num"]), int(rec["den"]))
-                for rec in data["terms"]
-            }
+            terms = {}
+            for rec in data["terms"]:
+                c = Fraction(int(rec["num"]), int(rec["den"]))
+                terms[tuple(rec["exps"])] = c.numerator if c.denominator == 1 else c
         except (KeyError, TypeError, ZeroDivisionError) as exc:
             raise ValueError(f"not a polynomial in JSON form: {exc!r}") from None
         if not all(type(x) is int and x >= 0 for x in (n, degree, *chain(*terms))):
@@ -139,10 +127,6 @@ def is_symmetric(P: Polynomial) -> bool:
     return True
 
 
-def monomial(n: int, degree: int, exps: Exponents, coeff=1) -> Polynomial:
-    return Polynomial(n, degree, {exps: Fraction(coeff)})
-
-
 def _perm_monomial(perm, n: int) -> Exponents:
     exps = [0] * (n * n)
     for i, j in enumerate(perm, start=1):
@@ -157,7 +141,7 @@ def determinant_poly(n: int) -> Polynomial:
     terms = {}
     for perm in permutations(range(1, n + 1)):
         sign = sort_sign(perm)[0]
-        terms[_perm_monomial(perm, n)] = Fraction(sign)
+        terms[_perm_monomial(perm, n)] = sign
     return Polynomial(n, n, terms)
 
 
@@ -167,7 +151,7 @@ def permanent_poly(n: int) -> Polynomial:
         raise ValueError("n must be at least 1")
     terms = {}
     for perm in permutations(range(1, n + 1)):
-        terms[_perm_monomial(perm, n)] = Fraction(1)
+        terms[_perm_monomial(perm, n)] = 1
     return Polynomial(n, n, terms)
 
 
@@ -191,36 +175,4 @@ def variable_power(v: tuple[int, int], e: int, n: int) -> Polynomial:
         raise ValueError("exponent must be at least 1")
     exps = [0] * (n * n)
     exps[var_index(v[0], v[1], n)] = e
-    return monomial(n, e, tuple(exps))
-
-
-def partial(P: Polynomial, k: int) -> Polynomial:
-    """Bare partial derivative with respect to variable index k."""
-    if P.degree == 0:
-        return Polynomial(P.n, 0, {})
-    terms = {}
-    for exps, coeff in P.terms.items():
-        if exps[k]:
-            e = list(exps)
-            e[k] -= 1
-            terms[tuple(e)] = coeff * exps[k]
-    return Polynomial(P.n, P.degree - 1, terms)
-
-
-def contract(alpha: Polynomial, P: Polynomial) -> Polynomial:
-    """Apolarity contraction: each dual monomial acts as the corresponding
-    iterated bare partial derivative (no factorial normalization)."""
-    if alpha.n != P.n:
-        raise ValueError("incompatible polynomials")
-    if alpha.degree > P.degree:
-        raise ValueError(
-            f"dual degree {alpha.degree} exceeds polynomial degree {P.degree}"
-        )
-    out = Polynomial(P.n, P.degree - alpha.degree, {})
-    for exps, coeff in alpha.terms.items():
-        Q = P
-        for k, e in enumerate(exps):
-            for _ in range(e):
-                Q = partial(Q, k)
-        out = out + Q.scale(coeff)
-    return out
+    return Polynomial(n, e, {tuple(exps): 1})

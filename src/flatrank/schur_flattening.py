@@ -12,8 +12,8 @@ inserted into each.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations, permutations, product
+from math import factorial, prod
 from operator import le
 
 from .partitions import Partition, conjugate, make_partition
@@ -226,44 +226,63 @@ def _pieri_target(phi: Polynomial, shape: Partition, target_rows) -> Partition:
     return target
 
 
-def pieri_column_image(phi: Polynomial, T: Tableau, target_rows) -> list:
-    """Image of the tableau T under the Young flattening of phi.
+def pieri_arrangements(phi: Polynomial) -> list[tuple]:
+    """The (arrangement, coefficient) pairs `pieri_column_image` fills in:
+    each distinct arrangement of each monomial's variables as tableau
+    entries (variable k is entry k+1), in exponent and lexicographic order.
 
-    The sum, over the monomials of phi and over all distinct arrangements
-    of each monomial's variables (with multiplicity) into the boxes added
-    at the ends of the sorted target rows, of the straightening of the
-    labeled filling; variable k is tableau entry k+1.  Returns (tableau,
+    The map needs the polarization of phi, c_alpha * alpha! / e! at each
+    arrangement of x^alpha of degree e (alpha! the product of the exponents'
+    factorials), here times e!: the bare-derivative convention of the full
+    Koszul map.  It makes the map GL-equivariant in phi, so every power of
+    a linear form has the rank of a power of one variable."""
+    out = []
+    for exps, coeff in sorted(phi.terms.items()):
+        labels = [k + 1 for k in exponent_variables(exps)]
+        weight = coeff * prod(map(factorial, exps))
+        out += [(arrangement, weight) for arrangement in sorted(set(permutations(labels)))]
+    return out
+
+
+def pieri_column_image(arrangements, T: Tableau, target_rows) -> list:
+    """Image of the tableau T under a Young flattening, given by its
+    `pieri_arrangements`.
+
+    The sum, over the arrangements, of the coefficient times the
+    straightening of the filling that writes the arrangement into the boxes
+    added at the ends of the sorted target rows.  Returns (tableau,
     coefficient) pairs with nonzero coefficients.
 
     The box added to row r lands at the bottom of column len(T[r - 1]), so
     each arrangement inserts one entry into each of those columns of T:
     with the sign of moving it up past the larger entries, and zero on a
     repeat (`wedge_insert`).  The sorted columns then straighten directly.
+    The added boxes lie in distinct columns (`add_boxes_shape`), so each
+    entry is inserted into each of them once, whatever the arrangement.
     """
     cols = list(rows_to_columns(T))
     slots = [len(T[r - 1]) if r <= len(T) else 0 for r in sorted(target_rows)]
     cols += [()] * (max(slots, default=-1) + 1 - len(cols))
-    acc: dict[Tableau, Fraction] = {}
-    for exps, coeff in sorted(phi.terms.items()):
-        if coeff.denominator == 1:
-            coeff = coeff.numerator  # the same values in int arithmetic
-        labels = [k + 1 for k in exponent_variables(exps)]
-        for arrangement in sorted(set(permutations(labels))):
-            filled, sign = list(cols), coeff
-            for c, label in zip(slots, arrangement):
-                ins = wedge_insert(filled[c], label)
-                if ins is None:
-                    break
+    inserted: list[dict] = [{} for _ in slots]
+    acc: dict = {}
+    for arrangement, coeff in arrangements:
+        filled, sign = list(cols), coeff
+        for c, label, known in zip(slots, arrangement, inserted):
+            if label not in known:
+                ins = wedge_insert(cols[c], label)
                 # wedge_insert's sign is that of passing the smaller entries
-                sign *= ins[0] if len(filled[c]) % 2 == 0 else -ins[0]
-                filled[c] = ins[1]
-            else:
-                for tab, v in _straighten_sorted(tuple(filled)).items():
-                    total = acc.get(tab, 0) + sign * v
-                    if total:
-                        acc[tab] = total
-                    else:
-                        acc.pop(tab, None)
+                known[label] = ins and (ins[0] if len(cols[c]) % 2 == 0 else -ins[0], ins[1])
+            if not known[label]:
+                break
+            sign *= known[label][0]
+            filled[c] = known[label][1]
+        else:
+            for tab, v in _straighten_sorted(tuple(filled)).items():
+                total = acc.get(tab, 0) + sign * v
+                if total:
+                    acc[tab] = total
+                else:
+                    acc.pop(tab, None)
     return list(acc.items())
 
 
@@ -280,7 +299,8 @@ def pieri_blocks(phi: Polynomial, shape: Partition, target_rows):
     """
     shape = make_partition(shape)
     _pieri_target(phi, shape, target_rows)
+    arrangements = pieri_arrangements(phi)
     return polynomial_blocks(
         phi, lambda size_of: _tableau_groups(shape, phi.n, size_of),
-        lambda T: pieri_column_image(phi, T, target_rows), "pieri_block",
+        lambda T: pieri_column_image(arrangements, T, target_rows), "pieri_block",
     )

@@ -1,8 +1,9 @@
 """Reference implementations the tests check the library against.
 
 Whole-matrix builders, the all-columns weight grouping, brute-force
-tableau enumeration, dense eliminations, and the polynomials the tests
-build as inputs.  No certificate path uses them: the library builds one
+tableau enumeration, dense eliminations, the polynomials the tests build
+as inputs, and polynomial sums, scaling, differentiation and
+contraction.  No certificate path uses them: the library builds one
 weight block per kept weight and ranks it by sparse elimination.
 """
 
@@ -11,7 +12,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import comb, lcm
+from math import comb, factorial, lcm
 
 from flatrank import flattening
 from flatrank.bounds import f_formula
@@ -31,6 +32,7 @@ from flatrank.schur_flattening import (
     _fill_columns,
     _pieri_target,
     _straighten_sorted,
+    pieri_arrangements,
     pieri_column_image,
     rows_to_columns,
 )
@@ -62,6 +64,64 @@ def poly_mul(P: Polynomial, Q: Polynomial) -> Polynomial:
             else:
                 terms.pop(e, None)
     return Polynomial(P.n, P.degree + Q.degree, terms)
+
+
+def monomial(n: int, degree: int, exps: Exponents, coeff=1) -> Polynomial:
+    return Polynomial(n, degree, {exps: coeff})
+
+
+def add(P: Polynomial, Q: Polynomial) -> Polynomial:
+    """P + Q."""
+    if P.n != Q.n or P.degree != Q.degree:
+        raise ValueError("incompatible polynomials")
+    terms = dict(P.terms)
+    for exps, c in Q.terms.items():
+        acc = terms.get(exps, 0) + c
+        if acc:
+            terms[exps] = acc
+        else:
+            terms.pop(exps, None)
+    return Polynomial(P.n, P.degree, terms)
+
+
+def scale(P: Polynomial, c) -> Polynomial:
+    """c times P, coefficients as Fractions."""
+    c = Fraction(c)
+    if c == 0:
+        return Polynomial(P.n, P.degree, {})
+    return Polynomial(P.n, P.degree, {e: c * v for e, v in P.terms.items()})
+
+
+def partial(P: Polynomial, k: int) -> Polynomial:
+    """Bare partial derivative with respect to variable index k."""
+    if P.degree == 0:
+        return Polynomial(P.n, 0, {})
+    terms = {}
+    for exps, coeff in P.terms.items():
+        if exps[k]:
+            e = list(exps)
+            e[k] -= 1
+            terms[tuple(e)] = coeff * exps[k]
+    return Polynomial(P.n, P.degree - 1, terms)
+
+
+def contract(alpha: Polynomial, P: Polynomial) -> Polynomial:
+    """Apolarity contraction: each dual monomial acts as the corresponding
+    iterated bare partial derivative (no factorial normalization)."""
+    if alpha.n != P.n:
+        raise ValueError("incompatible polynomials")
+    if alpha.degree > P.degree:
+        raise ValueError(
+            f"dual degree {alpha.degree} exceeds polynomial degree {P.degree}"
+        )
+    out = Polynomial(P.n, P.degree - alpha.degree, {})
+    for exps, coeff in alpha.terms.items():
+        Q = P
+        for k, e in enumerate(exps):
+            for _ in range(e):
+                Q = partial(Q, k)
+        out = add(out, scale(Q, coeff))
+    return out
 
 
 def evaluate(P: Polynomial, values) -> Fraction:
@@ -113,7 +173,7 @@ def substitute_linear(P: Polynomial, M) -> Polynomial:
         for k, e in enumerate(exps):
             for _ in range(e):
                 prod = poly_mul(prod, images[k])
-        out = out + prod
+        out = add(out, prod)
     return out
 
 
@@ -146,7 +206,7 @@ def random_low_rank(r: int, e: int, n: int, seed: int) -> Polynomial:
             coeffs = [rng.randint(-3, 3) for _ in range(n * n)]
             if any(coeffs):
                 break
-        out = out + linear_form_power(coeffs, e, n)
+        out = add(out, linear_form_power(coeffs, e, n))
     return out
 
 
@@ -343,24 +403,28 @@ def pieri_flattening_matrix(phi: Polynomial, shape: Partition, target_rows,
     """
     shape = make_partition(shape)
     target = _pieri_target(phi, shape, target_rows)
+    arrangements = pieri_arrangements(phi)
     col_tabs = ssyt_enumerate(shape, N)
     row_tabs = ssyt_enumerate(target, N)
     row_index = {t: i for i, t in enumerate(row_tabs)}
     entries = [(row_index[tab], ci, v)
                for ci, T in enumerate(col_tabs)
-               for tab, v in pieri_column_image(phi, T, target_rows)]
+               for tab, v in pieri_column_image(arrangements, T, target_rows)]
     entries.sort(key=lambda e: (e[1], e[0]))
     return FlatteningMatrix(row_tabs, col_tabs, entries, "pieri")
 
 
 def pieri_column_image_by_straightening(phi: Polynomial, T: Tableau, target_rows) -> list:
-    """`pieri_column_image` as defined: every arrangement of each
+    """`pieri_column_image` of phi as defined: every arrangement of each
     monomial's variables is written into a copy of T's rows and the whole
-    filling is straightened."""
+    filling is straightened, with the monomial's coefficient times the
+    product of the factorials of its exponents."""
     rows_sorted = sorted(target_rows)
     extra = max(rows_sorted, default=0) - len(T)
     acc: dict = {}
     for exps, coeff in sorted(phi.terms.items()):
+        for e in exps:
+            coeff *= factorial(e)
         labels = [k + 1 for k, e in enumerate(exps) for _ in range(e)]
         for arrangement in sorted(set(permutations(labels))):
             fill_rows = [list(row) for row in T] + [[] for _ in range(extra)]

@@ -15,7 +15,8 @@ from flatrank.partitions import (
     theoretical_image_dim,
     total_dimension,
 )
-from flatrank.polynomials import determinant_poly
+from flatrank.polynomials import determinant_poly, permanent_poly
+from oracles import scale
 
 
 def run(argv, capsys):
@@ -164,16 +165,40 @@ class TestBound:
         assert rec["bound"] == bound
 
     def test_full_method_from_file(self, capsys, tmp_path):
-        poly_path = tmp_path / "det2.json"
-        poly_path.write_text(determinant_poly(2).to_json())
-        code, out = run(
-            ["bound", "--poly", f"file:{poly_path}", "--n", "2",
-             "--method", "koszul-full", "--d", "1", "--p", "1",
-             "--format", "json"],
-            capsys,
-        )
-        rec = json.loads(out)
-        assert code == 0 and rec["bound"] >= 2
+        # det3 halved has Fraction coefficients, reduced mod p entry by entry
+        for poly in (determinant_poly(2), scale(determinant_poly(3), Fraction(1, 2))):
+            poly_path = tmp_path / "poly.json"
+            poly_path.write_text(poly.to_json())
+            code, out = run(
+                ["bound", "--poly", f"file:{poly_path}", "--n", str(poly.n),
+                 "--method", "koszul-full", "--d", "1", "--p", "1",
+                 "--format", "json"],
+                capsys,
+            )
+            rec = json.loads(out)
+            assert code == 0 and rec["bound"] >= 2
+
+    @pytest.mark.parametrize("build,name,argv", [
+        (determinant_poly, "det",
+         ["--n", "4", "--method", "koszul-full", "--d", "2", "--p", "2"]),
+        (permanent_poly, "perm", ["--n", "3", "--method", "pieri", "--rational"]),
+    ], ids=["det4-koszul-full", "perm3-pieri-rational"])
+    def test_integral_file_input_certifies_like_the_named_polynomial(
+            self, capsys, tmp_path, build, name, argv):
+        """A polynomial read from its JSON form has the same int
+        coefficients as the built one, so the same blocks, entries and
+        certificate."""
+        path = tmp_path / f"{name}.json"
+        path.write_text(build(int(argv[1])).to_json())
+        certs = []
+        for spec in (name, f"file:{path}"):
+            code, out = run(["bound", "--poly", spec, *argv, "--format", "json"], capsys)
+            assert code == 0
+            rec = json.loads(out)
+            certs.append((rec["rank"], rec["t"], rec["bound"],
+                          [(c["method"], c["rank"], c["matrix_hash"])
+                           for c in rec["provenance"]]))
+        assert certs[0] == certs[1]
 
     def test_pieri_perm(self, capsys):
         code, out = run(
@@ -259,7 +284,7 @@ class TestBound:
             "empty": "{}",
             "array": "[1, 2]",
             "text_n": json.dumps(text_n),
-            "over_prime": det3.scale(Fraction(1, 1073741789)).to_json(),
+            "over_prime": scale(det3, Fraction(1, 1073741789)).to_json(),
         }
         paths = {name: tmp_path / f"{name}.json" for name in files}
         for name, text in files.items():
@@ -285,7 +310,7 @@ class TestBound:
     def test_rational_certificate_stands_when_the_prime_divides_a_denominator(
             self, capsys, tmp_path):
         path = tmp_path / "over_prime.json"
-        path.write_text(determinant_poly(3).scale(Fraction(1, 1073741789)).to_json())
+        path.write_text(scale(determinant_poly(3), Fraction(1, 1073741789)).to_json())
         argv = ["bound", "--poly", f"file:{path}", "--n", "3", "--method",
                 "koszul-full", "--d", "1", "--p", "2", "--format", "json"]
         code = main(argv + ["--rational"])
@@ -344,11 +369,13 @@ def loaded_by(code: str) -> list[str]:
 
 def test_importing_the_cli_loads_no_construction_or_introspection_modules():
     """A `bound` process imports only what its method runs: the cli module
-    brings `exact_linalg` and `bounds`, and no dataclass machinery."""
+    brings `exact_linalg`, and no dataclass machinery, OpenSSL, JSON or
+    Fraction code."""
     loaded = loaded_by("import flatrank.cli")
     assert "flatrank.cli" in loaded
     for name in ("dataclasses", "inspect", "random", "flatrank.hwv",
-                 "flatrank.schur_flattening", "flatrank.partitions"):
+                 "flatrank.schur_flattening", "flatrank.partitions", "flatrank.bounds",
+                 "_hashlib", "json", "fractions"):
         assert name not in loaded, name
 
 
@@ -358,9 +385,30 @@ def test_importing_the_cli_loads_no_construction_or_introspection_modules():
 ], ids=["koszul-minor", "koszul-full"])
 def test_a_koszul_bound_run_loads_no_pieri_code(argv, solves_modules):
     """koszul-minor solves its rank over the candidate image modules, so it
-    alone loads `partitions`."""
+    alone loads `partitions`; it needs no polynomial, so it alone does not
+    load `polynomials`.  No run loads OpenSSL for its hashes."""
     loaded = loaded_by(f"from flatrank.cli import main\nassert main({['bound', *argv]!r}) == 0")
     assert "flatrank.flattening" in loaded
     assert "flatrank.schur_flattening" not in loaded
     assert ("flatrank.partitions" in loaded) == solves_modules
+    assert ("flatrank.polynomials" in loaded) != solves_modules
     assert "flatrank.hwv" not in loaded
+    assert "_hashlib" not in loaded
+
+
+@pytest.mark.parametrize("argv", [
+    ["--poly", "det", "--n", "4", "--method", "koszul-minor", "--d", "2", "--p", "1"],
+    ["--poly", "det", "--n", "3", "--method", "koszul-full", "--d", "1", "--p", "2"],
+    ["--poly", "perm", "--n", "3", "--method", "koszul-full", "--d", "1", "--p", "2"],
+    ["--poly", "det", "--n", "3", "--method", "pieri"],
+    ["--poly", "perm", "--n", "3", "--method", "pieri"],
+], ids=["det-koszul-minor", "det-koszul-full", "perm-koszul-full", "det-pieri",
+        "perm-pieri"])
+def test_a_json_bound_run_loads_no_openssl_or_fractions(argv):
+    """Hashes use CPython's built-in sha256, and integral polynomials are
+    ranked in int arithmetic: a `--format json` run without `--rational`
+    loads neither OpenSSL nor `fractions` and `decimal`."""
+    argv = ["bound", *argv, "--format", "json"]
+    loaded = loaded_by(f"from flatrank.cli import main\nassert main({argv!r}) == 0")
+    for name in ("_hashlib", "fractions", "decimal"):
+        assert name not in loaded, name

@@ -6,16 +6,24 @@ import sympy
 
 from flatrank.polynomials import (
     Polynomial,
-    contract,
     determinant_poly,
     is_bigraded,
     is_symmetric,
-    monomial,
     permanent_poly,
     var_index,
     variable_power,
 )
-from oracles import evaluate, linear_form_power, minor_poly, random_low_rank, substitute_linear
+from oracles import (
+    add,
+    contract,
+    evaluate,
+    linear_form_power,
+    minor_poly,
+    monomial,
+    random_low_rank,
+    scale,
+    substitute_linear,
+)
 
 
 def to_sympy(P, syms):
@@ -57,7 +65,7 @@ class TestConstructors:
         assert set(p3.terms) == expected
 
     def test_perm_minus_det_coefficients(self):
-        diff = permanent_poly(3) + determinant_poly(3).scale(-1)
+        diff = add(permanent_poly(3), scale(determinant_poly(3), -1))
         assert set(diff.terms.values()) <= {Fraction(2)}
 
     def test_rejects_zero_n(self):
@@ -80,7 +88,7 @@ class TestPolynomialClass:
         assert determinant_poly(3) == determinant_poly(3)
         assert determinant_poly(3) == Polynomial(3, 3, dict(determinant_poly(3).terms))
         assert determinant_poly(3) != permanent_poly(3)
-        assert determinant_poly(3) != determinant_poly(3).scale(2)
+        assert determinant_poly(3) != scale(determinant_poly(3), 2)
         # the same (empty) terms at another degree or size
         assert Polynomial(2, 2) == Polynomial(2, 2, {})
         assert Polynomial(2, 2) != Polynomial(2, 3)
@@ -159,8 +167,8 @@ class TestContract:
         a = random_low_rank(2, 3, n, 11)
         b = random_low_rank(2, 3, n, 12)
         alpha = monomial(n, 2, (1, 1, 0, 0))
-        lhs = contract(alpha, a + b)
-        rhs = contract(alpha, a) + contract(alpha, b)
+        lhs = contract(alpha, add(a, b))
+        rhs = add(contract(alpha, a), contract(alpha, b))
         assert lhs.terms == rhs.terms
 
     @pytest.mark.parametrize("trial", range(10))
@@ -215,10 +223,10 @@ class TestSymmetry:
     def test_transposition_is_a_generator(self):
         # the squared column sums of a 2x2 matrix are fixed by row and
         # column permutations; transposition turns them into row sums
-        P = linear_form_power([1, 0, 1, 0], 2, 2) + linear_form_power([0, 1, 0, 1], 2, 2)
+        P = add(linear_form_power([1, 0, 1, 0], 2, 2), linear_form_power([0, 1, 0, 1], 2, 2))
         assert not is_symmetric(P)
-        assert is_symmetric(P + linear_form_power([1, 1, 0, 0], 2, 2)
-                            + linear_form_power([0, 0, 1, 1], 2, 2))
+        assert is_symmetric(add(add(P, linear_form_power([1, 1, 0, 0], 2, 2)),
+                                linear_form_power([0, 0, 1, 1], 2, 2)))
 
 
 class TestSubstitution:
@@ -230,7 +238,7 @@ class TestSubstitution:
     def test_scaling_variable(self):
         p = variable_power((1, 1), 2, 2)
         M = [[2 if i == j == 0 else (1 if i == j else 0) for j in range(4)] for i in range(4)]
-        assert substitute_linear(p, M).terms == p.scale(4).terms
+        assert substitute_linear(p, M).terms == scale(p, 4).terms
 
 
 class TestRandomLowRank:
@@ -252,9 +260,19 @@ class TestRandomLowRank:
 
 class TestJson:
     def test_round_trip(self):
-        p = determinant_poly(3).scale(Fraction(3, 7))
+        p = scale(determinant_poly(3), Fraction(3, 7))
         q = Polynomial.from_json(p.to_json())
         assert q.terms == p.terms and q.n == p.n and q.degree == p.degree
+
+    def test_integral_coefficients_are_ints(self):
+        """Integral polynomials are ranked in int arithmetic: built or read
+        back, their coefficients are ints; a non-integral one keeps
+        Fractions."""
+        for P in (determinant_poly(3), permanent_poly(3), variable_power((3, 3), 3, 3)):
+            for Q in (P, Polynomial.from_json(P.to_json())):
+                assert {type(c) for c in Q.terms.values()} == {int}
+        halved = Polynomial.from_json(scale(determinant_poly(2), Fraction(1, 2)).to_json())
+        assert {type(c) for c in halved.terms.values()} == {Fraction}
 
     @pytest.mark.parametrize("text", [
         '{"n": 2, "degree": 2, "terms": [{"exps": [1, 1, 0, 0], "num": "1"}]}',

@@ -5,9 +5,12 @@ from itertools import product
 import pytest
 import sympy
 
+from flatrank.bounds import flattening_bound
 from flatrank.exact_linalg import rank_mod_p
+from flatrank.flattening import full_koszul_blocks
 from flatrank.partitions import partitions_of, schur_dim
 from flatrank.polynomials import (
+    Polynomial,
     determinant_poly,
     permanent_poly,
     variable_power,
@@ -16,18 +19,23 @@ import flatrank.schur_flattening as schur_flattening
 from flatrank.schur_flattening import (
     PI3,
     PIERI_ROWS,
+    PIERI_T,
     add_boxes_shape,
     columns_to_rows,
+    pieri_arrangements,
     pieri_blocks,
     pieri_column_image,
     rows_to_columns,
 )
 from oracles import (
+    add,
     is_semistandard,
     kostka_number,
+    linear_form_power,
     pieri_column_image_by_straightening,
     pieri_flattening_matrix,
     random_low_rank,
+    scale,
     ssyt_by_content,
     ssyt_enumerate,
     straighten,
@@ -253,7 +261,7 @@ class TestPieriMatrix:
     def test_scale_invariance_of_rank(self):
         phi = determinant_poly(3)
         a = pieri_flattening_matrix(phi, PI3, PIERI_ROWS, 9)
-        b = pieri_flattening_matrix(phi.scale(Fraction(3, 7)), PI3, PIERI_ROWS, 9)
+        b = pieri_flattening_matrix(scale(phi, Fraction(3, 7)), PI3, PIERI_ROWS, 9)
         assert rank_mod_p([(1, a)]).rank == rank_mod_p([(1, b)]).rank
 
     def test_cubed_variable_column_structure(self):
@@ -289,7 +297,7 @@ class TestPieriColumnImage:
     @pytest.mark.parametrize("phi,shape,rows,N", [
         pytest.param(determinant_poly(3), PI3, PIERI_ROWS, 9, id="det3"),
         pytest.param(permanent_poly(3), PI3, PIERI_ROWS, 9, id="perm3"),
-        pytest.param(random_low_rank(2, 3, 3, 5).scale(Fraction(2, 7)), PI3, PIERI_ROWS, 9,
+        pytest.param(scale(random_low_rank(2, 3, 3, 5), Fraction(2, 7)), PI3, PIERI_ROWS, 9,
                      id="non-graded-fractions"),
         pytest.param(determinant_poly(2), (2, 1), (1, 2), 4, id="new-column"),
         pytest.param(determinant_poly(2), (2, 1), (1, 3), 4, id="new-row"),
@@ -299,8 +307,65 @@ class TestPieriColumnImage:
         terms, of straightening each whole filling."""
         tabs = ssyt_enumerate(shape, N)
         for T in random.Random(3).sample(tabs, min(40, len(tabs))):
-            assert pieri_column_image(phi, T, rows) == \
+            assert pieri_column_image(pieri_arrangements(phi), T, rows) == \
                 pieri_column_image_by_straightening(phi, T, rows)
+
+
+def sparse_cubic(rng, terms: int) -> Polynomial:
+    """A cubic in the 9 variables of a 3x3 matrix with `terms` random
+    monomials, each with a random nonzero coefficient: few terms keep the
+    one block of a non-graded cubic quick to build."""
+    out: dict = {}
+    while len(out) < terms:
+        exps = [0] * 9
+        for k in rng.choices(range(9), k=3):
+            exps[k] += 1
+        out[tuple(exps)] = rng.choice((-1, 1)) * rng.randint(1, 5)
+    return Polynomial(3, 3, out)
+
+
+def sparse_cube(rng) -> Polynomial:
+    """The cube of a linear form with random nonzero coefficients on three
+    random variables."""
+    coeffs = [0] * 9
+    for k in rng.sample(range(9), 3):
+        coeffs[k] = rng.choice((-1, 1)) * rng.randint(1, 5)
+    return linear_form_power(coeffs, 3, 3)
+
+
+def pieri_rank(phi) -> int:
+    return rank_mod_p(pieri_blocks(phi, PI3, PIERI_ROWS)).rank
+
+
+class TestPieriOnCubes:
+    """The Pieri map is GL_9-equivariant in its cubic, so the cube of any
+    linear form has the rank PIERI_T of a cubed variable, and a sum of r
+    cubes a bound of at most r."""
+
+    @pytest.mark.parametrize("seed", [None, 0, 1, 2])
+    def test_cube_of_a_linear_form_has_rank_t(self, seed):
+        cube = (linear_form_power([1, 2] + [0] * 7, 3, 3) if seed is None
+                else sparse_cube(random.Random(seed)))
+        assert pieri_rank(cube) == PIERI_T
+
+    @pytest.mark.parametrize("r,seed", [(2, 3), (2, 4), (3, 5)])
+    def test_r_cubes_bound_at_most_r(self, r, seed):
+        rng = random.Random(seed)
+        cubes = sparse_cube(rng)
+        for _ in range(r - 1):
+            cubes = add(cubes, sparse_cube(rng))
+        assert flattening_bound(pieri_rank(cubes), PIERI_T) <= r
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_the_full_map_at_d1_p4(self, seed):
+        """`koszul-full --d 1 --p 4` gives det3 and perm3 their Pieri ranks
+        (`verify --suite paper`), and so it does on random cubics: two cubes
+        and `seed` random monomials.  (On random monomials alone a wrong
+        weight per monomial only rescales the coefficients, which does not
+        change a generic rank.)"""
+        rng = random.Random(seed)
+        phi = add(add(sparse_cube(rng), sparse_cube(rng)), sparse_cubic(rng, seed))
+        assert pieri_rank(phi) == rank_mod_p(full_koszul_blocks(phi, 1, 4)).rank
 
 
 def set_diff(big, small):
