@@ -276,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--rational", action="store_true",
                     help="also certify the rank over the rationals")
     sp.add_argument("--memory-cap", type=int, default=4096,
-                    help="memory cap in MiB for elimination fill")
+                    help="memory cap in MiB for the build-size guards and elimination fill")
     sp.add_argument("--prime", type=int, default=exact_linalg.DEFAULT_PRIME)
     sp.add_argument("--format", choices=["json", "table"], default="table")
     sp.set_defaults(func=cmd_bound)

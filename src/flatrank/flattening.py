@@ -10,12 +10,13 @@ the inserted one.
 
 Each map is given per column (`minor_column_image`, `full_column_image`).
 Each construction enumerates only the columns of the weights it keeps,
-grouped by weight, and `weight_blocks` builds one block per kept weight:
-one per symmetry orbit for a symmetric polynomial.  No whole matrix is
-built.  The minor map is certified from fewer blocks still: those at the
-highest weights of its candidate image modules (`highest_weight_blocks`),
-whose ranks give the modules' multiplicities (`image_modules`).  The minor
-map needs no polynomial, so only the code of the other maps imports
+grouped by weight, and `weight_blocks` builds one block per kept weight,
+its rows in the order its columns first reach them: one block per
+symmetry orbit for a symmetric polynomial.  No whole matrix is built.
+The minor map is certified from fewer blocks still: those at the highest
+weights of its candidate image modules (`highest_weight_blocks`), whose
+ranks give the modules' multiplicities (`image_modules`).  The minor map
+needs no polynomial, so only the code of the other maps imports
 `polynomials`.
 """
 
@@ -33,7 +34,7 @@ Wedge = tuple[int, ...]
 MinorLabel = tuple[tuple[int, ...], tuple[int, ...], Wedge]
 # build memory charged per p-wedge: the full map lists every wedge, and the
 # minor map, which lists each weight's cells only, peaks below the charge
-# (p=2: max RSS 295 MiB against 487 MiB at n=40, 584 MiB against 1012 MiB at n=48)
+# (p=2: max RSS 280 MiB against 487 MiB at n=40, 564 MiB against 1012 MiB at n=48)
 _BYTES_PER_WEDGE = 400
 # per dual monomial of the full map, beyond its tuple's 8 bytes per variable
 # (traced peaks of the dual list and its weight classes: 232, 384 and 680
@@ -145,10 +146,10 @@ def weight_blocks(groups, column_image, kind: str):
 
     `groups` holds (orbit_size, weight, columns) triples: the columns of
     one (A-weight, B-weight) under the torus of GL_n x GL_n, or every
-    column with weight None; a group without columns is skipped.  A
-    block's rows are the labels its columns reach through
-    `column_image(label)`, a list of (row label, coefficient) pairs; it
-    carries `kind` and its weight.
+    column with weight None; a group without columns is skipped.  A block
+    carries `kind` and its weight, and its rows are the labels its columns
+    reach through `column_image(label)`, a list of (row label, coefficient)
+    pairs, in the order first met: `basis_hash` depends on it, rank does not.
 
     Soundness.  The Koszul and Pieri maps of a polynomial P are
     GL(V)-equivariant in (P, domain, codomain).  When every monomial of P
@@ -169,12 +170,10 @@ def weight_blocks(groups, column_image, kind: str):
     for size, weight, group in groups:
         if not group:
             continue
-        images = [column_image(label) for label in group]
-        rows = sorted({rlabel for image in images for rlabel, _ in image})
-        row_index = {label: i for i, label in enumerate(rows)}
-        entries = [(row_index[rlabel], ci, v)
-                   for ci, image in enumerate(images) for rlabel, v in image]
-        yield size, FlatteningMatrix(rows, group, entries, kind, weight)
+        row_index: dict = {}
+        entries = [(row_index.setdefault(rlabel, len(row_index)), ci, v)
+                   for ci, label in enumerate(group) for rlabel, v in column_image(label)]
+        yield size, FlatteningMatrix(list(row_index), group, entries, kind, weight)
 
 
 def polynomial_blocks(P, column_groups, column_image, kind: str):

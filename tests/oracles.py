@@ -177,6 +177,19 @@ def substitute_linear(P: Polynomial, M) -> Polynomial:
     return out
 
 
+def substitute_row_column(P: Polynomial, A, B) -> Polynomial:
+    """P(A X B): the change of variables X -> A X B of the n x n variable
+    matrix X, A and B given as n x n lists of rows."""
+    n = P.n
+    M = [[0] * (n * n) for _ in range(n * n)]
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            for k in range(1, n + 1):
+                for l in range(1, n + 1):
+                    M[var_index(i, j, n)][var_index(k, l, n)] = A[i - 1][k - 1] * B[l - 1][j - 1]
+    return substitute_linear(P, M)
+
+
 def minor_poly(n: int, I, J) -> Polynomial:
     """The |I| x |I| minor of the generic matrix on rows I and columns J (1-based)."""
     I, J = tuple(I), tuple(J)

@@ -9,6 +9,7 @@ import pytest
 from flatrank.exact_linalg import DEFAULT_PRIME, rank_mod_p, sparse_rank
 import flatrank.flattening as flattening
 from flatrank.flattening import (
+    full_column_image,
     full_koszul_blocks,
     highest_weight_blocks,
     image_modules,
@@ -43,11 +44,12 @@ from oracles import (
     minor_koszul_matrix,
     minor_poly,
     partial,
+    pieri_column_image_by_straightening,
     pieri_flattening_matrix,
     random_low_rank,
     scale,
     ssyt_enumerate,
-    substitute_linear,
+    substitute_row_column,
 )
 
 
@@ -309,11 +311,22 @@ def _all_columns_grouped(cols, weight_of, symmetric):
             for w, group in group_by_weight(cols, weight_of).items() if size_of(w)]
 
 
+def _assert_rows_first_met(B, image):
+    """B's entries are image(label), a list of (row label, coefficient)
+    pairs, for each of its columns in turn, and its rows are those labels
+    in the order they are first met."""
+    want = [(rlabel, c, v) for c, label in enumerate(B.cols) for rlabel, v in image(label)]
+    assert B.rows == list(dict.fromkeys(rlabel for rlabel, _, _ in want))
+    assert [(B.rows[r], c, v) for r, c, v in B.entries] == want
+
+
 class TestColumnEnumeration:
     """Soundness gate of the per-weight column enumerators: each block holds
     exactly the columns of its weight, in basis order, and the blocks come
-    in the order of their weights' first columns: the blocks, and so the
-    certificate hashes, of grouping the whole domain basis."""
+    in the order of their weights' first columns: the blocks of grouping
+    the whole domain basis.  A block's rows come in the order its columns'
+    images first reach them (`_assert_rows_first_met`).  Columns, rows and
+    entries in these orders fix the certificate hashes."""
 
     @pytest.mark.parametrize("poly,d,p,symmetric", [
         pytest.param(determinant_poly(3), 1, 1, True, id="det3-1-1"),
@@ -325,10 +338,14 @@ class TestColumnEnumeration:
         pytest.param(variable_power((3, 3), 3, 3), 1, 2, False, id="power3-1-2"),
     ])
     def test_full_columns_per_weight(self, poly, d, p, symmetric):
-        got = [(size, B.weight, B.cols) for size, B in full_koszul_blocks(poly, d, p)]
+        blocks = list(full_koszul_blocks(poly, d, p))
+        got = [(size, B.weight, B.cols) for size, B in blocks]
         assert got == _all_columns_grouped(
             full_domain_basis(poly, d, p),
             lambda label: _label_weight(poly.n, label[0], label[1]), symmetric)
+        derivs: dict = {}
+        for _, B in blocks:
+            _assert_rows_first_met(B, lambda label: full_column_image(poly, label, derivs))
 
     @pytest.mark.parametrize("poly,symmetric", [
         pytest.param(determinant_poly(3), True, id="det3"),
@@ -336,8 +353,12 @@ class TestColumnEnumeration:
         pytest.param(variable_power((3, 3), 3, 3), False, id="power"),
     ])
     def test_pieri_columns_per_weight(self, poly, symmetric):
-        got = [(size, B.weight, B.cols) for size, B in pieri_blocks(poly, PI3, PIERI_ROWS)]
+        blocks = list(pieri_blocks(poly, PI3, PIERI_ROWS))
+        got = [(size, B.weight, B.cols) for size, B in blocks]
         assert got == _all_columns_grouped(ssyt_enumerate(PI3, 9), _tableau_weight, symmetric)
+        for _, B in blocks:
+            _assert_rows_first_met(
+                B, lambda T: pieri_column_image_by_straightening(poly, T, PIERI_ROWS))
 
     @pytest.mark.parametrize("n,d,p", [(3, 1, 2), (4, 2, 1), (4, 2, 2), (5, 2, 2)])
     @pytest.mark.parametrize("route", [highest_weight_blocks, minor_orbit_blocks])
@@ -354,11 +375,9 @@ class TestColumnEnumeration:
         minor = cache(minor_poly)
         for _, B in route(n, d, p):
             assert B.cols == sorted(by_weight[B.weight], key=lambda label: label[2])
-            want = [(rlabel, c, v)
-                    for c, label in enumerate(B.cols) for rlabel, v in image[label]]
-            assert B.rows == sorted({rlabel for rlabel, _, _ in want})
-            assert [(B.rows[r], c, v) for r, c, v in B.entries] == want
-            for (I2, J2, w2), c, v in want:
+            _assert_rows_first_met(B, image.__getitem__)
+            for r, c, v in B.entries:
+                I2, J2, w2 = B.rows[r]
                 I, J, w = B.cols[c]
                 (x,) = set(w2) - set(w)
                 sign = wedge_insert(w, x)[0]
@@ -415,27 +434,22 @@ class TestFullMap:
                 t = comb(n * n - 1, p)
                 assert -(-rank_mod_p([(1, F)]).rank // t) <= r
 
-    def test_equivariance_under_row_column_action(self):
+    @pytest.mark.parametrize("make", [determinant_poly, permanent_poly], ids=["det3", "perm3"])
+    def test_equivariance_under_row_column_action(self, make):
         """Substituting X -> A X B with invertible A, B leaves the rank of
-        the flattening unchanged."""
+        the flattening unchanged.  For det3 that only rescales the input
+        (det(AXB) = det A det B det X); perm(AXB) is a cubic with 129 terms
+        that is not bigraded."""
         rng = random.Random(0)
         n = 3
         A = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
         B = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
-        nv = n * n
-        M = [[0] * nv for _ in range(nv)]
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                for k in range(1, n + 1):
-                    for l in range(1, n + 1):
-                        M[var_index(i, j, n)][var_index(k, l, n)] = (
-                            A[i - 1][k - 1] * B[l - 1][j - 1]
-                        )
         import numpy as np
 
-        assert round(np.linalg.det(np.array(M, dtype=float))) != 0
-        P = substitute_linear(determinant_poly(n), M)
-        base = rank_mod_p([(1, full_koszul_matrix(determinant_poly(n), 1, 2))]).rank
+        assert round(np.linalg.det(np.array(A, dtype=float))) != 0
+        assert round(np.linalg.det(np.array(B, dtype=float))) != 0
+        P = substitute_row_column(make(n), A, B)
+        base = rank_mod_p([(1, full_koszul_matrix(make(n), 1, 2))]).rank
         assert rank_mod_p([(1, full_koszul_matrix(P, 1, 2))]).rank == base
 
     def test_rejects_bad_args(self):

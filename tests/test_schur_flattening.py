@@ -39,6 +39,7 @@ from oracles import (
     ssyt_by_content,
     ssyt_enumerate,
     straighten,
+    substitute_row_column,
     tableau_shape,
 )
 
@@ -355,6 +356,14 @@ class TestPieriOnCubes:
         for _ in range(r - 1):
             cubes = add(cubes, sparse_cube(rng))
         assert flattening_bound(pieri_rank(cubes), PIERI_T) <= r
+
+    def test_rank_is_unchanged_under_row_column_action(self):
+        """perm3 with X -> A X B, A = I + E_12 and B = I + E_21, has 14
+        terms and is not bigraded, so it is one block."""
+        A = [[1, 1, 0], [0, 1, 0], [0, 0, 1]]
+        B = [[1, 0, 0], [1, 1, 0], [0, 0, 1]]
+        P = substitute_row_column(permanent_poly(3), A, B)
+        assert pieri_rank(P) == pieri_rank(permanent_poly(3)) == 934
 
     @pytest.mark.parametrize("seed", range(4))
     def test_equals_the_full_map_at_d1_p4(self, seed):
