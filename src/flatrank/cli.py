@@ -61,6 +61,7 @@ def flattening_blocks(method: str, spec: str, n: int, d: int | None, p: int | No
     if method == "koszul-full":
         # refuse an oversized request before the polynomial takes seconds to build
         flattening.check_full_size(n, d, p, memory_cap_bytes)
+        flattening.check_named_terms(spec, n, memory_cap_bytes)
         blocks = flattening.full_koszul_blocks(load_polynomial(spec, n), d, p,
                                                memory_cap_bytes)
     elif spec != "det":

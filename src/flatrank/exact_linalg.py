@@ -95,13 +95,8 @@ class RankCertificate:
         return out
 
 
-def sparse_rank(
-    nrows: int,
-    ncols: int,
-    entries,
-    p: int | None = None,
-    memory_cap_bytes: int = DEFAULT_MEMORY_CAP_BYTES,
-) -> int:
+def sparse_rank(entries, p: int | None = None,
+                memory_cap_bytes: int = DEFAULT_MEMORY_CAP_BYTES) -> int:
     """Rank by sparse elimination with Markowitz-style pivoting.
 
     Pivot columns are chosen by minimum active nonzero count, then the row
@@ -214,15 +209,14 @@ SIZE_GUARD = 10**7  # rows*cols guard for the exact rational path
 def _certified_rank(blocks, p: int | None, memory_cap_bytes: int) -> RankCertificate:
     """`sparse_rank` of each block mod p, or over the rationals for p=None,
     weighted by its orbit size.  Only the eliminations are timed; the hash
-    covers each block's basis and entries with its orbit size."""
+    covers each block's `basis_hash` with its orbit size."""
     rank = total = 0
     elapsed = 0.0
     h = sha256()
     block_ranks = []
     for size, B in blocks:
         t0 = time.perf_counter()
-        r = sparse_rank(len(B.rows), len(B.cols), B.entries, p=p,
-                        memory_cap_bytes=memory_cap_bytes)
+        r = sparse_rank(B.entries, p=p, memory_cap_bytes=memory_cap_bytes)
         elapsed += time.perf_counter() - t0
         h.update(f"{size}:{B.basis_hash()};".encode())
         block_ranks.append(r)
@@ -252,7 +246,7 @@ def rank_rational(blocks, memory_cap_bytes: int = DEFAULT_MEMORY_CAP_BYTES) -> R
     """
     blocks = list(blocks)
     for _, B in blocks:
-        nrows, ncols = len(B.rows), len(B.cols)
+        nrows, ncols = B.nrows, len(B.cols)
         if nrows * ncols > SIZE_GUARD and len(B.entries) > SIZE_GUARD // 100:
             raise ValueError(
                 f"{nrows}x{ncols} matrix with {len(B.entries)} nonzeros exceeds the "

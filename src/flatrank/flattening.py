@@ -11,7 +11,7 @@ the inserted one.
 Each map is given per column (`minor_column_image`, `full_column_image`).
 Each construction enumerates only the columns of the weights it keeps,
 grouped by weight, and `weight_blocks` builds one block per kept weight,
-its rows in the order its columns first reach them: one block per
+keeping a count of its rows but no row labels: one block per
 symmetry orbit for a symmetric polynomial.  No whole matrix is built.
 The minor map is certified from fewer blocks still: those at the highest
 weights of its candidate image modules (`highest_weight_blocks`), whose
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import cache
-from itertools import chain, combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from math import comb, factorial
 from operator import ge, sub
 
@@ -34,12 +34,15 @@ Wedge = tuple[int, ...]
 MinorLabel = tuple[tuple[int, ...], tuple[int, ...], Wedge]
 # build memory charged per p-wedge: the full map lists every wedge, and the
 # minor map, which lists each weight's cells only, peaks below the charge
-# (p=2: max RSS 280 MiB against 487 MiB at n=40, 564 MiB against 1012 MiB at n=48)
+# (p=2: max RSS 180 MiB against 487 MiB at n=40, 353 MiB against 1012 MiB at n=48)
 _BYTES_PER_WEDGE = 400
 # per dual monomial of the full map, beyond its tuple's 8 bytes per variable
 # (traced peaks of the dual list and its weight classes: 232, 384 and 680
 # bytes per dual at (n, d) = (3, 4), (5, 3) and (8, 3))
 _BYTES_PER_DUAL = 200
+# per term of det or perm, beyond its exponent tuple's 8 bytes per variable
+# (traced peaks of building either: 84, 100, 69, 73 bytes per term at n=5..8)
+_BYTES_PER_TERM = 100
 
 
 def wedge_insert(w: Wedge, x: int) -> tuple[int, Wedge] | None:
@@ -53,23 +56,24 @@ def wedge_insert(w: Wedge, x: int) -> tuple[int, Wedge] | None:
 
 
 class FlatteningMatrix:
-    """A sparse matrix with labelled rows and columns; `entries` holds
-    (row index, col index, coefficient) triples, and `weight` is the torus
-    weight of a weight block's columns."""
+    """A sparse matrix with `nrows` rows and labelled columns; `entries`
+    holds (row index, col index, coefficient) triples, and `weight` is the
+    torus weight of a weight block's columns.  Rows keep no labels."""
 
-    def __init__(self, rows: list, cols: list, entries: list, kind: str,
+    def __init__(self, nrows: int, cols: list, entries: list, kind: str,
                  weight: tuple | None = None):
-        self.rows, self.cols, self.entries = rows, cols, entries
+        self.nrows, self.cols, self.entries = nrows, cols, entries
         self.kind, self.weight = kind, weight
         self._hash: str | None = None
 
     def basis_hash(self) -> str:
-        """Hash of the kind, the row and column labels and the entries,
-        streamed into sha256 one item at a time."""
+        """Hash of the kind, the shape, the column labels and the entries,
+        streamed into sha256 one item at a time; the row labels follow from
+        the column labels and the map."""
         if self._hash is None:
             h = sha256()
-            h.update(f"{self.kind!r};{len(self.rows)}x{len(self.cols)};".encode())
-            for label in chain(self.rows, self.cols):
+            h.update(f"{self.kind!r};{self.nrows}x{len(self.cols)};".encode())
+            for label in self.cols:
                 h.update(f"{label!r};".encode())
             for r, c, v in self.entries:
                 h.update(f"{r},{c},{v.numerator}/{v.denominator};".encode())
@@ -95,16 +99,19 @@ def minor_column_image(n: int, label: MinorLabel) -> list[tuple[MinorLabel, int]
     return out
 
 
+def _check_bytes(what: str, need: int, memory_cap_bytes: int) -> None:
+    """Reject a request for `what`, about `need` bytes, over the memory cap."""
+    if need > memory_cap_bytes:
+        raise ValueError(f"{what}, about {need >> 20} MiB, over the memory cap of "
+                         f"{memory_cap_bytes >> 20} MiB")
+
+
 def _check_wedge_count(name: str, n: int, p: int, memory_cap_bytes: int) -> None:
     """Reject a request whose list of p-wedges of the n*n variables alone
     would not fit in the memory cap, before anything is enumerated."""
     wedges = comb(n * n, p)
-    if wedges * _BYTES_PER_WEDGE > memory_cap_bytes:
-        raise ValueError(
-            f"the {name} map at n={n}, p={p} enumerates {wedges} wedges, about "
-            f"{wedges * _BYTES_PER_WEDGE >> 20} MiB, over the memory cap of "
-            f"{memory_cap_bytes >> 20} MiB"
-        )
+    _check_bytes(f"the {name} map at n={n}, p={p} enumerates {wedges} wedges",
+                 wedges * _BYTES_PER_WEDGE, memory_cap_bytes)
 
 
 def _check_minor_args(n: int, d: int, p: int,
@@ -147,9 +154,9 @@ def weight_blocks(groups, column_image, kind: str):
     `groups` holds (orbit_size, weight, columns) triples: the columns of
     one (A-weight, B-weight) under the torus of GL_n x GL_n, or every
     column with weight None; a group without columns is skipped.  A block
-    carries `kind` and its weight, and its rows are the labels its columns
+    carries `kind` and its weight.  Its rows are the labels its columns
     reach through `column_image(label)`, a list of (row label, coefficient)
-    pairs, in the order first met: `basis_hash` depends on it, rank does not.
+    pairs, indexed in the order first met; the block keeps only their count.
 
     Soundness.  The Koszul and Pieri maps of a polynomial P are
     GL(V)-equivariant in (P, domain, codomain).  When every monomial of P
@@ -173,7 +180,7 @@ def weight_blocks(groups, column_image, kind: str):
         row_index: dict = {}
         entries = [(row_index.setdefault(rlabel, len(row_index)), ci, v)
                    for ci, label in enumerate(group) for rlabel, v in column_image(label)]
-        yield size, FlatteningMatrix(list(row_index), group, entries, kind, weight)
+        yield size, FlatteningMatrix(len(row_index), group, entries, kind, weight)
 
 
 def polynomial_blocks(P, column_groups, column_image, kind: str):
@@ -353,11 +360,17 @@ def check_full_size(n: int, d: int, p: int, memory_cap_bytes: int) -> None:
         raise ValueError(f"need 0 <= p <= {nv - 1}, got p={p}")
     _check_wedge_count("full", n, p, memory_cap_bytes)
     duals = comb(nv + d - 1, d) if d > 0 else 0
-    if (need := duals * (8 * nv + _BYTES_PER_DUAL)) > memory_cap_bytes:
-        raise ValueError(
-            f"the full map at n={n}, d={d} enumerates {duals} dual monomials, about "
-            f"{need >> 20} MiB, over the memory cap of {memory_cap_bytes >> 20} MiB"
-        )
+    _check_bytes(f"the full map at n={n}, d={d} enumerates {duals} dual monomials",
+                 duals * (8 * nv + _BYTES_PER_DUAL), memory_cap_bytes)
+
+
+def check_named_terms(spec: str, n: int, memory_cap_bytes: int) -> None:
+    """Reject det or perm at an n whose n! terms would not fit in the
+    memory cap, before the polynomial is built."""
+    if spec in ("det", "perm"):
+        terms = factorial(n)
+        _check_bytes(f"{spec} at n={n} has {terms} terms",
+                     terms * (8 * n * n + _BYTES_PER_TERM), memory_cap_bytes)
 
 
 def _full_domain_factors(P, d: int, p: int,

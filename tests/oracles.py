@@ -38,6 +38,15 @@ from flatrank.schur_flattening import (
 )
 
 
+class LabelledMatrix(FlatteningMatrix):
+    """A whole matrix that keeps its row labels, for the tests to read; the
+    library's blocks keep only a row count."""
+
+    def __init__(self, rows: list, cols: list, entries: list, kind: str):
+        super().__init__(len(rows), cols, entries, kind)
+        self.rows = rows
+
+
 def group_by_weight(cols, weight_of) -> dict:
     """The columns grouped by weight: weights in the order of their first
     column, each group's columns in basis order."""
@@ -260,7 +269,7 @@ def minor_codomain_basis(n: int, d: int, p: int) -> list:
     return [(I, J, w) for I in subs for J in subs for w in wedges]
 
 
-def minor_koszul_matrix(n: int, d: int, p: int) -> FlatteningMatrix:
+def minor_koszul_matrix(n: int, d: int, p: int) -> LabelledMatrix:
     """Matrix of the minor-indexed Koszul map for the n x n determinant.
 
     Raises if an entry joins labels of different weights: the orbit blocks
@@ -276,7 +285,7 @@ def minor_koszul_matrix(n: int, d: int, p: int) -> FlatteningMatrix:
             if bidegree_of_label(rlabel, n) != weight:
                 raise RuntimeError(f"minor map sends {label} to {rlabel}, of another weight")
             entries.append((row_index[rlabel], ci, coeff))
-    return FlatteningMatrix(rows, cols, entries, "minor")
+    return LabelledMatrix(rows, cols, entries, "minor")
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +297,7 @@ def full_domain_basis(P: Polynomial, d: int, p: int) -> list:
     return [(w, a) for w in wedges for a in duals]
 
 
-def full_koszul_matrix(P: Polynomial, d: int, p: int) -> FlatteningMatrix:
+def full_koszul_matrix(P: Polynomial, d: int, p: int) -> LabelledMatrix:
     """Matrix of the Koszul flattening of an arbitrary polynomial.
 
     Columns are (wedge of p variables, dual monomial of degree d); rows are
@@ -304,7 +313,7 @@ def full_koszul_matrix(P: Polynomial, d: int, p: int) -> FlatteningMatrix:
     entries = [(row_index[rlabel], ci, v)
                for ci, label in enumerate(cols)
                for rlabel, v in full_column_image(P, label, derivs)]
-    return FlatteningMatrix(rows, cols, entries, "full")
+    return LabelledMatrix(rows, cols, entries, "full")
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +416,7 @@ def kostka_number(shape: Partition, content) -> int:
 
 
 def pieri_flattening_matrix(phi: Polynomial, shape: Partition, target_rows,
-                            N: int) -> FlatteningMatrix:
+                            N: int) -> LabelledMatrix:
     """Young flattening of phi in the semistandard tableau basis.
 
     Columns are semistandard tableaux of `shape`; rows are tableaux of the
@@ -424,7 +433,7 @@ def pieri_flattening_matrix(phi: Polynomial, shape: Partition, target_rows,
                for ci, T in enumerate(col_tabs)
                for tab, v in pieri_column_image(arrangements, T, target_rows)]
     entries.sort(key=lambda e: (e[1], e[0]))
-    return FlatteningMatrix(row_tabs, col_tabs, entries, "pieri")
+    return LabelledMatrix(row_tabs, col_tabs, entries, "pieri")
 
 
 def pieri_column_image_by_straightening(phi: Polynomial, T: Tableau, target_rows) -> list:

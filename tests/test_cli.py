@@ -301,11 +301,17 @@ class TestBound:
             raise AssertionError("the polynomial was built before the size check")
 
         monkeypatch.setattr(cli, "load_polynomial", build)
-        code = main(["bound", "--poly", "det", "--n", "8", "--method", "koszul-full",
-                     "--d", "2", "--p", "8", "--memory-cap", "256"])
-        err = capsys.readouterr().err
-        assert code == 2 and err.count("\n") == 1
-        assert err.startswith("flatrank: error: the full map at n=8, p=8 enumerates")
+        for argv, message in [
+            (["det", "--n", "8", "--d", "2", "--p", "8", "--memory-cap", "256"],
+             "the full map at n=8, p=8 enumerates"),
+            # n! terms over the default cap, though the wedges and duals fit
+            (["det", "--n", "11", "--d", "1", "--p", "1"], "det at n=11 has 39916800 terms"),
+            (["perm", "--n", "11", "--d", "1", "--p", "1"], "perm at n=11 has 39916800 terms"),
+        ]:
+            code = main(["bound", "--method", "koszul-full", "--poly", *argv])
+            err = capsys.readouterr().err
+            assert code == 2 and err.count("\n") == 1
+            assert err.startswith(f"flatrank: error: {message}")
 
     def test_rational_certificate_stands_when_the_prime_divides_a_denominator(
             self, capsys, tmp_path):

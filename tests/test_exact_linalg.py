@@ -31,7 +31,7 @@ def make_matrix(dense, kind="test"):
         for c, v in enumerate(row)
         if v
     ]
-    return FlatteningMatrix(list(range(nrows)), list(range(ncols)), entries, kind)
+    return FlatteningMatrix(nrows, list(range(ncols)), entries, kind)
 
 
 def random_dense(rng, nrows, ncols, density=0.3, lo=-5, hi=5):
@@ -57,17 +57,17 @@ class TestPrimeField:
 
 class TestSparseRank:
     def test_zero_matrix(self):
-        assert sparse_rank(5, 5, [], p=101) == 0
+        assert sparse_rank([], p=101) == 0
 
     def test_identity_pattern(self):
         entries = [(i, i, 1) for i in range(7)]
-        assert sparse_rank(7, 7, entries, p=101) == 7
-        assert sparse_rank(7, 7, entries, p=None) == 7
+        assert sparse_rank(entries, p=101) == 7
+        assert sparse_rank(entries, p=None) == 7
 
     def test_denominator_divisible_by_p(self):
         entries = [(0, 0, Fraction(1, 5))]
         with pytest.raises(ValueError, match=r"\(0,0\) is divisible by the prime 5"):
-            sparse_rank(1, 1, entries, p=5)
+            sparse_rank(entries, p=5)
 
     def test_matches_dense_oracle(self):
         rng = random.Random(0)
@@ -78,7 +78,7 @@ class TestSparseRank:
                 (r, c, v) for r, row in enumerate(dense) for c, v in enumerate(row) if v
             ]
             want = dense_rank_mod_p(np.array(dense), 1009)
-            assert sparse_rank(nr, nc, entries, p=1009) == want
+            assert sparse_rank(entries, p=1009) == want
 
     def test_permutation_invariance(self):
         rng = random.Random(5)
@@ -88,14 +88,14 @@ class TestSparseRank:
             entries = [
                 (r, c, v) for r, row in enumerate(dense) for c, v in enumerate(row) if v
             ]
-            base = sparse_rank(nr, nc, entries, p=1009)
+            base = sparse_rank(entries, p=1009)
             pr = list(range(nr))
             pc = list(range(nc))
             rng.shuffle(pr)
             rng.shuffle(pc)
             perm_entries = [(pr[r], pc[c], v) for r, c, v in entries]
-            assert sparse_rank(nr, nc, perm_entries, p=1009) == base
-            assert sparse_rank(nr, nc, perm_entries, p=None) == dense_rank_bareiss(dense)
+            assert sparse_rank(perm_entries, p=1009) == base
+            assert sparse_rank(perm_entries, p=None) == dense_rank_bareiss(dense)
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
@@ -121,7 +121,7 @@ class TestSparseRank:
         entries = [
             (r, c, v) for r, row in enumerate(dense) for c, v in enumerate(row) if v
         ]
-        assert sparse_rank(len(dense), ncols, entries, p=None) == dense_rank_bareiss(dense)
+        assert sparse_rank(entries, p=None) == dense_rank_bareiss(dense)
 
     def test_memory_cap(self):
         rng = random.Random(1)
@@ -130,7 +130,7 @@ class TestSparseRank:
             (r, c, v) for r, row in enumerate(dense) for c, v in enumerate(row) if v
         ]
         with pytest.raises(MemoryCapExceeded):
-            sparse_rank(20, 20, entries, p=1009, memory_cap_bytes=1000)
+            sparse_rank(entries, p=1009, memory_cap_bytes=1000)
 
     def test_memory_cap_boundary_mid_elimination(self):
         """A 12x12 circulant band (row i holds columns i, i+1, i+3 mod 12)
@@ -138,9 +138,9 @@ class TestSparseRank:
         entries of eliminated pivot rows included: a cap of 44 entries
         lets it finish, a cap of 43 stops it mid-way."""
         entries = [(i, (i + k) % 12, 1 + i + k) for i in range(12) for k in (0, 1, 3)]
-        assert sparse_rank(12, 12, entries, p=1009, memory_cap_bytes=4400) == 12
+        assert sparse_rank(entries, p=1009, memory_cap_bytes=4400) == 12
         with pytest.raises(MemoryCapExceeded, match="fill reached 44 entries, over cap 43"):
-            sparse_rank(12, 12, entries, p=1009, memory_cap_bytes=4300)
+            sparse_rank(entries, p=1009, memory_cap_bytes=4300)
 
     def test_int_entries_reduce_like_fractions(self):
         """Integer entries take the fast path (v % p); Fractions of the same
@@ -151,7 +151,7 @@ class TestSparseRank:
             ints = [(r, c, v) for r, row in enumerate(dense) for c, v in enumerate(row) if v]
             fracs = [(r, c, Fraction(v)) for r, c, v in ints]
             for p in (7, 1009, DEFAULT_PRIME):
-                assert sparse_rank(8, 8, ints, p=p) == sparse_rank(8, 8, fracs, p=p)
+                assert sparse_rank(ints, p=p) == sparse_rank(fracs, p=p)
 
 
 class TestDenseBareiss:
@@ -186,7 +186,7 @@ class TestRandomBattery:
             M = make_matrix(dense)
             rational = dense_rank_bareiss(dense)
             for prime in (1073741789, 999999937):
-                modular = sparse_rank(nr, nc, M.entries, p=prime)
+                modular = sparse_rank(M.entries, p=prime)
                 assert modular <= rational
                 if modular != rational:
                     disagreements += 1
@@ -195,7 +195,7 @@ class TestRandomBattery:
     def test_deliberate_modular_deficiency(self):
         # a matrix whose rank drops mod 7 but not rationally
         M = make_matrix([[7, 0], [0, 1]])
-        assert sparse_rank(2, 2, M.entries, p=7) == 1
+        assert sparse_rank(M.entries, p=7) == 1
         assert rank_rational([(1, M)]).rank == 2
 
 
@@ -242,9 +242,24 @@ class TestCertificates:
         assert cert.matrix_hash == hashlib.sha256(b"1:slow;").hexdigest()[:16]
         assert cert.elapsed < 0.1
 
+    def test_basis_hash_covers_kind_shape_columns_and_entries(self):
+        """Equal (kind, nrows, cols, entries) hash alike, an int entry like
+        an equal Fraction; the row count, the kind, a column label or one
+        entry changes the hash."""
+        cols, entries = [(0, 1), (2,)], [(0, 0, 1), (2, 1, Fraction(-3, 2))]
+        base = FlatteningMatrix(3, cols, entries, "k").basis_hash()
+        same = FlatteningMatrix(3, [(0, 1), (2,)], [(0, 0, Fraction(1)), (2, 1, Fraction(-3, 2))],
+                                "k", weight=((1,), (1,)))
+        assert same.basis_hash() == base
+        for other in (FlatteningMatrix(4, cols, entries, "k"),
+                      FlatteningMatrix(3, cols, entries, "j"),
+                      FlatteningMatrix(3, [(0, 1), (3,)], entries, "k"),
+                      FlatteningMatrix(3, cols, [(0, 0, 1), (2, 1, Fraction(3, 2))], "k")):
+            assert other.basis_hash() != base
+
     def test_size_guard(self):
         entries = [(i, i, 1) for i in range(150_000)]
-        M = FlatteningMatrix(list(range(200_000)), list(range(200_000)), entries, "big")
+        M = FlatteningMatrix(200_000, list(range(200_000)), entries, "big")
         with pytest.raises(ValueError, match="guard"):
             rank_rational([(1, M)])
 

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
@@ -16,6 +18,7 @@ from flatrank.flattening import (
     minor_column_image,
     minor_orbit_blocks,
     wedge_insert,
+    weight_blocks,
 )
 from flatrank.hwv import (
     ALL_LEMMAS,
@@ -170,7 +173,7 @@ def assert_blocks_match_whole(M, weight_of, blocks, symmetric):
         split[weight_of_col[c]].append((r, c, v))
     orbit_ranks: dict = {}
     for w, entries in split.items():
-        rank = sparse_rank(len(M.rows), len(M.cols), entries, p=DEFAULT_PRIME)
+        rank = sparse_rank(entries, p=DEFAULT_PRIME)
         orbit_ranks.setdefault(key(w), []).append(rank)
     for ranks in orbit_ranks.values():
         assert len(set(ranks)) == 1
@@ -236,7 +239,9 @@ class TestOrbitBlocks:
 
     def test_blocks_are_graded(self):
         for _, B in minor_orbit_blocks(4, 2, 2):
-            assert all(_bidegree_of_label(label, 4) == B.weight for label in B.rows + B.cols)
+            rows = {rlabel for label in B.cols for rlabel, _ in minor_column_image(4, label)}
+            assert len(rows) == B.nrows
+            assert all(_bidegree_of_label(label, 4) == B.weight for label in [*rows, *B.cols])
 
 
 class TestHighestWeightBlocks:
@@ -248,7 +253,7 @@ class TestHighestWeightBlocks:
         hw = list(highest_weight_blocks(n, d, p))
         orbits = list(minor_orbit_blocks(n, d, p))
         M = whole_minor_matrix(n, d, p)
-        whole = sparse_rank(len(M.rows), len(M.cols), M.entries, p=prime)
+        whole = sparse_rank(M.entries, p=prime)
         assert certify("koszul-minor", hw, n, d, p, prime).rank == whole
         assert certify("minor-orbits", orbits, n, d, p, prime).rank == whole
 
@@ -313,20 +318,24 @@ def _all_columns_grouped(cols, weight_of, symmetric):
 
 def _assert_rows_first_met(B, image):
     """B's entries are image(label), a list of (row label, coefficient)
-    pairs, for each of its columns in turn, and its rows are those labels
-    in the order they are first met."""
+    pairs, for each of its columns in turn, each row label at its index in
+    the order the labels are first met, and B counts those rows.  Returns
+    the row labels in that order."""
     want = [(rlabel, c, v) for c, label in enumerate(B.cols) for rlabel, v in image(label)]
-    assert B.rows == list(dict.fromkeys(rlabel for rlabel, _, _ in want))
-    assert [(B.rows[r], c, v) for r, c, v in B.entries] == want
+    rows = list(dict.fromkeys(rlabel for rlabel, _, _ in want))
+    index = {rlabel: r for r, rlabel in enumerate(rows)}
+    assert B.nrows == len(rows)
+    assert B.entries == [(index[rlabel], c, v) for rlabel, c, v in want]
+    return rows
 
 
 class TestColumnEnumeration:
     """Soundness gate of the per-weight column enumerators: each block holds
     exactly the columns of its weight, in basis order, and the blocks come
     in the order of their weights' first columns: the blocks of grouping
-    the whole domain basis.  A block's rows come in the order its columns'
-    images first reach them (`_assert_rows_first_met`).  Columns, rows and
-    entries in these orders fix the certificate hashes."""
+    the whole domain basis.  A block's rows are indexed in the order its
+    columns' images first reach them (`_assert_rows_first_met`).  Columns
+    and entries in these orders fix the certificate hashes."""
 
     @pytest.mark.parametrize("poly,d,p,symmetric", [
         pytest.param(determinant_poly(3), 1, 1, True, id="det3-1-1"),
@@ -375,13 +384,31 @@ class TestColumnEnumeration:
         minor = cache(minor_poly)
         for _, B in route(n, d, p):
             assert B.cols == sorted(by_weight[B.weight], key=lambda label: label[2])
-            _assert_rows_first_met(B, image.__getitem__)
+            rows = _assert_rows_first_met(B, image.__getitem__)
             for r, c, v in B.entries:
-                I2, J2, w2 = B.rows[r]
+                I2, J2, w2 = rows[r]
                 I, J, w = B.cols[c]
                 (x,) = set(w2) - set(w)
                 sign = wedge_insert(w, x)[0]
                 assert partial(minor(n, I, J), x).terms == scale(minor(n, I2, J2), v * sign).terms
+
+    def test_blocks_keep_no_row_labels(self):
+        """Once a block is built no row label is referenced: labels that can
+        be weakly referenced are collected, and the block counts them."""
+        class Label:
+            pass
+
+        refs = []
+
+        def image(col):
+            labels = [Label() for _ in range(3)]
+            refs.extend(map(weakref.ref, labels))
+            return [(label, col + k + 1) for k, label in enumerate(labels)]
+
+        ((size, B),) = weight_blocks([(1, None, [0, 1])], image, "test")
+        gc.collect()
+        assert (size, B.nrows, len(B.entries)) == (1, 6, 6)
+        assert len(refs) == 6 and all(ref() is None for ref in refs)
 
     def test_non_graded_file_input_is_one_block_of_every_column(self, tmp_path):
         P = random_low_rank(2, 3, 3, 5)

@@ -82,3 +82,22 @@ def test_every_library_function_is_reached():
     orphans = sorted(f"{module}.{name}" for name, nodes in defs.items() for module, _ in nodes
                      if name not in reached and not _is_dunder(name))
     assert "cmd_bound" in reached and not orphans, orphans
+
+
+def test_every_library_parameter_is_read():
+    """Every parameter of a named library function is read in its body, so
+    a parameter left behind by a refactor shows.  Lambdas are exempt: a
+    per-column callback may ignore some of its arguments by design."""
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = node.args
+            params = [arg.arg for arg in a.posonlyargs + a.args + a.kwonlyargs]
+            params += [arg.arg for arg in (a.vararg, a.kwarg) if arg]
+            read = {sub.id for stmt in node.body for sub in ast.walk(stmt)
+                    if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+            found += [f"{path.name}:{node.lineno} {node.name}({name})"
+                      for name in params if name not in read]
+    assert SOURCES and not found, found
