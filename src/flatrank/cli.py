@@ -11,19 +11,18 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from math import comb
+from math import comb, lcm
 from pathlib import Path
 
 from . import exact_linalg
-from .exact_linalg import (
-    MemoryCapExceeded,
-    PrimeDividesDenominator,
-    rank_mod_p,
-    rank_rational,
-)
+from .exact_linalg import MemoryCapExceeded, rank_mod_p, rank_rational
 
 
 def load_polynomial(spec: str, n: int):
+    """The polynomial named by `spec`, with int coefficients, so that every
+    block entry is an int (`exact_linalg.sparse_rank`): a `file:`
+    polynomial is multiplied by the lcm of its coefficients' denominators,
+    a nonzero scalar, which changes no rank."""
     from .polynomials import Polynomial, determinant_poly, permanent_poly, variable_power
 
     if spec == "det":
@@ -36,7 +35,9 @@ def load_polynomial(spec: str, n: int):
         P = Polynomial.from_json(Path(spec[5:]).read_text())
         if P.n != n:
             raise ValueError(f"{spec} is a polynomial at n={P.n}, not at --n {n}")
-        return P
+        m = lcm(*(c.denominator for c in P.terms.values()))
+        return Polynomial(n, P.degree, {e: c.numerator * (m // c.denominator)
+                                        for e, c in P.terms.items()})
     raise ValueError(f"unknown polynomial {spec!r}")
 
 
@@ -113,14 +114,7 @@ def cmd_bound(args) -> int:
     if method == "pieri":
         d = p = None
     name = "file" if args.poly.startswith("file:") else args.poly
-    certs = []
-    try:
-        certs.append(certify(method, blocks, n, d, p, args.prime, cap))
-    except PrimeDividesDenominator as exc:
-        if not args.rational:
-            raise
-        # the rational certificate needs no reduction mod p
-        print(f"warning: no modular certificate: {exc}", file=sys.stderr)
+    certs = [certify(method, blocks, n, d, p, args.prime, cap)]
     if args.rational:
         certs.append(certify(method, blocks, n, d, p, None, cap))
         if certs[0].rank != certs[-1].rank:
@@ -301,6 +295,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError, MemoryCapExceeded) as exc:
         print(f"flatrank: error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("flatrank: error: out of memory", file=sys.stderr)
         return 2
 
 

@@ -1,10 +1,11 @@
-"""Exact rank computation for sparse matrices.
+"""Exact rank computation for sparse integer matrices.
 
 One sparse Gaussian elimination (Markowitz-style minimum-fill pivoting,
-deterministic) runs over a prime field or, with Fraction arithmetic, over
-the rationals.  The command line ranks small torus-weight blocks, so each
-block is eliminated whole; `rank_mod_p` and `rank_rational` certify a
-matrix given as (orbit_size, block) pairs.
+deterministic) runs over a prime field or, fraction-free in integers,
+over the rationals, both with one pivot rule.  The command line
+ranks small torus-weight blocks, so each block is eliminated whole;
+`rank_mod_p` and `rank_rational` certify a matrix given as
+(orbit_size, block) pairs.
 
 Soundness note: the rank of an integer matrix reduced mod p never exceeds
 its rank over the rationals, so a single modular rank already certifies a
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import heapq
 import time
+from math import gcd
 
 try:  # CPython's built-in sha256 (`_sha2` from 3.12): `hashlib` would load OpenSSL
     from _sha256 import sha256
@@ -31,10 +33,6 @@ _BYTES_PER_ENTRY = 100  # rough dict-of-dicts bookkeeping cost per nonzero
 
 class MemoryCapExceeded(RuntimeError):
     pass
-
-
-class PrimeDividesDenominator(ValueError):
-    """A matrix entry has no reduction mod the prime."""
 
 
 def is_prime(m: int) -> bool:
@@ -109,30 +107,22 @@ def sparse_rank(entries, p: int | None = None,
     its row's columns.  The fill capped by `memory_cap_bytes` keeps the
     entries of eliminated pivot rows.
 
-    p=None runs over the rationals with Fraction arithmetic; otherwise all
-    entries are reduced mod p first: an int directly, any other rational
-    by its numerator and denominator (`PrimeDividesDenominator` if the
-    denominator vanishes).
+    Entries must be ints (a TypeError otherwise: a rational entry reduced
+    mod p would give a wrong rank silently); mod p they are reduced first.
+    p=None runs over Q fraction-free: a row holding b under the pivot a
+    becomes (a/g) * row - (b/g) * pivot row, g = gcd(a, b), divided by the
+    gcd of its entries.  That is a nonzero multiple of the row Fraction
+    elimination gives, so the nonzero pattern, the pivots and the fill are
+    those of elimination over Q.
     """
-    if p is None:
-        from fractions import Fraction
     cap_entries = memory_cap_bytes // _BYTES_PER_ENTRY
-    rows: dict[int, dict[int, object]] = {}
+    rows: dict[int, dict[int, int]] = {}
     col_rows: dict[int, set[int]] = {}
     nnz = 0
     for r, c, v in entries:
-        if p is None:
-            val = Fraction(v)
-        elif isinstance(v, int):
-            val = v % p
-        else:
-            den = v.denominator % p
-            if den == 0:
-                raise PrimeDividesDenominator(
-                    f"the denominator of entry ({r},{c}) is divisible by the prime "
-                    f"{p}; choose another prime with --prime"
-                )
-            val = v.numerator % p * pow(den, p - 2, p) % p
+        if not isinstance(v, int):
+            raise TypeError(f"entry ({r},{c}) is {v!r}, not an int")
+        val = v if p is None else v % p
         if not val:
             continue
         row = rows.setdefault(r, {})
@@ -160,7 +150,7 @@ def sparse_rank(entries, p: int | None = None,
         pr = min(targets, key=lambda r: (len(rows[r]), r))
         pivrow = rows.pop(pr)
         piv = pivrow[pc]
-        inv = 1 / piv if p is None else pow(piv, p - 2, p)
+        inv = None if p is None else pow(piv, p - 2, p)
         # detach pivot row
         targets.discard(pr)
         for c in pivrow:
@@ -169,9 +159,14 @@ def sparse_rank(entries, p: int | None = None,
         # eliminate pc from all remaining rows
         for r in targets:
             row = rows[r]
-            factor = row[pc] * inv
-            if p is not None:
-                factor %= p
+            if p is None:
+                g = gcd(piv, row[pc])
+                factor, scale = row[pc] // g, piv // g
+                if scale != 1:
+                    for c in row:
+                        row[c] *= scale
+            else:
+                factor = row[pc] * inv % p
             for c, v in pivrow.items():
                 if c == pc:
                     continue
@@ -191,6 +186,9 @@ def sparse_rank(entries, p: int | None = None,
             nnz -= 1
             if not row:
                 del rows[r]
+            elif p is None and (g := gcd(*row.values())) != 1:
+                for c in row:
+                    row[c] //= g
         for c in pivrow:
             s = col_rows.get(c)
             if s is not None:
@@ -238,7 +236,7 @@ def rank_mod_p(blocks, prime: int = DEFAULT_PRIME,
 
 def rank_rational(blocks, memory_cap_bytes: int = DEFAULT_MEMORY_CAP_BYTES) -> RankCertificate:
     """Certified rank of (orbit_size, block) pairs over the rationals:
-    `sparse_rank` with Fraction arithmetic.
+    `sparse_rank`'s fraction-free elimination of their int entries.
 
     Each block needs rows*cols <= SIZE_GUARD or at most SIZE_GUARD/100
     nonzeros: a larger one (a non-graded input is one block of every

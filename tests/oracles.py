@@ -63,11 +63,11 @@ def poly_mul(P: Polynomial, Q: Polynomial) -> Polynomial:
     """The product of two polynomials in the same variables."""
     if P.n != Q.n:
         raise ValueError("incompatible polynomials")
-    terms: dict[Exponents, Fraction] = {}
+    terms: dict = {}
     for ea, ca in P.terms.items():
         for eb, cb in Q.terms.items():
             e = tuple(x + y for x, y in zip(ea, eb))
-            acc = terms.get(e, Fraction(0)) + ca * cb
+            acc = terms.get(e, 0) + ca * cb
             if acc:
                 terms[e] = acc
             else:
@@ -91,6 +91,15 @@ def add(P: Polynomial, Q: Polynomial) -> Polynomial:
         else:
             terms.pop(exps, None)
     return Polynomial(P.n, P.degree, terms)
+
+
+def integral_multiple(P: Polynomial) -> Polynomial:
+    """P times the lcm of its coefficients' denominators, with int
+    coefficients, as `cli.load_polynomial` reads a `file:` polynomial; a
+    nonzero multiple changes no rank."""
+    m = lcm(*(c.denominator for c in P.terms.values()))
+    return Polynomial(P.n, P.degree, {e: c.numerator * (m // c.denominator)
+                                      for e, c in P.terms.items()})
 
 
 def scale(P: Polynomial, c) -> Polynomial:
@@ -146,10 +155,11 @@ def evaluate(P: Polynomial, values) -> Fraction:
 
 
 def linear_form_power(coeffs, e: int, n: int) -> Polynomial:
-    """The e-th power of a linear form, expanded with multinomial coefficients."""
+    """The e-th power of a linear form, expanded with multinomial
+    coefficients; int coefficients give an int polynomial."""
     if e < 1:
         raise ValueError("exponent must be at least 1")
-    coeffs = [Fraction(c) for c in coeffs]
+    coeffs = list(coeffs)
     if len(coeffs) != n * n:
         raise ValueError(f"expected {n * n} coefficients, got {len(coeffs)}")
     if all(c == 0 for c in coeffs):
@@ -167,12 +177,13 @@ def linear_form_power(coeffs, e: int, n: int) -> Polynomial:
 
 
 def substitute_linear(P: Polynomial, M) -> Polynomial:
-    """Apply the linear change of variables x_k -> sum_l M[k][l] x_l."""
+    """Apply the linear change of variables x_k -> sum_l M[k][l] x_l; an
+    int P and an int M give an int polynomial."""
     nv = P.n * P.n
     images = []
     for k in range(nv):
         terms = {
-            tuple(1 if t == l else 0 for t in range(nv)): Fraction(M[k][l])
+            tuple(1 if t == l else 0 for t in range(nv)): M[k][l]
             for l in range(nv) if M[k][l]
         }
         images.append(Polynomial(P.n, 1, terms))
@@ -298,12 +309,14 @@ def full_domain_basis(P: Polynomial, d: int, p: int) -> list:
 
 
 def full_koszul_matrix(P: Polynomial, d: int, p: int) -> LabelledMatrix:
-    """Matrix of the Koszul flattening of an arbitrary polynomial.
+    """Matrix of the Koszul flattening of an arbitrary polynomial, taken
+    with int coefficients (`integral_multiple`).
 
     Columns are (wedge of p variables, dual monomial of degree d); rows are
     (wedge of p+1 variables, monomial of degree e-d-1); see
     `full_column_image`.
     """
+    P = integral_multiple(P)
     cols = full_domain_basis(P, d, p)
     nv = P.n * P.n
     row_monos = monomials_of_degree(nv, P.degree - d - 1)
@@ -417,12 +430,14 @@ def kostka_number(shape: Partition, content) -> int:
 
 def pieri_flattening_matrix(phi: Polynomial, shape: Partition, target_rows,
                             N: int) -> LabelledMatrix:
-    """Young flattening of phi in the semistandard tableau basis.
+    """Young flattening of phi in the semistandard tableau basis, phi taken
+    with int coefficients (`integral_multiple`).
 
     Columns are semistandard tableaux of `shape`; rows are tableaux of the
     shape with one box appended to each listed target row; the column of T
     is `pieri_column_image`.
     """
+    phi = integral_multiple(phi)
     shape = make_partition(shape)
     target = _pieri_target(phi, shape, target_rows)
     arrangements = pieri_arrangements(phi)

@@ -1,7 +1,7 @@
 import json
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import pytest
 
@@ -113,6 +113,25 @@ class TestReferenceBounds:
         ref = reference_bounds(3, "perm")
         assert ref["perm3_border_lower"] == 14
         assert ref["perm3_border_upper"] == 16
+
+    @pytest.mark.parametrize("n", [4, 5, 152, 600])
+    def test_symmetric_rank_upper_is_exact_at_any_n(self, n):
+        """5^k 2^(n-1) n! / 6^k, k = n // 3, is an integer, kept exact: as
+        a float it overflows from n = 152."""
+        want = Fraction(5 ** (n // 3) * 2 ** (n - 1) * factorial(n), 6 ** (n // 3))
+        got = reference_bounds(n)["symmetric_rank_upper"]
+        assert type(got) is int and got == want
+
+    def test_large_n_has_every_exact_value(self):
+        """The float estimate overflows from n = 512 and is left out there;
+        the exact values stay, so the `bound` table prints at any n."""
+        assert set(reference_bounds(152)) == set(reference_bounds(511)) == {
+            "n", "poly", "classical_border_lower", "preliminary_bound", "main_bound",
+            "symmetric_rank_lower", "symmetric_rank_upper", "asymptotic_estimate"}
+        ref = reference_bounds(600)
+        assert "asymptotic_estimate" not in ref
+        assert ref["main_bound"] == main_theorem_value(600).integer_bound
+        assert ref["classical_border_lower"] == comb(600, 300) ** 2
 
     def test_asymptotics_track_the_bound(self):
         # the float estimate should approximate the exact main value

@@ -16,7 +16,7 @@ from flatrank.partitions import (
     total_dimension,
 )
 from flatrank.polynomials import determinant_poly, permanent_poly
-from oracles import scale
+from oracles import add, scale
 
 
 def run(argv, capsys):
@@ -165,7 +165,7 @@ class TestBound:
         assert rec["bound"] == bound
 
     def test_full_method_from_file(self, capsys, tmp_path):
-        # det3 halved has Fraction coefficients, reduced mod p entry by entry
+        # det3 halved has Fraction coefficients: it is ranked as det3
         for poly in (determinant_poly(2), scale(determinant_poly(3), Fraction(1, 2))):
             poly_path = tmp_path / "poly.json"
             poly_path.write_text(poly.to_json())
@@ -264,10 +264,8 @@ class TestBound:
          "not a polynomial"),
         (["--poly", "file:{text_n}", "--n", "3", "--method", "koszul-full"],
          "not a polynomial"),
-        # every coefficient has the default prime as its denominator
-        (["--poly", "file:{over_prime}", "--n", "3", "--method", "koszul-full",
-          "--d", "1", "--p", "2"], "divisible by the prime 1073741789; choose "
-         "another prime with --prime"),
+        (["--poly", "det", "--n", "3", "--method", "koszul-full", "--d", "1", "--p", "2",
+          "--prime", "1073741790"], "1073741790 is not prime"),
         # the minor map's modules have degree n - d + p = 5
         (["--poly", "det", "--n", "5", "--method", "koszul-minor", "--d", "2", "--p", "2",
           "--prime", "5"], "the prime 5 is at most the degree 5"),
@@ -284,7 +282,6 @@ class TestBound:
             "empty": "{}",
             "array": "[1, 2]",
             "text_n": json.dumps(text_n),
-            "over_prime": scale(det3, Fraction(1, 1073741789)).to_json(),
         }
         paths = {name: tmp_path / f"{name}.json" for name in files}
         for name, text in files.items():
@@ -315,20 +312,77 @@ class TestBound:
 
     def test_rational_certificate_stands_when_the_prime_divides_a_denominator(
             self, capsys, tmp_path):
+        """det3 over the default prime is ranked as det3, its integer
+        multiple: the modular and the rational certificate both stand, with
+        det3's rank and matrix_hash, and nothing is written to stderr."""
         path = tmp_path / "over_prime.json"
         path.write_text(scale(determinant_poly(3), Fraction(1, 1073741789)).to_json())
-        argv = ["bound", "--poly", f"file:{path}", "--n", "3", "--method",
-                "koszul-full", "--d", "1", "--p", "2", "--format", "json"]
-        code = main(argv + ["--rational"])
-        captured = capsys.readouterr()
-        cert = json.loads(captured.out)
-        assert code == 0 and (cert["rank"], cert["bound"]) == (315, 12)
-        assert [(c["method"], c["rank"]) for c in cert["provenance"]] == [("rational", 315)]
-        assert "divisible by the prime" in captured.err and captured.err.count("\n") == 1
-        # without --rational there is no certificate: a one-line error
-        assert main(argv) == 2
+        args = ["--n", "3", "--method", "koszul-full", "--d", "1", "--p", "2",
+                "--format", "json", "--rational"]
+        certs = []
+        for spec in (f"file:{path}", "det"):
+            code = main(["bound", "--poly", spec, *args])
+            captured = capsys.readouterr()
+            assert code == 0 and captured.err == ""
+            cert = json.loads(captured.out)
+            assert (cert["rank"], cert["t"], cert["bound"]) == (315, 28, 12)
+            certs.append([(c["method"], c["rank"], c["matrix_hash"])
+                          for c in cert["provenance"]])
+        assert [(m, r) for m, r, _ in certs[0]] == [("modular", 315), ("rational", 315)]
+        assert certs[0] == certs[1]
+
+    @pytest.mark.parametrize("build,multiple,argv", [
+        (lambda: scale(determinant_poly(3), Fraction(3, 7)),
+         lambda: scale(determinant_poly(3), 3),
+         ["--n", "3", "--method", "koszul-full", "--d", "1", "--p", "2", "--rational"]),
+        (lambda: add(scale(determinant_poly(3), Fraction(1, 2)),
+                     scale(permanent_poly(3), Fraction(-1, 3))),
+         lambda: add(scale(determinant_poly(3), 3), scale(permanent_poly(3), -2)),
+         ["--n", "3", "--method", "koszul-full", "--d", "1", "--p", "1", "--rational"]),
+        (lambda: scale(permanent_poly(3), Fraction(5, 2)),
+         lambda: scale(permanent_poly(3), 5),
+         ["--n", "3", "--method", "pieri", "--rational"]),
+    ], ids=["det3-3/7", "det3/2-perm3/3", "perm3-pieri-5/2"])
+    def test_fractional_file_input_certifies_like_its_integer_multiple(
+            self, capsys, tmp_path, build, multiple, argv):
+        """A `file:` polynomial is multiplied by the lcm of its
+        coefficients' denominators, so its certificate, matrix_hash
+        included, is that of the integral file holding that multiple."""
+        records = []
+        for name, poly in (("fractional", build()), ("integral", multiple())):
+            path = tmp_path / f"{name}.json"
+            path.write_text(poly.to_json())
+            code, out = run(["bound", "--poly", f"file:{path}", *argv, "--format", "json"],
+                            capsys)
+            assert code == 0
+            rec = json.loads(out)
+            for c in rec["provenance"]:
+                del c["elapsed_ms"]
+            records.append(rec)
+        assert [c["method"] for c in records[0]["provenance"]] == ["modular", "rational"]
+        assert records[0] == records[1]
+
+    def test_table_prints_at_any_n(self, capsys, monkeypatch):
+        """The table's reference values stay exact past the float range
+        (`bounds.reference_bounds`); the blocks are stubbed out, as n=152
+        takes seconds to certify."""
+        monkeypatch.setattr(cli, "flattening_blocks", lambda *args: ([], 1))
+        for n in (152, 600):
+            code, out = run(["bound", "--poly", "det", "--n", str(n), "--method",
+                             "koszul-full", "--d", "1", "--p", "1"], capsys)
+            assert code == 0 and "symmetric_rank_upper" in out and "main_bound" in out
+
+    def test_out_of_memory_is_one_line_error(self, capsys, monkeypatch):
+        """A request that passes every size guard and still exhausts memory
+        ends in a one-line error, not a traceback."""
+        def build(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "flattening_blocks", build)
+        code = main(["bound", "--poly", "det", "--n", "9", "--method", "koszul-full",
+                     "--d", "1", "--p", "1"])
         err = capsys.readouterr().err
-        assert err.startswith("flatrank: error: ") and err.count("\n") == 1
+        assert code == 2 and err == "flatrank: error: out of memory\n"
 
 
 class TestVerify:
@@ -408,13 +462,17 @@ def test_a_koszul_bound_run_loads_no_pieri_code(argv, solves_modules):
     ["--poly", "perm", "--n", "3", "--method", "koszul-full", "--d", "1", "--p", "2"],
     ["--poly", "det", "--n", "3", "--method", "pieri"],
     ["--poly", "perm", "--n", "3", "--method", "pieri"],
+    ["--poly", "det", "--n", "4", "--method", "koszul-minor", "--d", "2", "--p", "1",
+     "--rational"],
+    ["--poly", "perm", "--n", "3", "--method", "pieri", "--rational"],
 ], ids=["det-koszul-minor", "det-koszul-full", "perm-koszul-full", "det-pieri",
-        "perm-pieri"])
+        "perm-pieri", "det-koszul-minor-rational", "perm-pieri-rational"])
 def test_a_json_bound_run_loads_no_openssl_or_fractions(argv):
-    """Hashes use CPython's built-in sha256, and integral polynomials are
-    ranked in int arithmetic: a `--format json` run without `--rational`
-    loads neither OpenSSL nor `fractions` and `decimal`."""
+    """Hashes use CPython's built-in sha256, and det and perm are ranked in
+    int arithmetic on both routes: a `--format json` run, with or without
+    `--rational`, loads neither OpenSSL nor `fractions`, `decimal` and
+    `numbers`."""
     argv = ["bound", *argv, "--format", "json"]
     loaded = loaded_by(f"from flatrank.cli import main\nassert main({argv!r}) == 0")
-    for name in ("_hashlib", "fractions", "decimal"):
+    for name in ("_hashlib", "fractions", "decimal", "numbers"):
         assert name not in loaded, name

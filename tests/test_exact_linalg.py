@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 import subprocess
 import sys
 import time
@@ -26,7 +27,7 @@ from oracles import dense_rank_bareiss, dense_rank_mod_p
 def make_matrix(dense, kind="test"):
     nrows, ncols = len(dense), len(dense[0]) if dense else 0
     entries = [
-        (r, c, Fraction(v))
+        (r, c, v)
         for r, row in enumerate(dense)
         for c, v in enumerate(row)
         if v
@@ -64,10 +65,13 @@ class TestSparseRank:
         assert sparse_rank(entries, p=101) == 7
         assert sparse_rank(entries, p=None) == 7
 
-    def test_denominator_divisible_by_p(self):
-        entries = [(0, 0, Fraction(1, 5))]
-        with pytest.raises(ValueError, match=r"\(0,0\) is divisible by the prime 5"):
-            sparse_rank(entries, p=5)
+    def test_non_int_entries_are_refused(self):
+        """A rational entry reduced mod p would give a wrong rank silently,
+        so only ints are ranked, on either route, whatever their value."""
+        for v in (Fraction(1, 5), Fraction(2), 2.0):
+            for p in (5, None):
+                with pytest.raises(TypeError, match=re.escape(f"entry (0,1) is {v!r}, not an int")):
+                    sparse_rank([(0, 0, 1), (0, 1, v)], p=p)
 
     def test_matches_dense_oracle(self):
         rng = random.Random(0)
@@ -100,17 +104,26 @@ class TestSparseRank:
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_rational_matches_bareiss(self, data):
-        """Rational sparse elimination equals the dense Bareiss oracle on
-        integer and Fraction matrices, glued block-diagonally or not."""
-        entry = st.one_of(
-            st.integers(-6, 6),
-            st.fractions(min_value=-6, max_value=6, max_denominator=7),
-        )
+        """Fraction-free elimination over Q equals the dense Bareiss oracle
+        on int matrices: small entries or entries up to 10^12, sparse or
+        dense, some rows sharing a common factor and some rows integer
+        combinations of others, glued block-diagonally or not."""
+        bound = data.draw(st.sampled_from([6, 10**12]))
+        value = st.integers(-bound, bound)
+        entry = data.draw(st.sampled_from([value, st.one_of(st.just(0), st.just(0), value)]))
 
         def block():
             nr, nc = data.draw(st.integers(1, 7)), data.draw(st.integers(1, 7))
-            return data.draw(st.lists(st.lists(entry, min_size=nc, max_size=nc),
+            rows = data.draw(st.lists(st.lists(entry, min_size=nc, max_size=nc),
                                       min_size=nr, max_size=nr))
+            factor = data.draw(st.integers(2, 10**6))
+            rows = [[factor * v for v in row] if data.draw(st.booleans()) else row
+                    for row in rows]
+            for _ in range(data.draw(st.integers(0, 2))):
+                i, j = (data.draw(st.integers(0, nr - 1)) for _ in range(2))
+                a, b = data.draw(value), data.draw(value)
+                rows.append([a * x + b * y for x, y in zip(rows[i], rows[j])])
+            return rows
 
         blocks = [block() for _ in range(data.draw(st.integers(1, 3)))]
         ncols = sum(len(b[0]) for b in blocks)
@@ -122,6 +135,19 @@ class TestSparseRank:
             (r, c, v) for r, row in enumerate(dense) for c, v in enumerate(row) if v
         ]
         assert sparse_rank(entries, p=None) == dense_rank_bareiss(dense)
+
+    @pytest.mark.parametrize("density", [0.15, 1.0])
+    def test_rational_rank_of_low_rank_products(self, density):
+        """A product of an n x k and a k x m int matrix, with entries up to
+        10^6 and so products up to k * 10^12, has rank at most k: the
+        fraction-free route equals the Bareiss oracle on it."""
+        rng = random.Random(11)
+        for n, k, m in [(12, 5, 9), (20, 13, 20), (25, 24, 30)]:
+            A = random_dense(rng, n, k, density, -10**6, 10**6)
+            B = random_dense(rng, k, m, density, -10**6, 10**6)
+            dense = [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in A]
+            entries = [(r, c, v) for r, row in enumerate(dense) for c, v in enumerate(row) if v]
+            assert sparse_rank(entries, p=None) == dense_rank_bareiss(dense) <= k
 
     def test_memory_cap(self):
         rng = random.Random(1)
@@ -136,22 +162,13 @@ class TestSparseRank:
         """A 12x12 circulant band (row i holds columns i, i+1, i+3 mod 12)
         starts at 36 entries and peaks at 44 during elimination, the
         entries of eliminated pivot rows included: a cap of 44 entries
-        lets it finish, a cap of 43 stops it mid-way."""
+        lets it finish, a cap of 43 stops it mid-way.  The fraction-free
+        route over Q has the same fill."""
         entries = [(i, (i + k) % 12, 1 + i + k) for i in range(12) for k in (0, 1, 3)]
-        assert sparse_rank(entries, p=1009, memory_cap_bytes=4400) == 12
-        with pytest.raises(MemoryCapExceeded, match="fill reached 44 entries, over cap 43"):
-            sparse_rank(entries, p=1009, memory_cap_bytes=4300)
-
-    def test_int_entries_reduce_like_fractions(self):
-        """Integer entries take the fast path (v % p); Fractions of the same
-        values take the general one, with the same rank."""
-        rng = random.Random(5)
-        for _ in range(50):
-            dense = random_dense(rng, 8, 8, density=0.5, lo=-10**12, hi=10**12)
-            ints = [(r, c, v) for r, row in enumerate(dense) for c, v in enumerate(row) if v]
-            fracs = [(r, c, Fraction(v)) for r, c, v in ints]
-            for p in (7, 1009, DEFAULT_PRIME):
-                assert sparse_rank(ints, p=p) == sparse_rank(fracs, p=p)
+        for p in (1009, None):
+            assert sparse_rank(entries, p=p, memory_cap_bytes=4400) == 12
+            with pytest.raises(MemoryCapExceeded, match="fill reached 44 entries, over cap 43"):
+                sparse_rank(entries, p=p, memory_cap_bytes=4300)
 
 
 class TestDenseBareiss:

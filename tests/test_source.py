@@ -101,3 +101,18 @@ def test_every_library_parameter_is_read():
             found += [f"{path.name}:{node.lineno} {node.name}({name})"
                       for name in params if name not in read]
     assert SOURCES and not found, found
+
+
+def test_only_input_and_closed_forms_import_fractions():
+    """Flattening entries are ints from load to elimination: only
+    `polynomials`, which reads JSON input, and `bounds`, which evaluates
+    closed-form values, may import `fractions`, at top level or inside a
+    function."""
+    found = sorted({
+        path.stem
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.ImportFrom) and node.module == "fractions"
+        or isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names)
+    })
+    assert "polynomials" in found and set(found) <= {"polynomials", "bounds"}, found
