@@ -41,6 +41,11 @@ def load_polynomial(spec: str, n: int):
     raise ValueError(f"unknown polynomial {spec!r}")
 
 
+# The Pieri flattening at n=3 maps S_PI3 C^9 to S_(3)+PI3 C^9 (see
+# `flattening_blocks`); `verify` checks the dimensions of both.
+PI3 = (2, 2, 2, 2, 1, 1, 1, 1)
+
+
 def flattening_blocks(method: str, spec: str, n: int, d: int | None, p: int | None,
                       memory_cap_bytes: int = exact_linalg.DEFAULT_MEMORY_CAP_BYTES
                       ) -> tuple[list, int]:
@@ -50,19 +55,44 @@ def flattening_blocks(method: str, spec: str, n: int, d: int | None, p: int | No
     `certify` turns into the map's rank; minor-orbits, one block per orbit
     of the same map, is `verify`'s second route for it.  The pieri method
     ignores d and p.  Only the construction module of the method is
-    imported."""
+    imported.
+
+    Pieri.  The Pieri (Young) flattening of a cubic P at n=3 maps S_pi V
+    to S_(3)+pi V, V = C^9 and pi = PI3, adding one box to each of rows 1,
+    5 and 9 of pi.  It is ranked as the full Koszul map at (d=1, p=4),
+    Lambda^4 V x V* -> Lambda^5 V x V, which has the same rank over Q for
+    every cubic; t = C(8, 4) = 70 for both.  Split Lambda^4 V x V* into
+    Lambda^3 V, embedded by u -> sum_i (e_i ^ u) x e_i*, and K, the kernel
+    of contraction onto Lambda^3 V: V* = Lambda^8 V x det^-1 and Lambda^4 V
+    x Lambda^8 V = S_pi V + Lambda^3 V x det, so K = S_pi V x det^-1.  And
+    Lambda^5 V x V = S_21111 V + Lambda^6 V.  Both maps are GL(V)-
+    equivariant and linear in P (the Pieri map with its arrangements
+    weighted by alpha!, see the oracle), and by the Pieri rule:
+    - Hom(S^3 V x Lambda^3 V, Lambda^5 V x V) = 0 (S_411 + S_3111 meets
+      neither summand), so the full map kills the trace summand;
+    - Hom(S^3 V x K, Lambda^6 V) = 0: Lambda^6 V x det = S_222222111 adds
+      boxes to rows 5, 6 and 9 of pi, and rows 5 and 6 share column 2;
+    - Hom(S^3 V x K, S_21111 V) is one-dimensional, the Pieri rule being
+      multiplicity-free: S_21111 V x det = S_(3)+pi adds exactly the boxes
+      of rows 1, 5 and 9.
+    Neither map is zero (rank 70 at a cubed variable), so after fixed
+    isomorphisms the full map on K is a nonzero scalar times the Pieri map,
+    for every P, and their ranks are equal over C, hence over Q.  A modular
+    rank stays a lower bound on the rational rank of the matrix built.  The
+    tableau-basis Pieri map is the tests' oracle for this route."""
+    from . import flattening
+
     if method == "pieri":
         if n != 3:
             raise ValueError("the pieri method is supported at n=3 only")
-        from .schur_flattening import PI3, PIERI_ROWS, PIERI_T, pieri_blocks
-
-        return list(pieri_blocks(load_polynomial(spec, n), PI3, PIERI_ROWS)), PIERI_T
-    from . import flattening
-
+        P = load_polynomial(spec, n)
+        if P.degree != 3:
+            raise ValueError(f"degree {P.degree} does not match 3 added boxes")
+        return list(flattening.full_koszul_blocks(P, 1, 4, memory_cap_bytes)), comb(8, 4)
     if method == "koszul-full":
         # refuse an oversized request before the polynomial takes seconds to build
         flattening.check_full_size(n, d, p, memory_cap_bytes)
-        flattening.check_named_terms(spec, n, memory_cap_bytes)
+        flattening.check_named_terms(spec, n, d, memory_cap_bytes)
         blocks = flattening.full_koszul_blocks(load_polynomial(spec, n), d, p,
                                                memory_cap_bytes)
     elif spec != "det":
@@ -167,13 +197,14 @@ def rank_checks(suite: str) -> list[tuple]:
     expected rank, expected bound), each ranked on the blocks `bound` ranks
     for the method.  A number's second route is another row (the minor map
     against the full map, or its highest-weight blocks against its orbit
-    blocks) or the module dimension count as expected rank."""
+    blocks) or the module dimension count as expected rank.  The pieri rows
+    and the full (d=1, p=4) rows rank one map; their second route is the
+    tableau-basis Pieri map, which only the tests build."""
     from . import bounds
     from .partitions import theoretical_image_dim
-    from .schur_flattening import PIERI_T
 
     rows = [
-        ("pieri power", "pieri", "power", 3, None, None, PIERI_T, 1),
+        ("pieri power", "pieri", "power", 3, None, None, 70, 1),
         ("pieri det3", "pieri", "det", 3, None, None, 950, 14),
         ("pieri perm3", "pieri", "perm", 3, None, None, 934, 14),
         ("minor(4,2,1)", "koszul-minor", "det", 4, 2, 1, 560, 38),
@@ -199,8 +230,8 @@ def rank_checks(suite: str) -> list[tuple]:
             ("minor(4,2,2) baseline", "koszul-minor", "det", 4, 2, 2, 4065, 39),
             ("full det4 (d=2, p=2) = minor(4,2,2) = image dim", "koszul-full",
              "det", 4, 2, 2, theoretical_image_dim(4, 2, 2), 39),
-            ("full det3 (d=1, p=4) = pieri det3", "koszul-full", "det", 3, 1, 4, 950, 14),
-            ("full perm3 (d=1, p=4) = pieri perm3", "koszul-full", "perm", 3, 1, 4, 934, 14),
+            ("full det3 (d=1, p=4)", "koszul-full", "det", 3, 1, 4, 950, 14),
+            ("full perm3 (d=1, p=4)", "koszul-full", "perm", 3, 1, 4, 934, 14),
         ]
     return rows
 
@@ -218,7 +249,6 @@ def run_suite(suite: str) -> bool:
     from . import bounds
     from .hwv import ALL_LEMMAS, verify_hwv_nonzero
     from .partitions import schur_dim
-    from .schur_flattening import PI3
 
     ok = True
     if suite != "hwv":

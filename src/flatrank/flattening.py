@@ -40,8 +40,10 @@ _BYTES_PER_WEDGE = 400
 # (traced peaks of the dual list and its weight classes: 232, 384 and 680
 # bytes per dual at (n, d) = (3, 4), (5, 3) and (8, 3))
 _BYTES_PER_DUAL = 200
-# per term of det or perm, beyond its exponent tuple's 8 bytes per variable
-# (traced peaks of building either: 84, 100, 69, 73 bytes per term at n=5..8)
+# per term of det or perm, or of a derivative the full map caches, beyond its
+# exponent tuple's 8 bytes per variable (traced peaks of building det or perm:
+# 84, 100, 69, 73 bytes per term at n=5..8; of det6 and det7's cache at d=1:
+# 92 and 86 bytes per term)
 _BYTES_PER_TERM = 100
 
 
@@ -364,13 +366,30 @@ def check_full_size(n: int, d: int, p: int, memory_cap_bytes: int) -> None:
                  duals * (8 * nv + _BYTES_PER_DUAL), memory_cap_bytes)
 
 
-def check_named_terms(spec: str, n: int, memory_cap_bytes: int) -> None:
-    """Reject det or perm at an n whose n! terms would not fit in the
+def check_named_terms(spec: str, n: int, d: int, memory_cap_bytes: int) -> None:
+    """Reject det or perm at an n whose n! terms, or the full map's cache of
+    their derivatives at d (`check_derivatives`), would not fit in the
     memory cap, before the polynomial is built."""
     if spec in ("det", "perm"):
         terms = factorial(n)
         _check_bytes(f"{spec} at n={n} has {terms} terms",
                      terms * (8 * n * n + _BYTES_PER_TERM), memory_cap_bytes)
+        check_derivatives(n, terms, n, d, memory_cap_bytes)
+
+
+def check_derivatives(n: int, terms: int, degree: int, d: int,
+                      memory_cap_bytes: int) -> None:
+    """Reject a full-map request whose cache of derivatives would not fit in
+    the memory cap.  `full_column_image` keeps, per dual monomial a of
+    degree d and variable x, the terms of d/dx d^a P.  A term m of P
+    reaches the (a, x) with a + x dividing m: at most C(degree, d+1)
+    monomials a + x, each with at most d+1 choices of x, and at most
+    duals * variables pairs in all."""
+    nv = n * n
+    pairs = min(comb(degree, d + 1) * (d + 1), comb(nv + d - 1, d) * nv) if d > 0 else 0
+    _check_bytes(f"the full map at n={n}, d={d} caches up to {terms * pairs} "
+                 f"derivative terms", terms * pairs * (8 * nv + _BYTES_PER_TERM),
+                 memory_cap_bytes)
 
 
 def _full_domain_factors(P, d: int, p: int,
@@ -381,6 +400,7 @@ def _full_domain_factors(P, d: int, p: int,
     if not 1 <= d <= P.degree - 1:
         raise ValueError(f"need 1 <= d <= degree-1, got d={d}, degree={P.degree}")
     check_full_size(P.n, d, p, memory_cap_bytes)
+    check_derivatives(P.n, len(P.terms), P.degree, d, memory_cap_bytes)
     return list(combinations(range(P.n * P.n), p)), monomials_of_degree(P.n * P.n, d)
 
 

@@ -26,7 +26,7 @@ from flatrank.partitions import (
     theoretical_image_dim,
 )
 from flatrank.polynomials import Exponents, Polynomial, sort_sign, var_index
-from flatrank.schur_flattening import (
+from schur_flattening import (
     Tableau,
     _canonical,
     _fill_columns,

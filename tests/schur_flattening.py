@@ -1,5 +1,10 @@
-"""Young flattenings in the semistandard tableau basis, one torus-weight
-block at a time.
+"""The Pieri oracle: Young flattenings in the semistandard tableau basis,
+one torus-weight block at a time.
+
+`flatrank bound --method pieri` ranks the full Koszul map at (d=1, p=4),
+whose rank equals this map's for every cubic (the proof is in the
+docstring of `flatrank.cli.flattening_blocks`); the tests check the two
+against each other.
 
 Tableaux are tuples of row tuples; semistandard means rows weakly increase
 and columns strictly increase.  A block's columns are the tableaux of one
@@ -16,16 +21,17 @@ from itertools import combinations, permutations, product
 from math import factorial, prod
 from operator import le
 
-from .partitions import Partition, conjugate, make_partition
-from .polynomials import Polynomial, exponent_variables, sort_sign
-from .flattening import polynomial_blocks, wedge_insert
+from flatrank.cli import PI3
+from flatrank.flattening import polynomial_blocks, wedge_insert
+from flatrank.partitions import Partition, conjugate, make_partition
+from flatrank.polynomials import Polynomial, exponent_variables, sort_sign
 
 Tableau = tuple[tuple[int, ...], ...]
 Columns = tuple[tuple[int, ...], ...]
 
-# The n=3 Pieri flattening: tableaux of shape PI3 over C^9, one box added
-# to each of rows PIERI_ROWS; PIERI_T = 70 is its rank at a cubed variable.
-PI3 = (2, 2, 2, 2, 1, 1, 1, 1)
+# The n=3 Pieri flattening: tableaux of shape PI3 (defined in `flatrank.cli`,
+# whose `verify` checks its dimensions) over C^9, one box added to each of
+# rows PIERI_ROWS; PIERI_T = 70 is its rank at a cubed variable.
 PIERI_ROWS = (1, 5, 9)
 PIERI_T = 70
 

@@ -21,7 +21,7 @@ from flatrank.polynomials import (
     permanent_poly,
     variable_power,
 )
-from flatrank.schur_flattening import PI3, PIERI_ROWS, PIERI_T
+from schur_flattening import PI3, PIERI_ROWS, PIERI_T
 import oracles
 from oracles import random_low_rank
 

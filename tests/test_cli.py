@@ -16,7 +16,7 @@ from flatrank.partitions import (
     total_dimension,
 )
 from flatrank.polynomials import determinant_poly, permanent_poly
-from oracles import add, scale
+from oracles import add, random_low_rank, scale
 
 
 def run(argv, capsys):
@@ -272,6 +272,9 @@ class TestBound:
         # C(3600, 2) wedges would not fit in 256 MiB
         (["--poly", "det", "--n", "60", "--method", "koszul-minor", "--d", "30",
           "--p", "2", "--memory-cap", "256"], "over the memory cap of 256 MiB"),
+        # the full map at (d=1, p=4) would rank a quartic, but no Pieri map exists
+        (["--poly", "file:{quartic}", "--n", "3", "--method", "pieri"],
+         "degree 4 does not match 3 added boxes"),
     ])
     def test_bad_request_is_one_line_error(self, capsys, tmp_path, argv, message):
         det3 = determinant_poly(3)
@@ -279,6 +282,7 @@ class TestBound:
         text_n["n"] = "3"
         files = {
             "det3": det3.to_json(),
+            "quartic": random_low_rank(2, 4, 3, 5).to_json(),
             "empty": "{}",
             "array": "[1, 2]",
             "text_n": json.dumps(text_n),
@@ -304,6 +308,9 @@ class TestBound:
             # n! terms over the default cap, though the wedges and duals fit
             (["det", "--n", "11", "--d", "1", "--p", "1"], "det at n=11 has 39916800 terms"),
             (["perm", "--n", "11", "--d", "1", "--p", "1"], "perm at n=11 has 39916800 terms"),
+            # det9 fits, its derivatives at d=1 (81 duals x 64 variables x 5040 terms) do not
+            (["det", "--n", "9", "--d", "1", "--p", "1"],
+             "the full map at n=9, d=1 caches up to 26127360 derivative terms"),
         ]:
             code = main(["bound", "--method", "koszul-full", "--poly", *argv])
             err = capsys.readouterr().err
@@ -454,6 +461,21 @@ def test_a_koszul_bound_run_loads_no_pieri_code(argv, solves_modules):
     assert ("flatrank.polynomials" in loaded) != solves_modules
     assert "flatrank.hwv" not in loaded
     assert "_hashlib" not in loaded
+
+
+@pytest.mark.parametrize("argv", [
+    ["--poly", "perm", "--n", "3", "--method", "pieri"],
+    ["--poly", "det", "--n", "3", "--method", "pieri", "--rational"],
+], ids=["pieri", "pieri-rational"])
+def test_a_pieri_bound_run_loads_no_tableau_or_partition_code(argv):
+    """Pieri runs the full map at (d=1, p=4): it loads `flattening` and
+    `polynomials`, and neither `partitions` nor the tableau code, which
+    lives in the tests as the Pieri oracle."""
+    loaded = loaded_by(f"from flatrank.cli import main\nassert main({['bound', *argv]!r}) == 0")
+    assert "flatrank.flattening" in loaded and "flatrank.polynomials" in loaded
+    for name in ("flatrank.partitions", "flatrank.schur_flattening", "schur_flattening",
+                 "flatrank.hwv", "_hashlib"):
+        assert name not in loaded, name
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,14 +1,23 @@
 import gc
 import random
+import tempfile
 import weakref
 from fractions import Fraction
 from functools import cache
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from flatrank.exact_linalg import DEFAULT_PRIME, rank_mod_p, sparse_rank
+from flatrank.exact_linalg import (
+    DEFAULT_MEMORY_CAP_BYTES,
+    DEFAULT_PRIME,
+    rank_mod_p,
+    rank_rational,
+    sparse_rank,
+)
 import flatrank.flattening as flattening
 from flatrank.flattening import (
     full_column_image,
@@ -29,13 +38,15 @@ from flatrank.hwv import (
 )
 from flatrank.partitions import candidate_image, schur_dim, theoretical_image_dim
 from flatrank.polynomials import (
+    Polynomial,
     determinant_poly,
+    is_bigraded,
     permanent_poly,
     sort_sign,
     var_index,
     variable_power,
 )
-from flatrank.schur_flattening import PI3, PIERI_ROWS, _tableau_groups, pieri_blocks
+from schur_flattening import PI3, PIERI_ROWS, PIERI_T, _tableau_groups, pieri_blocks
 from flatrank.cli import certify, flattening_blocks
 from oracles import (
     bidegree_of_label as _bidegree_of_label,
@@ -504,6 +515,123 @@ class TestFullMap:
             full_koszul_blocks(variable_power((8, 8), 8, 8), 6, 1)
         with pytest.raises(ValueError, match="over the memory cap of 256 MiB"):
             flattening_blocks("koszul-full", "power", 8, 6, 1, memory_cap_bytes=256 << 20)
+
+    @pytest.mark.parametrize("P,d,exact", [
+        (determinant_poly(4), 1, True),
+        (determinant_poly(4), 2, True),
+        (permanent_poly(4), 2, True),
+        (variable_power((3, 3), 4, 3), 2, False),
+        (random_low_rank(2, 4, 3, 5), 1, False),
+        (random_low_rank(2, 4, 3, 5), 2, False),
+    ], ids=["det4-1", "det4-2", "perm4-2", "power-2", "quartic-1", "quartic-2"])
+    def test_derivative_guard_charges_at_least_the_cached_terms(self, P, d, exact):
+        """The derivative cache, filled for every dual monomial, holds at
+        most the terms `check_derivatives` charges, and exactly as many for
+        det and perm, whose monomials are squarefree."""
+        derivs: dict = {}
+        for a in flattening.monomials_of_degree(P.n * P.n, d):
+            full_column_image(P, ((), a), derivs)
+        cached = sum(len(D) for pairs in derivs.values() for _, D in pairs)
+        need = cached * (8 * P.n * P.n + flattening._BYTES_PER_TERM)
+        with pytest.raises(ValueError, match="derivative terms") as refused:
+            flattening.check_derivatives(P.n, len(P.terms), P.degree, d, need - 1)
+        if exact:
+            assert f"caches up to {cached} derivative terms" in str(refused.value)
+            flattening.check_derivatives(P.n, len(P.terms), P.degree, d, need)
+
+    def test_oversized_derivative_cache_fails_before_enumeration(self, monkeypatch):
+        """det6 at d=3 caches 43200 derivative terms, about 16 MB: its
+        wedges and dual monomials fit in 8 MiB, its derivatives do not."""
+        monkeypatch.setattr(flattening, "combinations", None)  # enumerating would crash
+        monkeypatch.setattr(flattening, "monomials_of_degree", None)
+        with pytest.raises(ValueError, match="the full map at n=6, d=3 caches up to 43200 "
+                           "derivative terms, about 15 MiB, over the memory cap of 8 MiB"):
+            full_koszul_blocks(determinant_poly(6), 3, 2, memory_cap_bytes=8 << 20)
+
+    @pytest.mark.parametrize("spec,n,d", [
+        ("det", 3, 1), ("det", 4, 2), ("perm", 4, 2), ("det", 5, 2), ("det", 6, 3),
+    ])
+    def test_named_polynomials_fit_the_default_cap(self, spec, n, d):
+        flattening.check_named_terms(spec, n, d, DEFAULT_MEMORY_CAP_BYTES)
+
+
+@st.composite
+def cubics(draw, graded: bool):
+    """A cubic in the 9 variables of a 3x3 matrix with small int
+    coefficients.  A graded one sums the monomials x[r0, c(s0)] x[r1, c(s1)]
+    x[r2, c(s2)] of one row multiset r and column multiset c over the
+    permutations s, so all its monomials have one weight; the others sum up
+    to six random monomials of several weights."""
+    terms: dict = {}
+    if graded:
+        rows, cols = (draw(st.lists(st.integers(0, 2), min_size=3, max_size=3))
+                      for _ in range(2))
+        monomials = [[3 * rows[k] + cols[s[k]] for k in range(3)]
+                     for s in permutations(range(3))]
+    else:
+        monomials = draw(st.lists(st.lists(st.integers(0, 8), min_size=3, max_size=3),
+                                  min_size=2, max_size=6))
+    for variables in monomials:
+        exps = tuple(variables.count(k) for k in range(9))
+        terms[exps] = terms.get(exps, 0) + draw(st.integers(-3, 3))
+    P = Polynomial(3, 3, {e: c for e, c in terms.items() if c})
+    assume(P.terms and is_bigraded(P) == graded)
+    return P
+
+
+def trace_vector_images(P) -> list[dict]:
+    """The images under the full map of P at (d=1, p=4) of the 84 vectors
+    sum_i (e_i ^ u) x e_i*, u a 3-wedge of the 9 variables, each as a dict
+    of its nonzero coordinates."""
+    derivs: dict = {}
+    images = []
+    for u in combinations(range(9), 3):
+        image: dict = {}
+        for i in range(9):
+            if ins := wedge_insert(u, i):
+                sign, w = ins
+                a = tuple(int(k == i) for k in range(9))
+                for row, v in full_column_image(P, (w, a), derivs):
+                    image[row] = image.get(row, 0) + sign * v
+        images.append({row: v for row, v in image.items() if v})
+    return images
+
+
+class TestPieriRoute:
+    """`bound --method pieri` ranks the full map at (d=1, p=4), which kills
+    the trace summand Lambda^3 V of its domain and has the rank of the
+    tableau-basis Pieri map for every cubic (`cli.flattening_blocks`)."""
+
+    @pytest.mark.parametrize("P", [
+        determinant_poly(3), permanent_poly(3), variable_power((3, 3), 3, 3),
+    ], ids=["det3", "perm3", "power"])
+    def test_trace_summand_maps_to_zero(self, P):
+        assert trace_vector_images(P) == [{}] * 84
+
+    @settings(max_examples=10, deadline=None)
+    @given(cubics(graded=False))
+    def test_trace_summand_of_a_non_graded_cubic_maps_to_zero(self, P):
+        assert trace_vector_images(P) == [{}] * 84
+
+    def test_a_column_of_the_trace_summand_does_not_map_to_zero(self):
+        """The control: one term of a trace vector alone has an image."""
+        assert full_column_image(determinant_poly(3), ((0, 1, 2, 3), (1,) + (0,) * 8), {})
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.booleans().flatmap(cubics))
+    def test_pieri_oracle_has_the_rank_of_the_bound_route(self, P):
+        """mod p and over Q, graded or not: the tableau-basis Pieri map and
+        the blocks `bound --method pieri` ranks, read from a `file:`."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "cubic.json"
+            path.write_text(P.to_json())
+            blocks, t = flattening_blocks("pieri", f"file:{path}", 3, None, None)
+        oracle = list(pieri_blocks(P, PI3, PIERI_ROWS))
+        assert t == PIERI_T
+        assert certify("pieri", blocks, 3, None, None, DEFAULT_PRIME).rank == \
+            rank_mod_p(oracle).rank
+        assert certify("pieri", blocks, 3, None, None, None).rank == \
+            rank_rational(oracle).rank
 
 
 

@@ -15,8 +15,8 @@ from flatrank.polynomials import (
     permanent_poly,
     variable_power,
 )
-import flatrank.schur_flattening as schur_flattening
-from flatrank.schur_flattening import (
+import schur_flattening
+from schur_flattening import (
     PI3,
     PIERI_ROWS,
     PIERI_T,
