@@ -129,6 +129,9 @@ def certify(method: str, blocks: list, n: int, d: int | None, p: int | None,
 def cmd_bound(args) -> int:
     from . import bounds
 
+    exact_linalg.check_prime(args.prime)  # before anything is built
+    if args.n < 1:
+        raise ValueError("--n must be at least 1")
     if args.memory_cap < 256:
         raise ValueError("--memory-cap must be at least 256 MiB")
     cap = args.memory_cap << 20

@@ -201,9 +201,6 @@ def sparse_rank(entries, p: int | None = None,
     return rank
 
 
-SIZE_GUARD = 10**7  # rows*cols guard for the exact rational path
-
-
 def _certified_rank(blocks, p: int | None, memory_cap_bytes: int) -> RankCertificate:
     """`sparse_rank` of each block mod p, or over the rationals for p=None,
     weighted by its orbit size.  Only the eliminations are timed; the hash
@@ -223,32 +220,25 @@ def _certified_rank(blocks, p: int | None, memory_cap_bytes: int) -> RankCertifi
     return RankCertificate(rank, p, h.hexdigest()[:16], elapsed, total, block_ranks)
 
 
-def rank_mod_p(blocks, prime: int = DEFAULT_PRIME,
-               memory_cap_bytes: int = DEFAULT_MEMORY_CAP_BYTES) -> RankCertificate:
-    """Certified rank of (orbit_size, block) pairs reduced mod `prime`,
-    which is only a lower bound on the rank over the rationals."""
+def check_prime(prime: int) -> None:
+    """Reject a modulus that is not an odd prime fitting in a machine word;
+    it needs no matrix, so a command checks it before building one."""
     if not is_prime(prime):
         raise ValueError(f"{prime} is not prime")
     if prime.bit_length() > 62 or prime == 2:
         raise ValueError("modulus must be an odd prime fitting in a machine word")
+
+
+def rank_mod_p(blocks, prime: int = DEFAULT_PRIME,
+               memory_cap_bytes: int = DEFAULT_MEMORY_CAP_BYTES) -> RankCertificate:
+    """Certified rank of (orbit_size, block) pairs reduced mod `prime`,
+    which is only a lower bound on the rank over the rationals."""
+    check_prime(prime)
     return _certified_rank(blocks, prime, memory_cap_bytes)
 
 
 def rank_rational(blocks, memory_cap_bytes: int = DEFAULT_MEMORY_CAP_BYTES) -> RankCertificate:
     """Certified rank of (orbit_size, block) pairs over the rationals:
-    `sparse_rank`'s fraction-free elimination of their int entries.
-
-    Each block needs rows*cols <= SIZE_GUARD or at most SIZE_GUARD/100
-    nonzeros: a larger one (a non-graded input is one block of every
-    column) fails with a ValueError before any elimination.
-    """
-    blocks = list(blocks)
-    for _, B in blocks:
-        nrows, ncols = B.nrows, len(B.cols)
-        if nrows * ncols > SIZE_GUARD and len(B.entries) > SIZE_GUARD // 100:
-            raise ValueError(
-                f"{nrows}x{ncols} matrix with {len(B.entries)} nonzeros exceeds the "
-                f"exact rational size guard (rows*cols <= {SIZE_GUARD} or nonzeros "
-                f"<= {SIZE_GUARD // 100}); its modular rank is a certified lower bound"
-            )
+    `sparse_rank`'s fraction-free elimination of their int entries, under
+    the same fill cap as `rank_mod_p`."""
     return _certified_rank(blocks, None, memory_cap_bytes)

@@ -185,29 +185,6 @@ def weight_blocks(groups, column_image, kind: str):
         yield size, FlatteningMatrix(len(row_index), group, entries, kind, weight)
 
 
-def polynomial_blocks(P, column_groups, column_image, kind: str):
-    """`weight_blocks` for a map built from P.
-
-    `column_groups(size_of)` enumerates the map's columns: for each weight
-    with size_of(weight) > 0, the triple (size_of(weight), weight, columns),
-    columns in basis order and weights in the order of their first column;
-    for size_of=None, the one triple (1, None, every column in basis
-    order).  The choice is read off P: one block when P is not bigraded
-    (its monomials have several weights), every weight with size 1 when it
-    is, and only orbit representatives (`_orbit_size`) when P is also
-    symmetric (fixed up to sign by row and column permutations and
-    transposition)."""
-    from .polynomials import is_bigraded, is_symmetric
-
-    if not is_bigraded(P):
-        size_of = None
-    elif is_symmetric(P):
-        size_of = _orbit_size
-    else:
-        size_of = lambda weight: 1
-    return weight_blocks(column_groups(size_of), column_image, kind)
-
-
 def _minor_blocks(n: int, p: int, weights):
     """`weight_blocks` of the minor-indexed map at the given (size, (wa,
     wb)) pairs, in that order.
@@ -439,10 +416,16 @@ def full_column_image(P, label, derivs: dict) -> list:
     return out
 
 
-def _full_column_groups(P, d: int, p: int, size_of,
-                        memory_cap_bytes: int) -> list:
-    """The columns (w, a) of the full Koszul map grouped by their weight
-    wt(w) - wt(a), as `polynomial_blocks` asks.
+def _full_column_groups(P, d: int, p: int, memory_cap_bytes: int) -> list:
+    """The columns (w, a) of the full Koszul map as `weight_blocks` takes
+    them: grouped by their weight wt(w) - wt(a), columns in basis order
+    and weights in the order of their first column.
+
+    The grouping is read off P: one group (1, None, every column) when P
+    is not bigraded (its monomials have several weights), every weight
+    with size 1 when it is, and only orbit representatives with their
+    orbit sizes (`_orbit_size`) when P is also symmetric (fixed up to sign
+    by row and column permutations and transposition).
 
     Wedges and dual monomials are first grouped into classes of equal
     weight, and a weight is computed once per pair of classes: a kept
@@ -450,17 +433,18 @@ def _full_column_groups(P, d: int, p: int, size_of,
     symmetric P a kept weight decreases on each axis, so a wedge class is
     paired only with the dual classes whose A-part and B-part both leave
     it decreasing, found per axis."""
-    from .polynomials import exponent_variables, torus_weight
+    from .polynomials import exponent_variables, is_bigraded, is_symmetric, torus_weight
 
     wedges, duals = _full_domain_factors(P, d, p, memory_cap_bytes)
-    if size_of is None:
+    if not is_bigraded(P):
         return [(1, None, [(w, a) for w in wedges for a in duals])]
     n = P.n
     dual_classes: dict = {}
     for a in duals:
         dual_classes.setdefault(torus_weight(exponent_variables(a), n), []).append(a)
     classes = list(dual_classes.items())
-    if size_of is _orbit_size:
+    if is_symmetric(P):
+        size_of = _orbit_size
         by_da: dict = {}  # A-part -> indices of the dual classes with it
         for i, ((da, _), _) in enumerate(classes):
             by_da.setdefault(da, []).append(i)
@@ -469,6 +453,7 @@ def _full_column_groups(P, d: int, p: int, size_of,
             return sorted(i for da, ids in by_da.items() if _decreasing(map(sub, wa, da))
                           for i in ids if _decreasing(map(sub, wb, classes[i][0][1])))
     else:
+        size_of = lambda weight: 1
         pairable = lambda wa, wb: range(len(classes))
     kept: dict = {}  # wedge weight -> [(kept weight, its dual class)]
     groups: dict = {}
@@ -487,11 +472,9 @@ def _full_column_groups(P, d: int, p: int, size_of,
 def full_koszul_blocks(P, d: int, p: int,
                        memory_cap_bytes: int = DEFAULT_MEMORY_CAP_BYTES):
     """Yield (orbit_size, block) for the full Koszul map of P (see
-    `weight_blocks` and `polynomial_blocks`); the whole matrix is never
-    built, and only the columns of kept weights are enumerated.  A column
-    (w, a) has weight wt(w) - wt(a)."""
+    `weight_blocks`); the whole matrix is never built, and only the
+    columns of kept weights are enumerated (`_full_column_groups`).  A
+    column (w, a) has weight wt(w) - wt(a)."""
     derivs: dict = {}
-    return polynomial_blocks(
-        P, lambda size_of: _full_column_groups(P, d, p, size_of, memory_cap_bytes),
-        lambda label: full_column_image(P, label, derivs), "full_block")
-
+    return weight_blocks(_full_column_groups(P, d, p, memory_cap_bytes),
+                         lambda label: full_column_image(P, label, derivs), "full_block")

@@ -22,9 +22,15 @@ from math import factorial, prod
 from operator import le
 
 from flatrank.cli import PI3
-from flatrank.flattening import polynomial_blocks, wedge_insert
+from flatrank.flattening import _orbit_size, wedge_insert, weight_blocks
 from flatrank.partitions import Partition, conjugate, make_partition
-from flatrank.polynomials import Polynomial, exponent_variables, sort_sign
+from flatrank.polynomials import (
+    Polynomial,
+    exponent_variables,
+    is_bigraded,
+    is_symmetric,
+    sort_sign,
+)
 
 Tableau = tuple[tuple[int, ...], ...]
 Columns = tuple[tuple[int, ...], ...]
@@ -82,9 +88,12 @@ def _fill_columns(heights: Partition, content) -> list[Tableau]:
 
 
 def _tableau_groups(shape: Partition, n: int, size_of) -> list:
-    """The semistandard tableaux of the shape over 1..n*n grouped by weight,
-    as `flattening.polynomial_blocks` asks; a group's tableaux are in the
-    lexicographic order of their row-reading words.
+    """The semistandard tableaux of the shape over 1..n*n as
+    `flattening.weight_blocks` takes them: for each weight with
+    size_of(weight) > 0, the triple (size_of(weight), weight, tableaux),
+    and for size_of=None the one triple (1, None, every tableau).  A
+    group's tableaux are in the lexicographic order of their row-reading
+    words.
 
     Entry k+1 stands for variable k, so a tableau's content is an n x n
     matrix whose row and column sums are its weight (wa, wb), and an entry
@@ -300,13 +309,22 @@ def pieri_blocks(phi: Polynomial, shape: Partition, target_rows):
     tableau's weight is the torus weight of its entries' variables:
     straightening preserves content, so the map shifts it by the weight of
     phi when phi is graded.  Only the tableaux of kept weights are
-    enumerated (`_tableau_groups`).  Blocks, orbits and soundness are those
-    of `flattening.weight_blocks`.
+    enumerated (`_tableau_groups`), picked as the full map picks its
+    columns (`flattening._full_column_groups`): every tableau when phi is
+    not bigraded, every weight with size 1 when it is, and orbit
+    representatives when phi is also symmetric.  Blocks, orbits and
+    soundness are those of `flattening.weight_blocks`.
     """
     shape = make_partition(shape)
     _pieri_target(phi, shape, target_rows)
     arrangements = pieri_arrangements(phi)
-    return polynomial_blocks(
-        phi, lambda size_of: _tableau_groups(shape, phi.n, size_of),
+    if not is_bigraded(phi):
+        size_of = None
+    elif is_symmetric(phi):
+        size_of = _orbit_size
+    else:
+        size_of = lambda weight: 1
+    return weight_blocks(
+        _tableau_groups(shape, phi.n, size_of),
         lambda T: pieri_column_image(arrangements, T, target_rows), "pieri_block",
     )

@@ -8,6 +8,7 @@ import pytest
 
 import flatrank
 from flatrank import cli
+from flatrank.bounds import main_theorem_value
 from flatrank.cli import main
 from flatrank.partitions import (
     candidate_image,
@@ -134,6 +135,23 @@ class TestBound:
         assert code == 0
         assert ranks == {"modular": 29376, "rational": 29376}
         assert rec["rank"] == 29376 and rec["bound"] == 107
+
+    def test_rational_past_the_old_size_guard(self, capsys):
+        """det32 p=2, the smallest headline whose blocks the Fraction-era
+        guard refused over Q: both routes give the image dimension and the
+        main theorem's bound."""
+        code, out = run(
+            ["bound", "--poly", "det", "--n", "32", "--method", "koszul-minor",
+             "--d", "16", "--p", "2", "--rational", "--format", "json"],
+            capsys,
+        )
+        rec = json.loads(out)
+        ranks = {c["method"]: c["rank"] for c in rec["provenance"]}
+        rank = theoretical_image_dim(32, 16, 2)
+        assert code == 0
+        assert ranks == {"modular": rank, "rational": rank}
+        assert rec["rank"] == rank
+        assert rec["bound"] == main_theorem_value(32).integer_bound
 
     def test_minor_certificate_lists_its_modules(self, capsys):
         """The smallest prime above the degree 5 certifies det5's 107, and
@@ -275,6 +293,13 @@ class TestBound:
         # the full map at (d=1, p=4) would rank a quartic, but no Pieri map exists
         (["--poly", "file:{quartic}", "--n", "3", "--method", "pieri"],
          "degree 4 does not match 3 added boxes"),
+        (["--poly", "det", "--n", "3", "--method", "koszul-full", "--d", "1", "--p", "2",
+          "--prime", "9223372036854775837"], "odd prime fitting in a machine word"),
+        (["--poly", "det", "--n", "3", "--method", "koszul-full", "--d", "1", "--p", "2",
+          "--prime", "2"], "odd prime fitting in a machine word"),
+        (["--poly", "det", "--n", "-2", "--method", "koszul-full"], "--n must be at least 1"),
+        (["--poly", "power", "--n", "0", "--method", "koszul-full"],
+         "--n must be at least 1"),
     ])
     def test_bad_request_is_one_line_error(self, capsys, tmp_path, argv, message):
         det3 = determinant_poly(3)
@@ -316,6 +341,23 @@ class TestBound:
             err = capsys.readouterr().err
             assert code == 2 and err.count("\n") == 1
             assert err.startswith(f"flatrank: error: {message}")
+
+    @pytest.mark.parametrize("method,prime", [
+        ("koszul-minor", "1073741790"),
+        ("koszul-full", "9223372036854775837"),
+        ("pieri", "2"),
+    ])
+    def test_bad_prime_is_refused_before_anything_is_built(
+            self, capsys, monkeypatch, method, prime):
+        def build(*args):
+            raise AssertionError("the blocks were built before the prime was checked")
+
+        monkeypatch.setattr(cli, "flattening_blocks", build)
+        code = main(["bound", "--poly", "det", "--n", "3", "--method", method,
+                     "--d", "1", "--p", "1", "--prime", prime])
+        err = capsys.readouterr().err
+        assert code == 2 and err.count("\n") == 1
+        assert err.startswith("flatrank: error: ") and "prime" in err
 
     def test_rational_certificate_stands_when_the_prime_divides_a_denominator(
             self, capsys, tmp_path):

@@ -274,11 +274,12 @@ class TestCertificates:
                       FlatteningMatrix(3, cols, [(0, 0, 1), (2, 1, Fraction(3, 2))], "k")):
             assert other.basis_hash() != base
 
-    def test_size_guard(self):
+    def test_rational_rank_has_no_size_guard_of_its_own(self):
+        """A block far past rows*cols = 10^7 and 10^5 nonzeros, the shape
+        the Fraction-era guard refused over Q, ranks on both routes."""
         entries = [(i, i, 1) for i in range(150_000)]
         M = FlatteningMatrix(200_000, list(range(200_000)), entries, "big")
-        with pytest.raises(ValueError, match="guard"):
-            rank_rational([(1, M)])
+        assert rank_rational([(1, M)]).rank == rank_mod_p([(1, M)]).rank == 150_000
 
 
 class TestComponents:

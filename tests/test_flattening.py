@@ -4,7 +4,7 @@ import tempfile
 import weakref
 from fractions import Fraction
 from functools import cache
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import comb
 from pathlib import Path
 
@@ -41,6 +41,7 @@ from flatrank.polynomials import (
     Polynomial,
     determinant_poly,
     is_bigraded,
+    is_symmetric,
     permanent_poly,
     sort_sign,
     var_index,
@@ -577,6 +578,57 @@ def cubics(draw, graded: bool):
     P = Polynomial(3, 3, {e: c for e, c in terms.items() if c})
     assume(P.terms and is_bigraded(P) == graded)
     return P
+
+
+def contingency_tables(n: int, k: int) -> list[tuple[int, ...]]:
+    """The n x n matrices of nonnegative ints with every row and column
+    sum k, flattened row by row: the exponents of the monomials of torus
+    weight ((k,) * n, (k,) * n)."""
+    rows = [r for r in product(range(k + 1), repeat=n) if sum(r) == k]
+    return [sum(t, ()) for t in product(rows, repeat=n)
+            if all(sum(col) == k for col in zip(*t))]
+
+
+@st.composite
+def symmetric_polys(draw, n: int, k: int):
+    """Random int coefficients on the contingency tables with margins k,
+    summed over their images under row permutations s, column permutations
+    u and transposition, weighted by the trivial character or by
+    sgn(s) sgn(u): a polynomial that every symmetry fixes up to sign."""
+    tables = contingency_tables(n, k)
+    coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(tables), max_size=len(tables)))
+    signed = draw(st.booleans())
+    terms: dict = {}
+    for s, u in product(permutations(range(n)), repeat=2):
+        chi = sort_sign(s)[0] * sort_sign(u)[0] if signed else 1
+        for flip, (exps, c) in product((False, True), zip(tables, coeffs)):
+            image = [0] * (n * n)
+            for cell, e in enumerate(exps):
+                i, j = s[cell // n], u[cell % n]
+                image[j * n + i if flip else i * n + j] = e
+            image = tuple(image)
+            terms[image] = terms.get(image, 0) + chi * c
+    P = Polynomial(n, n * k, {e: c for e, c in terms.items() if c})
+    assume(P.terms)
+    return P
+
+
+class TestOrbitBlocksOnSymmetricInputs:
+    """The orbit reduction of `full_koszul_blocks` on symmetric inputs
+    other than det and perm: the blocks' certified rank is the rank of the
+    whole matrix."""
+
+    @pytest.mark.parametrize("n,k,d,p", [
+        (2, 2, 1, 1), (2, 2, 1, 2), (2, 2, 2, 2),
+        (3, 2, 1, 1), (3, 2, 2, 1), (3, 2, 1, 2),
+    ])
+    @settings(max_examples=3, deadline=None)
+    @given(data=st.data())
+    def test_orbit_blocks_rank_the_whole_matrix(self, data, n, k, d, p):
+        P = data.draw(symmetric_polys(n, k))
+        assert is_bigraded(P) and is_symmetric(P)
+        assert rank_mod_p(full_koszul_blocks(P, d, p)).rank == \
+            rank_mod_p([(1, full_koszul_matrix(P, d, p))]).rank
 
 
 def trace_vector_images(P) -> list[dict]:
