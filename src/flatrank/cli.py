@@ -54,8 +54,8 @@ def flattening_blocks(method: str, spec: str, n: int, d: int | None, p: int | No
     form.  koszul-minor gives its highest-weight blocks, whose ranks
     `certify` turns into the map's rank; minor-orbits, one block per orbit
     of the same map, is `verify`'s second route for it.  The pieri method
-    ignores d and p.  Only the construction module of the method is
-    imported.
+    ignores d and p and takes the koszul-full branch at (1, 4).  Only the
+    construction module of the method is imported.
 
     Pieri.  The Pieri (Young) flattening of a cubic P at n=3 maps S_pi V
     to S_(3)+pi V, V = C^9 and pi = PI3, adding one box to each of rows 1,
@@ -85,16 +85,15 @@ def flattening_blocks(method: str, spec: str, n: int, d: int | None, p: int | No
     if method == "pieri":
         if n != 3:
             raise ValueError("the pieri method is supported at n=3 only")
-        P = load_polynomial(spec, n)
-        if P.degree != 3:
-            raise ValueError(f"degree {P.degree} does not match 3 added boxes")
-        return list(flattening.full_koszul_blocks(P, 1, 4, memory_cap_bytes)), comb(8, 4)
-    if method == "koszul-full":
+        d, p = 1, 4
+    if method in ("koszul-full", "pieri"):
         # refuse an oversized request before the polynomial takes seconds to build
         flattening.check_full_size(n, d, p, memory_cap_bytes)
         flattening.check_named_terms(spec, n, d, memory_cap_bytes)
-        blocks = flattening.full_koszul_blocks(load_polynomial(spec, n), d, p,
-                                               memory_cap_bytes)
+        P = load_polynomial(spec, n)
+        if method == "pieri" and P.degree != 3:
+            raise ValueError(f"degree {P.degree} does not match 3 added boxes")
+        blocks = flattening.full_koszul_blocks(P, d, p, memory_cap_bytes)
     elif spec != "det":
         raise ValueError("koszul-minor is only defined for --poly det")
     elif method == "minor-orbits":
@@ -164,9 +163,10 @@ def cmd_bound(args) -> int:
         print(f"rank(F)         : {cert.rank_F}")
         print(f"t               : {t}")
         print(f"border rank >=  : {cert.bound}")
-        print("reference bounds:")
-        for k, v in bounds.reference_bounds(n, name).items():
-            print(f"  {k:24s} {v}")
+        if n >= 2:  # where `bounds.reference_bounds` is defined
+            print("reference bounds:")
+            for k, v in bounds.reference_bounds(n, name).items():
+                print(f"  {k:24s} {v}")
     return 0
 
 
@@ -200,9 +200,9 @@ def rank_checks(suite: str) -> list[tuple]:
     expected rank, expected bound), each ranked on the blocks `bound` ranks
     for the method.  A number's second route is another row (the minor map
     against the full map, or its highest-weight blocks against its orbit
-    blocks) or the module dimension count as expected rank.  The pieri rows
-    and the full (d=1, p=4) rows rank one map; their second route is the
-    tableau-basis Pieri map, which only the tests build."""
+    blocks) or the module dimension count as expected rank.  A pieri row
+    ranks the full map at (d=1, p=4), so no full row repeats it; its second
+    route is the tableau-basis Pieri map, the oracle in `tests/`."""
     from . import bounds
     from .partitions import theoretical_image_dim
 
@@ -233,8 +233,6 @@ def rank_checks(suite: str) -> list[tuple]:
             ("minor(4,2,2) baseline", "koszul-minor", "det", 4, 2, 2, 4065, 39),
             ("full det4 (d=2, p=2) = minor(4,2,2) = image dim", "koszul-full",
              "det", 4, 2, 2, theoretical_image_dim(4, 2, 2), 39),
-            ("full det3 (d=1, p=4)", "koszul-full", "det", 3, 1, 4, 950, 14),
-            ("full perm3 (d=1, p=4)", "koszul-full", "perm", 3, 1, 4, 934, 14),
         ]
     return rows
 

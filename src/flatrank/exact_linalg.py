@@ -1,11 +1,11 @@
 """Exact rank computation for sparse integer matrices.
 
-One sparse Gaussian elimination (Markowitz-style minimum-fill pivoting,
-deterministic) runs over a prime field or, fraction-free in integers,
-over the rationals, both with one pivot rule.  The command line
-ranks small torus-weight blocks, so each block is eliminated whole;
-`rank_mod_p` and `rank_rational` certify a matrix given as
-(orbit_size, block) pairs.
+One sparse Gaussian elimination (deterministic pivoting: the column with
+the fewest active entries, then its row with the fewest entries) runs
+over a prime field or, fraction-free in integers, over the rationals,
+both with one pivot rule.  The command line ranks small torus-weight
+blocks, so each block is eliminated whole; `rank_mod_p` and
+`rank_rational` certify a matrix given as (orbit_size, block) pairs.
 
 Soundness note: the rank of an integer matrix reduced mod p never exceeds
 its rank over the rationals, so a single modular rank already certifies a
@@ -95,12 +95,13 @@ class RankCertificate:
 
 def sparse_rank(entries, p: int | None = None,
                 memory_cap_bytes: int = DEFAULT_MEMORY_CAP_BYTES) -> int:
-    """Rank by sparse elimination with Markowitz-style pivoting.
+    """Rank by sparse elimination, pivoting on a sparsest column.
 
-    Pivot columns are chosen by minimum active nonzero count, then the row
-    of minimum count within that column; ties break toward the lowest
-    column index, then the lowest row index, so the result and the full
-    elimination order are deterministic.
+    The pivot column has the fewest active entries, and the pivot row is
+    the row with the fewest entries among those in that column; ties break
+    toward the lowest column index, then the lowest row index, so the
+    result and the full elimination order are deterministic.  This is not
+    the Markowitz rule, which minimises (r-1)(c-1) over candidate pivots.
 
     A heap entry (count, c) is live while len(col_rows[c]) == count; a
     pivot column leaves `col_rows` when popped, and each pivot re-pushes

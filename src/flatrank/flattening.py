@@ -369,18 +369,6 @@ def check_derivatives(n: int, terms: int, degree: int, d: int,
                  memory_cap_bytes)
 
 
-def _full_domain_factors(P, d: int, p: int,
-                         memory_cap_bytes: int) -> tuple[list, list]:
-    """The two factors of the full Koszul map's columns (w, a): the
-    p-wedges w and the dual monomials a of degree d, each in basis order;
-    the columns are every w with every a, w-major."""
-    if not 1 <= d <= P.degree - 1:
-        raise ValueError(f"need 1 <= d <= degree-1, got d={d}, degree={P.degree}")
-    check_full_size(P.n, d, p, memory_cap_bytes)
-    check_derivatives(P.n, len(P.terms), P.degree, d, memory_cap_bytes)
-    return list(combinations(range(P.n * P.n), p)), monomials_of_degree(P.n * P.n, d)
-
-
 def _partial(terms: dict, k: int) -> dict:
     """The bare partial derivative by variable k of a polynomial's term
     dict, its terms in the same order."""
@@ -419,7 +407,9 @@ def full_column_image(P, label, derivs: dict) -> list:
 def _full_column_groups(P, d: int, p: int, memory_cap_bytes: int) -> list:
     """The columns (w, a) of the full Koszul map as `weight_blocks` takes
     them: grouped by their weight wt(w) - wt(a), columns in basis order
-    and weights in the order of their first column.
+    and weights in the order of their first column.  The columns are every
+    p-wedge w with every dual monomial a of degree d, w-major; a bad d or
+    an oversized request is refused before either list is enumerated.
 
     The grouping is read off P: one group (1, None, every column) when P
     is not bigraded (its monomials have several weights), every weight
@@ -435,10 +425,14 @@ def _full_column_groups(P, d: int, p: int, memory_cap_bytes: int) -> list:
     it decreasing, found per axis."""
     from .polynomials import exponent_variables, is_bigraded, is_symmetric, torus_weight
 
-    wedges, duals = _full_domain_factors(P, d, p, memory_cap_bytes)
+    n = P.n
+    if not 1 <= d <= P.degree - 1:
+        raise ValueError(f"need 1 <= d <= degree-1, got d={d}, degree={P.degree}")
+    check_full_size(n, d, p, memory_cap_bytes)
+    check_derivatives(n, len(P.terms), P.degree, d, memory_cap_bytes)
+    wedges, duals = list(combinations(range(n * n), p)), monomials_of_degree(n * n, d)
     if not is_bigraded(P):
         return [(1, None, [(w, a) for w in wedges for a in duals])]
-    n = P.n
     dual_classes: dict = {}
     for a in duals:
         dual_classes.setdefault(torus_weight(exponent_variables(a), n), []).append(a)

@@ -84,7 +84,10 @@ class Polynomial:
             terms = {}
             for rec in data["terms"]:
                 c = Fraction(int(rec["num"]), int(rec["den"]))
-                terms[tuple(rec["exps"])] = c.numerator if c.denominator == 1 else c
+                if (exps := tuple(rec["exps"])) in terms:
+                    raise ValueError(f"not a polynomial in JSON form: exponent vector "
+                                     f"{rec['exps']} appears twice")
+                terms[exps] = c.numerator if c.denominator == 1 else c
         except (KeyError, TypeError, ZeroDivisionError) as exc:
             raise ValueError(f"not a polynomial in JSON form: {exc!r}") from None
         if not all(type(x) is int and x >= 0 for x in (n, degree, *chain(*terms))):

@@ -16,7 +16,6 @@ from math import comb, factorial, lcm
 
 from flatrank import flattening
 from flatrank.bounds import f_formula
-from flatrank.exact_linalg import DEFAULT_MEMORY_CAP_BYTES
 from flatrank.flattening import FlatteningMatrix, full_column_image, monomials_of_degree
 from flatrank.partitions import (
     Partition,
@@ -303,9 +302,14 @@ def minor_koszul_matrix(n: int, d: int, p: int) -> LabelledMatrix:
 # full Koszul map
 
 def full_domain_basis(P: Polynomial, d: int, p: int) -> list:
-    """Columns of the full Koszul map: (p-wedge, dual monomial of degree d)."""
-    wedges, duals = flattening._full_domain_factors(P, d, p, DEFAULT_MEMORY_CAP_BYTES)
-    return [(w, a) for w in wedges for a in duals]
+    """Columns of the full Koszul map: (p-wedge, dual monomial of degree d),
+    w-major, enumerated here rather than by the library it checks."""
+    nv = P.n * P.n
+    if not 1 <= d <= P.degree - 1:
+        raise ValueError(f"need 1 <= d <= degree-1, got d={d}, degree={P.degree}")
+    if not 0 <= p <= nv - 1:
+        raise ValueError(f"need 0 <= p <= {nv - 1}, got p={p}")
+    return [(w, a) for w in combinations(range(nv), p) for a in monomials_of_degree(nv, d)]
 
 
 def full_koszul_matrix(P: Polynomial, d: int, p: int) -> LabelledMatrix:

@@ -16,7 +16,12 @@ from flatrank.partitions import (
     theoretical_image_dim,
     total_dimension,
 )
-from flatrank.polynomials import determinant_poly, permanent_poly
+from flatrank.polynomials import (
+    Polynomial,
+    determinant_poly,
+    permanent_poly,
+    variable_power,
+)
 from oracles import add, random_low_rank, scale
 
 
@@ -239,6 +244,33 @@ class TestBound:
         assert ranks == {"modular": 934, "rational": 934}
         assert all((c["orbits"], c["blocks"]) == (10, 226) for c in rec["provenance"])
 
+    @pytest.mark.parametrize("spec,extra", [
+        ("det", []), ("perm", ["--rational"]), ("power", []), ("file:{cubic}", []),
+    ], ids=["det3", "perm3-rational", "power", "non-graded-file"])
+    def test_pieri_is_the_full_map_at_d1_p4(self, capsys, tmp_path, spec, extra):
+        """`--method pieri` takes the koszul-full branch at (d=1, p=4): the
+        same blocks, so the same rank, t, bound, orbits, blocks and
+        matrix_hash.  The file holds x11*x12*x13 - 2*x22^3 + 3*x11*x22*x33,
+        whose monomials have three torus weights."""
+        def exps(*variables):  # flat indices, row-major
+            return tuple(variables.count(k) for k in range(9))
+
+        cubic = Polynomial(3, 3, {exps(0, 1, 2): 1, exps(4, 4, 4): -2, exps(0, 4, 8): 3})
+        path = tmp_path / "cubic.json"
+        path.write_text(cubic.to_json())
+        spec = spec.format(cubic=path)
+        certs = []
+        for argv in (["--method", "pieri"], ["--method", "koszul-full", "--d", "1", "--p", "4"]):
+            code, out = run(["bound", "--poly", spec, "--n", "3", *argv, *extra,
+                             "--format", "json"], capsys)
+            assert code == 0
+            rec = json.loads(out)
+            certs.append((rec["rank"], rec["t"], rec["bound"],
+                          [(c["method"], c["rank"], c["orbits"], c["blocks"],
+                            c["matrix_hash"]) for c in rec["provenance"]]))
+        assert certs[0] == certs[1]
+        assert len(certs[0][3]) == 1 + len(extra)
+
     def test_missing_file_is_one_line_error(self, capsys, tmp_path):
         missing = tmp_path / "nonexistent.json"
         code = main(["bound", "--poly", f"file:{missing}", "--n", "3",
@@ -300,17 +332,23 @@ class TestBound:
         (["--poly", "det", "--n", "-2", "--method", "koszul-full"], "--n must be at least 1"),
         (["--poly", "power", "--n", "0", "--method", "koszul-full"],
          "--n must be at least 1"),
+        # x33^3 - x33^3 is zero, not -x33^3
+        (["--poly", "file:{twice}", "--n", "3", "--method", "pieri"],
+         "exponent vector [0, 0, 0, 0, 0, 0, 0, 0, 3] appears twice"),
     ])
     def test_bad_request_is_one_line_error(self, capsys, tmp_path, argv, message):
         det3 = determinant_poly(3)
         text_n = json.loads(det3.to_json())
         text_n["n"] = "3"
+        twice = json.loads(variable_power((3, 3), 3, 3).to_json())
+        twice["terms"].append(dict(twice["terms"][0], num="-1"))
         files = {
             "det3": det3.to_json(),
             "quartic": random_low_rank(2, 4, 3, 5).to_json(),
             "empty": "{}",
             "array": "[1, 2]",
             "text_n": json.dumps(text_n),
+            "twice": json.dumps(twice),
         }
         paths = {name: tmp_path / f"{name}.json" for name in files}
         for name, text in files.items():
@@ -412,14 +450,15 @@ class TestBound:
         assert records[0] == records[1]
 
     def test_table_prints_at_any_n(self, capsys, monkeypatch):
-        """The table's reference values stay exact past the float range
-        (`bounds.reference_bounds`); the blocks are stubbed out, as n=152
-        takes seconds to certify."""
+        """The table's reference values start at n=2 and stay exact past the
+        float range (`bounds.reference_bounds`); at n=1 the table has none.
+        The blocks are stubbed out, as n=152 takes seconds to certify."""
         monkeypatch.setattr(cli, "flattening_blocks", lambda *args: ([], 1))
-        for n in (152, 600):
+        for n in (1, 152, 600):
             code, out = run(["bound", "--poly", "det", "--n", str(n), "--method",
                              "koszul-full", "--d", "1", "--p", "1"], capsys)
-            assert code == 0 and "symmetric_rank_upper" in out and "main_bound" in out
+            assert code == 0 and "border rank >=  : 0" in out
+            assert ("symmetric_rank_upper" in out) == ("main_bound" in out) == (n > 1)
 
     def test_out_of_memory_is_one_line_error(self, capsys, monkeypatch):
         """A request that passes every size guard and still exhausts memory
@@ -446,6 +485,17 @@ class TestVerify:
         assert code == 0
         assert "[FAIL]" not in out
         assert "suite paper: PASS" in out
+
+    @pytest.mark.parametrize("suite", ["quick", "paper"])
+    def test_no_two_checks_rank_the_same_blocks(self, suite):
+        """A computation is (method, poly, n, d, p), with pieri read as the
+        full map at (d=1, p=4), which it ranks: a second row of the same
+        computation would be no second route."""
+        computations = [
+            ("koszul-full", poly, n, 1, 4) if method == "pieri" else (method, poly, n, d, p)
+            for _, method, poly, n, d, p, _, _ in cli.rank_checks(suite)
+        ]
+        assert len(set(computations)) == len(computations)
 
 
 @pytest.mark.parametrize("argv", [

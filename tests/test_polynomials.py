@@ -284,3 +284,12 @@ class TestJson:
     def test_malformed_text_is_a_value_error(self, text):
         with pytest.raises(ValueError):
             Polynomial.from_json(text)
+
+    def test_repeated_exponent_vector_is_a_value_error(self):
+        """x33^3 - x33^3 is the zero polynomial: reading it as either
+        record alone would rank a polynomial the file does not hold."""
+        rec = '{"exps": [0, 0, 0, 0, 0, 0, 0, 0, 3], "num": "%d", "den": "1"}'
+        text = '{"n": 3, "degree": 3, "terms": [%s, %s]}' % (rec % 1, rec % -1)
+        with pytest.raises(ValueError, match=r"exponent vector \[0, 0, 0, 0, 0, 0, 0, 0, 3\] "
+                           "appears twice"):
+            Polynomial.from_json(text)
