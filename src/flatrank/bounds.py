@@ -6,17 +6,6 @@ from __future__ import annotations
 from math import ceil, comb, factorial, pi
 
 
-class FormulaValue:
-    def __init__(self, n: int, name: str, value):
-        if value <= 0:
-            raise ValueError("formula values must be positive")
-        self.n, self.name, self.value = n, name, value
-
-    @property
-    def integer_bound(self) -> int:
-        return ceil(self.value)
-
-
 class BoundCertificate:
     def __init__(self, polynomial: str, method: str, n: int, d: int | None,
                  p: int | None, rank_F: int, t: int, provenance: list | None = None):
@@ -59,21 +48,21 @@ def flattening_bound(rank_F: int, t: int) -> int:
     return -(-rank_F // t)
 
 
-def preliminary_theorem_value(n: int) -> FormulaValue:
-    """The closed-form bound from the wedge-1 minor map (valid for n >= 3)."""
+def preliminary_theorem_value(n: int):
+    """The closed-form bound from the wedge-1 minor map, an exact Fraction
+    (valid for n >= 3)."""
     from fractions import Fraction
 
     if n < 3:
         raise ValueError("defined for n >= 3")
     if n % 2 == 0:
-        val = (1 + Fraction(4, (n - 1) * (n + 2) ** 2)) * comb(n, n // 2) ** 2
-    else:
-        val = (1 + Fraction(8, (n - 1) * (n + 3) ** 2)) * comb(n, (n - 1) // 2) ** 2
-    return FormulaValue(n, "preliminary", val)
+        return (1 + Fraction(4, (n - 1) * (n + 2) ** 2)) * comb(n, n // 2) ** 2
+    return (1 + Fraction(8, (n - 1) * (n + 3) ** 2)) * comb(n, (n - 1) // 2) ** 2
 
 
-def main_theorem_value(n: int) -> FormulaValue:
-    """The closed-form bound from the wedge-2 minor map (valid for n >= 5)."""
+def main_theorem_value(n: int):
+    """The closed-form bound from the wedge-2 minor map, an exact Fraction
+    (valid for n >= 5)."""
     from fractions import Fraction
 
     if n < 5:
@@ -83,14 +72,12 @@ def main_theorem_value(n: int) -> FormulaValue:
             8 * (-8 + 6 * n**2 + n**3),
             (n - 1) * (n + 2) * (n + 4) ** 2 * (n**2 - 2),
         )
-        val = (1 + frac) * comb(n, n // 2) ** 2
-    else:
-        frac = Fraction(
-            16 * (9 + 8 * n + n**2),
-            (n + 3) * (n + 5) ** 2 * (n**2 - 2),
-        )
-        val = (1 + frac) * comb(n, (n - 1) // 2) ** 2
-    return FormulaValue(n, "main", val)
+        return (1 + frac) * comb(n, n // 2) ** 2
+    frac = Fraction(
+        16 * (9 + 8 * n + n**2),
+        (n + 3) * (n + 5) ** 2 * (n**2 - 2),
+    )
+    return (1 + frac) * comb(n, (n - 1) // 2) ** 2
 
 
 def f_formula(n: int, d: int):
@@ -133,9 +120,9 @@ def reference_bounds(n: int, which_poly: str = "det") -> dict:
     half = n // 2
     out["classical_border_lower"] = comb(n, half) ** 2
     if n >= 3:
-        out["preliminary_bound"] = preliminary_theorem_value(n).integer_bound
+        out["preliminary_bound"] = ceil(preliminary_theorem_value(n))
     if n >= 5:
-        out["main_bound"] = main_theorem_value(n).integer_bound
+        out["main_bound"] = ceil(main_theorem_value(n))
     out["symmetric_rank_lower"] = comb(n, half) ** 2 + n * n - (half + 1) ** 2
     # an int: n! holds n // 3 factors 3, and 2^(n-1) the n // 3 factors 2
     out["symmetric_rank_upper"] = 5 ** (n // 3) * 2 ** (n - 1) * factorial(n) // 6 ** (n // 3)
@@ -153,7 +140,7 @@ def image_dim_identity(n: int) -> bool:
     """Check that the main formula times the comparison rank equals the
     wedge-2 image dimension at the optimal d, exactly."""
     d = n // 2
-    lhs = main_theorem_value(n).value * comb(n * n - 1, 2)
+    lhs = main_theorem_value(n) * comb(n * n - 1, 2)
     rhs = f_formula(n, d) * comb(n, d) ** 2
     return lhs == rhs
 

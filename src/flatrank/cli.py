@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from math import comb, lcm
+from math import ceil, comb, lcm
 from pathlib import Path
 
 from . import exact_linalg
@@ -218,13 +218,13 @@ def rank_checks(suite: str) -> list[tuple]:
             (f"minor({n},{n // 2},2) = image dim, bound = main theorem",
              "koszul-minor", "det", n, n // 2, 2,
              theoretical_image_dim(n, n // 2, 2),
-             bounds.main_theorem_value(n).integer_bound)
+             ceil(bounds.main_theorem_value(n)))
             for n in range(5, 9)
         ]
         rows += [
             (f"minor({n},{n // 2},2) by orbit blocks = by highest weights",
              "minor-orbits", "det", n, n // 2, 2, theoretical_image_dim(n, n // 2, 2),
-             bounds.main_theorem_value(n).integer_bound)
+             ceil(bounds.main_theorem_value(n)))
             for n in range(5, 9)
         ]
         rows += [

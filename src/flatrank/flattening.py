@@ -45,6 +45,10 @@ _BYTES_PER_DUAL = 200
 # 84, 100, 69, 73 bytes per term at n=5..8; of det6 and det7's cache at d=1:
 # 92 and 86 bytes per term)
 _BYTES_PER_TERM = 100
+# per column of the full map where it keeps every column, for the whole run
+# (max RSS past start-up per column at (d, p) = (1, 2): 424, 433, 457 bytes at
+# n = 8, 10, 12 for `power`; 835, 875, 862 for the one block of sum (k+1) x_k^12)
+_BYTES_PER_COLUMN = 900
 
 
 def wedge_insert(w: Wedge, x: int) -> tuple[int, Wedge] | None:
@@ -101,19 +105,47 @@ def minor_column_image(n: int, label: MinorLabel) -> list[tuple[MinorLabel, int]
     return out
 
 
-def _check_bytes(what: str, need: int, memory_cap_bytes: int) -> None:
-    """Reject a request for `what`, about `need` bytes, over the memory cap."""
+def _check_bytes(what: str, count: int, bytes_each: int, memory_cap_bytes: int,
+                 exact: bool = True) -> None:
+    """Reject a request for `count` items of about `bytes_each` bytes each
+    over the memory cap.  `what` names the request, with "{}" where the
+    count goes; a count that is not `exact` is printed as the lower bound
+    it is (`_count_past`)."""
+    need = count * bytes_each
     if need > memory_cap_bytes:
-        raise ValueError(f"{what}, about {need >> 20} MiB, over the memory cap of "
-                         f"{memory_cap_bytes >> 20} MiB")
+        about, shown = ("about", count) if exact else ("more than", f"more than {count}")
+        raise ValueError(f"{what.format(shown)}, {about} {need >> 20} MiB, over the "
+                         f"memory cap of {memory_cap_bytes >> 20} MiB")
+
+
+def _count_past(steps, limit: int) -> tuple[int, bool]:
+    """The last of the increasing integers c = c * m // k over the (m, k)
+    of `steps`, from c = 1, and True; or the first c above `limit` that has
+    steps left, and False.  No number much past `limit` is built, so a
+    guard decides at once, and prints its count in one short line, at any
+    size."""
+    count = 1
+    for m, k in steps:
+        if count > limit:
+            return count, False
+        count = count * m // k
+    return count, True
+
+
+def _binomial_past(a: int, b: int, limit: int) -> tuple[int, bool]:
+    """C(a, b) by `_count_past`: the C(a, i) increase for i up to
+    min(b, a - b) <= a / 2."""
+    if not 0 <= b <= a:
+        return 0, True
+    return _count_past(((a - i, i + 1) for i in range(min(b, a - b))), limit)
 
 
 def _check_wedge_count(name: str, n: int, p: int, memory_cap_bytes: int) -> None:
     """Reject a request whose list of p-wedges of the n*n variables alone
     would not fit in the memory cap, before anything is enumerated."""
-    wedges = comb(n * n, p)
-    _check_bytes(f"the {name} map at n={n}, p={p} enumerates {wedges} wedges",
-                 wedges * _BYTES_PER_WEDGE, memory_cap_bytes)
+    wedges, exact = _binomial_past(n * n, p, memory_cap_bytes)
+    _check_bytes(f"the {name} map at n={n}, p={p} enumerates {{}} wedges", wedges,
+                 _BYTES_PER_WEDGE, memory_cap_bytes, exact)
 
 
 def _check_minor_args(n: int, d: int, p: int,
@@ -338,9 +370,9 @@ def check_full_size(n: int, d: int, p: int, memory_cap_bytes: int) -> None:
     if not 0 <= p <= nv - 1:
         raise ValueError(f"need 0 <= p <= {nv - 1}, got p={p}")
     _check_wedge_count("full", n, p, memory_cap_bytes)
-    duals = comb(nv + d - 1, d) if d > 0 else 0
-    _check_bytes(f"the full map at n={n}, d={d} enumerates {duals} dual monomials",
-                 duals * (8 * nv + _BYTES_PER_DUAL), memory_cap_bytes)
+    duals, exact = _binomial_past(nv + d - 1, d, memory_cap_bytes) if d > 0 else (0, True)
+    _check_bytes(f"the full map at n={n}, d={d} enumerates {{}} dual monomials", duals,
+                 8 * nv + _BYTES_PER_DUAL, memory_cap_bytes, exact)
 
 
 def check_named_terms(spec: str, n: int, d: int, memory_cap_bytes: int) -> None:
@@ -348,9 +380,9 @@ def check_named_terms(spec: str, n: int, d: int, memory_cap_bytes: int) -> None:
     their derivatives at d (`check_derivatives`), would not fit in the
     memory cap, before the polynomial is built."""
     if spec in ("det", "perm"):
-        terms = factorial(n)
-        _check_bytes(f"{spec} at n={n} has {terms} terms",
-                     terms * (8 * n * n + _BYTES_PER_TERM), memory_cap_bytes)
+        terms, exact = _count_past(((k, 1) for k in range(2, n + 1)), memory_cap_bytes)
+        _check_bytes(f"{spec} at n={n} has {{}} terms", terms, 8 * n * n + _BYTES_PER_TERM,
+                     memory_cap_bytes, exact)
         check_derivatives(n, terms, n, d, memory_cap_bytes)
 
 
@@ -364,9 +396,8 @@ def check_derivatives(n: int, terms: int, degree: int, d: int,
     duals * variables pairs in all."""
     nv = n * n
     pairs = min(comb(degree, d + 1) * (d + 1), comb(nv + d - 1, d) * nv) if d > 0 else 0
-    _check_bytes(f"the full map at n={n}, d={d} caches up to {terms * pairs} "
-                 f"derivative terms", terms * pairs * (8 * nv + _BYTES_PER_TERM),
-                 memory_cap_bytes)
+    _check_bytes(f"the full map at n={n}, d={d} caches up to {{}} derivative terms",
+                 terms * pairs, 8 * nv + _BYTES_PER_TERM, memory_cap_bytes)
 
 
 def _partial(terms: dict, k: int) -> dict:
@@ -430,14 +461,19 @@ def _full_column_groups(P, d: int, p: int, memory_cap_bytes: int) -> list:
         raise ValueError(f"need 1 <= d <= degree-1, got d={d}, degree={P.degree}")
     check_full_size(n, d, p, memory_cap_bytes)
     check_derivatives(n, len(P.terms), P.degree, d, memory_cap_bytes)
+    bigraded = is_bigraded(P)
+    if not (symmetric := bigraded and is_symmetric(P)):  # every column is kept
+        columns = comb(n * n, p) * comb(n * n + d - 1, d)
+        _check_bytes(f"the full map at n={n}, d={d}, p={p} keeps all {{}} columns",
+                     columns, _BYTES_PER_COLUMN, memory_cap_bytes)
     wedges, duals = list(combinations(range(n * n), p)), monomials_of_degree(n * n, d)
-    if not is_bigraded(P):
+    if not bigraded:
         return [(1, None, [(w, a) for w in wedges for a in duals])]
     dual_classes: dict = {}
     for a in duals:
         dual_classes.setdefault(torus_weight(exponent_variables(a), n), []).append(a)
     classes = list(dual_classes.items())
-    if is_symmetric(P):
+    if symmetric:
         size_of = _orbit_size
         by_da: dict = {}  # A-part -> indices of the dual classes with it
         for i, ((da, _), _) in enumerate(classes):

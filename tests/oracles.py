@@ -265,6 +265,33 @@ def bidegree_of_label(label, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(wa), tuple(wb)
 
 
+def raise_weight(vec: dict, n: int, k: int, axis: int) -> dict:
+    """E_{k,k+1} on rows (axis 0) or on columns (axis 1), 1 <= k < n,
+    applied to a sparse vector over the minor-map domain labels (I, J, w)
+    as a derivation: in I (or J), k+1 becomes k when k is absent, with no
+    sign as k and k+1 are adjacent; each wedge variable x_{k+1,j} (or
+    x_{i,k+1}) becomes x_{k,j} (or x_{i,k}), re-sorted with its sign, and a
+    repeated variable gives 0.  A highest-weight vector is sent to 0 by
+    every such operator."""
+    out: dict = {}
+
+    def put(label, coeff):
+        out[label] = out.get(label, 0) + coeff
+
+    for (I, J, w), coeff in vec.items():
+        S = (I, J)[axis]
+        if k + 1 in S and k not in S:
+            S = tuple(k if s == k + 1 else s for s in S)
+            put((S, J, w) if axis == 0 else (I, S, w), coeff)
+        for pos, x in enumerate(w):
+            rc = list(var_pos(x, n))
+            if rc[axis] == k + 1:
+                rc[axis] = k
+                if canon := sort_sign(w[:pos] + (var_index(*rc, n),) + w[pos + 1:]):
+                    put((I, J, canon[1]), canon[0] * coeff)
+    return {label: c for label, c in out.items() if c}
+
+
 def minor_domain_basis(n: int, d: int, p: int) -> list:
     nv = n * n
     subs = list(combinations(range(1, n + 1), n - d))

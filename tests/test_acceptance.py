@@ -10,7 +10,7 @@ than weakened.  See the repository notes for the analysis.
 
 import random
 from fractions import Fraction
-from math import comb
+from math import ceil, comb
 
 import pytest
 
@@ -87,9 +87,9 @@ def test_criterion_5_n5_main():
     ok = (
         r == 29376
         and r == partitions.theoretical_image_dim(5, 2, 2)
-        and Fraction(29376, 276) == v.value
+        and Fraction(29376, 276) == v
         and bounds.flattening_bound(r, 276) == 107
-        and v.integer_bound == 107
+        and ceil(v) == 107
     )
     report(5, ok, f"minor(5,2,2) rank {r}, bound 107")
 
@@ -98,7 +98,7 @@ def test_criterion_6_formula_identities():
     ok = all(bounds.image_dim_identity(n) for n in range(5, 13))
     ok &= all(bounds.optimal_d(n) == n // 2 for n in range(5, 13))
     ok &= all(
-        bounds.main_theorem_value(n).integer_bound > comb(n, n // 2) ** 2
+        ceil(bounds.main_theorem_value(n)) > comb(n, n // 2) ** 2
         for n in range(5, 21)
     )
     report(6, ok, "image-dimension identity, optimal d, improvement n=5..20")

@@ -1,14 +1,13 @@
 import json
 import random
 from fractions import Fraction
-from math import comb, factorial
+from math import ceil, comb, factorial
 
 import pytest
 
 from flatrank import bounds
 from flatrank.bounds import (
     BoundCertificate,
-    FormulaValue,
     f_formula,
     flattening_bound,
     image_dim_identity,
@@ -46,31 +45,30 @@ class TestFlatteningBound:
 
 class TestFormulas:
     def test_preliminary_values(self):
-        assert preliminary_theorem_value(4).value == Fraction(560, 15)
-        assert preliminary_theorem_value(4).integer_bound == 38
+        assert preliminary_theorem_value(4) == Fraction(560, 15)
+        assert ceil(preliminary_theorem_value(4)) == 38
         # odd case at n = 5
-        v5 = preliminary_theorem_value(5)
-        assert v5.value == (1 + Fraction(8, 4 * 64)) * 100
+        assert preliminary_theorem_value(5) == (1 + Fraction(8, 4 * 64)) * 100
         with pytest.raises(ValueError):
             preliminary_theorem_value(2)
 
     def test_main_values(self):
         v5 = main_theorem_value(5)
-        assert v5.value == Fraction(29376, 276)
-        assert v5.value == Fraction(2448, 23)
-        assert v5.integer_bound == 107
+        assert v5 == Fraction(29376, 276)
+        assert v5 == Fraction(2448, 23)
+        assert ceil(v5) == 107
         with pytest.raises(ValueError):
             main_theorem_value(4)
 
     def test_main_beats_preliminary(self):
         for n in range(5, 21):
-            assert main_theorem_value(n).value > preliminary_theorem_value(n).value
+            assert main_theorem_value(n) > preliminary_theorem_value(n)
 
     def test_bounds_beat_classical(self):
         for n in range(5, 21):
             classical = comb(n, n // 2) ** 2
-            assert preliminary_theorem_value(n).integer_bound > classical
-            assert main_theorem_value(n).integer_bound > classical
+            assert ceil(preliminary_theorem_value(n)) > classical
+            assert ceil(main_theorem_value(n)) > classical
 
     def test_f_formula_matches_module_dimensions(self):
         cases = [(n, d) for n in range(4, 9) for d in range(2, n - 1)]
@@ -90,10 +88,6 @@ class TestFormulas:
             f_formula(4, 3)
         with pytest.raises(ValueError):
             f_formula(4, 0)
-
-    def test_formula_value_positive(self):
-        with pytest.raises(ValueError):
-            FormulaValue(3, "x", Fraction(0))
 
 
 class TestReferenceBounds:
@@ -130,14 +124,14 @@ class TestReferenceBounds:
             "symmetric_rank_lower", "symmetric_rank_upper", "asymptotic_estimate"}
         ref = reference_bounds(600)
         assert "asymptotic_estimate" not in ref
-        assert ref["main_bound"] == main_theorem_value(600).integer_bound
+        assert ref["main_bound"] == ceil(main_theorem_value(600))
         assert ref["classical_border_lower"] == comb(600, 300) ** 2
 
     def test_asymptotics_track_the_bound(self):
         # the float estimate should approximate the exact main value
         for n in (8, 12, 16, 20):
             est = reference_bounds(n)["asymptotic_estimate"]
-            exact = float(main_theorem_value(n).value)
+            exact = float(main_theorem_value(n))
             assert abs(est - exact) / exact < 0.25
 
 

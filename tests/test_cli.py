@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 from fractions import Fraction
+from math import ceil
 from pathlib import Path
 
 import pytest
@@ -156,7 +157,7 @@ class TestBound:
         assert code == 0
         assert ranks == {"modular": rank, "rational": rank}
         assert rec["rank"] == rank
-        assert rec["bound"] == main_theorem_value(32).integer_bound
+        assert rec["bound"] == ceil(main_theorem_value(32))
 
     def test_minor_certificate_lists_its_modules(self, capsys):
         """The smallest prime above the degree 5 certifies det5's 107, and
@@ -379,6 +380,41 @@ class TestBound:
             err = capsys.readouterr().err
             assert code == 2 and err.count("\n") == 1
             assert err.startswith(f"flatrank: error: {message}")
+
+    def test_full_map_charges_every_column_it_keeps(self, capsys, monkeypatch):
+        """power is bigraded but not symmetric, so the full map keeps every
+        column: C(144, 2) * 144 at n=12, charged before any block is built."""
+        from flatrank import flattening
+
+        def build(*args):
+            raise AssertionError("a block was built before the columns were charged")
+
+        monkeypatch.setattr(flattening, "weight_blocks", build)
+        code = main(["bound", "--poly", "power", "--n", "12", "--method", "koszul-full",
+                     "--d", "1", "--p", "2", "--format", "json", "--memory-cap", "256"])
+        err = capsys.readouterr().err
+        assert code == 2 and err.count("\n") == 1
+        assert err.startswith("flatrank: error: the full map at n=12, d=1, p=2 keeps all "
+                              "1482624 columns")
+
+    @pytest.mark.parametrize("argv", [
+        ["--n", "2000", "--p", "0"],  # C(4000999, 1000) dual monomials
+        ["--n", "20000", "--p", "0"],
+        ["--n", "2000", "--d", "1", "--p", "1000000"],  # C(4000000, 1000000) wedges
+        ["--n", "2000000", "--p", "0"],
+    ])
+    def test_huge_request_is_refused_at_once_in_one_short_line(self, argv):
+        """A guard stops counting once its count passes the cap, so it
+        neither computes nor prints a number of thousands of digits."""
+        src = str(Path(flatrank.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "flatrank.cli", "bound", "--poly", "det",
+             "--method", "koszul-full", "--format", "json", *argv],
+            capture_output=True, text=True, timeout=10,
+            env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"})
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("flatrank: error: ") and proc.stderr.count("\n") == 1
+        assert len(proc.stderr) < 300 and "over the memory cap of 4096 MiB" in proc.stderr
 
     @pytest.mark.parametrize("method,prime", [
         ("koszul-minor", "1073741790"),

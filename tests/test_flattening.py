@@ -61,6 +61,7 @@ from oracles import (
     partial,
     pieri_column_image_by_straightening,
     pieri_flattening_matrix,
+    raise_weight,
     random_low_rank,
     scale,
     ssyt_enumerate,
@@ -540,6 +541,33 @@ class TestFullMap:
             assert f"caches up to {cached} derivative terms" in str(refused.value)
             flattening.check_derivatives(P.n, len(P.terms), P.degree, d, need)
 
+    def test_full_map_charges_the_columns_it_keeps(self):
+        """power keeps all C(9, 4) * 9 = 1134 columns at (d=1, p=4), each
+        charged `_BYTES_PER_COLUMN`; det3's orbit blocks keep fewer and are
+        not charged per column."""
+        cap = 1134 * flattening._BYTES_PER_COLUMN
+        with pytest.raises(ValueError, match="the full map at n=3, d=1, p=4 keeps all "
+                           "1134 columns"):
+            full_koszul_blocks(variable_power((3, 3), 3, 3), 1, 4, memory_cap_bytes=cap - 1)
+        blocks = full_koszul_blocks(variable_power((3, 3), 3, 3), 1, 4, memory_cap_bytes=cap)
+        assert sum(len(B.cols) for _, B in blocks) == 1134
+        assert list(full_koszul_blocks(determinant_poly(3), 1, 4, memory_cap_bytes=cap - 1))
+
+    def test_guard_counts_stop_past_the_limit(self):
+        """`_binomial_past` is C(a, b) exactly, or a lower bound above the
+        limit; so a guard decides at once at any size."""
+        for a in range(40):
+            for b in range(-1, 42):
+                want = comb(a, b) if b >= 0 else 0
+                for limit in (0, 1, 100, 10**6):
+                    count, exact = flattening._binomial_past(a, b, limit)
+                    assert count == want if exact else limit < count < want
+                    assert exact or want > limit
+        count, exact = flattening._binomial_past(4 * 10**12, 10**6, 1 << 32)
+        assert not exact and count > 1 << 32
+        with pytest.raises(ValueError, match=r"^det at n=1000000 has more than \d+ terms"):
+            flattening.check_named_terms("det", 10**6, 1, DEFAULT_MEMORY_CAP_BYTES)
+
     def test_oversized_derivative_cache_fails_before_enumeration(self, monkeypatch):
         """det6 at d=3 caches 43200 derivative terms, about 16 MB: its
         wedges and dual monomials fit in 8 MiB, its derivatives do not."""
@@ -726,6 +754,37 @@ class TestHighestWeightVectors:
             for (I, J, w) in e
         }
         assert set(f) == mirrored
+
+    @staticmethod
+    def is_highest_weight(vec, n):
+        """Whether all 2(n-1) raising operators, on rows and on columns,
+        send `vec` to 0."""
+        return not any(raise_weight(vec, n, k, axis)
+                       for k in range(1, n) for axis in (0, 1))
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_lemma_vectors_are_highest_weight(self, n):
+        checked = 0
+        for lid in ALL_LEMMAS:
+            for d in range(1, n):
+                try:
+                    vec = hwv_vector(lid, n, d)
+                except ValueError:  # the lemma's shapes do not fit at this (n, d)
+                    continue
+                assert vec and self.is_highest_weight(vec, n), (lid, n, d)
+                checked += 1
+        assert checked >= len(ALL_LEMMAS)
+
+    def test_raising_operators_see_lower_vectors(self):
+        """Negative controls: a lower basis vector, and p2_d with any one of
+        its terms dropped, are not highest-weight."""
+        x = lambda i, j: var_index(i, j, 5)
+        assert not self.is_highest_weight({((2, 3), (1, 2), (x(1, 1), x(2, 2))): 1}, 5)
+        vec = hwv_vector("p2_d", 5, 2)
+        assert self.is_highest_weight(vec, 5) and len(vec) > 1
+        for label in vec:
+            dropped = {other: c for other, c in vec.items() if other != label}
+            assert not self.is_highest_weight(dropped, 5), label
 
     def test_shape_fit_errors(self):
         with pytest.raises(ValueError):
