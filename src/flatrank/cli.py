@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from math import ceil, comb, lcm
+from math import ceil, comb, lcm, log10
 from pathlib import Path
 
 from . import exact_linalg
@@ -88,7 +88,7 @@ def flattening_blocks(method: str, spec: str, n: int, d: int | None, p: int | No
         d, p = 1, 4
     if method in ("koszul-full", "pieri"):
         # refuse an oversized request before the polynomial takes seconds to build
-        flattening.check_full_size(n, d, p, memory_cap_bytes)
+        flattening.check_wedge_count("full", n, p, memory_cap_bytes)
         flattening.check_named_terms(spec, n, d, memory_cap_bytes)
         P = load_polynomial(spec, n)
         if method == "pieri" and P.degree != 3:
@@ -178,6 +178,10 @@ def cmd_decompose(args) -> int:
     n, d, p = args.n, args.d, args.p
     modules = partitions.candidate_image(n, d, p)
     total = partitions.total_dimension(modules, n)
+    # every dimension printed is at most the total
+    if 0 < (limit := sys.get_int_max_str_digits()) < (digits := int(log10(total)) + 1):
+        raise ValueError(f"the total dimension at n={n} has {digits} digits, over "
+                         f"Python's limit of {limit} for printing an integer")
     if args.format == "json":
         print(json.dumps([{"a": list(a), "b": list(b), "mult": m,
                            "dim_a": partitions.schur_dim(a, n),

@@ -25,7 +25,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from functools import cache
 from itertools import combinations, combinations_with_replacement
-from math import comb, factorial
+from math import comb, factorial, perm, prod
 from operator import ge, sub
 
 from .exact_linalg import DEFAULT_MEMORY_CAP_BYTES, sha256
@@ -36,14 +36,10 @@ MinorLabel = tuple[tuple[int, ...], tuple[int, ...], Wedge]
 # minor map, which lists each weight's cells only, peaks below the charge
 # (p=2: max RSS 180 MiB against 487 MiB at n=40, 353 MiB against 1012 MiB at n=48)
 _BYTES_PER_WEDGE = 400
-# per dual monomial of the full map, beyond its tuple's 8 bytes per variable
-# (traced peaks of the dual list and its weight classes: 232, 384 and 680
-# bytes per dual at (n, d) = (3, 4), (5, 3) and (8, 3))
-_BYTES_PER_DUAL = 200
-# per term of det or perm, or of a derivative the full map caches, beyond its
+# per term of det or perm, or per item `check_derivatives` counts, beyond an
 # exponent tuple's 8 bytes per variable (traced peaks of building det or perm:
-# 84, 100, 69, 73 bytes per term at n=5..8; of det6 and det7's cache at d=1:
-# 92 and 86 bytes per term)
+# 84, 100, 69, 73 bytes per term at n=5..8; of the full map's items at every
+# dividing dual: 107-173 bytes in all at det5..det8, d=1..3)
 _BYTES_PER_TERM = 100
 # per column of the full map where it keeps every column, for the whole run
 # (max RSS past start-up per column at (d, p) = (1, 2): 424, 433, 457 bytes at
@@ -140,9 +136,12 @@ def _binomial_past(a: int, b: int, limit: int) -> tuple[int, bool]:
     return _count_past(((a - i, i + 1) for i in range(min(b, a - b))), limit)
 
 
-def _check_wedge_count(name: str, n: int, p: int, memory_cap_bytes: int) -> None:
-    """Reject a request whose list of p-wedges of the n*n variables alone
-    would not fit in the memory cap, before anything is enumerated."""
+def check_wedge_count(name: str, n: int, p: int, memory_cap_bytes: int) -> None:
+    """Reject a p outside 0..n*n - 1, or a request whose list of p-wedges of
+    the n*n variables alone would not fit in the memory cap, before
+    anything is enumerated; it needs no polynomial."""
+    if not 0 <= p <= n * n - 1:
+        raise ValueError(f"need 0 <= p <= {n * n - 1}, got p={p}")
     wedges, exact = _binomial_past(n * n, p, memory_cap_bytes)
     _check_bytes(f"the {name} map at n={n}, p={p} enumerates {{}} wedges", wedges,
                  _BYTES_PER_WEDGE, memory_cap_bytes, exact)
@@ -151,12 +150,12 @@ def _check_wedge_count(name: str, n: int, p: int, memory_cap_bytes: int) -> None
 def _check_minor_args(n: int, d: int, p: int,
                       memory_cap_bytes: int = DEFAULT_MEMORY_CAP_BYTES) -> None:
     """Reject a bad request to the minor map, or an oversized one
-    (`_check_wedge_count`), before anything is enumerated."""
+    (`check_wedge_count`), before anything is enumerated."""
     if p not in (1, 2):
         raise ValueError(f"p must be 1 or 2, got {p}")
     if not 1 <= d <= n - 1:
         raise ValueError(f"need 1 <= d <= n-1, got d={d}, n={n}")
-    _check_wedge_count("minor", n, p, memory_cap_bytes)
+    check_wedge_count("minor", n, p, memory_cap_bytes)
 
 
 def _arrangements(weight: tuple[int, ...]) -> int:
@@ -353,32 +352,10 @@ def image_modules(n: int, d: int, p: int, ranks_by_weight: dict,
     return rank, solved
 
 
-def monomials_of_degree(nv: int, d: int) -> list[tuple[int, ...]]:
-    out = []
-    for combo in combinations_with_replacement(range(nv), d):
-        exps = [0] * nv
-        for k in combo:
-            exps[k] += 1
-        out.append(tuple(exps))
-    return out
-
-
-def check_full_size(n: int, d: int, p: int, memory_cap_bytes: int) -> None:
-    """Reject a bad p, or a full-map request whose p-wedges or dual monomials
-    of degree d would not fit in the memory cap; it needs no polynomial."""
-    nv = n * n
-    if not 0 <= p <= nv - 1:
-        raise ValueError(f"need 0 <= p <= {nv - 1}, got p={p}")
-    _check_wedge_count("full", n, p, memory_cap_bytes)
-    duals, exact = _binomial_past(nv + d - 1, d, memory_cap_bytes) if d > 0 else (0, True)
-    _check_bytes(f"the full map at n={n}, d={d} enumerates {{}} dual monomials", duals,
-                 8 * nv + _BYTES_PER_DUAL, memory_cap_bytes, exact)
-
-
 def check_named_terms(spec: str, n: int, d: int, memory_cap_bytes: int) -> None:
-    """Reject det or perm at an n whose n! terms, or the full map's cache of
-    their derivatives at d (`check_derivatives`), would not fit in the
-    memory cap, before the polynomial is built."""
+    """Reject det or perm at an n whose n! terms, or the full map's dual
+    monomials and derivatives at d (`check_derivatives`), would not fit in
+    the memory cap, before the polynomial is built."""
     if spec in ("det", "perm"):
         terms, exact = _count_past(((k, 1) for k in range(2, n + 1)), memory_cap_bytes)
         _check_bytes(f"{spec} at n={n} has {{}} terms", terms, 8 * n * n + _BYTES_PER_TERM,
@@ -388,43 +365,62 @@ def check_named_terms(spec: str, n: int, d: int, memory_cap_bytes: int) -> None:
 
 def check_derivatives(n: int, terms: int, degree: int, d: int,
                       memory_cap_bytes: int) -> None:
-    """Reject a full-map request whose cache of derivatives would not fit in
-    the memory cap.  `full_column_image` keeps, per dual monomial a of
-    degree d and variable x, the terms of d/dx d^a P.  A term m of P
-    reaches the (a, x) with a + x dividing m: at most C(degree, d+1)
-    monomials a + x, each with at most d+1 choices of x, and at most
-    duals * variables pairs in all."""
+    """Reject a full-map request whose dividing duals and cached derivatives
+    would not fit in the memory cap.  A term m lists at most C(degree, d),
+    or all C(n*n + d - 1, d), duals a (`_dividing_duals`), and each (a, m)
+    gives the d/dx d^a P at most min(degree - d, n*n) terms
+    (`full_column_image`).  The counts stop past the cap."""
     nv = n * n
-    pairs = min(comb(degree, d + 1) * (d + 1), comb(nv + d - 1, d) * nv) if d > 0 else 0
-    _check_bytes(f"the full map at n={n}, d={d} caches up to {{}} derivative terms",
-                 terms * pairs, 8 * nv + _BYTES_PER_TERM, memory_cap_bytes)
+    duals, exact = min(_binomial_past(degree, d, memory_cap_bytes),
+                       _binomial_past(nv + d - 1, d, memory_cap_bytes))
+    _check_bytes(f"the full map at n={n}, d={d} may keep {{}} dual monomials and "
+                 f"derivative terms", terms * duals * (1 + min(degree - d, nv)),
+                 8 * nv + _BYTES_PER_TERM, memory_cap_bytes, exact)
 
 
-def _partial(terms: dict, k: int) -> dict:
-    """The bare partial derivative by variable k of a polynomial's term
-    dict, its terms in the same order."""
-    out = {}
-    for exps, coeff in terms.items():
-        if e := exps[k]:
-            out[exps[:k] + (e - 1,) + exps[k + 1:]] = coeff * e
-    return out
+def _dividing_duals(P, d: int) -> dict:
+    """The dual monomials a of degree d dividing a monomial of P, in
+    decreasing order, each with the terms (m, c) of P it divides: each m
+    lists its sub-multisets of degree d, so x^e lists one a, not C(e, d).
+
+    Soundness.  d^a m = m!/(m - a)! x^(m - a) for a <= m, and 0 otherwise;
+    distinct m give distinct m - a, so d^a P = 0 exactly when a divides no
+    monomial of P.  The columns (w, a) dropped are zero over Z and mod
+    every prime, so a kept block loses only zero columns; a variable
+    permutation fixing P up to sign permutes the dividing duals, so the
+    orbit argument of `weight_blocks` still holds."""
+    divisors: dict = {}  # a as its variables, with repetition -> terms
+    for term in P.terms.items():
+        room, parts = P.degree, [()]
+        for k, e in [(k, e) for k, e in enumerate(term[0]) if e]:
+            room -= e
+            parts = [(*c, *[k] * b) for c in parts
+                     for b in range(min(e, d - len(c)) + 1) if len(c) + b + room >= d]
+        for c in parts:
+            divisors.setdefault(c, []).append(term)
+    # sorted multisets give their exponent vectors in decreasing order
+    return {tuple(map(c.count, range(P.n * P.n))): divisors[c] for c in sorted(divisors)}
 
 
-def full_column_image(P, label, derivs: dict) -> list:
+def full_column_image(label, duals: dict, derivs: dict) -> list:
     """Image of the column (w, a) of the full Koszul map: the sum over
     variables x of (x wedge w) tensor d(d^a P)/dx, with the dual monomial a
-    acting as the bare (non-divided) derivative d^a.  `derivs` caches, per
-    dual monomial, the (x, terms) pairs of the nonzero derivatives of d^a P
-    by the variables x.
+    acting as the bare (non-divided) derivative d^a.  Of the terms (m, c)
+    that a divides (`duals`), each m >= a + x gives d/dx d^a P the term
+    m - a - x, as its variables with repetition, with coefficient
+    c * m!/(m - a - x)!.  `derivs` caches, per dual, its (x, terms) pairs.
 
     Distinct x give distinct wedges, so no two terms share a row label."""
     w, a = label
     if a not in derivs:
-        Q = P.terms
-        for k, e in enumerate(a):
-            for _ in range(e):
-                Q = _partial(Q, k)
-        derivs[a] = [(x, D) for x in range(len(a)) if (D := _partial(Q, x))]
+        by_x: dict = {}
+        for m, c in duals.get(a, ()):
+            rest = [k for k, e in enumerate(map(sub, m, a)) if e for _ in range(e)]
+            c *= prod(perm(m[k], e) for k, e in enumerate(a) if e)
+            for x in set(rest):
+                i = rest.index(x)
+                by_x.setdefault(x, {})[tuple(rest[:i] + rest[i + 1:])] = c * rest.count(x)
+        derivs[a] = sorted(by_x.items())
     out = []
     for x, terms in derivs[a]:
         ins = wedge_insert(w, x)
@@ -435,18 +431,18 @@ def full_column_image(P, label, derivs: dict) -> list:
     return out
 
 
-def _full_column_groups(P, d: int, p: int, memory_cap_bytes: int) -> list:
+def _full_column_groups(P, p: int, duals, memory_cap_bytes: int) -> list:
     """The columns (w, a) of the full Koszul map as `weight_blocks` takes
     them: grouped by their weight wt(w) - wt(a), columns in basis order
     and weights in the order of their first column.  The columns are every
-    p-wedge w with every dual monomial a of degree d, w-major; a bad d or
-    an oversized request is refused before either list is enumerated.
+    p-wedge w with every dual monomial a of `duals`, w-major.
 
     The grouping is read off P: one group (1, None, every column) when P
     is not bigraded (its monomials have several weights), every weight
     with size 1 when it is, and only orbit representatives with their
     orbit sizes (`_orbit_size`) when P is also symmetric (fixed up to sign
-    by row and column permutations and transposition).
+    by row and column permutations and transposition).  Where every column
+    is kept, the columns are charged before any is listed.
 
     Wedges and dual monomials are first grouped into classes of equal
     weight, and a weight is computed once per pair of classes: a kept
@@ -456,17 +452,11 @@ def _full_column_groups(P, d: int, p: int, memory_cap_bytes: int) -> list:
     it decreasing, found per axis."""
     from .polynomials import exponent_variables, is_bigraded, is_symmetric, torus_weight
 
-    n = P.n
-    if not 1 <= d <= P.degree - 1:
-        raise ValueError(f"need 1 <= d <= degree-1, got d={d}, degree={P.degree}")
-    check_full_size(n, d, p, memory_cap_bytes)
-    check_derivatives(n, len(P.terms), P.degree, d, memory_cap_bytes)
-    bigraded = is_bigraded(P)
+    n, bigraded = P.n, is_bigraded(P)
     if not (symmetric := bigraded and is_symmetric(P)):  # every column is kept
-        columns = comb(n * n, p) * comb(n * n + d - 1, d)
-        _check_bytes(f"the full map at n={n}, d={d}, p={p} keeps all {{}} columns",
-                     columns, _BYTES_PER_COLUMN, memory_cap_bytes)
-    wedges, duals = list(combinations(range(n * n), p)), monomials_of_degree(n * n, d)
+        _check_bytes(f"the full map at n={n}, p={p} keeps all {{}} columns",
+                     comb(n * n, p) * len(duals), _BYTES_PER_COLUMN, memory_cap_bytes)
+    wedges = list(combinations(range(n * n), p))
     if not bigraded:
         return [(1, None, [(w, a) for w in wedges for a in duals])]
     dual_classes: dict = {}
@@ -503,8 +493,13 @@ def full_koszul_blocks(P, d: int, p: int,
                        memory_cap_bytes: int = DEFAULT_MEMORY_CAP_BYTES):
     """Yield (orbit_size, block) for the full Koszul map of P (see
     `weight_blocks`); the whole matrix is never built, and only the
-    columns of kept weights are enumerated (`_full_column_groups`).  A
-    column (w, a) has weight wt(w) - wt(a)."""
-    derivs: dict = {}
-    return weight_blocks(_full_column_groups(P, d, p, memory_cap_bytes),
-                         lambda label: full_column_image(P, label, derivs), "full_block")
+    columns of kept weights with dividing duals are enumerated
+    (`_full_column_groups`, `_dividing_duals`).  A column (w, a) has
+    weight wt(w) - wt(a)."""
+    if not 1 <= d <= P.degree - 1:
+        raise ValueError(f"need 1 <= d <= degree-1, got d={d}, degree={P.degree}")
+    check_wedge_count("full", P.n, p, memory_cap_bytes)
+    check_derivatives(P.n, len(P.terms), P.degree, d, memory_cap_bytes)
+    duals, derivs = _dividing_duals(P, d), {}
+    return weight_blocks(_full_column_groups(P, p, duals, memory_cap_bytes),
+                         lambda label: full_column_image(label, duals, derivs), "full_block")

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, combinations_with_replacement, permutations
 from math import comb, factorial, lcm
 
 from flatrank import flattening
 from flatrank.bounds import f_formula
-from flatrank.flattening import FlatteningMatrix, full_column_image, monomials_of_degree
+from flatrank.flattening import FlatteningMatrix, wedge_insert
 from flatrank.partitions import (
     Partition,
     _decompose_wedge_tensor,
@@ -328,9 +328,22 @@ def minor_koszul_matrix(n: int, d: int, p: int) -> LabelledMatrix:
 # ---------------------------------------------------------------------------
 # full Koszul map
 
+def monomials_of_degree(nv: int, d: int) -> list[Exponents]:
+    """Every exponent vector of degree d in nv variables, in decreasing
+    order."""
+    out = []
+    for combo in combinations_with_replacement(range(nv), d):
+        exps = [0] * nv
+        for k in combo:
+            exps[k] += 1
+        out.append(tuple(exps))
+    return out
+
+
 def full_domain_basis(P: Polynomial, d: int, p: int) -> list:
     """Columns of the full Koszul map: (p-wedge, dual monomial of degree d),
-    w-major, enumerated here rather than by the library it checks."""
+    w-major, every dual monomial kept, enumerated here rather than by the
+    library it checks."""
     nv = P.n * P.n
     if not 1 <= d <= P.degree - 1:
         raise ValueError(f"need 1 <= d <= degree-1, got d={d}, degree={P.degree}")
@@ -339,13 +352,45 @@ def full_domain_basis(P: Polynomial, d: int, p: int) -> list:
     return [(w, a) for w in combinations(range(nv), p) for a in monomials_of_degree(nv, d)]
 
 
+def _partial_terms(terms: dict, k: int) -> dict:
+    """The bare partial derivative by variable k of a term dict, its terms
+    in the same order."""
+    out = {}
+    for exps, coeff in terms.items():
+        if e := exps[k]:
+            out[exps[:k] + (e - 1,) + exps[k + 1:]] = coeff * e
+    return out
+
+
+def full_column_image_by_partials(P: Polynomial, label, derivs: dict) -> list:
+    """Image of the column (w, a) of the full Koszul map: the sum over
+    variables x of (x wedge w) tensor d(d^a P)/dx, d^a the bare derivative,
+    taken as a chain of partial derivatives of every term of P.  `derivs`
+    caches, per dual monomial, the (x, terms) pairs of the nonzero
+    derivatives of d^a P.  Row labels are (wedge, exponent vector)."""
+    w, a = label
+    if a not in derivs:
+        Q = P.terms
+        for k, e in enumerate(a):
+            for _ in range(e):
+                Q = _partial_terms(Q, k)
+        derivs[a] = [(x, D) for x in range(len(a)) if (D := _partial_terms(Q, x))]
+    out = []
+    for x, terms in derivs[a]:
+        if ins := wedge_insert(w, x):
+            sign, neww = ins
+            out.extend(((neww, mono), sign * coeff) for mono, coeff in terms.items())
+    return out
+
+
 def full_koszul_matrix(P: Polynomial, d: int, p: int) -> LabelledMatrix:
     """Matrix of the Koszul flattening of an arbitrary polynomial, taken
-    with int coefficients (`integral_multiple`).
+    with int coefficients (`integral_multiple`), with a column for every
+    dual monomial.
 
     Columns are (wedge of p variables, dual monomial of degree d); rows are
     (wedge of p+1 variables, monomial of degree e-d-1); see
-    `full_column_image`.
+    `full_column_image_by_partials`.
     """
     P = integral_multiple(P)
     cols = full_domain_basis(P, d, p)
@@ -356,7 +401,7 @@ def full_koszul_matrix(P: Polynomial, d: int, p: int) -> LabelledMatrix:
     derivs: dict = {}
     entries = [(row_index[rlabel], ci, v)
                for ci, label in enumerate(cols)
-               for rlabel, v in full_column_image(P, label, derivs)]
+               for rlabel, v in full_column_image_by_partials(P, label, derivs)]
     return LabelledMatrix(rows, cols, entries, "full")
 
 

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from math import ceil
 from pathlib import Path
@@ -95,6 +96,20 @@ class TestDecompose:
     def test_output_is_pinned(self, capsys, argv, expected):
         """The table and JSON outputs, byte for byte."""
         assert run(["decompose", *argv], capsys) == (0, expected)
+
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_unprintable_total_is_one_line_error(self, fmt):
+        """A total dimension past Python's limit on printing an int (4300
+        digits by default) is refused in one line that names its digits."""
+        src = str(Path(flatrank.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "flatrank.cli", "decompose", "--n", "20000", "--d", "10000",
+             "--p", "2", "--format", fmt],
+            capture_output=True, text=True, timeout=10,
+            env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"})
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == ("flatrank: error: the total dimension at n=20000 has 12054 "
+                               "digits, over Python's limit of 4300 for printing an integer\n")
 
 
 class TestBound:
@@ -372,33 +387,59 @@ class TestBound:
             # n! terms over the default cap, though the wedges and duals fit
             (["det", "--n", "11", "--d", "1", "--p", "1"], "det at n=11 has 39916800 terms"),
             (["perm", "--n", "11", "--d", "1", "--p", "1"], "perm at n=11 has 39916800 terms"),
-            # det9 fits, its derivatives at d=1 (81 duals x 64 variables x 5040 terms) do not
+            # det9 fits, its 9! terms x 9 dividing duals x (1 + 8 derivatives) do not
             (["det", "--n", "9", "--d", "1", "--p", "1"],
-             "the full map at n=9, d=1 caches up to 26127360 derivative terms"),
+             "the full map at n=9, d=1 may keep 29393280 dual monomials and derivative "
+             "terms"),
         ]:
             code = main(["bound", "--method", "koszul-full", "--poly", *argv])
             err = capsys.readouterr().err
             assert code == 2 and err.count("\n") == 1
             assert err.startswith(f"flatrank: error: {message}")
 
-    def test_full_map_charges_every_column_it_keeps(self, capsys, monkeypatch):
-        """power is bigraded but not symmetric, so the full map keeps every
-        column: C(144, 2) * 144 at n=12, charged before any block is built."""
+    def test_full_map_charges_every_column_it_keeps(self, capsys, monkeypatch, tmp_path):
+        """sum (k+1) x_k^12 at n=12 is not bigraded, so the full map keeps
+        every column, one block of C(144, 2) wedges times its 144 dividing
+        duals, charged before any block is built."""
         from flatrank import flattening
 
         def build(*args):
             raise AssertionError("a block was built before the columns were charged")
 
         monkeypatch.setattr(flattening, "weight_blocks", build)
-        code = main(["bound", "--poly", "power", "--n", "12", "--method", "koszul-full",
-                     "--d", "1", "--p", "2", "--format", "json", "--memory-cap", "256"])
+        path = tmp_path / "powers.json"
+        path.write_text(Polynomial(12, 12, {
+            tuple(12 * (j == k) for j in range(144)): k + 1 for k in range(144)}).to_json())
+        code = main(["bound", "--poly", f"file:{path}", "--n", "12", "--method",
+                     "koszul-full", "--d", "1", "--p", "2", "--format", "json",
+                     "--memory-cap", "256"])
         err = capsys.readouterr().err
         assert code == 2 and err.count("\n") == 1
-        assert err.startswith("flatrank: error: the full map at n=12, d=1, p=2 keeps all "
+        assert err.startswith("flatrank: error: the full map at n=12, p=2 keeps all "
                               "1482624 columns")
 
+    def test_full_power_lists_one_dual(self, capsys):
+        """x_144^12 has one dividing dual at d=1, so the full map at n=12
+        keeps C(144, 2) columns, whose rank is t, under the default cap."""
+        code, out = run(["bound", "--poly", "power", "--n", "12", "--method", "koszul-full",
+                         "--d", "1", "--p", "2", "--format", "json"], capsys)
+        rec = json.loads(out)
+        assert code == 0 and (rec["rank"], rec["t"], rec["bound"]) == (10153, 10153, 1)
+
+    def test_high_power_of_one_variable_is_answered_at_once(self, capsys, tmp_path):
+        """x_0^40 at n=2 and d=20 has one dividing dual, where C(40, 20)
+        choices of its variable with repeats would hang."""
+        path = tmp_path / "power.json"
+        path.write_text(Polynomial(2, 40, {(40, 0, 0, 0): 1}).to_json())
+        start = time.perf_counter()
+        code, out = run(["bound", "--poly", f"file:{path}", "--n", "2", "--method",
+                         "koszul-full", "--d", "20", "--p", "1", "--format", "json"], capsys)
+        rec = json.loads(out)
+        assert code == 0 and (rec["rank"], rec["t"], rec["bound"]) == (3, 3, 1)
+        assert time.perf_counter() - start < 1
+
     @pytest.mark.parametrize("argv", [
-        ["--n", "2000", "--p", "0"],  # C(4000999, 1000) dual monomials
+        ["--n", "2000", "--p", "0"],  # 2000! terms
         ["--n", "20000", "--p", "0"],
         ["--n", "2000", "--d", "1", "--p", "1000000"],  # C(4000000, 1000000) wedges
         ["--n", "2000000", "--p", "0"],

@@ -51,6 +51,7 @@ from schur_flattening import PI3, PIERI_ROWS, PIERI_T, _tableau_groups, pieri_bl
 from flatrank.cli import certify, flattening_blocks
 from oracles import (
     bidegree_of_label as _bidegree_of_label,
+    full_column_image_by_partials,
     full_domain_basis,
     full_koszul_matrix,
     group_by_weight,
@@ -58,6 +59,7 @@ from oracles import (
     minor_domain_basis,
     minor_koszul_matrix,
     minor_poly,
+    monomials_of_degree,
     partial,
     pieri_column_image_by_straightening,
     pieri_flattening_matrix,
@@ -173,16 +175,28 @@ def _label_weight(n, plus=(), minus=()):
     return tuple(wa), tuple(wb)
 
 
-def assert_blocks_match_whole(M, weight_of, blocks, symmetric):
+def _dividing(P, duals) -> set:
+    """The dual monomials among `duals` that divide a monomial of P, found
+    by intersecting, over each a's variables k, the sets of terms m with
+    m[k] >= a[k]."""
+    terms = list(P.terms)
+    reaching = cache(lambda k, e: {i for i, m in enumerate(terms) if m[k] >= e})
+    return {a for a in set(duals)
+            if set.intersection(*(reaching(k, e) for k, e in enumerate(a) if e))}
+
+
+def assert_blocks_match_whole(M, weight_of, blocks, symmetric, keeps=lambda label: True):
     """Soundness gate: split the whole matrix by column weight.  Block ranks
     are constant on each orbit; each yielded block holds the columns of one
-    weight, one per orbit when symmetric, with the orbit's size and rank;
-    the certified orbit-reduced rank = all-blocks = whole-matrix rank, which
-    is returned."""
+    weight that `keeps` takes, one per orbit when symmetric, with the
+    orbit's size and rank; a column `keeps` drops is zero in the whole
+    matrix; the certified orbit-reduced rank = all-blocks = whole-matrix
+    rank, which is returned."""
     key = _orbit_key if symmetric else (lambda w: w)
     weight_of_col = [weight_of(label) for label in M.cols]
     split = {w: [] for w in weight_of_col}
     for r, c, v in M.entries:
+        assert keeps(M.cols[c])
         split[weight_of_col[c]].append((r, c, v))
     orbit_ranks: dict = {}
     for w, entries in split.items():
@@ -191,10 +205,11 @@ def assert_blocks_match_whole(M, weight_of, blocks, symmetric):
     for ranks in orbit_ranks.values():
         assert len(set(ranks)) == 1
 
-    assert {key(B.weight) for _, B in blocks} == set(orbit_ranks)
+    assert {key(B.weight) for _, B in blocks} == {
+        key(w) for label, w in zip(M.cols, weight_of_col) if keeps(label)}
     for size, B in blocks:
         assert set(B.cols) == {
-            label for label, w in zip(M.cols, weight_of_col) if w == B.weight
+            label for label, w in zip(M.cols, weight_of_col) if w == B.weight and keeps(label)
         }
         ranks = orbit_ranks[key(B.weight)]
         assert size == len(ranks) and rank_mod_p([(1, B)]).rank == ranks[0]
@@ -205,14 +220,18 @@ def assert_blocks_match_whole(M, weight_of, blocks, symmetric):
 
 
 def _full_case(P, d, p):
-    return (full_koszul_matrix(P, d, p), full_koszul_blocks(P, d, p),
-            lambda label: _label_weight(P.n, label[0], label[1]))
+    M = full_koszul_matrix(P, d, p)
+    dividing = _dividing(P, (a for _, a in M.cols))
+    return (M, full_koszul_blocks(P, d, p),
+            lambda label: _label_weight(P.n, label[0], label[1]),
+            lambda label: label[1] in dividing)
 
 
 def _pieri_case(P):
     return (pieri_flattening_matrix(P, PI3, PIERI_ROWS, 9),
             pieri_blocks(P, PI3, PIERI_ROWS),
-            lambda T: _label_weight(3, [v - 1 for row in T for v in row]))
+            lambda T: _label_weight(3, [v - 1 for row in T for v in row]),
+            lambda T: True)
 
 
 # the whole minor matrices are slow to build; two test classes share them
@@ -239,10 +258,10 @@ class TestOrbitBlocks:
                      id="pieri-power"),
     ])
     def test_full_and_pieri_blocks_match_whole(self, case, symmetric, rank):
-        M, blocks, weight_of = case()
+        M, blocks, weight_of, keeps = case()
         blocks = list(blocks)
         assert all(size == 1 for size, _ in blocks) != symmetric
-        assert assert_blocks_match_whole(M, weight_of, blocks, symmetric) == rank
+        assert assert_blocks_match_whole(M, weight_of, blocks, symmetric, keeps) == rank
 
     def test_non_graded_input_is_one_block(self):
         P = random_low_rank(2, 3, 3, 5)
@@ -350,24 +369,55 @@ class TestColumnEnumeration:
     columns' images first reach them (`_assert_rows_first_met`).  Columns
     and entries in these orders fix the certificate hashes."""
 
-    @pytest.mark.parametrize("poly,d,p,symmetric", [
-        pytest.param(determinant_poly(3), 1, 1, True, id="det3-1-1"),
-        pytest.param(determinant_poly(3), 1, 2, True, id="det3-1-2"),
-        pytest.param(determinant_poly(3), 2, 2, True, id="det3-2-2"),
-        pytest.param(determinant_poly(4), 2, 2, True, id="det4-2-2"),
-        pytest.param(permanent_poly(4), 2, 2, True, id="perm4-2-2"),
-        pytest.param(determinant_poly(5), 2, 2, True, id="det5-2-2"),
-        pytest.param(variable_power((3, 3), 3, 3), 1, 2, False, id="power3-1-2"),
+    @pytest.mark.parametrize("poly,d,p,symmetric,dropped", [
+        pytest.param(determinant_poly(3), 1, 1, True, 0, id="det3-1-1"),
+        pytest.param(determinant_poly(3), 1, 2, True, 0, id="det3-1-2"),
+        pytest.param(determinant_poly(3), 2, 2, True, 62, id="det3-2-2"),
+        pytest.param(determinant_poly(4), 2, 2, True, 130, id="det4-2-2"),
+        pytest.param(permanent_poly(4), 2, 2, True, 130, id="perm4-2-2"),
+        pytest.param(determinant_poly(5), 2, 2, True, 219, id="det5-2-2"),
+        pytest.param(variable_power((3, 3), 3, 3), 1, 2, False, 288, id="power3-1-2"),
     ])
-    def test_full_columns_per_weight(self, poly, d, p, symmetric):
+    def test_full_columns_per_weight(self, poly, d, p, symmetric, dropped):
+        """The full map's blocks hold the whole domain basis with every
+        column dropped whose dual monomial divides no monomial of P; each
+        dropped column is zero in the oracle, and `dropped` of them would
+        have sat in a kept weight."""
         blocks = list(full_koszul_blocks(poly, d, p))
         got = [(size, B.weight, B.cols) for size, B in blocks]
+        whole = full_domain_basis(poly, d, p)
+        dividing = _dividing(poly, (a for _, a in whole))
+        weight_of = lambda label: _label_weight(poly.n, label[0], label[1])
         assert got == _all_columns_grouped(
-            full_domain_basis(poly, d, p),
-            lambda label: _label_weight(poly.n, label[0], label[1]), symmetric)
+            [label for label in whole if label[1] in dividing], weight_of, symmetric)
         derivs: dict = {}
+        assert not any(full_column_image_by_partials(poly, label, derivs)
+                       for label in whole if label[1] not in dividing)
+        every = _all_columns_grouped(whole, weight_of, symmetric)
+        assert sum(len(cols) for *_, cols in every) - sum(len(B.cols) for _, B in blocks) \
+            == dropped
         for _, B in blocks:
-            _assert_rows_first_met(B, lambda label: full_column_image(poly, label, derivs))
+            _assert_rows_first_met(
+                B, lambda label: full_column_image_by_partials(poly, label, derivs))
+
+    def test_zero_columns_dropped_at_det6(self):
+        """At det6 (d=3, p=2) the kept weights hold 4,702 columns when every
+        dual monomial is listed, and 2,680 of them have a dual that divides
+        no monomial: the dividing duals, in the order of every dual, give
+        the same groups, with their columns in the same order, without
+        those columns."""
+        P = determinant_poly(6)
+        every = monomials_of_degree(36, 3)
+        dividing = _dividing(P, every)
+        duals = flattening._dividing_duals(P, 3)
+        assert list(duals) == [a for a in every if a in dividing]
+        before, after = (flattening._full_column_groups(P, 2, D, DEFAULT_MEMORY_CAP_BYTES)
+                         for D in (every, duals))
+        assert {w: (size, cols) for size, w, cols in after} == {
+            w: (size, kept) for size, w, cols in before
+            if (kept := [c for c in cols if c[1] in dividing])}
+        count = lambda groups: sum(len(cols) for *_, cols in groups)
+        assert (count(before), count(after)) == (4702, 4702 - 2680)
 
     @pytest.mark.parametrize("poly,symmetric", [
         pytest.param(determinant_poly(3), True, id="det3"),
@@ -508,15 +558,18 @@ class TestFullMap:
         with pytest.raises(ValueError, match="over the memory cap of 256 MiB"):
             flattening_blocks("koszul-full", "power", 7, 2, 5, memory_cap_bytes=256 << 20)
 
-    def test_oversized_dual_request_fails_before_enumeration(self, monkeypatch):
-        """C(69, 6) dual monomials of degree 6 in 64 variables would not fit
-        in the default cap, though their 64 wedges would."""
-        monkeypatch.setattr(flattening, "monomials_of_degree", None)  # listing would crash
-        with pytest.raises(ValueError, match="the full map at n=8, d=6 enumerates 119877472 "
-                           "dual monomials"):
-            full_koszul_blocks(variable_power((8, 8), 8, 8), 6, 1)
-        with pytest.raises(ValueError, match="over the memory cap of 256 MiB"):
-            flattening_blocks("koszul-full", "power", 8, 6, 1, memory_cap_bytes=256 << 20)
+    def test_a_power_lists_one_dual(self, monkeypatch):
+        """Of the C(69, 6) dual monomials of degree 6 in 64 variables, only
+        x_64^6 divides x_64^8: `power` at n=8, d=6 has 63 * 64 columns, and
+        its rank is t under a 256 MiB cap.  No dual is listed from all
+        variables."""
+        monkeypatch.setattr(flattening, "combinations_with_replacement", None)
+        assert list(flattening._dividing_duals(variable_power((8, 8), 8, 8), 6)) == \
+            [(0,) * 63 + (6,)]
+        blocks, t = flattening_blocks("koszul-full", "power", 8, 6, 1,
+                                      memory_cap_bytes=256 << 20)
+        assert sum(len(B.cols) for _, B in blocks) == 64
+        assert rank_mod_p(blocks).rank == t == 63
 
     @pytest.mark.parametrize("P,d,exact", [
         (determinant_poly(4), 1, True),
@@ -527,30 +580,36 @@ class TestFullMap:
         (random_low_rank(2, 4, 3, 5), 2, False),
     ], ids=["det4-1", "det4-2", "perm4-2", "power-2", "quartic-1", "quartic-2"])
     def test_derivative_guard_charges_at_least_the_cached_terms(self, P, d, exact):
-        """The derivative cache, filled for every dual monomial, holds at
-        most the terms `check_derivatives` charges, and exactly as many for
-        det and perm, whose monomials are squarefree."""
-        derivs: dict = {}
-        for a in flattening.monomials_of_degree(P.n * P.n, d):
-            full_column_image(P, ((), a), derivs)
-        cached = sum(len(D) for pairs in derivs.values() for _, D in pairs)
-        need = cached * (8 * P.n * P.n + flattening._BYTES_PER_TERM)
+        """The dividing duals' term lists and the derivative cache, filled
+        for every dividing dual, hold at most the items `check_derivatives`
+        charges, and exactly as many for det and perm, whose monomials are
+        squarefree: C(n, d) duals per term, each with n - d derivative
+        terms."""
+        duals, derivs = flattening._dividing_duals(P, d), {}
+        for a in duals:
+            full_column_image(((), a), duals, derivs)
+        kept = sum(map(len, duals.values())) + sum(
+            len(D) for pairs in derivs.values() for _, D in pairs)
+        if exact:
+            assert kept == len(P.terms) * comb(P.n, d) * (P.n - d + 1)
+        need = kept * (8 * P.n * P.n + flattening._BYTES_PER_TERM)
         with pytest.raises(ValueError, match="derivative terms") as refused:
             flattening.check_derivatives(P.n, len(P.terms), P.degree, d, need - 1)
         if exact:
-            assert f"caches up to {cached} derivative terms" in str(refused.value)
+            assert f"may keep {kept} dual monomials and derivative terms" in \
+                str(refused.value)
             flattening.check_derivatives(P.n, len(P.terms), P.degree, d, need)
 
     def test_full_map_charges_the_columns_it_keeps(self):
-        """power keeps all C(9, 4) * 9 = 1134 columns at (d=1, p=4), each
-        charged `_BYTES_PER_COLUMN`; det3's orbit blocks keep fewer and are
-        not charged per column."""
-        cap = 1134 * flattening._BYTES_PER_COLUMN
-        with pytest.raises(ValueError, match="the full map at n=3, d=1, p=4 keeps all "
-                           "1134 columns"):
+        """power keeps all C(9, 4) * 1 = 126 columns of its one dividing
+        dual at (d=1, p=4), each charged `_BYTES_PER_COLUMN`; det3's orbit
+        blocks keep fewer and are not charged per column."""
+        cap = 126 * flattening._BYTES_PER_COLUMN
+        with pytest.raises(ValueError, match="the full map at n=3, p=4 keeps all "
+                           "126 columns"):
             full_koszul_blocks(variable_power((3, 3), 3, 3), 1, 4, memory_cap_bytes=cap - 1)
         blocks = full_koszul_blocks(variable_power((3, 3), 3, 3), 1, 4, memory_cap_bytes=cap)
-        assert sum(len(B.cols) for _, B in blocks) == 1134
+        assert sum(len(B.cols) for _, B in blocks) == 126
         assert list(full_koszul_blocks(determinant_poly(3), 1, 4, memory_cap_bytes=cap - 1))
 
     def test_guard_counts_stop_past_the_limit(self):
@@ -569,12 +628,13 @@ class TestFullMap:
             flattening.check_named_terms("det", 10**6, 1, DEFAULT_MEMORY_CAP_BYTES)
 
     def test_oversized_derivative_cache_fails_before_enumeration(self, monkeypatch):
-        """det6 at d=3 caches 43200 derivative terms, about 16 MB: its
-        wedges and dual monomials fit in 8 MiB, its derivatives do not."""
+        """det6 at d=3 keeps 720 * C(6, 3) = 14400 (dual, term) pairs and
+        43200 derivative terms: its wedges fit in 8 MiB, these do not."""
         monkeypatch.setattr(flattening, "combinations", None)  # enumerating would crash
-        monkeypatch.setattr(flattening, "monomials_of_degree", None)
-        with pytest.raises(ValueError, match="the full map at n=6, d=3 caches up to 43200 "
-                           "derivative terms, about 15 MiB, over the memory cap of 8 MiB"):
+        monkeypatch.setattr(flattening, "_dividing_duals", None)
+        with pytest.raises(ValueError, match="the full map at n=6, d=3 may keep 57600 "
+                           "dual monomials and derivative terms, about 21 MiB, over the "
+                           "memory cap of 8 MiB"):
             full_koszul_blocks(determinant_poly(6), 3, 2, memory_cap_bytes=8 << 20)
 
     @pytest.mark.parametrize("spec,n,d", [
@@ -663,7 +723,7 @@ def trace_vector_images(P) -> list[dict]:
     """The images under the full map of P at (d=1, p=4) of the 84 vectors
     sum_i (e_i ^ u) x e_i*, u a 3-wedge of the 9 variables, each as a dict
     of its nonzero coordinates."""
-    derivs: dict = {}
+    duals, derivs = flattening._dividing_duals(P, 1), {}
     images = []
     for u in combinations(range(9), 3):
         image: dict = {}
@@ -671,7 +731,7 @@ def trace_vector_images(P) -> list[dict]:
             if ins := wedge_insert(u, i):
                 sign, w = ins
                 a = tuple(int(k == i) for k in range(9))
-                for row, v in full_column_image(P, (w, a), derivs):
+                for row, v in full_column_image((w, a), duals, derivs):
                     image[row] = image.get(row, 0) + sign * v
         images.append({row: v for row, v in image.items() if v})
     return images
@@ -695,7 +755,9 @@ class TestPieriRoute:
 
     def test_a_column_of_the_trace_summand_does_not_map_to_zero(self):
         """The control: one term of a trace vector alone has an image."""
-        assert full_column_image(determinant_poly(3), ((0, 1, 2, 3), (1,) + (0,) * 8), {})
+        P = determinant_poly(3)
+        assert full_column_image(((0, 1, 2, 3), (1,) + (0,) * 8),
+                                 flattening._dividing_duals(P, 1), {})
 
     @settings(max_examples=25, deadline=None)
     @given(st.booleans().flatmap(cubics))
