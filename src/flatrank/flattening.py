@@ -25,7 +25,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from functools import cache
 from itertools import combinations, combinations_with_replacement
-from math import comb, factorial, perm, prod
+from math import comb, factorial
 from operator import ge, sub
 
 from .exact_linalg import DEFAULT_MEMORY_CAP_BYTES, sha256
@@ -36,11 +36,14 @@ MinorLabel = tuple[tuple[int, ...], tuple[int, ...], Wedge]
 # minor map, which lists each weight's cells only, peaks below the charge
 # (p=2: max RSS 180 MiB against 487 MiB at n=40, 353 MiB against 1012 MiB at n=48)
 _BYTES_PER_WEDGE = 400
-# per term of det or perm, or per item `check_derivatives` counts, beyond an
-# exponent tuple's 8 bytes per variable (traced peaks of building det or perm:
-# 84, 100, 69, 73 bytes per term at n=5..8; of the full map's items at every
-# dividing dual: 107-173 bytes in all at det5..det8, d=1..3)
-_BYTES_PER_TERM = 100
+# the full map's charge (`check_full_map`), beyond 8 bytes per variable index:
+# per term of P, per distinct dual, and per (dual, term) entry or derivative
+# term.  With every dual's derivatives cached, it is 1.1-2.4 times the bytes
+# traced for P and the full map's own structures at det and perm n=5..8 for
+# every d, `power` and a dense quartic; tightest at d = n - 2 and n=3 `power`
+_BYTES_PER_TERM = 300
+_BYTES_PER_DUAL = 500
+_BYTES_PER_ITEM = 110
 # per column of the full map where it keeps every column, for the whole run
 # (max RSS past start-up per column at (d, p) = (1, 2): 424, 433, 457 bytes at
 # n = 8, 10, 12 for `power`; 835, 875, 862 for the one block of sum (k+1) x_k^12)
@@ -101,17 +104,13 @@ def minor_column_image(n: int, label: MinorLabel) -> list[tuple[MinorLabel, int]
     return out
 
 
-def _check_bytes(what: str, count: int, bytes_each: int, memory_cap_bytes: int,
-                 exact: bool = True) -> None:
-    """Reject a request for `count` items of about `bytes_each` bytes each
-    over the memory cap.  `what` names the request, with "{}" where the
-    count goes; a count that is not `exact` is printed as the lower bound
-    it is (`_count_past`)."""
-    need = count * bytes_each
+def _check_bytes(what: str, need: int, memory_cap_bytes: int, exact: bool = True) -> None:
+    """Reject a request that needs `need` bytes, or more than that when not
+    `exact` (`_count_past`), over the memory cap; `what` names the request
+    and its counts."""
     if need > memory_cap_bytes:
-        about, shown = ("about", count) if exact else ("more than", f"more than {count}")
-        raise ValueError(f"{what.format(shown)}, {about} {need >> 20} MiB, over the "
-                         f"memory cap of {memory_cap_bytes >> 20} MiB")
+        raise ValueError(f"{what}, {'about' if exact else 'more than'} {need >> 20} MiB, "
+                         f"over the memory cap of {memory_cap_bytes >> 20} MiB")
 
 
 def _count_past(steps, limit: int) -> tuple[int, bool]:
@@ -143,8 +142,8 @@ def check_wedge_count(name: str, n: int, p: int, memory_cap_bytes: int) -> None:
     if not 0 <= p <= n * n - 1:
         raise ValueError(f"need 0 <= p <= {n * n - 1}, got p={p}")
     wedges, exact = _binomial_past(n * n, p, memory_cap_bytes)
-    _check_bytes(f"the {name} map at n={n}, p={p} enumerates {{}} wedges", wedges,
-                 _BYTES_PER_WEDGE, memory_cap_bytes, exact)
+    _check_bytes(f"the {name} map at n={n}, p={p} enumerates {'' if exact else 'more than '}"
+                 f"{wedges} wedges", wedges * _BYTES_PER_WEDGE, memory_cap_bytes, exact)
 
 
 def _check_minor_args(n: int, d: int, p: int,
@@ -191,16 +190,14 @@ def weight_blocks(groups, column_image, kind: str):
     reach through `column_image(label)`, a list of (row label, coefficient)
     pairs, indexed in the order first met; the block keeps only their count.
 
-    Soundness.  The Koszul and Pieri maps of a polynomial P are
-    GL(V)-equivariant in (P, domain, codomain).  When every monomial of P
-    has the same weight, a column of weight mu maps into codomain weight
-    mu + wt(P), so the map is the direct sum of its weight blocks and the
-    sum of their ranks is its rank.  A permutation g of the variables --
-    rows, columns, or transposition -- with gP = +-P satisfies
-    F o g = +-g o F and sends weight space mu onto g mu.  On monomial and
-    wedge bases g acts by a signed permutation, and on a semistandard
-    tableau basis by an integer matrix whose inverse (the action of g^-1)
-    is also integral, so the blocks at mu and g mu have equal rank mod
+    Soundness.  The Koszul maps of a polynomial P are GL(V)-equivariant
+    in (P, domain, codomain).  When every monomial of P has the same
+    weight, a column of weight mu maps into codomain weight mu + wt(P), so
+    the map is the direct sum of its weight blocks and the sum of their
+    ranks is its rank.  A permutation g of the variables -- rows, columns,
+    or transposition -- with gP = +-P satisfies F o g = +-g o F and sends
+    weight space mu onto g mu.  On monomial and wedge bases g acts by a
+    signed permutation, so the blocks at mu and g mu have equal rank mod
     every prime and over Q.  The weight pairs in the orbit of a
     representative (wa, wb) are (sigma wa, tau wb) and, when wa != wb,
     (tau wb, sigma wa): perms(wa) * perms(wb) of them, doubled when
@@ -353,35 +350,41 @@ def image_modules(n: int, d: int, p: int, ranks_by_weight: dict,
 
 
 def check_named_terms(spec: str, n: int, d: int, memory_cap_bytes: int) -> None:
-    """Reject det or perm at an n whose n! terms, or the full map's dual
-    monomials and derivatives at d (`check_derivatives`), would not fit in
-    the memory cap, before the polynomial is built."""
+    """Reject det or perm at an n where the full map at d would not fit in
+    the memory cap (`check_full_map`), before the polynomial is built."""
     if spec in ("det", "perm"):
         terms, exact = _count_past(((k, 1) for k in range(2, n + 1)), memory_cap_bytes)
-        _check_bytes(f"{spec} at n={n} has {{}} terms", terms, 8 * n * n + _BYTES_PER_TERM,
-                     memory_cap_bytes, exact)
-        check_derivatives(n, terms, n, d, memory_cap_bytes)
+        check_full_map(n, terms, n, d, memory_cap_bytes, exact)
 
 
-def check_derivatives(n: int, terms: int, degree: int, d: int,
-                      memory_cap_bytes: int) -> None:
-    """Reject a full-map request whose dividing duals and cached derivatives
-    would not fit in the memory cap.  A term m lists at most C(degree, d),
-    or all C(n*n + d - 1, d), duals a (`_dividing_duals`), and each (a, m)
-    gives the d/dx d^a P at most min(degree - d, n*n) terms
-    (`full_column_image`).  The counts stop past the cap."""
-    nv = n * n
-    duals, exact = min(_binomial_past(degree, d, memory_cap_bytes),
-                       _binomial_past(nv + d - 1, d, memory_cap_bytes))
-    _check_bytes(f"the full map at n={n}, d={d} may keep {{}} dual monomials and "
-                 f"derivative terms", terms * duals * (1 + min(degree - d, nv)),
-                 8 * nv + _BYTES_PER_TERM, memory_cap_bytes, exact)
+def check_full_map(n: int, terms: int, degree: int, d: int, memory_cap_bytes: int,
+                   exact: bool = True) -> None:
+    """Reject a full-map request whose polynomial, dividing duals and cached
+    derivatives would not fit in the memory cap.  Each of the `terms` terms
+    m (a lower bound unless `exact`) lists at most C(degree, d), or all
+    C(n*n + d - 1, d), duals a (`_dividing_duals`), so the distinct duals
+    number at most the (a, m) entries, or all duals; each (a, m) gives
+    d/dx d^a P at most min(degree - d, n*n) terms (`full_column_image`).
+    The counts stop past the cap."""
+    nv, cap = n * n, memory_cap_bytes
+    every = _binomial_past(nv + d - 1, d, cap)
+    per_term, exact_term = min(_binomial_past(degree, d, cap), every)
+    entries, derivatives = terms * per_term, terms * per_term * min(degree - d, nv)
+    duals, exact_duals = min((entries, exact and exact_term), every)
+    exact = exact and exact_term and exact_duals
+    shown = (f"{terms} terms, {duals} dual monomials, {entries} (dual, term) entries and "
+             f"{derivatives} derivative terms" if exact else
+             f"more than {cap} terms, duals, entries and derivative terms")
+    _check_bytes(f"the full map at n={n}, d={d} may keep {shown}",
+                 terms * (8 * (nv + degree) + _BYTES_PER_TERM) + duals * _BYTES_PER_DUAL
+                 + (entries + derivatives) * (8 * degree + _BYTES_PER_ITEM), cap, exact)
 
 
 def _dividing_duals(P, d: int) -> dict:
-    """The dual monomials a of degree d dividing a monomial of P, in
-    decreasing order, each with the terms (m, c) of P it divides: each m
-    lists its sub-multisets of degree d, so x^e lists one a, not C(e, d).
+    """The dual monomials a of degree d dividing a monomial of P, each with
+    the terms (m, c) of P it divides, one tuple per term; a and m are sorted
+    tuples of their variables with repetition, a in increasing order.  Each
+    m lists its sub-multisets of degree d, so x^e lists one a, not C(e, d).
 
     Soundness.  d^a m = m!/(m - a)! x^(m - a) for a <= m, and 0 otherwise;
     distinct m give distinct m - a, so d^a P = 0 exactly when a divides no
@@ -389,17 +392,17 @@ def _dividing_duals(P, d: int) -> dict:
     every prime, so a kept block loses only zero columns; a variable
     permutation fixing P up to sign permutes the dividing duals, so the
     orbit argument of `weight_blocks` still holds."""
-    divisors: dict = {}  # a as its variables, with repetition -> terms
-    for term in P.terms.items():
-        room, parts = P.degree, [()]
-        for k, e in [(k, e) for k, e in enumerate(term[0]) if e]:
+    divisors: dict = {}  # a -> terms
+    for exps, c in P.terms.items():
+        room, parts, support = P.degree, [()], [(k, e) for k, e in enumerate(exps) if e]
+        for k, e in support:
             room -= e
-            parts = [(*c, *[k] * b) for c in parts
-                     for b in range(min(e, d - len(c)) + 1) if len(c) + b + room >= d]
-        for c in parts:
-            divisors.setdefault(c, []).append(term)
-    # sorted multisets give their exponent vectors in decreasing order
-    return {tuple(map(c.count, range(P.n * P.n))): divisors[c] for c in sorted(divisors)}
+            parts = [(*a, *[k] * b) for a in parts
+                     for b in range(min(e, d - len(a)) + 1) if len(a) + b + room >= d]
+        term = (tuple(k for k, e in support for _ in range(e)), c)
+        for a in parts:
+            divisors.setdefault(a, []).append(term)
+    return {a: divisors[a] for a in sorted(divisors)}
 
 
 def full_column_image(label, duals: dict, derivs: dict) -> list:
@@ -415,8 +418,10 @@ def full_column_image(label, duals: dict, derivs: dict) -> list:
     if a not in derivs:
         by_x: dict = {}
         for m, c in duals.get(a, ()):
-            rest = [k for k, e in enumerate(map(sub, m, a)) if e for _ in range(e)]
-            c *= prod(perm(m[k], e) for k, e in enumerate(a) if e)
+            rest = list(m)
+            for k in a:  # the j-th copy of k taken from m_k copies counts m_k - j
+                c *= rest.count(k)
+                rest.remove(k)
             for x in set(rest):
                 i = rest.index(x)
                 by_x.setdefault(x, {})[tuple(rest[:i] + rest[i + 1:])] = c * rest.count(x)
@@ -450,18 +455,19 @@ def _full_column_groups(P, p: int, duals, memory_cap_bytes: int) -> list:
     symmetric P a kept weight decreases on each axis, so a wedge class is
     paired only with the dual classes whose A-part and B-part both leave
     it decreasing, found per axis."""
-    from .polynomials import exponent_variables, is_bigraded, is_symmetric, torus_weight
+    from .polynomials import is_bigraded, is_symmetric, torus_weight
 
     n, bigraded = P.n, is_bigraded(P)
     if not (symmetric := bigraded and is_symmetric(P)):  # every column is kept
-        _check_bytes(f"the full map at n={n}, p={p} keeps all {{}} columns",
-                     comb(n * n, p) * len(duals), _BYTES_PER_COLUMN, memory_cap_bytes)
+        columns = comb(n * n, p) * len(duals)
+        _check_bytes(f"the full map at n={n}, p={p} keeps all {columns} columns",
+                     columns * _BYTES_PER_COLUMN, memory_cap_bytes)
     wedges = list(combinations(range(n * n), p))
     if not bigraded:
         return [(1, None, [(w, a) for w in wedges for a in duals])]
     dual_classes: dict = {}
     for a in duals:
-        dual_classes.setdefault(torus_weight(exponent_variables(a), n), []).append(a)
+        dual_classes.setdefault(torus_weight(a, n), []).append(a)
     classes = list(dual_classes.items())
     if symmetric:
         size_of = _orbit_size
@@ -499,7 +505,7 @@ def full_koszul_blocks(P, d: int, p: int,
     if not 1 <= d <= P.degree - 1:
         raise ValueError(f"need 1 <= d <= degree-1, got d={d}, degree={P.degree}")
     check_wedge_count("full", P.n, p, memory_cap_bytes)
-    check_derivatives(P.n, len(P.terms), P.degree, d, memory_cap_bytes)
+    check_full_map(P.n, len(P.terms), P.degree, d, memory_cap_bytes)
     duals, derivs = _dividing_duals(P, d), {}
     return weight_blocks(_full_column_groups(P, p, duals, memory_cap_bytes),
                          lambda label: full_column_image(label, duals, derivs), "full_block")

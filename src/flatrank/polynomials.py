@@ -9,6 +9,7 @@ every polynomial built here, and Fractions otherwise.
 from __future__ import annotations
 
 from itertools import chain, permutations
+from operator import itemgetter
 
 Exponents = tuple[int, ...]
 
@@ -32,11 +33,6 @@ def torus_weight(variables, n: int) -> Weight:
         wa[k // n] += 1
         wb[k % n] += 1
     return tuple(wa), tuple(wb)
-
-
-def exponent_variables(exps: Exponents) -> list[int]:
-    """The variables of a monomial, each repeated by its exponent."""
-    return [k for k, e in enumerate(exps) for _ in range(e)]
 
 
 class Polynomial:
@@ -98,7 +94,8 @@ class Polynomial:
 
 def is_bigraded(P: Polynomial) -> bool:
     """Whether every monomial of P has the same torus weight."""
-    return len({torus_weight(exponent_variables(e), P.n) for e in P.terms}) <= 1
+    return len({torus_weight((k for k, e in enumerate(exps) for _ in range(e)), P.n)
+                for exps in P.terms}) <= 1
 
 
 def is_symmetric(P: Polynomial) -> bool:
@@ -110,21 +107,16 @@ def is_symmetric(P: Polynomial) -> bool:
     generators fixes P up to the product of their signs.
     """
     n = P.n
-    swap, cycle = list(range(n)), [(i + 1) % n for i in range(n)]
-    if n > 1:
-        swap[0], swap[1] = 1, 0
+    if n == 1:  # every generator is the identity
+        return True
+    swap, cycle = [1, 0, *range(2, n)], [(i + 1) % n for i in range(n)]
     gens = [[(k % n) * n + k // n for k in range(n * n)]]  # transposition
     for perm in (swap, cycle):
         gens.append([perm[k // n] * n + k % n for k in range(n * n)])
         gens.append([k // n * n + perm[k % n] for k in range(n * n)])
     negated = {e: -c for e, c in P.terms.items()}
-    for g in gens:
-        image = {}
-        for exps, c in P.terms.items():
-            new = [0] * (n * n)
-            for k, e in enumerate(exps):
-                new[g[k]] = e
-            image[tuple(new)] = c
+    for g in gens:  # exps -> exps o g, the action of g^-1
+        image = dict(zip(map(itemgetter(*g), P.terms), P.terms.values()))
         if image != P.terms and image != negated:
             return False
     return True

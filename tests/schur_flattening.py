@@ -26,7 +26,6 @@ from flatrank.flattening import _orbit_size, wedge_insert, weight_blocks
 from flatrank.partitions import Partition, conjugate, make_partition
 from flatrank.polynomials import (
     Polynomial,
-    exponent_variables,
     is_bigraded,
     is_symmetric,
     sort_sign,
@@ -253,7 +252,7 @@ def pieri_arrangements(phi: Polynomial) -> list[tuple]:
     a linear form has the rank of a power of one variable."""
     out = []
     for exps, coeff in sorted(phi.terms.items()):
-        labels = [k + 1 for k in exponent_variables(exps)]
+        labels = [k + 1 for k, e in enumerate(exps) for _ in range(e)]
         weight = coeff * prod(map(factorial, exps))
         out += [(arrangement, weight) for arrangement in sorted(set(permutations(labels)))]
     return out
@@ -313,7 +312,11 @@ def pieri_blocks(phi: Polynomial, shape: Partition, target_rows):
     columns (`flattening._full_column_groups`): every tableau when phi is
     not bigraded, every weight with size 1 when it is, and orbit
     representatives when phi is also symmetric.  Blocks, orbits and
-    soundness are those of `flattening.weight_blocks`.
+    soundness are those of `flattening.weight_blocks`: a variable
+    permutation acts on the semistandard tableau basis by an integer
+    matrix whose inverse, the action of the inverse permutation, is also
+    integral, so blocks in one orbit have equal rank mod every prime and
+    over Q.
     """
     shape = make_partition(shape)
     _pieri_target(phi, shape, target_rows)

@@ -384,18 +384,38 @@ class TestBound:
         for argv, message in [
             (["det", "--n", "8", "--d", "2", "--p", "8", "--memory-cap", "256"],
              "the full map at n=8, p=8 enumerates"),
-            # n! terms over the default cap, though the wedges and duals fit
-            (["det", "--n", "11", "--d", "1", "--p", "1"], "det at n=11 has 39916800 terms"),
-            (["perm", "--n", "11", "--d", "1", "--p", "1"], "perm at n=11 has 39916800 terms"),
-            # det9 fits, its 9! terms x 9 dividing duals x (1 + 8 derivatives) do not
+            # n! terms over the default cap, though the wedges fit
+            (["det", "--n", "11", "--d", "1", "--p", "1"],
+             "the full map at n=11, d=1 may keep 39916800 terms"),
+            (["perm", "--n", "11", "--d", "1", "--p", "1"],
+             "the full map at n=11, d=1 may keep 39916800 terms"),
+            # det9's terms fit, with its 9! x 9 entries and 8 derivative terms each they do not
             (["det", "--n", "9", "--d", "1", "--p", "1"],
-             "the full map at n=9, d=1 may keep 29393280 dual monomials and derivative "
-             "terms"),
+             "the full map at n=9, d=1 may keep 362880 terms, 81 dual monomials, 3265920 "
+             "(dual, term) entries and 26127360 derivative terms"),
         ]:
             code = main(["bound", "--method", "koszul-full", "--poly", *argv])
             err = capsys.readouterr().err
             assert code == 2 and err.count("\n") == 1
             assert err.startswith(f"flatrank: error: {message}")
+
+    @pytest.mark.parametrize("spec", ["det", "perm"])
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_full_map_of_det9_is_refused_at_once(self, capsys, monkeypatch, spec, d):
+        """det9 and perm9 at d = 1..7 are refused in one line before the
+        polynomial is built."""
+        def build(spec, n):
+            raise AssertionError("the polynomial was built before the size check")
+
+        monkeypatch.setattr(cli, "load_polynomial", build)
+        start = time.perf_counter()
+        code = main(["bound", "--method", "koszul-full", "--poly", spec, "--n", "9",
+                     "--d", str(d), "--p", "2"])
+        err = capsys.readouterr().err
+        assert time.perf_counter() - start < 1
+        assert code == 2 and err.count("\n") == 1
+        assert err.startswith(f"flatrank: error: the full map at n=9, d={d} may keep 362880 "
+                              f"terms, ") and "over the memory cap of 4096 MiB" in err
 
     def test_full_map_charges_every_column_it_keeps(self, capsys, monkeypatch, tmp_path):
         """sum (k+1) x_k^12 at n=12 is not bigraded, so the full map keeps
@@ -439,17 +459,19 @@ class TestBound:
         assert time.perf_counter() - start < 1
 
     @pytest.mark.parametrize("argv", [
-        ["--n", "2000", "--p", "0"],  # 2000! terms
-        ["--n", "20000", "--p", "0"],
-        ["--n", "2000", "--d", "1", "--p", "1000000"],  # C(4000000, 1000000) wedges
-        ["--n", "2000000", "--p", "0"],
+        ["--poly", "det", "--n", "2000", "--p", "0"],  # 2000! terms
+        ["--poly", "det", "--n", "20000", "--p", "0"],
+        # C(4000000, 1000000) wedges
+        ["--poly", "det", "--n", "2000", "--d", "1", "--p", "1000000"],
+        ["--poly", "det", "--n", "2000000", "--p", "0"],
+        ["--poly", "power", "--n", "2000"],  # C(4000000, 2) wedges
     ])
     def test_huge_request_is_refused_at_once_in_one_short_line(self, argv):
         """A guard stops counting once its count passes the cap, so it
         neither computes nor prints a number of thousands of digits."""
         src = str(Path(flatrank.__file__).resolve().parents[1])
         proc = subprocess.run(
-            [sys.executable, "-m", "flatrank.cli", "bound", "--poly", "det",
+            [sys.executable, "-m", "flatrank.cli", "bound",
              "--method", "koszul-full", "--format", "json", *argv],
             capture_output=True, text=True, timeout=10,
             env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"})

@@ -1,5 +1,7 @@
 import gc
 import random
+import re
+from collections import Counter
 import tempfile
 import weakref
 from fractions import Fraction
@@ -48,7 +50,7 @@ from flatrank.polynomials import (
     variable_power,
 )
 from schur_flattening import PI3, PIERI_ROWS, PIERI_T, _tableau_groups, pieri_blocks
-from flatrank.cli import certify, flattening_blocks
+from flatrank.cli import certify, flattening_blocks, load_polynomial
 from oracles import (
     bidegree_of_label as _bidegree_of_label,
     full_column_image_by_partials,
@@ -185,6 +187,25 @@ def _dividing(P, duals) -> set:
             if set.intersection(*(reaching(k, e) for k, e in enumerate(a) if e))}
 
 
+def _exponents(a, nv: int) -> tuple:
+    """The exponent vector of a monomial given as its variables."""
+    return tuple(map(a.count, range(nv)))
+
+
+def _variables(exps) -> tuple:
+    """The variables of a monomial, with repetition, in increasing order."""
+    return tuple(k for k, e in enumerate(exps) for _ in range(e))
+
+
+def _with_exponent_labels(blocks, nv: int) -> list:
+    """The full map's blocks with each column (w, a) relabelled (w, exponent
+    vector of a), the labels of the oracle."""
+    blocks = list(blocks)
+    for _, B in blocks:
+        B.cols = [(w, _exponents(a, nv)) for w, a in B.cols]
+    return blocks
+
+
 def assert_blocks_match_whole(M, weight_of, blocks, symmetric, keeps=lambda label: True):
     """Soundness gate: split the whole matrix by column weight.  Block ranks
     are constant on each orbit; each yielded block holds the columns of one
@@ -222,7 +243,7 @@ def assert_blocks_match_whole(M, weight_of, blocks, symmetric, keeps=lambda labe
 def _full_case(P, d, p):
     M = full_koszul_matrix(P, d, p)
     dividing = _dividing(P, (a for _, a in M.cols))
-    return (M, full_koszul_blocks(P, d, p),
+    return (M, _with_exponent_labels(full_koszul_blocks(P, d, p), P.n * P.n),
             lambda label: _label_weight(P.n, label[0], label[1]),
             lambda label: label[1] in dividing)
 
@@ -383,7 +404,7 @@ class TestColumnEnumeration:
         column dropped whose dual monomial divides no monomial of P; each
         dropped column is zero in the oracle, and `dropped` of them would
         have sat in a kept weight."""
-        blocks = list(full_koszul_blocks(poly, d, p))
+        blocks = _with_exponent_labels(full_koszul_blocks(poly, d, p), poly.n * poly.n)
         got = [(size, B.weight, B.cols) for size, B in blocks]
         whole = full_domain_basis(poly, d, p)
         dividing = _dividing(poly, (a for _, a in whole))
@@ -408,7 +429,8 @@ class TestColumnEnumeration:
         those columns."""
         P = determinant_poly(6)
         every = monomials_of_degree(36, 3)
-        dividing = _dividing(P, every)
+        dividing = {_variables(a) for a in _dividing(P, every)}
+        every = list(map(_variables, every))
         duals = flattening._dividing_duals(P, 3)
         assert list(duals) == [a for a in every if a in dividing]
         before, after = (flattening._full_column_groups(P, 2, D, DEFAULT_MEMORY_CAP_BYTES)
@@ -478,7 +500,7 @@ class TestColumnEnumeration:
         path = tmp_path / "cubic.json"
         path.write_text(P.to_json())
         blocks, _ = flattening_blocks("koszul-full", f"file:{path}", 3, 1, 2)
-        got = [(size, B.weight, B.cols) for size, B in blocks]
+        got = [(size, B.weight, B.cols) for size, B in _with_exponent_labels(blocks, 9)]
         assert got == [(1, None, full_domain_basis(P, 1, 2))]
         # the Pieri columns of such an input, without the slow column images
         assert _tableau_groups(PI3, 3, None) == [(1, None, ssyt_enumerate(PI3, 9))]
@@ -558,14 +580,37 @@ class TestFullMap:
         with pytest.raises(ValueError, match="over the memory cap of 256 MiB"):
             flattening_blocks("koszul-full", "power", 7, 2, 5, memory_cap_bytes=256 << 20)
 
+    @pytest.mark.parametrize("spec,n", [("det", 4), ("perm", 4), ("power", 4), ("quartic", 3)])
+    def test_duals_and_terms_are_sorted_variable_tuples(self, tmp_path, spec, n):
+        """At every d, the dividing duals are sorted tuples of d variables,
+        in increasing order, and each term (m, c) of P is listed as one
+        tuple object under every dual that divides it, m the sorted
+        variables of its exponent vector."""
+        if spec == "quartic":
+            spec = tmp_path / "quartic.json"
+            spec.write_text(random_low_rank(2, 4, 3, 5).to_json())
+            spec = f"file:{spec}"
+        P = load_polynomial(spec, n)
+        for d in range(1, P.degree):
+            duals = flattening._dividing_duals(P, d)
+            assert list(duals) == sorted(duals)
+            assert all(len(a) == d and list(a) == sorted(a) for a in duals)
+            shared: dict = {}
+            for a, terms in duals.items():
+                for term in terms:
+                    m, c = term
+                    assert shared.setdefault(m, term) is term
+                    assert list(m) == sorted(m) and P.terms[_exponents(m, n * n)] == c
+                    assert not Counter(a) - Counter(m)
+            assert len(shared) == len(P.terms)
+
     def test_a_power_lists_one_dual(self, monkeypatch):
         """Of the C(69, 6) dual monomials of degree 6 in 64 variables, only
         x_64^6 divides x_64^8: `power` at n=8, d=6 has 63 * 64 columns, and
         its rank is t under a 256 MiB cap.  No dual is listed from all
         variables."""
         monkeypatch.setattr(flattening, "combinations_with_replacement", None)
-        assert list(flattening._dividing_duals(variable_power((8, 8), 8, 8), 6)) == \
-            [(0,) * 63 + (6,)]
+        assert list(flattening._dividing_duals(variable_power((8, 8), 8, 8), 6)) == [(63,) * 6]
         blocks, t = flattening_blocks("koszul-full", "power", 8, 6, 1,
                                       memory_cap_bytes=256 << 20)
         assert sum(len(B.cols) for _, B in blocks) == 64
@@ -574,31 +619,42 @@ class TestFullMap:
     @pytest.mark.parametrize("P,d,exact", [
         (determinant_poly(4), 1, True),
         (determinant_poly(4), 2, True),
+        (determinant_poly(4), 3, True),
         (permanent_poly(4), 2, True),
         (variable_power((3, 3), 4, 3), 2, False),
         (random_low_rank(2, 4, 3, 5), 1, False),
         (random_low_rank(2, 4, 3, 5), 2, False),
-    ], ids=["det4-1", "det4-2", "perm4-2", "power-2", "quartic-1", "quartic-2"])
+    ], ids=["det4-1", "det4-2", "det4-3", "perm4-2", "power-2", "quartic-1", "quartic-2"])
     def test_derivative_guard_charges_at_least_the_cached_terms(self, P, d, exact):
-        """The dividing duals' term lists and the derivative cache, filled
-        for every dividing dual, hold at most the items `check_derivatives`
-        charges, and exactly as many for det and perm, whose monomials are
-        squarefree: C(n, d) duals per term, each with n - d derivative
-        terms."""
+        """With the derivative cache filled for every dividing dual, the
+        terms of P, the distinct duals, their (dual, term) entries and the
+        derivative terms number at most what `check_full_map` charges, and
+        the entries and derivative terms exactly as many for det and perm,
+        whose monomials are squarefree: C(n, d) duals per term, each with
+        n - d derivative terms.  A cap of 4 KiB counts exactly and refuses,
+        and so does a cap one byte below the charge."""
         duals, derivs = flattening._dividing_duals(P, d), {}
         for a in duals:
             full_column_image(((), a), duals, derivs)
-        kept = sum(map(len, duals.values())) + sum(
-            len(D) for pairs in derivs.values() for _, D in pairs)
-        if exact:
-            assert kept == len(P.terms) * comb(P.n, d) * (P.n - d + 1)
-        need = kept * (8 * P.n * P.n + flattening._BYTES_PER_TERM)
+        entries = sum(map(len, duals.values()))
+        derivatives = sum(len(D) for pairs in derivs.values() for _, D in pairs)
         with pytest.raises(ValueError, match="derivative terms") as refused:
-            flattening.check_derivatives(P.n, len(P.terms), P.degree, d, need - 1)
+            flattening.check_full_map(P.n, len(P.terms), P.degree, d, 1 << 12)
+        charged = re.search(r"keep (\d+) terms, (\d+) dual monomials, (\d+) \(dual, term\) "
+                            r"entries and (\d+) derivative terms, about", str(refused.value))
+        terms, dual_count, entry_count, derivative_count = map(int, charged.groups())
+        assert terms == len(P.terms) and dual_count >= len(duals)
+        assert entry_count >= entries and derivative_count >= derivatives
         if exact:
-            assert f"may keep {kept} dual monomials and derivative terms" in \
-                str(refused.value)
-            flattening.check_derivatives(P.n, len(P.terms), P.degree, d, need)
+            assert (entry_count, derivative_count) == (entries, derivatives) == (
+                len(P.terms) * comb(P.n, d), len(P.terms) * comb(P.n, d) * (P.n - d))
+        nv, degree = P.n * P.n, P.degree
+        need = (terms * (8 * (nv + degree) + flattening._BYTES_PER_TERM)
+                + dual_count * flattening._BYTES_PER_DUAL
+                + (entry_count + derivative_count) * (8 * degree + flattening._BYTES_PER_ITEM))
+        with pytest.raises(ValueError, match="derivative terms"):
+            flattening.check_full_map(P.n, len(P.terms), P.degree, d, need - 1)
+        flattening.check_full_map(P.n, len(P.terms), P.degree, d, need)
 
     def test_full_map_charges_the_columns_it_keeps(self):
         """power keeps all C(9, 4) * 1 = 126 columns of its one dividing
@@ -624,18 +680,32 @@ class TestFullMap:
                     assert exact or want > limit
         count, exact = flattening._binomial_past(4 * 10**12, 10**6, 1 << 32)
         assert not exact and count > 1 << 32
-        with pytest.raises(ValueError, match=r"^det at n=1000000 has more than \d+ terms"):
+        with pytest.raises(ValueError, match=r"^the full map at n=1000000, d=1 may keep more "
+                           r"than 4294967296 terms, duals, entries and derivative terms, more "
+                           r"than \d+ MiB, over the memory cap of 4096 MiB$"):
             flattening.check_named_terms("det", 10**6, 1, DEFAULT_MEMORY_CAP_BYTES)
 
     def test_oversized_derivative_cache_fails_before_enumeration(self, monkeypatch):
-        """det6 at d=3 keeps 720 * C(6, 3) = 14400 (dual, term) pairs and
-        43200 derivative terms: its wedges fit in 8 MiB, these do not."""
+        """det6 at d=3 keeps 720 * C(6, 3) = 14400 (dual, term) entries with
+        at most C(38, 3) = 8436 distinct duals, and 43200 derivative terms:
+        its wedges fit in 8 MiB, these do not."""
         monkeypatch.setattr(flattening, "combinations", None)  # enumerating would crash
         monkeypatch.setattr(flattening, "_dividing_duals", None)
-        with pytest.raises(ValueError, match="the full map at n=6, d=3 may keep 57600 "
-                           "dual monomials and derivative terms, about 21 MiB, over the "
-                           "memory cap of 8 MiB"):
+        with pytest.raises(ValueError, match=r"the full map at n=6, d=3 may keep 720 terms, "
+                           r"8436 dual monomials, 14400 \(dual, term\) entries and 43200 "
+                           r"derivative terms, about \d+ MiB, over the memory cap of 8 MiB"):
             full_koszul_blocks(determinant_poly(6), 3, 2, memory_cap_bytes=8 << 20)
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_det8_fits_the_default_cap(self, monkeypatch, d):
+        """The full map of det8 at d = 3 and 4 passes every charge under the
+        default cap, and only then lists its duals."""
+        P = determinant_poly(8)
+        monkeypatch.setattr(flattening, "combinations", None)
+        monkeypatch.setattr(flattening, "_dividing_duals", None)
+        flattening.check_named_terms("det", 8, d, DEFAULT_MEMORY_CAP_BYTES)
+        with pytest.raises(TypeError, match="'NoneType' object is not callable"):
+            full_koszul_blocks(P, d, 2)
 
     @pytest.mark.parametrize("spec,n,d", [
         ("det", 3, 1), ("det", 4, 2), ("perm", 4, 2), ("det", 5, 2), ("det", 6, 3),
@@ -730,8 +800,7 @@ def trace_vector_images(P) -> list[dict]:
         for i in range(9):
             if ins := wedge_insert(u, i):
                 sign, w = ins
-                a = tuple(int(k == i) for k in range(9))
-                for row, v in full_column_image((w, a), duals, derivs):
+                for row, v in full_column_image((w, (i,)), duals, derivs):
                     image[row] = image.get(row, 0) + sign * v
         images.append({row: v for row, v in image.items() if v})
     return images
@@ -756,7 +825,7 @@ class TestPieriRoute:
     def test_a_column_of_the_trace_summand_does_not_map_to_zero(self):
         """The control: one term of a trace vector alone has an image."""
         P = determinant_poly(3)
-        assert full_column_image(((0, 1, 2, 3), (1,) + (0,) * 8),
+        assert full_column_image(((0, 1, 2, 3), (0,)),
                                  flattening._dividing_duals(P, 1), {})
 
     @settings(max_examples=25, deadline=None)

@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from functools import reduce
+from itertools import permutations, product
 
 import pytest
 import sympy
@@ -227,6 +229,44 @@ class TestSymmetry:
         assert not is_symmetric(P)
         assert is_symmetric(add(add(P, linear_form_power([1, 1, 0, 0], 2, 2)),
                                 linear_form_power([0, 0, 1, 1], 2, 2)))
+
+
+def symmetric_by_brute_force(P) -> bool:
+    """Whether every row permutation, column permutation and transposition,
+    and every product of them, sends P to P or -P."""
+    n = P.n
+    negated = {e: -c for e, c in P.terms.items()}
+    for s, u, flip in product(permutations(range(n)), permutations(range(n)), (False, True)):
+        image = {}
+        for exps, c in P.terms.items():
+            new = [0] * (n * n)
+            for k, e in enumerate(exps):
+                i, j = s[k // n], u[k % n]
+                new[j * n + i if flip else i * n + j] = e
+            image[tuple(new)] = c
+        if image != P.terms and image != negated:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("make", [
+    determinant_poly,
+    permanent_poly,
+    lambda n: variable_power((n, n), n, n),
+    # the diagonal product: bigraded, and symmetric at n=1 only
+    lambda n: monomial(n, n, tuple(int(k % (n + 1) == 0) for k in range(n * n))),
+    # the squared column sums: fixed by row and column permutations, not by
+    # transposition for n >= 2
+    lambda n: reduce(add, (linear_form_power([int(k % n == j) for k in range(n * n)], 2, n)
+                           for j in range(n))),
+    # x11 + x1n: not bigraded for n >= 2
+    lambda n: add(monomial(n, 1, tuple(int(k == 0) for k in range(n * n))),
+                  monomial(n, 1, tuple(int(k == n - 1) for k in range(n * n)))),
+], ids=["det", "perm", "power", "diagonal", "column-sums", "not-bigraded"])
+def test_symmetry_check_agrees_with_brute_force(make, n):
+    P = make(n)
+    assert is_symmetric(P) == symmetric_by_brute_force(P)
 
 
 class TestSubstitution:
