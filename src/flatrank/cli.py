@@ -87,9 +87,8 @@ def flattening_blocks(method: str, spec: str, n: int, d: int | None, p: int | No
             raise ValueError("the pieri method is supported at n=3 only")
         d, p = 1, 4
     if method in ("koszul-full", "pieri"):
-        # refuse an oversized request before the polynomial takes seconds to build
-        flattening.check_wedge_count("full", n, p, memory_cap_bytes)
-        flattening.check_named_terms(spec, n, d, memory_cap_bytes)
+        # refuse a bad or oversized request before the polynomial takes seconds to build
+        flattening.check_named_terms(spec, n, d, p, memory_cap_bytes)
         P = load_polynomial(spec, n)
         if method == "pieri" and P.degree != 3:
             raise ValueError(f"degree {P.degree} does not match 3 added boxes")

@@ -32,9 +32,7 @@ from .exact_linalg import DEFAULT_MEMORY_CAP_BYTES, sha256
 
 Wedge = tuple[int, ...]
 MinorLabel = tuple[tuple[int, ...], tuple[int, ...], Wedge]
-# build memory charged per p-wedge: the full map lists every wedge, and the
-# minor map, which lists each weight's cells only, peaks below the charge
-# (p=2: max RSS 180 MiB against 487 MiB at n=40, 353 MiB against 1012 MiB at n=48)
+# build memory charged per p-wedge; the full map lists every wedge
 _BYTES_PER_WEDGE = 400
 # the full map's charge (`check_full_map`), beyond 8 bytes per variable index:
 # per term of P, per distinct dual, and per (dual, term) entry or derivative
@@ -104,57 +102,57 @@ def minor_column_image(n: int, label: MinorLabel) -> list[tuple[MinorLabel, int]
     return out
 
 
-def _check_bytes(what: str, need: int, memory_cap_bytes: int, exact: bool = True) -> None:
-    """Reject a request that needs `need` bytes, or more than that when not
-    `exact` (`_count_past`), over the memory cap; `what` names the request
-    and its counts."""
-    if need > memory_cap_bytes:
-        raise ValueError(f"{what}, {'about' if exact else 'more than'} {need >> 20} MiB, "
-                         f"over the memory cap of {memory_cap_bytes >> 20} MiB")
+def _listed(items: list[str]) -> str:
+    return f"{', '.join(items[:-1])} and {items[-1]}" if len(items) > 1 else items[0]
 
 
-def _count_past(steps, limit: int) -> tuple[int, bool]:
+def _check_bytes(what: str, counts: list[tuple[int, str]], need: int, cap: int) -> None:
+    """Reject a request that needs `need` bytes over the memory cap `cap`;
+    `what` names the request and `counts` its (count, name) pairs.  Counts
+    past the cap, cap + 1 (`_count`), are shown alone, as more than the cap,
+    and then `need`, a lower bound, is not shown."""
+    if need > cap:
+        past = [name for count, name in counts if count == cap + 1]
+        shown = (f"more than {cap} {_listed(past)}" if past else
+                 f"{_listed([f'{c} {name}' for c, name in counts])}, about {need >> 20} MiB")
+        raise ValueError(f"{what} {shown}, over the memory cap of {cap >> 20} MiB")
+
+
+def _count(steps, cap: int) -> int:
     """The last of the increasing integers c = c * m // k over the (m, k)
-    of `steps`, from c = 1, and True; or the first c above `limit` that has
-    steps left, and False.  No number much past `limit` is built, so a
-    guard decides at once, and prints its count in one short line, at any
-    size."""
+    of `steps`, from c = 1, or cap + 1 once c passes `cap`.  No number much
+    past the cap is built, so a guard decides at once, and prints its
+    count in one short line, at any size."""
     count = 1
     for m, k in steps:
-        if count > limit:
-            return count, False
+        if count > cap:
+            break
         count = count * m // k
-    return count, True
+    return min(count, cap + 1)
 
 
-def _binomial_past(a: int, b: int, limit: int) -> tuple[int, bool]:
-    """C(a, b) by `_count_past`: the C(a, i) increase for i up to
+def _binomial(a: int, b: int, cap: int) -> int:
+    """C(a, b) by `_count`: the C(a, i) increase for i up to
     min(b, a - b) <= a / 2."""
     if not 0 <= b <= a:
-        return 0, True
-    return _count_past(((a - i, i + 1) for i in range(min(b, a - b))), limit)
-
-
-def check_wedge_count(name: str, n: int, p: int, memory_cap_bytes: int) -> None:
-    """Reject a p outside 0..n*n - 1, or a request whose list of p-wedges of
-    the n*n variables alone would not fit in the memory cap, before
-    anything is enumerated; it needs no polynomial."""
-    if not 0 <= p <= n * n - 1:
-        raise ValueError(f"need 0 <= p <= {n * n - 1}, got p={p}")
-    wedges, exact = _binomial_past(n * n, p, memory_cap_bytes)
-    _check_bytes(f"the {name} map at n={n}, p={p} enumerates {'' if exact else 'more than '}"
-                 f"{wedges} wedges", wedges * _BYTES_PER_WEDGE, memory_cap_bytes, exact)
+        return 0
+    return _count(((a - i, i + 1) for i in range(min(b, a - b))), cap)
 
 
 def _check_minor_args(n: int, d: int, p: int,
                       memory_cap_bytes: int = DEFAULT_MEMORY_CAP_BYTES) -> None:
-    """Reject a bad request to the minor map, or an oversized one
-    (`check_wedge_count`), before anything is enumerated."""
+    """Reject a bad request to the minor map, or one whose p-wedges would
+    not fit in the memory cap, before anything is enumerated."""
     if p not in (1, 2):
         raise ValueError(f"p must be 1 or 2, got {p}")
     if not 1 <= d <= n - 1:
         raise ValueError(f"need 1 <= d <= n-1, got d={d}, n={n}")
-    check_wedge_count("minor", n, p, memory_cap_bytes)
+    # the map lists each weight's cells only, not every wedge, and peaks below
+    # this charge (p=2: max RSS 180 MiB against 487 MiB at n=40, 353 MiB
+    # against 1012 MiB at n=48)
+    wedges = _binomial(n * n, p, memory_cap_bytes)
+    _check_bytes(f"the minor map at n={n}, p={p} enumerates", [(wedges, "wedges")],
+                 wedges * _BYTES_PER_WEDGE, memory_cap_bytes)
 
 
 def _arrangements(weight: tuple[int, ...]) -> int:
@@ -349,35 +347,39 @@ def image_modules(n: int, d: int, p: int, ranks_by_weight: dict,
     return rank, solved
 
 
-def check_named_terms(spec: str, n: int, d: int, memory_cap_bytes: int) -> None:
-    """Reject det or perm at an n where the full map at d would not fit in
-    the memory cap (`check_full_map`), before the polynomial is built."""
-    if spec in ("det", "perm"):
-        terms, exact = _count_past(((k, 1) for k in range(2, n + 1)), memory_cap_bytes)
-        check_full_map(n, terms, n, d, memory_cap_bytes, exact)
+def check_named_terms(spec: str, n: int, d: int, p: int, cap: int) -> None:
+    """`check_full_map` for det or perm (n! terms) or `power` (one term), of
+    degree n, before the polynomial is built."""
+    if spec in ("det", "perm", "power"):
+        terms = 1 if spec == "power" else _count(((k, 1) for k in range(2, n + 1)), cap)
+        check_full_map(n, terms, n, d, p, cap)
 
 
-def check_full_map(n: int, terms: int, degree: int, d: int, memory_cap_bytes: int,
-                   exact: bool = True) -> None:
-    """Reject a full-map request whose polynomial, dividing duals and cached
-    derivatives would not fit in the memory cap.  Each of the `terms` terms
-    m (a lower bound unless `exact`) lists at most C(degree, d), or all
-    C(n*n + d - 1, d), duals a (`_dividing_duals`), so the distinct duals
-    number at most the (a, m) entries, or all duals; each (a, m) gives
-    d/dx d^a P at most min(degree - d, n*n) terms (`full_column_image`).
-    The counts stop past the cap."""
-    nv, cap = n * n, memory_cap_bytes
-    every = _binomial_past(nv + d - 1, d, cap)
-    per_term, exact_term = min(_binomial_past(degree, d, cap), every)
-    entries, derivatives = terms * per_term, terms * per_term * min(degree - d, nv)
-    duals, exact_duals = min((entries, exact and exact_term), every)
-    exact = exact and exact_term and exact_duals
-    shown = (f"{terms} terms, {duals} dual monomials, {entries} (dual, term) entries and "
-             f"{derivatives} derivative terms" if exact else
-             f"more than {cap} terms, duals, entries and derivative terms")
-    _check_bytes(f"the full map at n={n}, d={d} may keep {shown}",
+def check_full_map(n: int, terms: int, degree: int, d: int, p: int, cap: int) -> None:
+    """Reject a bad d or p, or a full map whose p-wedges, or whose `terms`
+    terms (cap + 1 past the cap, `_count`), dividing duals and cached
+    derivatives, would not fit in the memory cap `cap`.  Each term m lists at
+    most C(degree, d), or all C(n*n + d - 1, d), duals a
+    (`_dividing_duals`), so the distinct duals number at most the (a, m)
+    entries, or all duals; each (a, m) gives d/dx d^a P at most
+    min(degree - d, n*n) terms (`full_column_image`).  The entries and
+    derivative terms are exact unless the terms or duals are past the cap."""
+    nv = n * n
+    if not 1 <= d <= degree - 1:
+        raise ValueError(f"need 1 <= d <= degree-1, got d={d}, degree={degree}")
+    if not 0 <= p <= nv - 1:
+        raise ValueError(f"need 0 <= p <= {nv - 1}, got p={p}")
+    wedges = _binomial(nv, p, cap)
+    _check_bytes(f"the full map at n={n}, p={p} enumerates", [(wedges, "wedges")],
+                 wedges * _BYTES_PER_WEDGE, cap)
+    every = _binomial(nv + d - 1, d, cap)
+    entries = terms * min(_binomial(degree, d, cap), every)
+    duals, derivatives = min(entries, every), entries * min(degree - d, nv)
+    _check_bytes(f"the full map at n={n}, d={d} may keep",
+                 [(terms, "terms"), (duals, "dual monomials"),
+                  (entries, "(dual, term) entries"), (derivatives, "derivative terms")],
                  terms * (8 * (nv + degree) + _BYTES_PER_TERM) + duals * _BYTES_PER_DUAL
-                 + (entries + derivatives) * (8 * degree + _BYTES_PER_ITEM), cap, exact)
+                 + (entries + derivatives) * (8 * degree + _BYTES_PER_ITEM), cap)
 
 
 def _dividing_duals(P, d: int) -> dict:
@@ -411,7 +413,8 @@ def full_column_image(label, duals: dict, derivs: dict) -> list:
     acting as the bare (non-divided) derivative d^a.  Of the terms (m, c)
     that a divides (`duals`), each m >= a + x gives d/dx d^a P the term
     m - a - x, as its variables with repetition, with coefficient
-    c * m!/(m - a - x)!.  `derivs` caches, per dual, its (x, terms) pairs.
+    c * m!/(m - a - x)!.  `derivs` caches, per dual, its (x, monomials,
+    coefficients) triples, the last two parallel tuples.
 
     Distinct x give distinct wedges, so no two terms share a row label."""
     w, a = label
@@ -425,14 +428,12 @@ def full_column_image(label, duals: dict, derivs: dict) -> list:
             for x in set(rest):
                 i = rest.index(x)
                 by_x.setdefault(x, {})[tuple(rest[:i] + rest[i + 1:])] = c * rest.count(x)
-        derivs[a] = sorted(by_x.items())
+        derivs[a] = [(x, tuple(D), tuple(D.values())) for x, D in sorted(by_x.items())]
     out = []
-    for x, terms in derivs[a]:
-        ins = wedge_insert(w, x)
-        if ins is None:
-            continue
-        sign, neww = ins
-        out.extend(((neww, mono), sign * coeff) for mono, coeff in terms.items())
+    for x, monos, coeffs in derivs[a]:
+        if ins := wedge_insert(w, x):
+            sign, neww = ins
+            out.extend(((neww, mono), sign * coeff) for mono, coeff in zip(monos, coeffs))
     return out
 
 
@@ -460,7 +461,7 @@ def _full_column_groups(P, p: int, duals, memory_cap_bytes: int) -> list:
     n, bigraded = P.n, is_bigraded(P)
     if not (symmetric := bigraded and is_symmetric(P)):  # every column is kept
         columns = comb(n * n, p) * len(duals)
-        _check_bytes(f"the full map at n={n}, p={p} keeps all {columns} columns",
+        _check_bytes(f"the full map at n={n}, p={p} keeps all", [(columns, "columns")],
                      columns * _BYTES_PER_COLUMN, memory_cap_bytes)
     wedges = list(combinations(range(n * n), p))
     if not bigraded:
@@ -502,10 +503,7 @@ def full_koszul_blocks(P, d: int, p: int,
     columns of kept weights with dividing duals are enumerated
     (`_full_column_groups`, `_dividing_duals`).  A column (w, a) has
     weight wt(w) - wt(a)."""
-    if not 1 <= d <= P.degree - 1:
-        raise ValueError(f"need 1 <= d <= degree-1, got d={d}, degree={P.degree}")
-    check_wedge_count("full", P.n, p, memory_cap_bytes)
-    check_full_map(P.n, len(P.terms), P.degree, d, memory_cap_bytes)
+    check_full_map(P.n, len(P.terms), P.degree, d, p, memory_cap_bytes)
     duals, derivs = _dividing_duals(P, d), {}
     return weight_blocks(_full_column_groups(P, p, duals, memory_cap_bytes),
                          lambda label: full_column_image(label, duals, derivs), "full_block")

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 import time
@@ -309,6 +310,26 @@ class TestBound:
             hashes[poly] = json.loads(out)["provenance"][0]["matrix_hash"]
         assert hashes["det"] != hashes["perm"]
 
+    @pytest.mark.parametrize("argv,rank,bound,matrix_hash", [
+        (["det", "--n", "5", "--method", "koszul-minor", "--d", "2", "--p", "2"],
+         29376, 107, "32967510a0ed7433"),
+        (["det", "--n", "4", "--method", "koszul-full", "--d", "2", "--p", "2"],
+         4065, 39, "bc9ee7573d967d34"),
+        (["det", "--n", "5", "--method", "koszul-full", "--d", "2", "--p", "2"],
+         29376, 107, "87ba6cb8c5c029d6"),
+        (["det", "--n", "3", "--method", "pieri"], 950, 14, "f82462429a108d9e"),
+        (["perm", "--n", "3", "--method", "pieri"], 934, 14, "1340cebd5f750d21"),
+        (["power", "--n", "3", "--method", "pieri"], 70, 1, "711d41b37d79e0e8"),
+    ], ids=["det5-minor", "det4-full", "det5-full", "det3-pieri", "perm3-pieri",
+            "power3-pieri"])
+    def test_golden_certificate(self, capsys, argv, rank, bound, matrix_hash):
+        """Rank, bound and matrix_hash of known certificates: a change to a
+        block's columns, their order or its entries shows here."""
+        code, out = run(["bound", "--format", "json", "--poly", *argv], capsys)
+        rec = json.loads(out)
+        assert code == 0 and (rec["rank"], rec["bound"]) == (rank, bound)
+        assert [c["matrix_hash"] for c in rec["provenance"]] == [matrix_hash]
+
     @pytest.mark.parametrize("argv,message", [
         (["--poly", "det", "--n", "4", "--method", "koszul-minor", "--p", "3"],
          "p must be 1 or 2"),
@@ -399,6 +420,24 @@ class TestBound:
             assert code == 2 and err.count("\n") == 1
             assert err.startswith(f"flatrank: error: {message}")
 
+    @pytest.mark.parametrize("spec", ["det", "perm", "power"])
+    @pytest.mark.parametrize("d", [0, 9])
+    def test_bad_d_is_refused_before_the_polynomial_is_built(self, capsys, monkeypatch,
+                                                            spec, d):
+        """A d outside 1..8 for a polynomial of degree 9 is refused in one
+        line, at once, with no polynomial built."""
+        def build(spec, n):
+            raise AssertionError("the polynomial was built before the d check")
+
+        monkeypatch.setattr(cli, "load_polynomial", build)
+        start = time.perf_counter()
+        code = main(["bound", "--method", "koszul-full", "--poly", spec, "--n", "9",
+                     "--d", str(d), "--p", "1"])
+        err = capsys.readouterr().err
+        assert time.perf_counter() - start < 1
+        assert err == f"flatrank: error: need 1 <= d <= degree-1, got d={d}, degree=9\n"
+        assert code == 2
+
     @pytest.mark.parametrize("spec", ["det", "perm"])
     @pytest.mark.parametrize("d", range(1, 8))
     def test_full_map_of_det9_is_refused_at_once(self, capsys, monkeypatch, spec, d):
@@ -416,6 +455,8 @@ class TestBound:
         assert code == 2 and err.count("\n") == 1
         assert err.startswith(f"flatrank: error: the full map at n=9, d={d} may keep 362880 "
                               f"terms, ") and "over the memory cap of 4096 MiB" in err
+        # every count is within the cap, so each prints exactly, with the bytes
+        assert "more than" not in err and ", about " in err
 
     def test_full_map_charges_every_column_it_keeps(self, capsys, monkeypatch, tmp_path):
         """sum (k+1) x_k^12 at n=12 is not bigraded, so the full map keeps
@@ -465,10 +506,12 @@ class TestBound:
         ["--poly", "det", "--n", "2000", "--d", "1", "--p", "1000000"],
         ["--poly", "det", "--n", "2000000", "--p", "0"],
         ["--poly", "power", "--n", "2000"],  # C(4000000, 2) wedges
+        ["--poly", "power", "--n", "20000"],  # C(400000000, 2) wedges, before x_nn^n
     ])
     def test_huge_request_is_refused_at_once_in_one_short_line(self, argv):
         """A guard stops counting once its count passes the cap, so it
-        neither computes nor prints a number of thousands of digits."""
+        neither computes nor prints a number of thousands of digits: no
+        number in the line is longer than the cap's 10 digits."""
         src = str(Path(flatrank.__file__).resolve().parents[1])
         proc = subprocess.run(
             [sys.executable, "-m", "flatrank.cli", "bound",
@@ -477,7 +520,8 @@ class TestBound:
             env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"})
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr.startswith("flatrank: error: ") and proc.stderr.count("\n") == 1
-        assert len(proc.stderr) < 300 and "over the memory cap of 4096 MiB" in proc.stderr
+        assert len(proc.stderr) < 200 and "over the memory cap of 4096 MiB" in proc.stderr
+        assert max(map(len, re.findall(r"\d+", proc.stderr))) <= len(str(4096 << 20))
 
     @pytest.mark.parametrize("method,prime", [
         ("koszul-minor", "1073741790"),

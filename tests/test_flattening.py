@@ -7,7 +7,7 @@ import weakref
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, permutations, product
-from math import comb
+from math import comb, factorial
 from pathlib import Path
 
 import pytest
@@ -572,10 +572,13 @@ class TestFullMap:
                 build(determinant_poly(2), 1, 4)
 
     def test_oversized_request_fails_before_enumeration(self, monkeypatch):
-        """C(64, 8) wedges would not fit in any cap; C(49, 5) fit the default
-        cap but not 256 MiB, which `flattening_blocks` passes on."""
+        """C(64, 8) = 4426165368 wedges pass the default cap of 4294967296
+        bytes, so they are counted no further and would not fit in any cap;
+        C(49, 5) fit the default cap but not 256 MiB, which
+        `flattening_blocks` passes on."""
         monkeypatch.setattr(flattening, "combinations", None)  # enumerating would crash
-        with pytest.raises(ValueError, match="the full map at n=8, p=8 enumerates 4426165368"):
+        with pytest.raises(ValueError, match="^the full map at n=8, p=8 enumerates more than "
+                           "4294967296 wedges, over the memory cap of 4096 MiB$"):
             full_koszul_blocks(variable_power((8, 8), 8, 8), 2, 8)
         with pytest.raises(ValueError, match="over the memory cap of 256 MiB"):
             flattening_blocks("koszul-full", "power", 7, 2, 5, memory_cap_bytes=256 << 20)
@@ -637,9 +640,9 @@ class TestFullMap:
         for a in duals:
             full_column_image(((), a), duals, derivs)
         entries = sum(map(len, duals.values()))
-        derivatives = sum(len(D) for pairs in derivs.values() for _, D in pairs)
+        derivatives = sum(len(monos) for triples in derivs.values() for _, monos, _ in triples)
         with pytest.raises(ValueError, match="derivative terms") as refused:
-            flattening.check_full_map(P.n, len(P.terms), P.degree, d, 1 << 12)
+            flattening.check_full_map(P.n, len(P.terms), P.degree, d, 0, 1 << 12)
         charged = re.search(r"keep (\d+) terms, (\d+) dual monomials, (\d+) \(dual, term\) "
                             r"entries and (\d+) derivative terms, about", str(refused.value))
         terms, dual_count, entry_count, derivative_count = map(int, charged.groups())
@@ -653,8 +656,8 @@ class TestFullMap:
                 + dual_count * flattening._BYTES_PER_DUAL
                 + (entry_count + derivative_count) * (8 * degree + flattening._BYTES_PER_ITEM))
         with pytest.raises(ValueError, match="derivative terms"):
-            flattening.check_full_map(P.n, len(P.terms), P.degree, d, need - 1)
-        flattening.check_full_map(P.n, len(P.terms), P.degree, d, need)
+            flattening.check_full_map(P.n, len(P.terms), P.degree, d, 0, need - 1)
+        flattening.check_full_map(P.n, len(P.terms), P.degree, d, 0, need)
 
     def test_full_map_charges_the_columns_it_keeps(self):
         """power keeps all C(9, 4) * 1 = 126 columns of its one dividing
@@ -669,21 +672,29 @@ class TestFullMap:
         assert list(full_koszul_blocks(determinant_poly(3), 1, 4, memory_cap_bytes=cap - 1))
 
     def test_guard_counts_stop_past_the_limit(self):
-        """`_binomial_past` is C(a, b) exactly, or a lower bound above the
-        limit; so a guard decides at once at any size."""
+        """`_binomial` is C(a, b) up to the limit and limit + 1 past it, and
+        `_count` the same for n!; so a guard decides at once at any size, and
+        shows only the counts past the cap, with no byte figure."""
         for a in range(40):
             for b in range(-1, 42):
                 want = comb(a, b) if b >= 0 else 0
                 for limit in (0, 1, 100, 10**6):
-                    count, exact = flattening._binomial_past(a, b, limit)
-                    assert count == want if exact else limit < count < want
-                    assert exact or want > limit
-        count, exact = flattening._binomial_past(4 * 10**12, 10**6, 1 << 32)
-        assert not exact and count > 1 << 32
+                    assert flattening._binomial(a, b, limit) == min(want, limit + 1)
+        for n in range(15):
+            for limit in (0, 1, 100, 10**6):
+                steps = ((k, 1) for k in range(2, n + 1))
+                assert flattening._count(steps, limit) == min(factorial(n), limit + 1)
+        assert flattening._binomial(4 * 10**12, 10**6, 1 << 32) == (1 << 32) + 1
         with pytest.raises(ValueError, match=r"^the full map at n=1000000, d=1 may keep more "
-                           r"than 4294967296 terms, duals, entries and derivative terms, more "
-                           r"than \d+ MiB, over the memory cap of 4096 MiB$"):
-            flattening.check_named_terms("det", 10**6, 1, DEFAULT_MEMORY_CAP_BYTES)
+                           r"than 4294967296 terms and dual monomials, over the memory cap "
+                           r"of 4096 MiB$"):
+            flattening.check_named_terms("det", 10**6, 1, 0, DEFAULT_MEMORY_CAP_BYTES)
+        # det20's 20! terms pass the cap and its 400 duals do not; det12's 12! terms
+        # do not, but at d=6 its 12! * C(12, 6) entries and C(149, 6) duals both do
+        for n, d, past in [(20, 1, "terms"), (12, 6, "dual monomials")]:
+            with pytest.raises(ValueError, match=f"^the full map at n={n}, d={d} may keep more "
+                               f"than 4294967296 {past}, over the memory cap of 4096 MiB$"):
+                flattening.check_named_terms("det", n, d, 0, DEFAULT_MEMORY_CAP_BYTES)
 
     def test_oversized_derivative_cache_fails_before_enumeration(self, monkeypatch):
         """det6 at d=3 keeps 720 * C(6, 3) = 14400 (dual, term) entries with
@@ -703,15 +714,16 @@ class TestFullMap:
         P = determinant_poly(8)
         monkeypatch.setattr(flattening, "combinations", None)
         monkeypatch.setattr(flattening, "_dividing_duals", None)
-        flattening.check_named_terms("det", 8, d, DEFAULT_MEMORY_CAP_BYTES)
+        flattening.check_named_terms("det", 8, d, 2, DEFAULT_MEMORY_CAP_BYTES)
         with pytest.raises(TypeError, match="'NoneType' object is not callable"):
             full_koszul_blocks(P, d, 2)
 
     @pytest.mark.parametrize("spec,n,d", [
         ("det", 3, 1), ("det", 4, 2), ("perm", 4, 2), ("det", 5, 2), ("det", 6, 3),
+        ("power", 8, 6), ("power", 12, 1),
     ])
     def test_named_polynomials_fit_the_default_cap(self, spec, n, d):
-        flattening.check_named_terms(spec, n, d, DEFAULT_MEMORY_CAP_BYTES)
+        flattening.check_named_terms(spec, n, d, 2, DEFAULT_MEMORY_CAP_BYTES)
 
 
 @st.composite
