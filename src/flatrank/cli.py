@@ -47,15 +47,17 @@ PI3 = (2, 2, 2, 2, 1, 1, 1, 1)
 
 
 def flattening_blocks(method: str, spec: str, n: int, d: int | None, p: int | None,
-                      memory_cap_bytes: int = exact_linalg.DEFAULT_MEMORY_CAP_BYTES
-                      ) -> tuple[list, int]:
+                      memory_cap_bytes: int = exact_linalg.DEFAULT_MEMORY_CAP_BYTES,
+                      prime: int | None = exact_linalg.DEFAULT_PRIME) -> tuple[list, int]:
     """The (orbit_size, block) pairs of a flattening of the polynomial named
     by `spec`, and t, the rank of the same flattening at a power of a linear
     form.  koszul-minor gives its highest-weight blocks, whose ranks
     `certify` turns into the map's rank; minor-orbits, one block per orbit
-    of the same map, is `verify`'s second route for it.  The pieri method
-    ignores d and p and takes the koszul-full branch at (1, 4).  Only the
-    construction module of the method is imported.
+    of the same map, is `verify`'s second route for it; both requests are
+    checked once, for certification mod `prime`, before any block is built
+    (`flattening.check_minor_map`).  The pieri method ignores d and p and
+    takes the koszul-full branch at (1, 4).  Only the construction module
+    of the method is imported.
 
     Pieri.  The Pieri (Young) flattening of a cubic P at n=3 maps S_pi V
     to S_(3)+pi V, V = C^9 and pi = PI3, adding one box to each of rows 1,
@@ -95,10 +97,10 @@ def flattening_blocks(method: str, spec: str, n: int, d: int | None, p: int | No
         blocks = flattening.full_koszul_blocks(P, d, p, memory_cap_bytes)
     elif spec != "det":
         raise ValueError("koszul-minor is only defined for --poly det")
-    elif method == "minor-orbits":
-        blocks = flattening.minor_orbit_blocks(n, d, p)
     else:
-        blocks = flattening.highest_weight_blocks(n, d, p, memory_cap_bytes)
+        flattening.check_minor_map(n, d, p, prime, memory_cap_bytes)
+        blocks = (flattening.minor_orbit_blocks if method == "minor-orbits"
+                  else flattening.highest_weight_blocks)(n, d, p, memory_cap_bytes)
     return list(blocks), comb(n * n - 1, p)
 
 
@@ -118,7 +120,7 @@ def certify(method: str, blocks: list, n: int, d: int | None, p: int | None,
         from .flattening import image_modules
 
         weights = {B.weight: r for (_, B), r in zip(blocks, cert.block_ranks)}
-        cert.rank, modules = image_modules(n, d, p, weights, prime)
+        cert.rank, modules = image_modules(n, d, p, weights)
         cert.modules = [{"a": list(a), "b": list(b), "m": m, "schur_max": top}
                         for a, b, m, top in modules]
     return cert
@@ -136,12 +138,8 @@ def cmd_bound(args) -> int:
     n, method = args.n, args.method
     d = args.d if args.d is not None else max(1, n // 2)
     p = args.p if args.p is not None else 2
-    if method == "koszul-minor":
-        from .flattening import check_module_prime
-
-        check_module_prime(n, d, p, args.prime)
     # weight blocks, few and small enough to rebuild every run
-    blocks, t = flattening_blocks(method, args.poly, n, d, p, cap)
+    blocks, t = flattening_blocks(method, args.poly, n, d, p, cap, args.prime)
     if method == "pieri":
         d = p = None
     name = "file" if args.poly.startswith("file:") else args.poly
@@ -176,11 +174,14 @@ def cmd_decompose(args) -> int:
 
     n, d, p = args.n, args.d, args.p
     modules = partitions.candidate_image(n, d, p)
-    total = partitions.total_dimension(modules, n)
-    # every dimension printed is at most the total
-    if 0 < (limit := sys.get_int_max_str_digits()) < (digits := int(log10(total)) + 1):
+    # every dimension printed is at most the total, built only to print or where
+    # its float log10 is too near an integer to count its digits
+    if abs((size := partitions.total_log10(modules, n)) - round(size)) < 1e-6:
+        size = log10(partitions.total_dimension(modules, n))
+    if 0 < (limit := sys.get_int_max_str_digits()) < (digits := int(size) + 1):
         raise ValueError(f"the total dimension at n={n} has {digits} digits, over "
                          f"Python's limit of {limit} for printing an integer")
+    total = partitions.total_dimension(modules, n)
     if args.format == "json":
         print(json.dumps([{"a": list(a), "b": list(b), "mult": m,
                            "dim_a": partitions.schur_dim(a, n),

@@ -139,20 +139,23 @@ def _binomial(a: int, b: int, cap: int) -> int:
     return _count(((a - i, i + 1) for i in range(min(b, a - b))), cap)
 
 
-def _check_minor_args(n: int, d: int, p: int,
-                      memory_cap_bytes: int = DEFAULT_MEMORY_CAP_BYTES) -> None:
-    """Reject a bad request to the minor map, or one whose p-wedges would
-    not fit in the memory cap, before anything is enumerated."""
-    if p not in (1, 2):
-        raise ValueError(f"p must be 1 or 2, got {p}")
-    if not 1 <= d <= n - 1:
-        raise ValueError(f"need 1 <= d <= n-1, got d={d}, n={n}")
+def check_minor_map(n: int, d: int, p: int, prime: int | None,
+                    memory_cap_bytes: int) -> None:
+    """Reject a minor-map request before anything is enumerated: p-wedges over
+    the memory cap, then a (d, p) outside `partitions.candidate_image`, then a
+    prime (None: over Q) at most the modules' degree n - d + p (`image_modules`)."""
+    from .partitions import candidate_image
+
     # the map lists each weight's cells only, not every wedge, and peaks below
     # this charge (p=2: max RSS 180 MiB against 487 MiB at n=40, 353 MiB
     # against 1012 MiB at n=48)
     wedges = _binomial(n * n, p, memory_cap_bytes)
     _check_bytes(f"the minor map at n={n}, p={p} enumerates", [(wedges, "wedges")],
                  wedges * _BYTES_PER_WEDGE, memory_cap_bytes)
+    candidate_image(n, d, p)
+    if prime is not None and prime <= n - d + p:
+        raise ValueError(f"the prime {prime} is at most the degree {n - d + p} of the minor "
+                         f"map's modules; the highest-weight certificate needs a larger prime")
 
 
 def _arrangements(weight: tuple[int, ...]) -> int:
@@ -236,7 +239,8 @@ def _minor_blocks(n: int, p: int, weights):
                          lambda label: minor_column_image(n, label), "minor_block")
 
 
-def minor_orbit_blocks(n: int, d: int, p: int):
+def minor_orbit_blocks(n: int, d: int, p: int,
+                       memory_cap_bytes: int = DEFAULT_MEMORY_CAP_BYTES):
     """Yield (orbit_size, block) for one weight block per symmetry orbit of
     the minor-indexed Koszul map; the whole matrix is never built.
 
@@ -253,7 +257,7 @@ def minor_orbit_blocks(n: int, d: int, p: int):
     `highest_weight_blocks` is the route `bound` certifies through; this
     one ranks every orbit and is its independent second route.
     """
-    _check_minor_args(n, d, p)
+    check_minor_map(n, d, p, None, memory_cap_bytes)
     # the dominant weights: partitions of n - d + p with parts at most p + 1 and
     # at most n of them, zero-padded, largest first part first
     weights = [w for w in combinations_with_replacement(range(p + 1, -1, -1), n)
@@ -280,7 +284,7 @@ def highest_weight_blocks(n: int, d: int, p: int,
     """
     from .partitions import candidate_image
 
-    _check_minor_args(n, d, p, memory_cap_bytes)
+    check_minor_map(n, d, p, None, memory_cap_bytes)
     sizes: dict = {}
     for a, b, _ in candidate_image(n, d, p):
         wa, wb = _padded(a, n), _padded(b, n)
@@ -288,20 +292,9 @@ def highest_weight_blocks(n: int, d: int, p: int,
     return _minor_blocks(n, p, [(size, weight) for weight, size in sizes.items()])
 
 
-def check_module_prime(n: int, d: int, p: int, prime: int | None) -> None:
-    """Reject a prime at most the degree n - d + p of the minor map's
-    GL_n modules: `image_modules` is sound mod a larger prime only."""
-    if prime is not None and prime <= n - d + p:
-        raise ValueError(
-            f"the prime {prime} is at most the degree {n - d + p} of the minor map's "
-            f"modules; the highest-weight certificate needs a larger prime"
-        )
-
-
-def image_modules(n: int, d: int, p: int, ranks_by_weight: dict,
-                  prime: int | None) -> tuple[int, list[tuple]]:
-    """The rank of the minor-indexed map, mod `prime` or over Q for
-    prime=None, from the ranks of its highest-weight blocks.
+def image_modules(n: int, d: int, p: int, ranks_by_weight: dict) -> tuple[int, list[tuple]]:
+    """The rank of the minor-indexed map, mod a prime or over Q, from the
+    ranks of its highest-weight blocks.
 
     `ranks_by_weight` maps the weight of each block of
     `highest_weight_blocks` to its rank.  Returns (rank, modules): modules lists (a, b, m,
@@ -326,11 +319,10 @@ def image_modules(n: int, d: int, p: int, ranks_by_weight: dict,
     *Polynomial Representations of GL_n*), so the same holds for the
     image mod p, whose rank is then the modular rank of the map.  The rank
     mod p is at most the rank over Q, so the bound is never overstated.
-    A smaller prime is refused (`check_module_prime`).
+    A smaller prime is refused before any block is built (`check_minor_map`).
     """
     from .partitions import candidate_image, kostka, schur_dim
 
-    check_module_prime(n, d, p, prime)
     K = cache(kostka)  # few distinct shapes, each pair met many times
     solved = []
     candidates = sorted(candidate_image(n, d, p),
@@ -348,20 +340,22 @@ def image_modules(n: int, d: int, p: int, ranks_by_weight: dict,
 
 
 def check_named_terms(spec: str, n: int, d: int, p: int, cap: int) -> None:
-    """`check_full_map` for det or perm (n! terms) or `power` (one term), of
-    degree n, before the polynomial is built."""
+    """`check_full_map` for det or perm (n! terms in n variables) or `power`
+    (one term in one variable), of degree n, before the polynomial is built."""
     if spec in ("det", "perm", "power"):
         terms = 1 if spec == "power" else _count(((k, 1) for k in range(2, n + 1)), cap)
-        check_full_map(n, terms, n, d, p, cap)
+        check_full_map(n, terms, n, 1 if spec == "power" else n, d, p, cap)
 
 
-def check_full_map(n: int, terms: int, degree: int, d: int, p: int, cap: int) -> None:
+def check_full_map(n: int, terms: int, degree: int, support: int, d: int, p: int,
+                   cap: int) -> None:
     """Reject a bad d or p, or a full map whose p-wedges, or whose `terms`
     terms (cap + 1 past the cap, `_count`), dividing duals and cached
-    derivatives, would not fit in the memory cap `cap`.  Each term m lists at
-    most C(degree, d), or all C(n*n + d - 1, d), duals a
-    (`_dividing_duals`), so the distinct duals number at most the (a, m)
-    entries, or all duals; each (a, m) gives d/dx d^a P at most
+    derivatives, would not fit in the memory cap `cap`.  A term m in at most
+    `support` variables lists its degree-d sub-multisets as duals a
+    (`_dividing_duals`): at most min(C(degree, d), C(support + d - 1, d)).
+    So the distinct duals number at most the (a, m) entries, or all
+    C(n*n + d - 1, d); each (a, m) gives d/dx d^a P at most
     min(degree - d, n*n) terms (`full_column_image`).  The entries and
     derivative terms are exact unless the terms or duals are past the cap."""
     nv = n * n
@@ -372,9 +366,9 @@ def check_full_map(n: int, terms: int, degree: int, d: int, p: int, cap: int) ->
     wedges = _binomial(nv, p, cap)
     _check_bytes(f"the full map at n={n}, p={p} enumerates", [(wedges, "wedges")],
                  wedges * _BYTES_PER_WEDGE, cap)
-    every = _binomial(nv + d - 1, d, cap)
-    entries = terms * min(_binomial(degree, d, cap), every)
-    duals, derivatives = min(entries, every), entries * min(degree - d, nv)
+    entries = terms * min(_binomial(degree, d, cap), _binomial(support + d - 1, d, cap))
+    duals = min(entries, _binomial(nv + d - 1, d, cap))
+    derivatives = entries * min(degree - d, nv)
     _check_bytes(f"the full map at n={n}, d={d} may keep",
                  [(terms, "terms"), (duals, "dual monomials"),
                   (entries, "(dual, term) entries"), (derivatives, "derivative terms")],
@@ -503,7 +497,8 @@ def full_koszul_blocks(P, d: int, p: int,
     columns of kept weights with dividing duals are enumerated
     (`_full_column_groups`, `_dividing_duals`).  A column (w, a) has
     weight wt(w) - wt(a)."""
-    check_full_map(P.n, len(P.terms), P.degree, d, p, memory_cap_bytes)
+    support = max((len(e) - e.count(0) for e in P.terms), default=0)
+    check_full_map(P.n, len(P.terms), P.degree, support, d, p, memory_cap_bytes)
     duals, derivs = _dividing_duals(P, d), {}
     return weight_blocks(_full_column_groups(P, p, duals, memory_cap_bytes),
                          lambda label: full_column_image(label, duals, derivs), "full_block")

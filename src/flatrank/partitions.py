@@ -7,6 +7,7 @@ with no trailing zeros; the empty tuple is the trivial partition.
 from __future__ import annotations
 
 from functools import cache
+from math import fsum, log10, prod
 from operator import le
 
 Partition = tuple[int, ...]
@@ -39,6 +40,12 @@ def conjugate(pi: Partition) -> Partition:
     return tuple(cols)
 
 
+def _hook_contents(pi: Partition, N: int) -> list[tuple[int, int]]:
+    """The content factor N + j - i and the hook length of each cell (i, j)."""
+    conj = conjugate(pi)
+    return [(N + j - i, r - j + conj[j] - i - 1) for i, r in enumerate(pi) for j in range(r)]
+
+
 def schur_dim(pi: Partition, N: int) -> int:
     """Dimension of the Schur module of shape pi over an N-dimensional space.
 
@@ -47,12 +54,8 @@ def schur_dim(pi: Partition, N: int) -> int:
     """
     if len(pi) > N:
         return 0
-    conj = conjugate(pi)
-    contents = hooks = 1
-    for i, part in enumerate(pi):
-        for j in range(part):
-            contents *= N + j - i
-            hooks *= (part - j) + (conj[j] - i) - 1
+    cells = _hook_contents(pi, N)
+    contents, hooks = prod(c for c, _ in cells), prod(h for _, h in cells)
     val, rest = divmod(contents, hooks)
     if rest:
         raise RuntimeError(f"hook content formula gave {contents}/{hooks} for {pi} over N={N}")
@@ -171,6 +174,14 @@ def total_dimension(modules, N: int) -> int:
     """Dimension of a sum of modules given as (a, b, multiplicity) triples,
     over N-dimensional spaces."""
     return sum(m * schur_dim(a, N) * schur_dim(b, N) for a, b, m in modules)
+
+
+def total_log10(modules, N: int) -> float:
+    """log10 of `total_dimension(modules, N)`, off by far less than 1e-6: summed
+    in floats over the hook-content factors, so no large int is built."""
+    logs = [log10(m) + fsum(log10(c / h) for s in (a, b) for c, h in _hook_contents(s, N))
+            for a, b, m in modules]
+    return (top := max(logs)) + log10(fsum(10 ** (x - top) for x in logs))
 
 
 def theoretical_image_dim(n: int, d: int, p: int) -> int:

@@ -58,19 +58,10 @@ class Polynomial:
     def __repr__(self) -> str:
         return f"Polynomial(n={self.n}, degree={self.degree}, terms={self.terms!r})"
 
-    def to_json(self) -> str:
-        import json
-
-        records = [
-            {"exps": list(e), "num": str(c.numerator), "den": str(c.denominator)}
-            for e, c in sorted(self.terms.items())
-        ]
-        return json.dumps({"n": self.n, "degree": self.degree, "terms": records})
-
     @staticmethod
     def from_json(text: str) -> "Polynomial":
-        """The polynomial `to_json` wrote, with int coefficients where they
-        are integers; ValueError for any other text."""
+        """The polynomial in JSON form, {"n", "degree", "terms": [{"exps", "num",
+        "den"}]}, int coefficients where integral; ValueError for any other text."""
         import json
         from fractions import Fraction
 

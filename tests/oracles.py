@@ -2,13 +2,15 @@
 
 Whole-matrix builders, the all-columns weight grouping, brute-force
 tableau enumeration, dense eliminations, the polynomials the tests build
-as inputs, and polynomial sums, scaling, differentiation and
-contraction.  No certificate path uses them: the library builds one
-weight block per kept weight and ranks it by sparse elimination.
+as inputs and their JSON form, and polynomial sums, scaling,
+differentiation and contraction.  No certificate path uses them: the
+library builds one weight block per kept weight and ranks it by sparse
+elimination.
 """
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
@@ -16,6 +18,7 @@ from math import comb, factorial, lcm
 
 from flatrank import flattening
 from flatrank.bounds import f_formula
+from flatrank.exact_linalg import DEFAULT_MEMORY_CAP_BYTES
 from flatrank.flattening import FlatteningMatrix, wedge_insert
 from flatrank.partitions import (
     Partition,
@@ -242,6 +245,13 @@ def random_low_rank(r: int, e: int, n: int, seed: int) -> Polynomial:
     return out
 
 
+def polynomial_json(P: Polynomial) -> str:
+    """P in the JSON form `Polynomial.from_json` reads: a `file:` input."""
+    records = [{"exps": list(e), "num": str(c.numerator), "den": str(c.denominator)}
+               for e, c in sorted(P.terms.items())]
+    return json.dumps({"n": P.n, "degree": P.degree, "terms": records})
+
+
 # ---------------------------------------------------------------------------
 # minor-indexed map
 
@@ -311,7 +321,7 @@ def minor_koszul_matrix(n: int, d: int, p: int) -> LabelledMatrix:
 
     Raises if an entry joins labels of different weights: the orbit blocks
     of `minor_orbit_blocks` rest on that grading."""
-    flattening._check_minor_args(n, d, p)
+    flattening.check_minor_map(n, d, p, None, DEFAULT_MEMORY_CAP_BYTES)
     cols = minor_domain_basis(n, d, p)
     rows = minor_codomain_basis(n, d, p)
     row_index = {label: i for i, label in enumerate(rows)}

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import flatrank
-from flatrank import cli
+from flatrank import cli, partitions
 from flatrank.bounds import main_theorem_value
 from flatrank.cli import main
 from flatrank.partitions import (
@@ -25,7 +25,7 @@ from flatrank.polynomials import (
     permanent_poly,
     variable_power,
 )
-from oracles import add, random_low_rank, scale
+from oracles import add, polynomial_json, random_low_rank, scale
 
 
 def run(argv, capsys):
@@ -111,6 +111,39 @@ class TestDecompose:
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr == ("flatrank: error: the total dimension at n=20000 has 12054 "
                                "digits, over Python's limit of 4300 for printing an integer\n")
+
+    def test_unprintable_total_is_refused_without_building_it(self, capsys, monkeypatch):
+        """The total's digits are read off its log10 in floats, so a refusal
+        builds no dimension and costs about what the candidate modules cost,
+        not the tens of seconds the exact total takes at n=80000."""
+        def build(*args):
+            raise AssertionError("a dimension was built for a total that cannot print")
+
+        monkeypatch.setattr(partitions, "total_dimension", build)
+        monkeypatch.setattr(partitions, "schur_dim", build)
+        start = time.perf_counter()
+        code = main(["decompose", "--n", "80000", "--d", "40000", "--p", "2"])
+        assert time.perf_counter() - start < 12
+        assert code == 2 and capsys.readouterr().err == (
+            "flatrank: error: the total dimension at n=80000 has 48180 digits, over "
+            "Python's limit of 4300 for printing an integer\n")
+
+    def test_total_at_the_digit_limit_prints(self, capsys):
+        """At n=1060 the total has 647 digits: it prints under a limit of 647
+        and is refused, naming its 647 digits, under a limit of 646."""
+        argv = ["decompose", "--n", "1060", "--d", "530", "--p", "2"]
+        limit = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(647)
+            code, out = run(argv, capsys)
+            total = re.search(r"^total dimension: (\d+)$", out, re.M).group(1)
+            assert code == 0 and total == str(theoretical_image_dim(1060, 530, 2))
+            assert len(total) == 647
+            sys.set_int_max_str_digits(646)
+            assert main(argv) == 2
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert "has 647 digits, over Python's limit of 646" in capsys.readouterr().err
 
 
 class TestBound:
@@ -208,7 +241,7 @@ class TestBound:
         # det3 halved has Fraction coefficients: it is ranked as det3
         for poly in (determinant_poly(2), scale(determinant_poly(3), Fraction(1, 2))):
             poly_path = tmp_path / "poly.json"
-            poly_path.write_text(poly.to_json())
+            poly_path.write_text(polynomial_json(poly))
             code, out = run(
                 ["bound", "--poly", f"file:{poly_path}", "--n", str(poly.n),
                  "--method", "koszul-full", "--d", "1", "--p", "1",
@@ -229,7 +262,7 @@ class TestBound:
         coefficients as the built one, so the same blocks, entries and
         certificate."""
         path = tmp_path / f"{name}.json"
-        path.write_text(build(int(argv[1])).to_json())
+        path.write_text(polynomial_json(build(int(argv[1]))))
         certs = []
         for spec in (name, f"file:{path}"):
             code, out = run(["bound", "--poly", spec, *argv, "--format", "json"], capsys)
@@ -274,7 +307,7 @@ class TestBound:
 
         cubic = Polynomial(3, 3, {exps(0, 1, 2): 1, exps(4, 4, 4): -2, exps(0, 4, 8): 3})
         path = tmp_path / "cubic.json"
-        path.write_text(cubic.to_json())
+        path.write_text(polynomial_json(cubic))
         spec = spec.format(cubic=path)
         certs = []
         for argv in (["--method", "pieri"], ["--method", "koszul-full", "--d", "1", "--p", "4"]):
@@ -320,8 +353,11 @@ class TestBound:
         (["det", "--n", "3", "--method", "pieri"], 950, 14, "f82462429a108d9e"),
         (["perm", "--n", "3", "--method", "pieri"], 934, 14, "1340cebd5f750d21"),
         (["power", "--n", "3", "--method", "pieri"], 70, 1, "711d41b37d79e0e8"),
+        # x_nn^40 lists one dual, not C(40, 20): charged per term by its one variable
+        (["power", "--n", "40", "--method", "koszul-full", "--d", "20", "--p", "1"],
+         1599, 1, "9cb12ca622d5614b"),
     ], ids=["det5-minor", "det4-full", "det5-full", "det3-pieri", "perm3-pieri",
-            "power3-pieri"])
+            "power3-pieri", "power40-full"])
     def test_golden_certificate(self, capsys, argv, rank, bound, matrix_hash):
         """Rank, bound and matrix_hash of known certificates: a change to a
         block's columns, their order or its entries shows here."""
@@ -375,13 +411,13 @@ class TestBound:
     ])
     def test_bad_request_is_one_line_error(self, capsys, tmp_path, argv, message):
         det3 = determinant_poly(3)
-        text_n = json.loads(det3.to_json())
+        text_n = json.loads(polynomial_json(det3))
         text_n["n"] = "3"
-        twice = json.loads(variable_power((3, 3), 3, 3).to_json())
+        twice = json.loads(polynomial_json(variable_power((3, 3), 3, 3)))
         twice["terms"].append(dict(twice["terms"][0], num="-1"))
         files = {
-            "det3": det3.to_json(),
-            "quartic": random_low_rank(2, 4, 3, 5).to_json(),
+            "det3": polynomial_json(det3),
+            "quartic": polynomial_json(random_low_rank(2, 4, 3, 5)),
             "empty": "{}",
             "array": "[1, 2]",
             "text_n": json.dumps(text_n),
@@ -469,8 +505,8 @@ class TestBound:
 
         monkeypatch.setattr(flattening, "weight_blocks", build)
         path = tmp_path / "powers.json"
-        path.write_text(Polynomial(12, 12, {
-            tuple(12 * (j == k) for j in range(144)): k + 1 for k in range(144)}).to_json())
+        path.write_text(polynomial_json(Polynomial(12, 12, {
+            tuple(12 * (j == k) for j in range(144)): k + 1 for k in range(144)})))
         code = main(["bound", "--poly", f"file:{path}", "--n", "12", "--method",
                      "koszul-full", "--d", "1", "--p", "2", "--format", "json",
                      "--memory-cap", "256"])
@@ -491,7 +527,7 @@ class TestBound:
         """x_0^40 at n=2 and d=20 has one dividing dual, where C(40, 20)
         choices of its variable with repeats would hang."""
         path = tmp_path / "power.json"
-        path.write_text(Polynomial(2, 40, {(40, 0, 0, 0): 1}).to_json())
+        path.write_text(polynomial_json(Polynomial(2, 40, {(40, 0, 0, 0): 1})))
         start = time.perf_counter()
         code, out = run(["bound", "--poly", f"file:{path}", "--n", "2", "--method",
                          "koszul-full", "--d", "20", "--p", "1", "--format", "json"], capsys)
@@ -546,7 +582,7 @@ class TestBound:
         multiple: the modular and the rational certificate both stand, with
         det3's rank and matrix_hash, and nothing is written to stderr."""
         path = tmp_path / "over_prime.json"
-        path.write_text(scale(determinant_poly(3), Fraction(1, 1073741789)).to_json())
+        path.write_text(polynomial_json(scale(determinant_poly(3), Fraction(1, 1073741789))))
         args = ["--n", "3", "--method", "koszul-full", "--d", "1", "--p", "2",
                 "--format", "json", "--rational"]
         certs = []
@@ -581,7 +617,7 @@ class TestBound:
         records = []
         for name, poly in (("fractional", build()), ("integral", multiple())):
             path = tmp_path / f"{name}.json"
-            path.write_text(poly.to_json())
+            path.write_text(polynomial_json(poly))
             code, out = run(["bound", "--poly", f"file:{path}", *argv, "--format", "json"],
                             capsys)
             assert code == 0

@@ -65,6 +65,7 @@ from oracles import (
     partial,
     pieri_column_image_by_straightening,
     pieri_flattening_matrix,
+    polynomial_json,
     raise_weight,
     random_low_rank,
     scale,
@@ -340,20 +341,45 @@ class TestHighestWeightBlocks:
         top = max(weights)
         for ranks in ({w: int(w == top) for w in weights}, {w: 2 for w in weights}):
             with pytest.raises(RuntimeError, match="outside 0..1"):
-                image_modules(4, 2, 2, ranks, DEFAULT_PRIME)
+                image_modules(4, 2, 2, ranks)
 
     @pytest.mark.parametrize("prime", [2, 3, 5])
     def test_rejects_a_prime_at_most_the_degree(self, prime):
         with pytest.raises(ValueError, match="at most the degree 5"):
-            image_modules(5, 2, 2, {}, prime)
+            flattening.check_minor_map(5, 2, 2, prime, DEFAULT_MEMORY_CAP_BYTES)
 
     def test_oversized_request_fails_before_enumeration(self, monkeypatch):
         monkeypatch.setattr(flattening, "combinations", None)  # enumerating would crash
         with pytest.raises(ValueError, match="over the memory cap of 256 MiB"):
             list(highest_weight_blocks(60, 30, 2, memory_cap_bytes=256 << 20))
+        with pytest.raises(ValueError, match="over the memory cap of 256 MiB"):
+            list(minor_orbit_blocks(60, 30, 2, memory_cap_bytes=256 << 20))
         with pytest.raises(ValueError, match="over the memory cap"):
             list(minor_orbit_blocks(200, 100, 2))
-        flattening._check_minor_args(24, 12, 2)  # det24 fits the default cap
+        # det24 fits the default cap
+        flattening.check_minor_map(24, 12, 2, DEFAULT_PRIME, DEFAULT_MEMORY_CAP_BYTES)
+
+    @pytest.mark.parametrize("method", ["koszul-minor", "minor-orbits"])
+    @pytest.mark.parametrize("n,d,p,prime,cap,message", [
+        (5, 2, 3, DEFAULT_PRIME, DEFAULT_MEMORY_CAP_BYTES, "p must be 1 or 2, got 3"),
+        (5, 5, 2, DEFAULT_PRIME, DEFAULT_MEMORY_CAP_BYTES, "need 0 < d < n, got d=5, n=5"),
+        (5, 2, 2, 5, DEFAULT_MEMORY_CAP_BYTES, "the prime 5 is at most the degree 5"),
+        # C(3600, 2) wedges fit the default cap, not the 256 MiB asked for
+        (60, 30, 2, DEFAULT_PRIME, 256 << 20,
+         "the minor map at n=60, p=2 enumerates 6478200 wedges, about 2471 MiB"),
+    ], ids=["p", "d", "prime", "wedges"])
+    def test_minor_request_is_refused_before_any_column_is_listed(
+            self, monkeypatch, method, n, d, p, prime, cap, message):
+        """Both routes of the minor map answer a bad or oversized request
+        from one check, `check_minor_map`, before any weight or column is
+        enumerated."""
+        def enumerate_(*args):
+            raise AssertionError("a column was listed before the request was checked")
+
+        monkeypatch.setattr(flattening, "combinations", enumerate_)
+        monkeypatch.setattr(flattening, "combinations_with_replacement", enumerate_)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            flattening_blocks(method, "det", n, d, p, cap, prime=prime)
 
 
 def _tableau_weight(T):
@@ -498,7 +524,7 @@ class TestColumnEnumeration:
     def test_non_graded_file_input_is_one_block_of_every_column(self, tmp_path):
         P = random_low_rank(2, 3, 3, 5)
         path = tmp_path / "cubic.json"
-        path.write_text(P.to_json())
+        path.write_text(polynomial_json(P))
         blocks, _ = flattening_blocks("koszul-full", f"file:{path}", 3, 1, 2)
         got = [(size, B.weight, B.cols) for size, B in _with_exponent_labels(blocks, 9)]
         assert got == [(1, None, full_domain_basis(P, 1, 2))]
@@ -591,7 +617,7 @@ class TestFullMap:
         variables of its exponent vector."""
         if spec == "quartic":
             spec = tmp_path / "quartic.json"
-            spec.write_text(random_low_rank(2, 4, 3, 5).to_json())
+            spec.write_text(polynomial_json(random_low_rank(2, 4, 3, 5)))
             spec = f"file:{spec}"
         P = load_polynomial(spec, n)
         for d in range(1, P.degree):
@@ -634,15 +660,16 @@ class TestFullMap:
         derivative terms number at most what `check_full_map` charges, and
         the entries and derivative terms exactly as many for det and perm,
         whose monomials are squarefree: C(n, d) duals per term, each with
-        n - d derivative terms.  A cap of 4 KiB counts exactly and refuses,
+        n - d derivative terms.  A cap of 1 KiB counts exactly and refuses,
         and so does a cap one byte below the charge."""
         duals, derivs = flattening._dividing_duals(P, d), {}
         for a in duals:
             full_column_image(((), a), duals, derivs)
         entries = sum(map(len, duals.values()))
         derivatives = sum(len(monos) for triples in derivs.values() for _, monos, _ in triples)
+        support = max(len(e) - e.count(0) for e in P.terms)
         with pytest.raises(ValueError, match="derivative terms") as refused:
-            flattening.check_full_map(P.n, len(P.terms), P.degree, d, 0, 1 << 12)
+            flattening.check_full_map(P.n, len(P.terms), P.degree, support, d, 0, 1 << 10)
         charged = re.search(r"keep (\d+) terms, (\d+) dual monomials, (\d+) \(dual, term\) "
                             r"entries and (\d+) derivative terms, about", str(refused.value))
         terms, dual_count, entry_count, derivative_count = map(int, charged.groups())
@@ -656,8 +683,8 @@ class TestFullMap:
                 + dual_count * flattening._BYTES_PER_DUAL
                 + (entry_count + derivative_count) * (8 * degree + flattening._BYTES_PER_ITEM))
         with pytest.raises(ValueError, match="derivative terms"):
-            flattening.check_full_map(P.n, len(P.terms), P.degree, d, 0, need - 1)
-        flattening.check_full_map(P.n, len(P.terms), P.degree, d, 0, need)
+            flattening.check_full_map(P.n, len(P.terms), P.degree, support, d, 0, need - 1)
+        flattening.check_full_map(P.n, len(P.terms), P.degree, support, d, 0, need)
 
     def test_full_map_charges_the_columns_it_keeps(self):
         """power keeps all C(9, 4) * 1 = 126 columns of its one dividing
@@ -847,7 +874,7 @@ class TestPieriRoute:
         the blocks `bound --method pieri` ranks, read from a `file:`."""
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "cubic.json"
-            path.write_text(P.to_json())
+            path.write_text(polynomial_json(P))
             blocks, t = flattening_blocks("pieri", f"file:{path}", 3, None, None)
         oracle = list(pieri_blocks(P, PI3, PIERI_ROWS))
         assert t == PIERI_T

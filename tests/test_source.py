@@ -116,3 +116,18 @@ def test_only_input_and_closed_forms_import_fractions():
         or isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names)
     })
     assert "polynomials" in found and set(found) <= {"polynomials", "bounds"}, found
+
+
+def test_no_method_name_on_two_library_classes():
+    """The walk of `test_every_library_function_is_reached` goes by name, so
+    a method name two classes share would count both methods as reached when
+    only one is: each non-dunder method name belongs to one library class."""
+    owners: dict = {}
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not _is_dunder(item.name):
+                        owners.setdefault(item.name, []).append(f"{path.stem}.{node.name}")
+    shared = {name: classes for name, classes in owners.items() if len(classes) > 1}
+    assert owners and not shared, shared
