@@ -390,12 +390,10 @@ def _dividing_duals(P, d: int) -> dict:
     orbit argument of `weight_blocks` still holds."""
     divisors: dict = {}  # a -> terms
     for exps, c in P.terms.items():
-        room, parts, support = P.degree, [()], [(k, e) for k, e in enumerate(exps) if e]
-        for k, e in support:
-            room -= e
-            parts = [(*a, *[k] * b) for a in parts
-                     for b in range(min(e, d - len(a)) + 1) if len(a) + b + room >= d]
-        term = (tuple(k for k, e in support for _ in range(e)), c)
+        m = tuple(k for k, e in enumerate(exps) for _ in range(e))
+        parts, term = {()}, (m, c)
+        for least, k in enumerate(m, d + 1 - len(m)):  # past k, a shorter part misses d
+            parts = {b for a in parts for b in (a, a + (k,)) if least <= len(b) <= d}
         for a in parts:
             divisors.setdefault(a, []).append(term)
     return {a: divisors[a] for a in sorted(divisors)}

@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flatrank.exact_linalg import (
+    _BYTES_PER_ENTRY,
     DEFAULT_PRIME,
     MemoryCapExceeded,
     is_prime,
@@ -20,7 +22,7 @@ from flatrank.exact_linalg import (
     sparse_rank,
 )
 import flatrank
-from flatrank.flattening import FlatteningMatrix
+from flatrank.flattening import FlatteningMatrix, highest_weight_blocks
 from oracles import dense_rank_bareiss, dense_rank_mod_p
 
 
@@ -165,10 +167,27 @@ class TestSparseRank:
         lets it finish, a cap of 43 stops it mid-way.  The fraction-free
         route over Q has the same fill."""
         entries = [(i, (i + k) % 12, 1 + i + k) for i in range(12) for k in (0, 1, 3)]
+        cap = 44 * _BYTES_PER_ENTRY
         for p in (1009, None):
-            assert sparse_rank(entries, p=p, memory_cap_bytes=4400) == 12
+            assert sparse_rank(entries, p=p, memory_cap_bytes=cap) == 12
             with pytest.raises(MemoryCapExceeded, match="fill reached 44 entries, over cap 43"):
-                sparse_rank(entries, p=p, memory_cap_bytes=4300)
+                sparse_rank(entries, p=p, memory_cap_bytes=cap - 1)
+
+    def test_entry_price_covers_the_traced_bytes(self):
+        """The largest highest-weight block of det12 p=2 has no fill: a cap
+        of its initial entries lets it finish.  The bytes tracemalloc finds
+        at the elimination's peak are within `_BYTES_PER_ENTRY` per entry."""
+        B = max((B for _, B in highest_weight_blocks(12, 6, 2)), key=lambda B: len(B.entries))
+        cap = len(B.entries) * _BYTES_PER_ENTRY
+        sparse_rank(B.entries, p=DEFAULT_PRIME, memory_cap_bytes=cap)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            sparse_rank(B.entries, p=DEFAULT_PRIME)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert 0 < peak <= cap
 
 
 class TestDenseBareiss:

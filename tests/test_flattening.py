@@ -198,6 +198,19 @@ def _variables(exps) -> tuple:
     return tuple(k for k, e in enumerate(exps) for _ in range(e))
 
 
+@st.composite
+def polys_with_powers(draw):
+    """A polynomial in the n*n variables of an n x n matrix, n <= 3, of
+    degree 2..8, with up to six terms whose variables are drawn from the
+    first few, so that variables repeat and powers up to the degree occur."""
+    n, degree = draw(st.integers(1, 3)), draw(st.integers(2, 8))
+    few = st.integers(0, draw(st.integers(0, n * n - 1)))
+    monomials = draw(st.lists(st.lists(few, min_size=degree, max_size=degree),
+                              min_size=1, max_size=6))
+    return Polynomial(n, degree, {_exponents(m, n * n): draw(st.sampled_from((-2, -1, 1, 3)))
+                                  for m in monomials})
+
+
 def _with_exponent_labels(blocks, nv: int) -> list:
     """The full map's blocks with each column (w, a) relabelled (w, exponent
     vector of a), the labels of the oracle."""
@@ -644,6 +657,21 @@ class TestFullMap:
                                       memory_cap_bytes=256 << 20)
         assert sum(len(B.cols) for _, B in blocks) == 64
         assert rank_mod_p(blocks).rank == t == 63
+
+    @settings(max_examples=60, deadline=None)
+    @given(polys_with_powers())
+    def test_every_dividing_dual_is_listed(self, P):
+        """At every d, the dividing duals are exactly the monomials of
+        degree d (`monomials_of_degree`) that divide a term, in sorted
+        order, each with the terms it divides in P's order."""
+        for d in range(1, P.degree):
+            listing = {}
+            for a in monomials_of_degree(P.n * P.n, d):
+                if terms := [(_variables(m), c) for m, c in P.terms.items()
+                             if all(e >= k for e, k in zip(m, a))]:
+                    listing[_variables(a)] = terms
+            duals = flattening._dividing_duals(P, d)
+            assert list(duals) == sorted(listing) and duals == listing
 
     @pytest.mark.parametrize("P,d,exact", [
         (determinant_poly(4), 1, True),
