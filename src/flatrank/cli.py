@@ -53,11 +53,11 @@ def flattening_blocks(method: str, spec: str, n: int, d: int | None, p: int | No
     by `spec`, and t, the rank of the same flattening at a power of a linear
     form.  koszul-minor gives its highest-weight blocks, whose ranks
     `certify` turns into the map's rank; minor-orbits, one block per orbit
-    of the same map, is `verify`'s second route for it; both requests are
-    checked once, for certification mod `prime`, before any block is built
-    (`flattening.check_minor_map`).  The pieri method ignores d and p and
-    takes the koszul-full branch at (1, 4).  Only the construction module
-    of the method is imported.
+    of the same map, is `verify`'s second route for it; a request is checked
+    once, for certification mod `prime` (`flattening.check_minor_map`), and
+    its blocks charged before any column is listed.  The pieri method
+    ignores d and p and takes the koszul-full branch at (1, 4).  Only the
+    construction module of the method is imported.
 
     Pieri.  The Pieri (Young) flattening of a cubic P at n=3 maps S_pi V
     to S_(3)+pi V, V = C^9 and pi = PI3, adding one box to each of rows 1,

@@ -23,16 +23,15 @@ needs no polynomial, so only the code of the other maps imports
 from __future__ import annotations
 
 from bisect import bisect_left
-from functools import cache
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 from math import comb, factorial
 from operator import ge, sub
 
-from .exact_linalg import DEFAULT_MEMORY_CAP_BYTES, sha256
+from .exact_linalg import _BYTES_PER_ENTRY, DEFAULT_MEMORY_CAP_BYTES, sha256
 
 Wedge = tuple[int, ...]
 MinorLabel = tuple[tuple[int, ...], tuple[int, ...], Wedge]
-# build memory charged per p-wedge; the full map lists every wedge
+# build memory charged per p-wedge of the full map, which lists every wedge
 _BYTES_PER_WEDGE = 400
 # the full map's charge (`check_full_map`), beyond 8 bytes per variable index:
 # per term of P, per distinct dual, and per (dual, term) entry or derivative
@@ -141,17 +140,16 @@ def _binomial(a: int, b: int, cap: int) -> int:
 
 def check_minor_map(n: int, d: int, p: int, prime: int | None,
                     memory_cap_bytes: int) -> None:
-    """Reject a minor-map request before anything is enumerated: p-wedges over
-    the memory cap, then a (d, p) outside `partitions.candidate_image`, then a
-    prime (None: over Q) at most the modules' degree n - d + p (`image_modules`)."""
+    """Reject a minor-map request before anything is enumerated: one column's
+    (n - d)^2 - p rows or more over the memory cap (`_minor_blocks`' prices),
+    then a (d, p) outside `partitions.candidate_image`, then a prime (None:
+    over Q) at most the modules' degree n - d + p (`image_modules`)."""
     from .partitions import candidate_image
 
-    # the map lists each weight's cells only, not every wedge, and peaks below
-    # this charge (p=2: max RSS 180 MiB against 487 MiB at n=40, 353 MiB
-    # against 1012 MiB at n=48)
-    wedges = _binomial(n * n, p, memory_cap_bytes)
-    _check_bytes(f"the minor map at n={n}, p={p} enumerates", [(wedges, "wedges")],
-                 wedges * _BYTES_PER_WEDGE, memory_cap_bytes)
+    rows = min((n - d) ** 2 - p, memory_cap_bytes + 1)  # I x J less the cells of w
+    _check_bytes(f"one column of the minor map at n={n}, d={d}, p={p} reaches", [(rows, "rows")],
+                 rows * (8 * (2 * (n - d) + p) + _BYTES_PER_ITEM + _BYTES_PER_ENTRY),
+                 memory_cap_bytes)
     candidate_image(n, d, p)
     if prime is not None and prime <= n - d + p:
         raise ValueError(f"the prime {prime} is at most the degree {n - d + p} of the minor "
@@ -214,13 +212,30 @@ def weight_blocks(groups, column_image, kind: str):
         yield size, FlatteningMatrix(len(row_index), group, entries, kind, weight)
 
 
-def _minor_blocks(n: int, p: int, weights):
-    """`weight_blocks` of the minor-indexed map at the given (size, (wa,
-    wb)) pairs, in that order.
+def _minor_blocks(n: int, d: int, p: int, weights: list, size_of, memory_cap_bytes: int):
+    """`weight_blocks` of the minor-indexed map at the given pairs (wa, wb)
+    of dominant weights, in that order, each of size `size_of(pair)`.
+
+    Before any column is listed, the blocks are charged, least dominant
+    (largest) first, until the charge passes the memory cap: their domain
+    weight spaces as columns, at most their codomain weight spaces as rows
+    (`partitions.weight_space_dim`), and at most (n - d)^2 entries a column.
 
     A column's p-wedge w takes cells (i, j) with wa[i] and wb[j] nonzero,
     in increasing order, so in wedge order; its remainders I = wa - rows(w)
     and J = wb - cols(w) must be 0/1 vectors."""
+    from .partitions import _decompose_wedge_tensor, candidate_image, weight_space_dim
+
+    candidate_image(n, d, p)  # refuses a bad (d, p); cached after `check_minor_map`
+    m, cols, rows = n - d, 0, 0
+    per_label = 8 * (2 * m + p) + _BYTES_PER_ITEM  # about 2(n - d) + p indices
+    domain, codomain = _decompose_wedge_tensor(m, p, n), _decompose_wedge_tensor(m - 1, p + 1, n)
+    for weight in sorted(weights):
+        cols += weight_space_dim(domain, *weight)
+        rows += weight_space_dim(codomain, *weight)
+        _check_bytes(f"the minor map at n={n}, d={d}, p={p} builds at least",
+                     [(cols, "columns"), (rows, "rows"), (cols * m * m, "entries")],
+                     (cols + rows) * per_label + cols * m * m * _BYTES_PER_ENTRY, memory_cap_bytes)
 
     def columns(wa, wb):
         cells = [i * n + j for i in range(n) if wa[i] for j in range(n) if wb[j]]
@@ -235,7 +250,7 @@ def _minor_blocks(n: int, p: int, weights):
                             tuple(j + 1 for j, v in enumerate(rest_b) if v), w))
         return out
 
-    return weight_blocks(((size, (wa, wb), columns(wa, wb)) for size, (wa, wb) in weights),
+    return weight_blocks(((size_of(w), w, columns(*w)) for w in weights),
                          lambda label: minor_column_image(n, label), "minor_block")
 
 
@@ -257,13 +272,11 @@ def minor_orbit_blocks(n: int, d: int, p: int,
     `highest_weight_blocks` is the route `bound` certifies through; this
     one ranks every orbit and is its independent second route.
     """
-    check_minor_map(n, d, p, None, memory_cap_bytes)
-    # the dominant weights: partitions of n - d + p with parts at most p + 1 and
-    # at most n of them, zero-padded, largest first part first
-    weights = [w for w in combinations_with_replacement(range(p + 1, -1, -1), n)
-               if sum(w) == n - d + p]
-    return _minor_blocks(n, p, [(_orbit_size((wa, wb)), (wa, wb))
-                                for wa in weights for wb in weights if wa <= wb])
+    from .partitions import partitions_of
+
+    weights = [_padded(w, n) for w in partitions_of(n - d + p, p + 1) if len(w) <= n]
+    return _minor_blocks(n, d, p, [(wa, wb) for wa in weights for wb in weights if wa <= wb],
+                         _orbit_size, memory_cap_bytes)
 
 
 def _padded(shape, n: int) -> tuple[int, ...]:
@@ -284,12 +297,8 @@ def highest_weight_blocks(n: int, d: int, p: int,
     """
     from .partitions import candidate_image
 
-    check_minor_map(n, d, p, None, memory_cap_bytes)
-    sizes: dict = {}
-    for a, b, _ in candidate_image(n, d, p):
-        wa, wb = _padded(a, n), _padded(b, n)
-        sizes[min((wa, wb), (wb, wa))] = 1 if wa == wb else 2
-    return _minor_blocks(n, p, [(size, weight) for weight, size in sizes.items()])
+    weights = [(_padded(a, n), _padded(b, n)) for a, b, _ in candidate_image(n, d, p) if a <= b]
+    return _minor_blocks(n, d, p, weights, lambda w: 1 if w[0] == w[1] else 2, memory_cap_bytes)
 
 
 def image_modules(n: int, d: int, p: int, ranks_by_weight: dict) -> tuple[int, list[tuple]]:
@@ -321,16 +330,13 @@ def image_modules(n: int, d: int, p: int, ranks_by_weight: dict) -> tuple[int, l
     mod p is at most the rank over Q, so the bound is never overstated.
     A smaller prime is refused before any block is built (`check_minor_map`).
     """
-    from .partitions import candidate_image, kostka, schur_dim
+    from .partitions import candidate_image, schur_dim, weight_space_dim
 
-    K = cache(kostka)  # few distinct shapes, each pair met many times
     solved = []
-    candidates = sorted(candidate_image(n, d, p),
-                        key=lambda e: (_padded(e[0], n), _padded(e[1], n)), reverse=True)
-    for a, b, schur_max in candidates:
+    for a, b, schur_max in reversed(candidate_image(n, d, p)):  # decreasing pair-lex order
         wa, wb = _padded(a, n), _padded(b, n)
-        m = ranks_by_weight[min((wa, wb), (wb, wa))] - sum(
-            mv * K(va, a) * K(vb, b) for va, vb, mv, _ in solved)
+        m = ranks_by_weight[min((wa, wb), (wb, wa))] - weight_space_dim(
+            {(va, vb): mv for va, vb, mv, _ in solved}, a, b)
         if not 0 <= m <= schur_max:
             raise RuntimeError(
                 f"solved multiplicity {m} of {a} x {b} is outside 0..{schur_max}")

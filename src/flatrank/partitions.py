@@ -7,8 +7,9 @@ with no trailing zeros; the empty tuple is the trivial partition.
 from __future__ import annotations
 
 from functools import cache
-from math import fsum, log10, prod
-from operator import le
+from itertools import combinations, groupby, product
+from math import fsum, lgamma, log, log10, prod
+from operator import add, ge, le
 
 Partition = tuple[int, ...]
 
@@ -30,20 +31,13 @@ def make_partition(parts) -> Partition:
 
 
 def conjugate(pi: Partition) -> Partition:
-    """Column lengths of the Young diagram of pi."""
-    if not pi:
-        return ()
-    cols = [0] * pi[0]
-    for part in pi:
-        for j in range(part):
-            cols[j] += 1
+    """Column lengths of the Young diagram of pi, one run of equal lengths
+    for each run of equal parts, so a long row or column costs one step."""
+    cols, rows, last = [], len(pi), 0
+    for part, run in groupby(reversed(pi)):
+        cols += [rows] * (part - last)
+        rows, last = rows - len(list(run)), part
     return tuple(cols)
-
-
-def _hook_contents(pi: Partition, N: int) -> list[tuple[int, int]]:
-    """The content factor N + j - i and the hook length of each cell (i, j)."""
-    conj = conjugate(pi)
-    return [(N + j - i, r - j + conj[j] - i - 1) for i, r in enumerate(pi) for j in range(r)]
 
 
 def schur_dim(pi: Partition, N: int) -> int:
@@ -54,8 +48,9 @@ def schur_dim(pi: Partition, N: int) -> int:
     """
     if len(pi) > N:
         return 0
-    cells = _hook_contents(pi, N)
-    contents, hooks = prod(c for c, _ in cells), prod(h for _, h in cells)
+    conj = conjugate(pi)
+    contents = prod(N + j - i for i, r in enumerate(pi) for j in range(r))
+    hooks = prod(r - j + conj[j] - i - 1 for i, r in enumerate(pi) for j in range(r))
     val, rest = divmod(contents, hooks)
     if rest:
         raise RuntimeError(f"hook content formula gave {contents}/{hooks} for {pi} over N={N}")
@@ -78,26 +73,24 @@ def pieri_row(pi: Partition, d: int, N: int) -> list[Partition]:
     """Partitions obtained from pi by adding d boxes, no two in the same column.
 
     This is the horizontal-strip (Pieri) rule for tensoring with the d-th
-    symmetric power: row i grows from pi[i] to at most pi[i-1], the first
-    row without limit.  Results with more than N rows are discarded.
+    symmetric power: each row i > 0 grows from pi[i] to at most pi[i-1],
+    and the first row takes the boxes left, however many.  Results with
+    more than N rows are discarded.
     """
     if len(pi) > N:
         return []
+    rows = pi + (0,) * (len(pi) < N)  # a new row, if N allows
+    if not rows:
+        return [()] if d == 0 else []
     results: list[Partition] = []
-
-    def grow(i: int, left: int, built: Partition):
-        if left == 0:
-            results.append(built + pi[i:])
-        elif i <= len(pi) and i < N:
-            old = pi[i] if i < len(pi) else 0
-            most = left if i == 0 else min(left, pi[i - 1] - old)
-            for add in range(most + 1):
-                grow(i + 1, left - add, built + (old + add,))
-
-    grow(0, d, ())
+    for grown in product(*(range(above - row + 1) for above, row in zip(rows, rows[1:]))):
+        if (first := d - sum(grown)) >= 0:
+            shape = (rows[0] + first, *map(add, rows[1:], grown))
+            results.append(shape if shape[-1] else shape[:-1])
     return results
 
 
+@cache
 def kostka(shape: Partition, content) -> int:
     """Number of semistandard tableaux of the shape with content[i] entries
     equal to i+1: the dimension of the weight-`content` space of the Schur
@@ -105,20 +98,26 @@ def kostka(shape: Partition, content) -> int:
 
     Such a tableau is a chain () = s0 < s1 < ... < s_k = shape in which
     s_i / s_(i-1) is a horizontal strip of content[i-1] boxes (the entries
-    equal to i), so the chains are counted strip by strip (`pieri_row`),
-    keeping only the shapes inside `shape`."""
-    shape = make_partition(shape)
-    counts = {(): 1}
+    equal to i), at most one a column, so the chains are counted strip by
+    strip on column lengths, keeping only the shapes inside `shape`."""
+    top = conjugate(make_partition(shape))
+    counts = {(0,) * len(top): 1}
     for c in content:
-        if not c:
-            continue
-        step: dict[Partition, int] = {}
+        step: dict[tuple, int] = {}
         for s, k in counts.items():
-            for t in pieri_row(s, c, len(shape)):
-                if all(map(le, t, shape)):
+            for grown in combinations(range(len(top)), c):
+                t = tuple(x + (j in grown) for j, x in enumerate(s))
+                if all(map(le, t, top)) and all(map(ge, t, t[1:])):
                     step[t] = step.get(t, 0) + k
         counts = step
-    return counts.get(shape, 0)
+    return counts.get(top, 0)
+
+
+def weight_space_dim(modules: dict, wa, wb) -> int:
+    """Dimension of the (wa, wb) weight space of the sum of S_a(A) x S_b(B)
+    over {(a, b): multiplicity}: the sum of multiplicity * K(a, wa) * K(b, wb)."""
+    wa, wb = tuple(filter(None, wa)), tuple(filter(None, wb))
+    return sum(m * ka * kostka(b, wb) for (a, b), m in modules.items() if (ka := kostka(a, wa)))
 
 
 def pieri_column(pi: Partition, k: int, N: int) -> list[Partition]:
@@ -139,6 +138,7 @@ def cauchy_wedge(p: int, n: int) -> dict:
     return {(lam, conjugate(lam)): 1 for lam in partitions_of(p, n) if len(lam) <= n}
 
 
+@cache
 def _decompose_wedge_tensor(wedge: int, p: int, n: int) -> dict:
     """Decomposition {(a, b): multiplicity} of
     wedge^wedge(A) x wedge^wedge(B) x wedge^p(A tensor B) over
@@ -178,9 +178,18 @@ def total_dimension(modules, N: int) -> int:
 
 def total_log10(modules, N: int) -> float:
     """log10 of `total_dimension(modules, N)`, off by far less than 1e-6: summed
-    in floats over the hook-content factors, so no large int is built."""
-    logs = [log10(m) + fsum(log10(c / h) for s in (a, b) for c, h in _hook_contents(s, N))
-            for a, b, m in modules]
+    in floats, one lgamma difference per run of consecutive factors (the
+    contents down a column, the hooks down a column of equal rows)."""
+    def ln_dim(pi):
+        conj, out, i = conjugate(pi), 0.0, 0
+        for r, run in groupby(pi):
+            k = len(list(run))
+            out -= fsum(lgamma(r - j + c - i) - lgamma(r - j + c - i - k)
+                        for j, c in enumerate(conj[:r]))
+            i += k
+        return out + fsum(lgamma(N + j + 1) - lgamma(N + j - c + 1) for j, c in enumerate(conj))
+
+    logs = [log10(m) + (ln_dim(a) + ln_dim(b)) / log(10) for a, b, m in modules]
     return (top := max(logs)) + log10(fsum(10 ** (x - top) for x in logs))
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import flatrank
-from flatrank import cli, partitions
+from flatrank import cli, flattening, partitions
 from flatrank.bounds import main_theorem_value
 from flatrank.cli import main
 from flatrank.partitions import (
@@ -115,17 +115,18 @@ class TestDecompose:
     def test_unprintable_total_is_refused_without_building_it(self, capsys, monkeypatch):
         """The total's digits are read off its log10 in floats, so a refusal
         builds no dimension and costs about what the candidate modules cost,
-        not the tens of seconds the exact total takes at n=80000."""
+        not the tens of seconds the exact total takes at n=80000; a long row
+        costs the Pieri rule one step, so that is well under 2 s at n=160000."""
         def build(*args):
             raise AssertionError("a dimension was built for a total that cannot print")
 
         monkeypatch.setattr(partitions, "total_dimension", build)
         monkeypatch.setattr(partitions, "schur_dim", build)
         start = time.perf_counter()
-        code = main(["decompose", "--n", "80000", "--d", "40000", "--p", "2"])
-        assert time.perf_counter() - start < 12
+        code = main(["decompose", "--n", "160000", "--d", "80000", "--p", "2"])
+        assert time.perf_counter() - start < 2
         assert code == 2 and capsys.readouterr().err == (
-            "flatrank: error: the total dimension at n=80000 has 48180 digits, over "
+            "flatrank: error: the total dimension at n=160000 has 96345 digits, over "
             "Python's limit of 4300 for printing an integer\n")
 
     def test_total_at_the_digit_limit_prints(self, capsys):
@@ -392,7 +393,7 @@ class TestBound:
         # the minor map's modules have degree n - d + p = 5
         (["--poly", "det", "--n", "5", "--method", "koszul-minor", "--d", "2", "--p", "2",
           "--prime", "5"], "the prime 5 is at most the degree 5"),
-        # C(3600, 2) wedges would not fit in 256 MiB
+        # its largest highest-weight blocks alone, about 380 MiB, would not fit in 256 MiB
         (["--poly", "det", "--n", "60", "--method", "koszul-minor", "--d", "30",
           "--p", "2", "--memory-cap", "256"], "over the memory cap of 256 MiB"),
         # the full map at (d=1, p=4) would rank a quartic, but no Pieri map exists
@@ -558,6 +559,32 @@ class TestBound:
         assert proc.stderr.startswith("flatrank: error: ") and proc.stderr.count("\n") == 1
         assert len(proc.stderr) < 200 and "over the memory cap of 4096 MiB" in proc.stderr
         assert max(map(len, re.findall(r"\d+", proc.stderr))) <= len(str(4096 << 20))
+
+    @pytest.mark.parametrize("n,p,refusal", [
+        (74, 2, "the minor map at n=74, d=37, p=2 builds at least"),
+        (300, 1, "the minor map at n=300, d=150, p=1 builds at least"),
+        (100000, 1, "one column of the minor map at n=100000, d=50000, p=1 reaches"),
+        (100000, 2, "one column of the minor map at n=100000, d=50000, p=2 reaches"),
+    ])
+    def test_huge_minor_request_is_refused_at_once_in_one_short_line(
+            self, capsys, monkeypatch, n, p, refusal):
+        """det74 p=2 and det300 p=1 pass the default cap by the blocks they
+        would build, n=100000 by one column's rows: each is refused in one
+        line within a second, before any column is listed, and no number in
+        the line is longer than the cap's 10 digits."""
+        def enumerate_(*args):
+            raise AssertionError("a column was listed before the request was refused")
+
+        monkeypatch.setattr(flattening, "combinations", enumerate_)
+        start = time.perf_counter()
+        code = main(["bound", "--poly", "det", "--n", str(n), "--method", "koszul-minor",
+                     "--d", str(n // 2), "--p", str(p)])
+        assert time.perf_counter() - start < 1
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert err.startswith(f"flatrank: error: {refusal}")
+        assert err.endswith("over the memory cap of 4096 MiB\n")
+        assert max(map(len, re.findall(r"\d+", err))) <= len(str(4096 << 20))
 
     @pytest.mark.parametrize("method,prime", [
         ("koszul-minor", "1073741790"),

@@ -1,6 +1,7 @@
 import gc
 import random
 import re
+import tracemalloc
 from collections import Counter
 import tempfile
 import weakref
@@ -21,6 +22,7 @@ from flatrank.exact_linalg import (
     sparse_rank,
 )
 import flatrank.flattening as flattening
+import flatrank.partitions as partitions
 from flatrank.flattening import (
     full_column_image,
     full_koszul_blocks,
@@ -377,22 +379,60 @@ class TestHighestWeightBlocks:
         (5, 2, 3, DEFAULT_PRIME, DEFAULT_MEMORY_CAP_BYTES, "p must be 1 or 2, got 3"),
         (5, 5, 2, DEFAULT_PRIME, DEFAULT_MEMORY_CAP_BYTES, "need 0 < d < n, got d=5, n=5"),
         (5, 2, 2, 5, DEFAULT_MEMORY_CAP_BYTES, "the prime 5 is at most the degree 5"),
-        # C(3600, 2) wedges fit the default cap, not the 256 MiB asked for
-        (60, 30, 2, DEFAULT_PRIME, 256 << 20,
-         "the minor map at n=60, p=2 enumerates 6478200 wedges, about 2471 MiB"),
-    ], ids=["p", "d", "prime", "wedges"])
+        # the largest blocks alone pass the 256 MiB asked for; each route charges its own
+        (60, 30, 2, DEFAULT_PRIME, 256 << 20, {
+            "koszul-minor": "the minor map at n=60, d=30, p=2 builds at least 496 columns, "
+                            "436480 rows and 446400 entries, about 380 MiB",
+            "minor-orbits": "the minor map at n=60, d=30, p=2 builds at least 492032 columns, "
+                            "147609600 rows and 442828800 entries, about 212286 MiB"}),
+    ], ids=["p", "d", "prime", "blocks"])
     def test_minor_request_is_refused_before_any_column_is_listed(
             self, monkeypatch, method, n, d, p, prime, cap, message):
         """Both routes of the minor map answer a bad or oversized request
-        from one check, `check_minor_map`, before any weight or column is
-        enumerated."""
+        before any column is listed: `check_minor_map` checks (d, p) and the
+        prime, and `_minor_blocks` charges the blocks from the partitions
+        that are their weights."""
         def enumerate_(*args):
             raise AssertionError("a column was listed before the request was checked")
 
         monkeypatch.setattr(flattening, "combinations", enumerate_)
-        monkeypatch.setattr(flattening, "combinations_with_replacement", enumerate_)
+        if isinstance(message, dict):
+            message = message[method]
         with pytest.raises(ValueError, match=re.escape(message)):
             flattening_blocks(method, "det", n, d, p, cap, prime=prime)
+
+    @pytest.mark.parametrize("n", range(4, 13))
+    def test_charge_counts_each_block(self, n):
+        """On both routes, at every d and p = 1, 2, each block has as many
+        columns as `weight_space_dim` counts in the domain, at most as many
+        rows as it counts in the codomain, and at most (n - d)^2 entries a
+        column: the counts `_minor_blocks` charges."""
+        for d, p in product(range(1, n), (1, 2)):
+            m = n - d
+            domain = partitions._decompose_wedge_tensor(m, p, n)
+            codomain = partitions._decompose_wedge_tensor(m - 1, p + 1, n)
+            for route in (highest_weight_blocks, minor_orbit_blocks):
+                for _, B in route(n, d, p):
+                    assert len(B.cols) == partitions.weight_space_dim(domain, *B.weight)
+                    assert B.nrows <= partitions.weight_space_dim(codomain, *B.weight)
+                    assert len(B.entries) <= len(B.cols) * m * m
+
+    @pytest.mark.parametrize("n,d,p", [(24, 12, 2), (60, 30, 1)])
+    def test_charge_covers_the_traced_bytes(self, n, d, p):
+        """The bytes tracemalloc finds at the peak of building and ranking
+        the highest-weight blocks are less than the charge, which refuses
+        them under a cap of that peak, and the charge is at most 2.5 times
+        that peak, which it lets through."""
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            rank_mod_p(list(highest_weight_blocks(n, d, p)))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        with pytest.raises(ValueError, match=f"over the memory cap of {peak >> 20} MiB"):
+            highest_weight_blocks(n, d, p, memory_cap_bytes=peak)
+        highest_weight_blocks(n, d, p, memory_cap_bytes=5 * peak // 2)
 
 
 def _tableau_weight(T):
@@ -646,12 +686,10 @@ class TestFullMap:
                     assert not Counter(a) - Counter(m)
             assert len(shared) == len(P.terms)
 
-    def test_a_power_lists_one_dual(self, monkeypatch):
+    def test_a_power_lists_one_dual(self):
         """Of the C(69, 6) dual monomials of degree 6 in 64 variables, only
         x_64^6 divides x_64^8: `power` at n=8, d=6 has 63 * 64 columns, and
-        its rank is t under a 256 MiB cap.  No dual is listed from all
-        variables."""
-        monkeypatch.setattr(flattening, "combinations_with_replacement", None)
+        its rank is t under a 256 MiB cap."""
         assert list(flattening._dividing_duals(variable_power((8, 8), 8, 8), 6)) == [(63,) * 6]
         blocks, t = flattening_blocks("koszul-full", "power", 8, 6, 1,
                                       memory_cap_bytes=256 << 20)

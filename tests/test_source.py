@@ -37,6 +37,26 @@ def test_library_has_no_unused_imports():
     assert SOURCES and not found, found
 
 
+def test_every_library_constant_is_read():
+    """Every name a module assigns at its top level (constants, prices and
+    type aliases, dunders aside) is read somewhere in the library, so a
+    guard change that stops reading a price leaves no orphan constant."""
+    trees = [(path, ast.parse(path.read_text(), str(path))) for path in SOURCES]
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for _, tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            or isinstance(node, ast.Attribute)}
+    assigned = [
+        (path.name, node.lineno, target.id)
+        for path, tree in trees for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name) and not _is_dunder(target.id)
+    ]
+    found = [f"{name}:{line} {target}" for name, line, target in assigned if target not in read]
+    assert assigned and not found, found
+
+
 def _is_dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
 
