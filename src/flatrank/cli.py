@@ -47,17 +47,17 @@ PI3 = (2, 2, 2, 2, 1, 1, 1, 1)
 
 
 def flattening_blocks(method: str, spec: str, n: int, d: int | None, p: int | None,
-                      memory_cap_bytes: int = exact_linalg.DEFAULT_MEMORY_CAP_BYTES,
-                      prime: int | None = exact_linalg.DEFAULT_PRIME) -> tuple[list, int]:
+                      memory_cap_bytes: int = exact_linalg.DEFAULT_MEMORY_CAP_BYTES
+                      ) -> tuple[list, int]:
     """The (orbit_size, block) pairs of a flattening of the polynomial named
     by `spec`, and t, the rank of the same flattening at a power of a linear
     form.  koszul-minor gives its highest-weight blocks, whose ranks
     `certify` turns into the map's rank; minor-orbits, one block per orbit
     of the same map, is `verify`'s second route for it; a request is checked
-    once, for certification mod `prime` (`flattening.check_minor_map`), and
-    its blocks charged before any column is listed.  The pieri method
-    ignores d and p and takes the koszul-full branch at (1, 4).  Only the
-    construction module of the method is imported.
+    once (`flattening.check_minor_map`), and its blocks charged before any
+    column is listed.  The pieri method ignores d and p and takes the
+    koszul-full branch at (1, 4).  Only the construction module of the
+    method is imported.
 
     Pieri.  The Pieri (Young) flattening of a cubic P at n=3 maps S_pi V
     to S_(3)+pi V, V = C^9 and pi = PI3, adding one box to each of rows 1,
@@ -98,7 +98,7 @@ def flattening_blocks(method: str, spec: str, n: int, d: int | None, p: int | No
     elif spec != "det":
         raise ValueError("koszul-minor is only defined for --poly det")
     else:
-        flattening.check_minor_map(n, d, p, prime, memory_cap_bytes)
+        flattening.check_minor_map(n, d, p, memory_cap_bytes)
         blocks = (flattening.minor_orbit_blocks if method == "minor-orbits"
                   else flattening.highest_weight_blocks)(n, d, p, memory_cap_bytes)
     return list(blocks), comb(n * n - 1, p)
@@ -110,7 +110,7 @@ def certify(method: str, blocks: list, n: int, d: int | None, p: int | None,
     """The rank certificate of `flattening_blocks`' blocks, mod `prime` or,
     for prime=None, over the rationals.  For koszul-minor the blocks are
     highest-weight blocks: the certificate's rank becomes the map's rank
-    solved from their ranks, and its `modules` the image modules
+    read from their nullities, and its `modules` the image modules
     (`flattening.image_modules`)."""
     if prime is None:
         cert = rank_rational(blocks, memory_cap_bytes=memory_cap_bytes)
@@ -119,8 +119,8 @@ def certify(method: str, blocks: list, n: int, d: int | None, p: int | None,
     if method == "koszul-minor":
         from .flattening import image_modules
 
-        weights = {B.weight: r for (_, B), r in zip(blocks, cert.block_ranks)}
-        cert.rank, modules = image_modules(n, d, p, weights)
+        nullities = {B.weight: len(B.cols) - r for (_, B), r in zip(blocks, cert.block_ranks)}
+        cert.rank, modules = image_modules(n, d, p, nullities)
         cert.modules = [{"a": list(a), "b": list(b), "m": m, "schur_max": top}
                         for a, b, m, top in modules]
     return cert
@@ -139,7 +139,7 @@ def cmd_bound(args) -> int:
     d = args.d if args.d is not None else max(1, n // 2)
     p = args.p if args.p is not None else 2
     # weight blocks, few and small enough to rebuild every run
-    blocks, t = flattening_blocks(method, args.poly, n, d, p, cap, args.prime)
+    blocks, t = flattening_blocks(method, args.poly, n, d, p, cap)
     if method == "pieri":
         d = p = None
     name = "file" if args.poly.startswith("file:") else args.poly

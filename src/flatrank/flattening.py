@@ -13,11 +13,11 @@ Each construction enumerates only the columns of the weights it keeps,
 grouped by weight, and `weight_blocks` builds one block per kept weight,
 keeping a count of its rows but no row labels: one block per
 symmetry orbit for a symmetric polynomial.  No whole matrix is built.
-The minor map is certified from fewer blocks still: those at the highest
-weights of its candidate image modules (`highest_weight_blocks`), whose
-ranks give the modules' multiplicities (`image_modules`).  The minor map
-needs no polynomial, so only the code of the other maps imports
-`polynomials`.
+The minor map is certified from fewer blocks still, at the highest weights
+of its candidate image modules, raising rows stacked under the map's
+(`highest_weight_blocks`): each rank gives one module's multiplicity
+(`image_modules`).  The minor map needs no polynomial, so only the code of
+the other maps imports `polynomials`.
 """
 
 from __future__ import annotations
@@ -101,6 +101,25 @@ def minor_column_image(n: int, label: MinorLabel) -> list[tuple[MinorLabel, int]
     return out
 
 
+def minor_raisings(n: int, label: MinorLabel) -> list[tuple[tuple, int]]:
+    """Images of a minor-map domain label under the derivations E_{k,k+1} on
+    rows (axis 0) and columns (axis 1), tagged (axis, k, label): k+1 becomes
+    k in I (J) if k is absent, and a wedge variable moves from row (column)
+    k+1 to k, with its wedge sign."""
+    I, J, w = label
+    out = []
+    for axis, S in enumerate((I, J)):
+        for s in S:
+            if s > 1 and s - 1 not in S:
+                raised = tuple(s - 1 if t == s else t for t in S)
+                out.append(((axis, s - 1, (raised, J, w) if axis == 0 else (I, raised, w)), 1))
+        for pos, x in enumerate(w):
+            k = (x // n, x % n)[axis]  # x sits in row (column) k + 1
+            if k and (ins := wedge_insert(w[:pos] + w[pos + 1:], x - (n, 1)[axis])):
+                out.append(((axis, k, (I, J, ins[1])), -ins[0] if pos % 2 else ins[0]))
+    return out
+
+
 def _listed(items: list[str]) -> str:
     return f"{', '.join(items[:-1])} and {items[-1]}" if len(items) > 1 else items[0]
 
@@ -138,22 +157,20 @@ def _binomial(a: int, b: int, cap: int) -> int:
     return _count(((a - i, i + 1) for i in range(min(b, a - b))), cap)
 
 
-def check_minor_map(n: int, d: int, p: int, prime: int | None,
-                    memory_cap_bytes: int) -> None:
+def _minor_label_bytes(n: int, d: int, p: int) -> int:  # about 2(n - d) + p indices
+    return 8 * (2 * (n - d) + p) + _BYTES_PER_ITEM
+
+
+def check_minor_map(n: int, d: int, p: int, memory_cap_bytes: int) -> None:
     """Reject a minor-map request before anything is enumerated: one column's
     (n - d)^2 - p rows or more over the memory cap (`_minor_blocks`' prices),
-    then a (d, p) outside `partitions.candidate_image`, then a prime (None:
-    over Q) at most the modules' degree n - d + p (`image_modules`)."""
+    then a (d, p) outside `partitions.candidate_image`."""
     from .partitions import candidate_image
 
     rows = min((n - d) ** 2 - p, memory_cap_bytes + 1)  # I x J less the cells of w
     _check_bytes(f"one column of the minor map at n={n}, d={d}, p={p} reaches", [(rows, "rows")],
-                 rows * (8 * (2 * (n - d) + p) + _BYTES_PER_ITEM + _BYTES_PER_ENTRY),
-                 memory_cap_bytes)
+                 rows * (_minor_label_bytes(n, d, p) + _BYTES_PER_ENTRY), memory_cap_bytes)
     candidate_image(n, d, p)
-    if prime is not None and prime <= n - d + p:
-        raise ValueError(f"the prime {prime} is at most the degree {n - d + p} of the minor "
-                         f"map's modules; the highest-weight certificate needs a larger prime")
 
 
 def _arrangements(weight: tuple[int, ...]) -> int:
@@ -212,30 +229,31 @@ def weight_blocks(groups, column_image, kind: str):
         yield size, FlatteningMatrix(len(row_index), group, entries, kind, weight)
 
 
-def _minor_blocks(n: int, d: int, p: int, weights: list, size_of, memory_cap_bytes: int):
-    """`weight_blocks` of the minor-indexed map at the given pairs (wa, wb)
-    of dominant weights, in that order, each of size `size_of(pair)`.
-
-    Before any column is listed, the blocks are charged, least dominant
-    (largest) first, until the charge passes the memory cap: their domain
-    weight spaces as columns, at most their codomain weight spaces as rows
-    (`partitions.weight_space_dim`), and at most (n - d)^2 entries a column.
-
+def _minor_blocks(n: int, d: int, p: int, weights: list, size_of, column_image,
+                  memory_cap_bytes: int):
+    """`weight_blocks` of the minor-indexed map, rows by `column_image`, at
+    the pairs (wa, wb) of dominant weights given in increasing pair-lex
+    order (largest first), each of size `size_of(pair)`.  Before any column
+    is listed they are charged in that order until the charge passes the
+    cap: domain weight spaces as columns, at most codomain weight spaces
+    (`partitions.weight_space_dim`) plus 4p a column as rows, and
+    (n - d)^2 + 4p entries a column (`minor_raisings` gives at most p wedge
+    and p I-terms a side, as an s - 1 outside I needs a wedge cell).
     A column's p-wedge w takes cells (i, j) with wa[i] and wb[j] nonzero,
-    in increasing order, so in wedge order; its remainders I = wa - rows(w)
-    and J = wb - cols(w) must be 0/1 vectors."""
+    in wedge order; its remainders I = wa - rows(w) and J = wb - cols(w)
+    must be 0/1 vectors."""
     from .partitions import _decompose_wedge_tensor, candidate_image, weight_space_dim
 
     candidate_image(n, d, p)  # refuses a bad (d, p); cached after `check_minor_map`
-    m, cols, rows = n - d, 0, 0
-    per_label = 8 * (2 * m + p) + _BYTES_PER_ITEM  # about 2(n - d) + p indices
+    m, cols, rows, label = n - d, 0, 0, _minor_label_bytes(n, d, p)
     domain, codomain = _decompose_wedge_tensor(m, p, n), _decompose_wedge_tensor(m - 1, p + 1, n)
-    for weight in sorted(weights):
-        cols += weight_space_dim(domain, *weight)
-        rows += weight_space_dim(codomain, *weight)
+    for weight in weights:
+        cols += (c := weight_space_dim(domain, *weight))
+        rows += weight_space_dim(codomain, *weight) + 4 * p * c
+        entries = cols * (m * m + 4 * p)
         _check_bytes(f"the minor map at n={n}, d={d}, p={p} builds at least",
-                     [(cols, "columns"), (rows, "rows"), (cols * m * m, "entries")],
-                     (cols + rows) * per_label + cols * m * m * _BYTES_PER_ENTRY, memory_cap_bytes)
+                     [(cols, "columns"), (rows, "rows"), (entries, "entries")],
+                     (cols + rows) * label + entries * _BYTES_PER_ENTRY, memory_cap_bytes)
 
     def columns(wa, wb):
         cells = [i * n + j for i in range(n) if wa[i] for j in range(n) if wb[j]]
@@ -250,8 +268,8 @@ def _minor_blocks(n: int, d: int, p: int, weights: list, size_of, memory_cap_byt
                             tuple(j + 1 for j, v in enumerate(rest_b) if v), w))
         return out
 
-    return weight_blocks(((size_of(w), w, columns(*w)) for w in weights),
-                         lambda label: minor_column_image(n, label), "minor_block")
+    return weight_blocks(((size_of(w), w, columns(*w)) for w in weights), column_image,
+                         "minor_block")
 
 
 def minor_orbit_blocks(n: int, d: int, p: int,
@@ -259,24 +277,21 @@ def minor_orbit_blocks(n: int, d: int, p: int,
     """Yield (orbit_size, block) for one weight block per symmetry orbit of
     the minor-indexed Koszul map; the whole matrix is never built.
 
-    The map preserves the (A-weight, B-weight) torus grading: a label
-    (I, J, w) has row weight I + rows(w) and column weight J + cols(w), and
-    so does each label of its image.  So the map is the direct sum of its
-    weight blocks.  A pair (sigma, tau) of row and column permutations of X
-    sends det to +-det, and transposition fixes det; both send minors to
-    signed minors and wedges to signed wedges, so blocks in one orbit have
-    equal rank (the argument of `weight_blocks`).  Every weight pair is in
-    the orbit of exactly one pair of dominant (decreasing) weights with
-    wa <= wb, and only their columns are enumerated (`_minor_blocks`).
-
-    `highest_weight_blocks` is the route `bound` certifies through; this
-    one ranks every orbit and is its independent second route.
+    A label (I, J, w) and its image have row weight I + rows(w) and column
+    weight J + cols(w), so the map is the direct sum of its weight blocks.
+    Row and column permutations of X send det to +-det, and transposition
+    fixes it; both send minors and wedges to signed ones, so blocks in one
+    orbit have equal rank (`weight_blocks`).  Every weight pair lies in the
+    orbit of one pair of dominant weights with wa <= wb, and only their
+    columns are listed.  This route ranks F alone, as the independent
+    second route to `highest_weight_blocks`.
     """
     from .partitions import partitions_of
 
-    weights = [_padded(w, n) for w in partitions_of(n - d + p, p + 1) if len(w) <= n]
+    weights = [_padded(w, n) for w in partitions_of(n - d + p, p + 1) if len(w) <= n][::-1]
     return _minor_blocks(n, d, p, [(wa, wb) for wa in weights for wb in weights if wa <= wb],
-                         _orbit_size, memory_cap_bytes)
+                         _orbit_size, lambda label: minor_column_image(n, label),
+                         memory_cap_bytes)
 
 
 def _padded(shape, n: int) -> tuple[int, ...]:
@@ -287,62 +302,46 @@ def highest_weight_blocks(n: int, d: int, p: int,
                           memory_cap_bytes: int = DEFAULT_MEMORY_CAP_BYTES):
     """Yield (size, block) for the weight blocks of the minor-indexed map at
     the highest weights of the candidate image modules
-    (`partitions.candidate_image`), zero-padded to n parts.
-
-    Transposition sends the block at (wa, wb) onto the one at (wb, wa)
-    with equal rank (`weight_blocks`), so one block is built per transpose
-    pair, at the pair with wa <= wb; its size is the number of candidate
-    weights it stands for, 2 for a pair of distinct weights and 1 otherwise.
-    `image_modules` turns the blocks' ranks into the rank of the map.
+    (`partitions.candidate_image`), zero-padded to n parts, with each
+    column's raisings (`minor_raisings`) below its image.  Transposition
+    maps the block at (wa, wb) onto the one at (wb, wa), swapping the axes,
+    so one is built per pair, at wa <= wb, of size 2 (or 1 if wa = wb).
     """
     from .partitions import candidate_image
 
     weights = [(_padded(a, n), _padded(b, n)) for a, b, _ in candidate_image(n, d, p) if a <= b]
-    return _minor_blocks(n, d, p, weights, lambda w: 1 if w[0] == w[1] else 2, memory_cap_bytes)
+    return _minor_blocks(n, d, p, weights, lambda w: 1 if w[0] == w[1] else 2,
+                         lambda label: minor_column_image(n, label) + minor_raisings(n, label),
+                         memory_cap_bytes)
 
 
-def image_modules(n: int, d: int, p: int, ranks_by_weight: dict) -> tuple[int, list[tuple]]:
+def image_modules(n: int, d: int, p: int, nullity_by_weight: dict) -> tuple[int, list[tuple]]:
     """The rank of the minor-indexed map, mod a prime or over Q, from the
-    ranks of its highest-weight blocks.
+    nullities (columns less rank) of the blocks of `highest_weight_blocks`,
+    by weight: (rank, modules), with (a, b, m, schur_max) per candidate
+    S_a(A) x S_b(B) in decreasing pair-lex order, m = dom - nullity (at
+    least 0) its multiplicity in the image, dom the domain's, and rank =
+    sum(m * dim S_a * dim S_b).  m > schur_max is a RuntimeError.
 
-    `ranks_by_weight` maps the weight of each block of
-    `highest_weight_blocks` to its rank.  Returns (rank, modules): modules lists (a, b, m,
-    schur_max) for each candidate module S_a(A) x S_b(B), with m its
-    multiplicity in the image and schur_max its candidate multiplicity, and
-    rank = sum(m * dim S_a * dim S_b).
-
-    The block at the weight (la, lb) has rank
-        r(l) = sum over candidates v of m_v * K(va, la) * K(vb, lb),
-    K the Kostka numbers (weight multiplicities), which vanish unless v
-    dominates l on both sides and equal 1 at v = l.  Pair-lex order extends
-    that dominance, so the m_l are solved in decreasing pair-lex order; a
-    negative m_l, or one above its Schur maximum, is a RuntimeError.
-
-    Soundness.  The map is GL_n x GL_n-equivariant and defined over Z.
-    Over Q its image is a submodule of the codomain and a quotient of the
-    domain, so by Schur's lemma it is a sum of the candidate modules, each
-    at most schur_max times, and its weight spaces have the dimensions
-    above.  Mod a prime above the degree m + p (m = n - d) of each GL_n
-    factor, polynomial representations of that degree are semisimple and
-    the Weyl modules are simple with the same characters (Green,
-    *Polynomial Representations of GL_n*), so the same holds for the
-    image mod p, whose rank is then the modular rank of the map.  The rank
-    mod p is at most the rank over Q, so the bound is never overstated.
-    A smaller prime is refused before any block is built (`check_minor_map`).
+    Soundness.  F is GL_n x GL_n-equivariant and defined over Z.  Over Q
+    the vectors of weight (a, b) that every raising operator E kills are
+    the highest-weight vectors, dom of them, and F maps them onto the
+    image's, m <= schur_max of them: m = dim ker E - dim ker [E; F].  Mod
+    any prime the rank can only drop, so the nullity can only grow and m
+    only shrink: the bound is never overstated.  A small prime may drop E's
+    own rank, hence the clamp at 0.  An m above schur_max would show a
+    wrong E row, where dom > schur_max.
     """
-    from .partitions import candidate_image, schur_dim, weight_space_dim
+    from .partitions import _decompose_wedge_tensor, candidate_image, schur_dim
 
-    solved = []
-    for a, b, schur_max in reversed(candidate_image(n, d, p)):  # decreasing pair-lex order
+    domain, modules = _decompose_wedge_tensor(n - d, p, n), []
+    for a, b, top in reversed(candidate_image(n, d, p)):  # decreasing pair-lex order
         wa, wb = _padded(a, n), _padded(b, n)
-        m = ranks_by_weight[min((wa, wb), (wb, wa))] - weight_space_dim(
-            {(va, vb): mv for va, vb, mv, _ in solved}, a, b)
-        if not 0 <= m <= schur_max:
-            raise RuntimeError(
-                f"solved multiplicity {m} of {a} x {b} is outside 0..{schur_max}")
-        solved.append((a, b, m, schur_max))
-    rank = sum(m * schur_dim(a, n) * schur_dim(b, n) for a, b, m, _ in solved)
-    return rank, solved
+        m = max(0, domain[a, b] - nullity_by_weight[min((wa, wb), (wb, wa))])
+        if m > top:
+            raise RuntimeError(f"multiplicity {m} of {a} x {b} exceeds its Schur maximum {top}")
+        modules.append((a, b, m, top))
+    return sum(m * schur_dim(a, n) * schur_dim(b, n) for a, b, m, _ in modules), modules
 
 
 def check_named_terms(spec: str, n: int, d: int, p: int, cap: int) -> None:

@@ -321,7 +321,7 @@ def minor_koszul_matrix(n: int, d: int, p: int) -> LabelledMatrix:
 
     Raises if an entry joins labels of different weights: the orbit blocks
     of `minor_orbit_blocks` rest on that grading."""
-    flattening.check_minor_map(n, d, p, None, DEFAULT_MEMORY_CAP_BYTES)
+    flattening.check_minor_map(n, d, p, DEFAULT_MEMORY_CAP_BYTES)
     cols = minor_domain_basis(n, d, p)
     rows = minor_codomain_basis(n, d, p)
     row_index = {label: i for i, label in enumerate(rows)}

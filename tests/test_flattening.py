@@ -30,6 +30,7 @@ from flatrank.flattening import (
     image_modules,
     minor_column_image,
     minor_orbit_blocks,
+    minor_raisings,
     wedge_insert,
     weight_blocks,
 )
@@ -313,11 +314,41 @@ class TestOrbitBlocks:
             assert all(_bidegree_of_label(label, 4) == B.weight for label in [*rows, *B.cols])
 
 
+class TestMinorRaisings:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_matches_the_oracle_on_every_label(self, n):
+        """On every domain label, at every d and p = 1, 2, the raisings
+        grouped by their tag (axis, k) are the oracle's E_{k,k+1} images,
+        no row given twice."""
+        for d, p in product(range(1, n), (1, 2)):
+            for label in minor_domain_basis(n, d, p):
+                rows = minor_raisings(n, label)
+                got: dict = {}
+                for (axis, k, image), v in rows:
+                    got.setdefault((axis, k), {})[image] = v
+                assert len(rows) == sum(map(len, got.values()))
+                want = {(axis, k): image for k in range(1, n) for axis in (0, 1)
+                        if (image := raise_weight({label: 1}, n, k, axis))}
+                assert got == want, label
+
+    def test_highest_weight_space_is_the_kernel(self):
+        """Over Q the vectors of a dominant weight that every raising kills
+        number the domain's multiplicity of that weight, at every candidate
+        of (4,2,2) and (5,2,1)."""
+        for n, d, p in [(4, 2, 2), (5, 2, 1)]:
+            domain = partitions._decompose_wedge_tensor(n - d, p, n)
+            for _, B in highest_weight_blocks(n, d, p):
+                ((_, E),) = weight_blocks([(1, B.weight, B.cols)],
+                                          lambda label: minor_raisings(n, label), "E")
+                a, b = (tuple(filter(None, w)) for w in B.weight)
+                assert len(B.cols) - sparse_rank(E.entries) == domain[a, b]
+
+
 class TestHighestWeightBlocks:
     @pytest.mark.parametrize("n,d,p", [(3, 1, 1), (4, 2, 1), (4, 2, 2), (5, 2, 2)])
     @pytest.mark.parametrize("prime", [DEFAULT_PRIME, None], ids=["mod-p", "rational"])
     def test_equals_orbit_route_and_whole_matrix(self, n, d, p, prime):
-        """The rank solved from the highest-weight blocks equals the rank of
+        """The rank read from the highest-weight blocks equals the rank of
         every orbit block and of the whole matrix, mod p and over Q."""
         hw = list(highest_weight_blocks(n, d, p))
         orbits = list(minor_orbit_blocks(n, d, p))
@@ -350,18 +381,35 @@ class TestHighestWeightBlocks:
             sorted(candidate_image(5, 2, 2), reverse=True)
 
     def test_inconsistent_block_ranks_raise(self):
-        """A negative multiplicity, or one above its Schur maximum, is an
-        error, never a silently smaller or larger rank."""
-        weights = [B.weight for _, B in highest_weight_blocks(4, 2, 2)]
-        top = max(weights)
-        for ranks in ({w: int(w == top) for w in weights}, {w: 2 for w in weights}):
-            with pytest.raises(RuntimeError, match="outside 0..1"):
-                image_modules(4, 2, 2, ranks)
+        """Each multiplicity is read from its own block.  At (4,2,2) the
+        domain holds (2,1,1) x (2,1,1) twice and its Schur maximum is 1: a
+        block rank that would give it m = 2 is an error, never a silently
+        larger rank, and one that would give a negative m reads as 0."""
+        blocks = list(highest_weight_blocks(4, 2, 2))
+        nullity = {B.weight: len(B.cols) - r
+                   for (_, B), r in zip(blocks, rank_mod_p(blocks).block_ranks)}
+        hook, pad = (2, 1, 1), (2, 1, 1, 0)
+        assert partitions._decompose_wedge_tensor(2, 2, 4)[hook, hook] == 2
+        assert (hook, hook, 1) in candidate_image(4, 2, 2) and nullity[pad, pad] == 1
+        with pytest.raises(RuntimeError, match=re.escape(
+                "multiplicity 2 of (2, 1, 1) x (2, 1, 1) exceeds its Schur maximum 1")):
+            image_modules(4, 2, 2, {**nullity, (pad, pad): 0})
+        rank, modules = image_modules(4, 2, 2, {**nullity, (pad, pad): 3})
+        assert rank == 4065 - schur_dim(hook, 4) ** 2
+        assert [m for _, _, m, _ in modules] == [int((a, b) != (hook, hook))
+                                                 for a, b, _, _ in modules]
 
-    @pytest.mark.parametrize("prime", [2, 3, 5])
-    def test_rejects_a_prime_at_most_the_degree(self, prime):
-        with pytest.raises(ValueError, match="at most the degree 5"):
-            flattening.check_minor_map(5, 2, 2, prime, DEFAULT_MEMORY_CAP_BYTES)
+    @pytest.mark.parametrize("n,d,p", [(4, 2, 1), (4, 2, 2), (5, 2, 2), (6, 3, 2)])
+    def test_every_prime_is_sound(self, n, d, p):
+        """Primes at most the modules' degree n - d + p certify at most the
+        rational rank (and, at these points, exactly it)."""
+        blocks = list(highest_weight_blocks(n, d, p))
+        rational = certify("koszul-minor", blocks, n, d, p, None).rank
+        assert rational == theoretical_image_dim(n, d, p)
+        for prime in (3, 5, 7):
+            modular = certify("koszul-minor", blocks, n, d, p, prime).rank
+            assert modular <= rational, prime
+            assert modular == rational, prime
 
     def test_oversized_request_fails_before_enumeration(self, monkeypatch):
         monkeypatch.setattr(flattening, "combinations", None)  # enumerating would crash
@@ -372,26 +420,26 @@ class TestHighestWeightBlocks:
         with pytest.raises(ValueError, match="over the memory cap"):
             list(minor_orbit_blocks(200, 100, 2))
         # det24 fits the default cap
-        flattening.check_minor_map(24, 12, 2, DEFAULT_PRIME, DEFAULT_MEMORY_CAP_BYTES)
+        flattening.check_minor_map(24, 12, 2, DEFAULT_MEMORY_CAP_BYTES)
 
     @pytest.mark.parametrize("method", ["koszul-minor", "minor-orbits"])
-    @pytest.mark.parametrize("n,d,p,prime,cap,message", [
-        (5, 2, 3, DEFAULT_PRIME, DEFAULT_MEMORY_CAP_BYTES, "p must be 1 or 2, got 3"),
-        (5, 5, 2, DEFAULT_PRIME, DEFAULT_MEMORY_CAP_BYTES, "need 0 < d < n, got d=5, n=5"),
-        (5, 2, 2, 5, DEFAULT_MEMORY_CAP_BYTES, "the prime 5 is at most the degree 5"),
-        # the largest blocks alone pass the 256 MiB asked for; each route charges its own
-        (60, 30, 2, DEFAULT_PRIME, 256 << 20, {
+    @pytest.mark.parametrize("n,d,p,cap,message", [
+        (5, 2, 3, DEFAULT_MEMORY_CAP_BYTES, "p must be 1 or 2, got 3"),
+        (5, 5, 2, DEFAULT_MEMORY_CAP_BYTES, "need 0 < d < n, got d=5, n=5"),
+        # the largest blocks alone pass the 256 MiB asked for; each route charges its own,
+        # with 4p raising rows and entries a column
+        (60, 30, 2, 256 << 20, {
             "koszul-minor": "the minor map at n=60, d=30, p=2 builds at least 496 columns, "
-                            "436480 rows and 446400 entries, about 380 MiB",
+                            "440448 rows and 450368 entries, about 383 MiB",
             "minor-orbits": "the minor map at n=60, d=30, p=2 builds at least 492032 columns, "
-                            "147609600 rows and 442828800 entries, about 212286 MiB"}),
-    ], ids=["p", "d", "prime", "blocks"])
+                            "151545856 rows and 446765056 entries, about 215687 MiB"}),
+    ], ids=["p", "d", "blocks"])
     def test_minor_request_is_refused_before_any_column_is_listed(
-            self, monkeypatch, method, n, d, p, prime, cap, message):
+            self, monkeypatch, method, n, d, p, cap, message):
         """Both routes of the minor map answer a bad or oversized request
-        before any column is listed: `check_minor_map` checks (d, p) and the
-        prime, and `_minor_blocks` charges the blocks from the partitions
-        that are their weights."""
+        before any column is listed: `check_minor_map` checks (d, p), and
+        `_minor_blocks` charges the blocks from the partitions that are
+        their weights."""
         def enumerate_(*args):
             raise AssertionError("a column was listed before the request was checked")
 
@@ -399,23 +447,31 @@ class TestHighestWeightBlocks:
         if isinstance(message, dict):
             message = message[method]
         with pytest.raises(ValueError, match=re.escape(message)):
-            flattening_blocks(method, "det", n, d, p, cap, prime=prime)
+            flattening_blocks(method, "det", n, d, p, cap)
 
     @pytest.mark.parametrize("n", range(4, 13))
     def test_charge_counts_each_block(self, n):
         """On both routes, at every d and p = 1, 2, each block has as many
-        columns as `weight_space_dim` counts in the domain, at most as many
-        rows as it counts in the codomain, and at most (n - d)^2 entries a
-        column: the counts `_minor_blocks` charges."""
+        columns as `weight_space_dim` counts in the domain; each column has
+        at most (n - d)^2 entries of F and at most 4p raising rows; so a
+        block has at most as many rows as the codomain's weight space plus
+        4p a column, and at most (n - d)^2 + 4p entries a column: the counts
+        `_minor_blocks` charges, in the blocks' increasing pair-lex order.
+        The orbit route has no raising rows."""
         for d, p in product(range(1, n), (1, 2)):
             m = n - d
             domain = partitions._decompose_wedge_tensor(m, p, n)
             codomain = partitions._decompose_wedge_tensor(m - 1, p + 1, n)
             for route in (highest_weight_blocks, minor_orbit_blocks):
-                for _, B in route(n, d, p):
+                blocks = list(route(n, d, p))
+                assert [B.weight for _, B in blocks] == sorted(B.weight for _, B in blocks)
+                for _, B in blocks:
+                    raisings = [len(minor_raisings(n, label)) for label in B.cols]
+                    assert max(raisings) <= 4 * p
+                    extra = sum(raisings) if route is highest_weight_blocks else 0
                     assert len(B.cols) == partitions.weight_space_dim(domain, *B.weight)
-                    assert B.nrows <= partitions.weight_space_dim(codomain, *B.weight)
-                    assert len(B.entries) <= len(B.cols) * m * m
+                    assert B.nrows <= partitions.weight_space_dim(codomain, *B.weight) + extra
+                    assert len(B.entries) <= len(B.cols) * m * m + extra
 
     @pytest.mark.parametrize("n,d,p", [(24, 12, 2), (60, 30, 1)])
     def test_charge_covers_the_traced_bytes(self, n, d, p):
@@ -538,18 +594,26 @@ class TestColumnEnumeration:
     def test_minor_columns_per_weight(self, route, n, d, p):
         """Each minor block holds the domain basis labels of its weight in
         wedge order, and the rows and entries of the whole matrix at those
-        columns; each entry is the Laplace-signed derivative of its minor."""
+        columns, followed on the highest-weight route by each column's
+        raisings; each entry of F is the Laplace-signed derivative of its
+        minor, and each raising entry is the oracle's."""
         M = whole_minor_matrix(n, d, p)
         by_weight = group_by_weight(minor_domain_basis(n, d, p),
                                     lambda label: _bidegree_of_label(label, n))
         image = {label: [] for label in M.cols}
         for r, c, v in M.entries:
             image[M.cols[c]].append((M.rows[r], v))
+        if route is highest_weight_blocks:
+            image = {label: F + minor_raisings(n, label) for label, F in image.items()}
         minor = cache(minor_poly)
         for _, B in route(n, d, p):
             assert B.cols == sorted(by_weight[B.weight], key=lambda label: label[2])
             rows = _assert_rows_first_met(B, image.__getitem__)
             for r, c, v in B.entries:
+                if isinstance(rows[r][0], int):  # a raising row (axis, k, label)
+                    axis, k, label = rows[r]
+                    assert raise_weight({B.cols[c]: 1}, n, k, axis)[label] == v
+                    continue
                 I2, J2, w2 = rows[r]
                 I, J, w = B.cols[c]
                 (x,) = set(w2) - set(w)
@@ -1000,6 +1064,8 @@ class TestHighestWeightVectors:
 
     @pytest.mark.parametrize("n", [5, 6, 7, 8])
     def test_lemma_vectors_are_highest_weight(self, n):
+        """Each lemma vector is killed by the oracle's raising operators and
+        by `minor_raisings`, the rows the highest-weight blocks stack."""
         checked = 0
         for lid in ALL_LEMMAS:
             for d in range(1, n):
@@ -1008,6 +1074,11 @@ class TestHighestWeightVectors:
                 except ValueError:  # the lemma's shapes do not fit at this (n, d)
                     continue
                 assert vec and self.is_highest_weight(vec, n), (lid, n, d)
+                raised = Counter()
+                for label, coeff in vec.items():
+                    for row, v in minor_raisings(n, label):
+                        raised[row] += coeff * v
+                assert not any(raised.values()), (lid, n, d)
                 checked += 1
         assert checked >= len(ALL_LEMMAS)
 
