@@ -204,7 +204,9 @@ def rank_checks(suite: str) -> list[tuple]:
     expected rank, expected bound), each ranked on the blocks `bound` ranks
     for the method.  A number's second route is another row (the minor map
     against the full map, or its highest-weight blocks against its orbit
-    blocks) or the module dimension count as expected rank.  A pieri row
+    blocks) or the module dimension count as expected rank, which holds
+    only if every module, the paper's lemma modules among them, reaches its
+    Schur maximum: so the minor rows certify both theorems.  A pieri row
     ranks the full map at (d=1, p=4), so no full row repeats it; its second
     route is the tableau-basis Pieri map, the oracle in `tests/`."""
     from . import bounds
@@ -219,10 +221,11 @@ def rank_checks(suite: str) -> list[tuple]:
     ]
     if suite == "paper":
         rows += [
-            (f"minor({n},{n // 2},2) = image dim, bound = main theorem",
-             "koszul-minor", "det", n, n // 2, 2,
-             theoretical_image_dim(n, n // 2, 2),
-             ceil(bounds.main_theorem_value(n)))
+            (f"minor({n},{n // 2},{p}) = image dim, bound = {theorem}",
+             "koszul-minor", "det", n, n // 2, p,
+             theoretical_image_dim(n, n // 2, p), ceil(value(n)))
+            for p, theorem, value in ((1, "preliminary theorem", bounds.preliminary_theorem_value),
+                                      (2, "main theorem", bounds.main_theorem_value))
             for n in range(5, 9)
         ]
         rows += [
@@ -249,33 +252,25 @@ def _check(name: str, ok: bool, detail: str = "") -> bool:
 
 def run_suite(suite: str) -> bool:
     """quick: the dimension and formula checks and the small ranks; paper:
-    those, the paper's ranks and the hwv checks; hwv: the hwv checks.
-    Ranks are taken mod `exact_linalg.DEFAULT_PRIME`."""
+    those and the paper's ranks.  Ranks are taken mod
+    `exact_linalg.DEFAULT_PRIME`."""
     from . import bounds
-    from .hwv import ALL_LEMMAS, verify_hwv_nonzero
     from .partitions import schur_dim
 
-    ok = True
-    if suite != "hwv":
-        ok &= _check("schur dims 1050/1050/70",
-                     schur_dim(PI3, 9) == 1050
-                     and schur_dim((3,) + PI3, 9) == 1050
-                     and schur_dim(PI3, 8) == 70)
-        ok &= _check("formula identities n=5..12",
-                     all(bounds.image_dim_identity(n) and bounds.optimal_d(n) == n // 2
-                         for n in range(5, 13)))
-        for label, method, poly, n, d, p, rank, bound in rank_checks(suite):
-            blocks, t = flattening_blocks(method, poly, n, d, p)
-            r = certify(method, blocks, n, d, p, exact_linalg.DEFAULT_PRIME).rank
-            b = bounds.flattening_bound(r, t)
-            ok &= _check(f"{label}: rank {rank}, bound {bound}",
-                         r == rank and b == bound,
-                         f"rank={r} bound={b} orbits={len(blocks)}")
-    if suite != "quick":
-        for n in range(5, 9):
-            for lid in ALL_LEMMAS:
-                nz, _ = verify_hwv_nonzero(lid, n, n // 2)
-                ok &= _check(f"hwv {lid} n={n} d={n // 2}", nz)
+    ok = _check("schur dims 1050/1050/70",
+                schur_dim(PI3, 9) == 1050
+                and schur_dim((3,) + PI3, 9) == 1050
+                and schur_dim(PI3, 8) == 70)
+    ok &= _check("formula identities n=5..12",
+                 all(bounds.image_dim_identity(n) and bounds.optimal_d(n) == n // 2
+                     for n in range(5, 13)))
+    for label, method, poly, n, d, p, rank, bound in rank_checks(suite):
+        blocks, t = flattening_blocks(method, poly, n, d, p)
+        r = certify(method, blocks, n, d, p, exact_linalg.DEFAULT_PRIME).rank
+        b = bounds.flattening_bound(r, t)
+        ok &= _check(f"{label}: rank {rank}, bound {bound}",
+                     r == rank and b == bound,
+                     f"rank={r} bound={b} orbits={len(blocks)}")
     return bool(ok)
 
 
@@ -319,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_decompose)
 
     sp = sub.add_parser("verify", help="run a verification suite")
-    sp.add_argument("--suite", choices=["quick", "paper", "hwv"], default="quick")
+    sp.add_argument("--suite", choices=["quick", "paper"], default="quick")
     sp.set_defaults(func=cmd_verify)
     return ap
 

@@ -229,13 +229,14 @@ def weight_blocks(groups, column_image, kind: str):
         yield size, FlatteningMatrix(len(row_index), group, entries, kind, weight)
 
 
-def _minor_blocks(n: int, d: int, p: int, weights: list, size_of, column_image,
+def _minor_blocks(n: int, d: int, p: int, pairs, size_of, column_image,
                   memory_cap_bytes: int):
     """`weight_blocks` of the minor-indexed map, rows by `column_image`, at
-    the pairs (wa, wb) of dominant weights given in increasing pair-lex
-    order (largest first), each of size `size_of(pair)`.  Before any column
-    is listed they are charged in that order until the charge passes the
-    cap: domain weight spaces as columns, at most codomain weight spaces
+    the pairs (wa, wb) of dominant weights that each call `pairs()` yields
+    afresh in increasing pair-lex order (largest first), each of size
+    `size_of(pair)`.  Before any column is listed they are charged in that
+    order until the charge passes the cap, so no pair past it is made:
+    domain weight spaces as columns, at most codomain weight spaces
     (`partitions.weight_space_dim`) plus 4p a column as rows, and
     (n - d)^2 + 4p entries a column (`minor_raisings` gives at most p wedge
     and p I-terms a side, as an s - 1 outside I needs a wedge cell).
@@ -247,7 +248,7 @@ def _minor_blocks(n: int, d: int, p: int, weights: list, size_of, column_image,
     candidate_image(n, d, p)  # refuses a bad (d, p); cached after `check_minor_map`
     m, cols, rows, label = n - d, 0, 0, _minor_label_bytes(n, d, p)
     domain, codomain = _decompose_wedge_tensor(m, p, n), _decompose_wedge_tensor(m - 1, p + 1, n)
-    for weight in weights:
+    for weight in pairs():
         cols += (c := weight_space_dim(domain, *weight))
         rows += weight_space_dim(codomain, *weight) + 4 * p * c
         entries = cols * (m * m + 4 * p)
@@ -268,7 +269,7 @@ def _minor_blocks(n: int, d: int, p: int, weights: list, size_of, column_image,
                             tuple(j + 1 for j, v in enumerate(rest_b) if v), w))
         return out
 
-    return weight_blocks(((size_of(w), w, columns(*w)) for w in weights), column_image,
+    return weight_blocks(((size_of(w), w, columns(*w)) for w in pairs()), column_image,
                          "minor_block")
 
 
@@ -289,8 +290,8 @@ def minor_orbit_blocks(n: int, d: int, p: int,
     from .partitions import partitions_of
 
     weights = [_padded(w, n) for w in partitions_of(n - d + p, p + 1) if len(w) <= n][::-1]
-    return _minor_blocks(n, d, p, [(wa, wb) for wa in weights for wb in weights if wa <= wb],
-                         _orbit_size, lambda label: minor_column_image(n, label),
+    pairs = lambda: ((wa, wb) for wa in weights for wb in weights if wa <= wb)
+    return _minor_blocks(n, d, p, pairs, _orbit_size, lambda label: minor_column_image(n, label),
                          memory_cap_bytes)
 
 
@@ -310,7 +311,7 @@ def highest_weight_blocks(n: int, d: int, p: int,
     from .partitions import candidate_image
 
     weights = [(_padded(a, n), _padded(b, n)) for a, b, _ in candidate_image(n, d, p) if a <= b]
-    return _minor_blocks(n, d, p, weights, lambda w: 1 if w[0] == w[1] else 2,
+    return _minor_blocks(n, d, p, lambda: iter(weights), lambda w: 1 if w[0] == w[1] else 2,
                          lambda label: minor_column_image(n, label) + minor_raisings(n, label),
                          memory_cap_bytes)
 

@@ -14,7 +14,7 @@ from math import ceil, comb
 
 import pytest
 
-from flatrank import bounds, hwv, partitions
+from flatrank import bounds, partitions
 from flatrank.exact_linalg import rank_mod_p, rank_rational
 from flatrank.polynomials import (
     determinant_poly,
@@ -108,8 +108,8 @@ def test_criterion_7_highest_weight_vectors():
     failures = [
         (lid, n)
         for n in range(5, 9)
-        for lid in hwv.ALL_LEMMAS
-        if not hwv.verify_hwv_nonzero(lid, n, n // 2)[0]
+        for lid in oracles.ALL_LEMMAS
+        if not oracles.verify_hwv_nonzero(lid, n, n // 2)[0]
     ]
     report(7, not failures, f"8 lemmas x n=5..8, failures: {failures}")
 

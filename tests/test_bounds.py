@@ -16,6 +16,7 @@ from flatrank.bounds import (
     preliminary_theorem_value,
     reference_bounds,
 )
+from flatrank.partitions import theoretical_image_dim
 from oracles import theoretical_matches_f
 
 
@@ -51,6 +52,14 @@ class TestFormulas:
         assert preliminary_theorem_value(5) == (1 + Fraction(8, 4 * 64)) * 100
         with pytest.raises(ValueError):
             preliminary_theorem_value(2)
+
+    def test_preliminary_value_is_the_wedge_1_image_dimension(self):
+        """The wedge-1 theorem's value times t = n^2 - 1 is the module
+        dimension count of the minor map at (n, n // 2, 1), the rank that
+        `verify --suite paper` certifies at n = 5..8."""
+        for n in range(3, 17):
+            assert preliminary_theorem_value(n) * (n * n - 1) == \
+                theoretical_image_dim(n, n // 2, 1), n
 
     def test_main_values(self):
         v5 = main_theorem_value(5)

@@ -748,7 +748,7 @@ def test_importing_the_cli_loads_no_construction_or_introspection_modules():
     Fraction code."""
     loaded = loaded_by("import flatrank.cli")
     assert "flatrank.cli" in loaded
-    for name in ("dataclasses", "inspect", "random", "flatrank.hwv",
+    for name in ("dataclasses", "inspect", "random",
                  "flatrank.schur_flattening", "flatrank.partitions", "flatrank.bounds",
                  "_hashlib", "json", "fractions"):
         assert name not in loaded, name
@@ -767,7 +767,6 @@ def test_a_koszul_bound_run_loads_no_pieri_code(argv, solves_modules):
     assert "flatrank.schur_flattening" not in loaded
     assert ("flatrank.partitions" in loaded) == solves_modules
     assert ("flatrank.polynomials" in loaded) != solves_modules
-    assert "flatrank.hwv" not in loaded
     assert "_hashlib" not in loaded
 
 
@@ -782,7 +781,7 @@ def test_a_pieri_bound_run_loads_no_tableau_or_partition_code(argv):
     loaded = loaded_by(f"from flatrank.cli import main\nassert main({['bound', *argv]!r}) == 0")
     assert "flatrank.flattening" in loaded and "flatrank.polynomials" in loaded
     for name in ("flatrank.partitions", "flatrank.schur_flattening", "schur_flattening",
-                 "flatrank.hwv", "_hashlib"):
+                 "_hashlib"):
         assert name not in loaded, name
 
 

@@ -34,13 +34,6 @@ from flatrank.flattening import (
     wedge_insert,
     weight_blocks,
 )
-from flatrank.hwv import (
-    ALL_LEMMAS,
-    apply_minor_map,
-    hwv_vector,
-    lemma_shapes,
-    verify_hwv_nonzero,
-)
 from flatrank.partitions import candidate_image, schur_dim, theoretical_image_dim
 from flatrank.polynomials import (
     Polynomial,
@@ -55,11 +48,17 @@ from flatrank.polynomials import (
 from schur_flattening import PI3, PIERI_ROWS, PIERI_T, _tableau_groups, pieri_blocks
 from flatrank.cli import certify, flattening_blocks, load_polynomial
 from oracles import (
+    ALL_LEMMAS,
+    P1_LEMMAS,
+    P2_LEMMAS,
+    apply_minor_map,
     bidegree_of_label as _bidegree_of_label,
     full_column_image_by_partials,
     full_domain_basis,
     full_koszul_matrix,
     group_by_weight,
+    hwv_vector,
+    lemma_shapes,
     minor_codomain_basis,
     minor_domain_basis,
     minor_koszul_matrix,
@@ -74,6 +73,7 @@ from oracles import (
     scale,
     ssyt_enumerate,
     substitute_row_column,
+    verify_hwv_nonzero,
 )
 
 
@@ -1024,6 +1024,25 @@ class TestHighestWeightVectors:
             sa, sb = lemma_shapes(lid, 6, 3)
             assert sum(sa) == sum(sb)
             assert schur_dim(sa, 6) > 0 and schur_dim(sb, 6) > 0
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_lemma_modules_reach_their_schur_maximum(self, n):
+        """Each lemma vector has its module's highest weight, and that
+        module is one of the `koszul-minor` certificate's, with m at its
+        Schur maximum: the p1 lemmas at (n, n // 2, 1) and the p2 lemmas at
+        (n, n // 2, 2), the ranks `verify --suite paper` certifies."""
+        d = n // 2
+        for p, lemmas in ((1, P1_LEMMAS), (2, P2_LEMMAS)):
+            blocks, _ = flattening_blocks("koszul-minor", "det", n, d, p)
+            cert = certify("koszul-minor", blocks, n, d, p, DEFAULT_PRIME)
+            at_max = {(tuple(M["a"]), tuple(M["b"])) for M in cert.modules
+                      if M["m"] == M["schur_max"]}
+            for lid in lemmas:
+                sa, sb = lemma_shapes(lid, n, d)
+                highest = (flattening._padded(sa, n), flattening._padded(sb, n))
+                assert {_bidegree_of_label(label, n)
+                        for label in hwv_vector(lid, n, d)} == {highest}, lid
+                assert (sa, sb) in at_max, lid
 
     @pytest.mark.parametrize("lemma_id", ALL_LEMMAS)
     def test_nonzero_at_n5(self, lemma_id):

@@ -84,8 +84,8 @@ def test_every_library_function_is_reached():
     names and attribute names each reached definition reads.  Names stand
     for every definition that carries them, so the walk can only
     over-approximate what runs.  `verify` is the `cmd_verify` root, so the
-    checks it runs (hwv, the orbit route) need no allow-list; code only
-    tests call belongs in `tests/oracles.py`."""
+    checks it runs (the orbit route) need no allow-list; code only tests
+    call, such as the paper's lemma vectors, belongs in `tests/oracles.py`."""
     defs: dict = {}
     for path in SOURCES:
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
