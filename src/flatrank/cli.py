@@ -53,10 +53,10 @@ def flattening_blocks(method: str, spec: str, n: int, d: int | None, p: int | No
     by `spec`, and t, the rank of the same flattening at a power of a linear
     form.  koszul-minor gives its highest-weight blocks, whose ranks
     `certify` turns into the map's rank; minor-orbits, one block per orbit
-    of the same map, is `verify`'s second route for it; a request is checked
-    once (`flattening.check_minor_map`), and its blocks charged before any
-    column is listed.  The pieri method ignores d and p and takes the
-    koszul-full branch at (1, 4).  Only the construction module of the
+    of the same map, is `verify`'s second route for it; both check the
+    request and charge their blocks before any column is listed.  The pieri
+    method takes the koszul-full branch at (1, 4), whatever d and p are
+    passed (`cmd_bound` refuses them).  Only the construction module of the
     method is imported.
 
     Pieri.  The Pieri (Young) flattening of a cubic P at n=3 maps S_pi V
@@ -98,7 +98,6 @@ def flattening_blocks(method: str, spec: str, n: int, d: int | None, p: int | No
     elif spec != "det":
         raise ValueError("koszul-minor is only defined for --poly det")
     else:
-        flattening.check_minor_map(n, d, p, memory_cap_bytes)
         blocks = (flattening.minor_orbit_blocks if method == "minor-orbits"
                   else flattening.highest_weight_blocks)(n, d, p, memory_cap_bytes)
     return list(blocks), comb(n * n - 1, p)
@@ -130,6 +129,8 @@ def cmd_bound(args) -> int:
     from . import bounds
 
     exact_linalg.check_prime(args.prime)  # before anything is built
+    if args.method == "pieri" and (args.d, args.p) != (None, None):
+        raise ValueError("--method pieri takes no --d or --p: it ranks the full map at (1, 4)")
     if args.n < 1:
         raise ValueError("--n must be at least 1")
     if args.memory_cap < 256:

@@ -157,22 +157,6 @@ def _binomial(a: int, b: int, cap: int) -> int:
     return _count(((a - i, i + 1) for i in range(min(b, a - b))), cap)
 
 
-def _minor_label_bytes(n: int, d: int, p: int) -> int:  # about 2(n - d) + p indices
-    return 8 * (2 * (n - d) + p) + _BYTES_PER_ITEM
-
-
-def check_minor_map(n: int, d: int, p: int, memory_cap_bytes: int) -> None:
-    """Reject a minor-map request before anything is enumerated: one column's
-    (n - d)^2 - p rows or more over the memory cap (`_minor_blocks`' prices),
-    then a (d, p) outside `partitions.candidate_image`."""
-    from .partitions import candidate_image
-
-    rows = min((n - d) ** 2 - p, memory_cap_bytes + 1)  # I x J less the cells of w
-    _check_bytes(f"one column of the minor map at n={n}, d={d}, p={p} reaches", [(rows, "rows")],
-                 rows * (_minor_label_bytes(n, d, p) + _BYTES_PER_ENTRY), memory_cap_bytes)
-    candidate_image(n, d, p)
-
-
 def _arrangements(weight: tuple[int, ...]) -> int:
     """Number of distinct rearrangements of a weight vector."""
     out = factorial(len(weight))
@@ -232,21 +216,27 @@ def weight_blocks(groups, column_image, kind: str):
 def _minor_blocks(n: int, d: int, p: int, pairs, size_of, column_image,
                   memory_cap_bytes: int):
     """`weight_blocks` of the minor-indexed map, rows by `column_image`, at
-    the pairs (wa, wb) of dominant weights that each call `pairs()` yields
+    the pairs (wa, wb) of dominant weights that each call `pairs()` lists
     afresh in increasing pair-lex order (largest first), each of size
-    `size_of(pair)`.  Before any column is listed they are charged in that
-    order until the charge passes the cap, so no pair past it is made:
-    domain weight spaces as columns, at most codomain weight spaces
+    `size_of(pair)`.  This is the map's one request check, whoever calls a
+    route.  Before `pairs()` is called it refuses one column's
+    (n - d)^2 - p rows or more over the cap, then a (d, p) outside
+    `partitions.candidate_image`; then it charges the pairs in order until
+    the charge passes the cap, with no pair past it made and no column
+    listed: domain weight spaces as columns, at most codomain weight spaces
     (`partitions.weight_space_dim`) plus 4p a column as rows, and
     (n - d)^2 + 4p entries a column (`minor_raisings` gives at most p wedge
-    and p I-terms a side, as an s - 1 outside I needs a wedge cell).
-    A column's p-wedge w takes cells (i, j) with wa[i] and wb[j] nonzero,
-    in wedge order; its remainders I = wa - rows(w) and J = wb - cols(w)
-    must be 0/1 vectors."""
+    and p I-terms a side, as an s - 1 outside I needs a wedge cell).  A
+    column's p-wedge w takes cells (i, j) with wa[i] and wb[j] nonzero, in
+    wedge order; its remainders I = wa - rows(w), J = wb - cols(w) must be 0/1."""
     from .partitions import _decompose_wedge_tensor, candidate_image, weight_space_dim
 
-    candidate_image(n, d, p)  # refuses a bad (d, p); cached after `check_minor_map`
-    m, cols, rows, label = n - d, 0, 0, _minor_label_bytes(n, d, p)
+    m, label = n - d, 8 * (2 * (n - d) + p) + _BYTES_PER_ITEM  # about 2(n - d) + p indices
+    rows = min(m * m - p, memory_cap_bytes + 1)  # I x J less the cells of w
+    _check_bytes(f"one column of the minor map at n={n}, d={d}, p={p} reaches", [(rows, "rows")],
+                 rows * (label + _BYTES_PER_ENTRY), memory_cap_bytes)
+    candidate_image(n, d, p)  # refuses a bad (d, p)
+    cols = rows = 0
     domain, codomain = _decompose_wedge_tensor(m, p, n), _decompose_wedge_tensor(m - 1, p + 1, n)
     for weight in pairs():
         cols += (c := weight_space_dim(domain, *weight))
@@ -289,8 +279,9 @@ def minor_orbit_blocks(n: int, d: int, p: int,
     """
     from .partitions import partitions_of
 
-    weights = [_padded(w, n) for w in partitions_of(n - d + p, p + 1) if len(w) <= n][::-1]
-    pairs = lambda: ((wa, wb) for wa in weights for wb in weights if wa <= wb)
+    def pairs():
+        weights = [_padded(w, n) for w in partitions_of(n - d + p, p + 1) if len(w) <= n][::-1]
+        return ((wa, wb) for wa in weights for wb in weights if wa <= wb)
     return _minor_blocks(n, d, p, pairs, _orbit_size, lambda label: minor_column_image(n, label),
                          memory_cap_bytes)
 
@@ -310,8 +301,9 @@ def highest_weight_blocks(n: int, d: int, p: int,
     """
     from .partitions import candidate_image
 
-    weights = [(_padded(a, n), _padded(b, n)) for a, b, _ in candidate_image(n, d, p) if a <= b]
-    return _minor_blocks(n, d, p, lambda: iter(weights), lambda w: 1 if w[0] == w[1] else 2,
+    pairs = lambda: ((_padded(a, n), _padded(b, n))
+                     for a, b, _ in candidate_image(n, d, p) if a <= b)
+    return _minor_blocks(n, d, p, pairs, lambda w: 1 if w[0] == w[1] else 2,
                          lambda label: minor_column_image(n, label) + minor_raisings(n, label),
                          memory_cap_bytes)
 

@@ -19,11 +19,11 @@ from math import comb, factorial, lcm
 
 from flatrank import flattening
 from flatrank.bounds import f_formula
-from flatrank.exact_linalg import DEFAULT_MEMORY_CAP_BYTES
 from flatrank.flattening import FlatteningMatrix, MinorLabel, wedge_insert
 from flatrank.partitions import (
     Partition,
     _decompose_wedge_tensor,
+    candidate_image,
     conjugate,
     make_partition,
     theoretical_image_dim,
@@ -322,7 +322,7 @@ def minor_koszul_matrix(n: int, d: int, p: int) -> LabelledMatrix:
 
     Raises if an entry joins labels of different weights: the orbit blocks
     of `minor_orbit_blocks` rest on that grading."""
-    flattening.check_minor_map(n, d, p, DEFAULT_MEMORY_CAP_BYTES)
+    candidate_image(n, d, p)  # refuses a bad (d, p)
     cols = minor_domain_basis(n, d, p)
     rows = minor_codomain_basis(n, d, p)
     row_index = {label: i for i, label in enumerate(rows)}

@@ -388,6 +388,9 @@ class TestBound:
         (["--poly", "perm", "--n", "4", "--method", "koszul-minor"],
          "only defined for --poly det"),
         (["--poly", "det", "--n", "4", "--method", "pieri"], "n=3 only"),
+        # pieri ranks the full map at (1, 4), so a --d or --p it would not use is refused
+        (["--poly", "det", "--n", "3", "--method", "pieri", "--d", "7", "--p", "9"],
+         "--method pieri takes no --d or --p"),
         (["--poly", "nope", "--n", "3", "--method", "koszul-full"],
          "unknown polynomial"),
         (["--poly", "det", "--n", "3", "--method", "koszul-minor",

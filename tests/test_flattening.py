@@ -419,8 +419,19 @@ class TestHighestWeightBlocks:
             list(minor_orbit_blocks(60, 30, 2, memory_cap_bytes=256 << 20))
         with pytest.raises(ValueError, match="over the memory cap"):
             list(minor_orbit_blocks(200, 100, 2))
-        # det24 fits the default cap
-        flattening.check_minor_map(24, 12, 2, DEFAULT_MEMORY_CAP_BYTES)
+        # det24 fits the default cap: its blocks are charged, and listed only when iterated
+        highest_weight_blocks(24, 12, 2)
+
+        def compute(*args):
+            raise AssertionError("a weight was computed before one column was checked")
+
+        # called directly, each route refuses one column before any weight is computed
+        for name in ("kostka", "candidate_image", "partitions_of"):
+            monkeypatch.setattr(partitions, name, compute)
+        for route, p in product((highest_weight_blocks, minor_orbit_blocks), (1, 2)):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"one column of the minor map at n=100000, d=50000, p={p} reaches")):
+                route(100000, 50000, p)
 
     @pytest.mark.parametrize("method", ["koszul-minor", "minor-orbits"])
     @pytest.mark.parametrize("n,d,p,cap,message", [
@@ -437,9 +448,8 @@ class TestHighestWeightBlocks:
     def test_minor_request_is_refused_before_any_column_is_listed(
             self, monkeypatch, method, n, d, p, cap, message):
         """Both routes of the minor map answer a bad or oversized request
-        before any column is listed: `check_minor_map` checks (d, p), and
-        `_minor_blocks` charges the blocks from the partitions that are
-        their weights."""
+        before any column is listed: `_minor_blocks` checks (d, p), then
+        charges the blocks from the partitions that are their weights."""
         def enumerate_(*args):
             raise AssertionError("a column was listed before the request was checked")
 

@@ -1,4 +1,6 @@
 import ast
+import re
+import tokenize
 from pathlib import Path
 
 import flatrank
@@ -151,3 +153,53 @@ def test_no_method_name_on_two_library_classes():
                         owners.setdefault(item.name, []).append(f"{path.stem}.{node.name}")
     shared = {name: classes for name, classes in owners.items() if len(classes) > 1}
     assert owners and not shared, shared
+
+
+def _backticked_names(path: Path, tree):
+    """(line, name) for each backticked dotted name, with or without a call,
+    in the module's docstrings and comments; paths and options are not
+    names."""
+    texts = [(node.body[0].lineno, ast.get_docstring(node, clean=False))
+             for node in ast.walk(tree)
+             if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+             and ast.get_docstring(node, clean=False)]
+    with path.open() as f:
+        texts += [(tok.start[0], tok.string) for tok in tokenize.generate_tokens(f.readline)
+                  if tok.type == tokenize.COMMENT]
+    for line, text in texts:
+        for span in re.finditer(r"`([^`]+)`", text):
+            if name := re.fullmatch(r"([A-Za-z_][\w.]*)(\(.*\))?", span[1], re.S):
+                yield line + text.count("\n", 0, span.start()), name[1]
+
+
+def test_every_backticked_name_resolves():
+    """A docstring or comment that names code in backticks names code that
+    exists: the name's last dotted part is a library definition (a
+    function, class, constant or variable), parameter or attribute, a
+    library or imported module, or a string literal of `cli` (a command,
+    an option value or a polynomial name).  So a renamed or deleted
+    function leaves no mention behind."""
+    trees = [(path, ast.parse(path.read_text(), str(path))) for path in SOURCES]
+    known = set()
+    for path, tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                known.add(node.name)
+            elif isinstance(node, ast.arg):
+                known.add(node.arg)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                known.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                known.add(node.attr)
+            elif isinstance(node, ast.Import):
+                known.update(part for alias in node.names for part in alias.name.split("."))
+            elif isinstance(node, ast.ImportFrom):
+                known.update((node.module or "").split("."))
+            elif isinstance(node, ast.Constant) and path.stem == "cli" \
+                    and isinstance(node.value, str):
+                known.add(node.value)
+        known.add(path.stem)
+    found = [f"{path.name}:{line} {name}" for path, tree in trees
+             for line, name in _backticked_names(path, tree)
+             if name.split(".")[-1] not in known]
+    assert SOURCES and not found, found
