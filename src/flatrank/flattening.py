@@ -23,7 +23,7 @@ the other maps imports `polynomials`.
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb, factorial
 from operator import ge, sub
 
@@ -226,9 +226,8 @@ def _minor_blocks(n: int, d: int, p: int, pairs, size_of, column_image,
     listed: domain weight spaces as columns, at most codomain weight spaces
     (`partitions.weight_space_dim`) plus 4p a column as rows, and
     (n - d)^2 + 4p entries a column (`minor_raisings` gives at most p wedge
-    and p I-terms a side, as an s - 1 outside I needs a wedge cell).  A
-    column's p-wedge w takes cells (i, j) with wa[i] and wb[j] nonzero, in
-    wedge order; its remainders I = wa - rows(w), J = wb - cols(w) must be 0/1."""
+    and p I-terms a side, as an s - 1 outside I needs a wedge cell).  Only
+    then does a block list its columns (`_minor_columns`)."""
     from .partitions import _decompose_wedge_tensor, candidate_image, weight_space_dim
 
     m, label = n - d, 8 * (2 * (n - d) + p) + _BYTES_PER_ITEM  # about 2(n - d) + p indices
@@ -246,21 +245,26 @@ def _minor_blocks(n: int, d: int, p: int, pairs, size_of, column_image,
                      [(cols, "columns"), (rows, "rows"), (entries, "entries")],
                      (cols + rows) * label + entries * _BYTES_PER_ENTRY, memory_cap_bytes)
 
-    def columns(wa, wb):
-        cells = [i * n + j for i in range(n) if wa[i] for j in range(n) if wb[j]]
-        out = []
-        for w in combinations(cells, p):
-            rest_a, rest_b = list(wa), list(wb)
-            for x in w:
-                rest_a[x // n] -= 1
-                rest_b[x % n] -= 1
-            if {*rest_a, *rest_b} <= {0, 1}:
-                out.append((tuple(i + 1 for i, v in enumerate(rest_a) if v),
-                            tuple(j + 1 for j, v in enumerate(rest_b) if v), w))
-        return out
+    return weight_blocks(((size_of(w), w, _minor_columns(n, p, *w)) for w in pairs()),
+                         column_image, "minor_block")
 
-    return weight_blocks(((size_of(w), w, columns(*w)) for w in pairs()), column_image,
-                         "minor_block")
+
+def _minor_columns(n: int, p: int, wa, wb) -> list[MinorLabel]:
+    """The columns (I, J, w) of the minor map at weight (wa, wb), in wedge
+    order.  As wa = 1_I + rows(w), w's row multiset R holds wa[k] - 1 copies
+    of each k and one more of each k in a (p - excess)-subset of wa's
+    support, I being the rest (a route's weights exceed 1 by at most p in
+    all); C and J likewise over wb.  w's cells pair R with an ordering of C,
+    p distinct cells, and each such pairing is a column; w fixes R, C, I and
+    J, so the set lists each column once."""
+    def splits(weight):  # (R, I) pairs
+        base = [k for k, v in enumerate(weight) for _ in range(v - 1)]
+        support = [k for k, v in enumerate(weight) if v]
+        return [((*base, *extra), tuple(k + 1 for k in support if k not in extra))
+                for extra in combinations(support, p - len(base))]
+    labels = {(I, J, tuple(sorted({i * n + j for i, j in zip(R, order)})))
+              for R, I in splits(wa) for C, J in splits(wb) for order in permutations(C)}
+    return sorted((label for label in labels if len(label[2]) == p), key=lambda label: label[2])
 
 
 def minor_orbit_blocks(n: int, d: int, p: int,
@@ -279,8 +283,10 @@ def minor_orbit_blocks(n: int, d: int, p: int,
     """
     from .partitions import partitions_of
 
-    def pairs():
-        weights = [_padded(w, n) for w in partitions_of(n - d + p, p + 1) if len(w) <= n][::-1]
+    def pairs():  # a column's weight 1_I + rows(w) exceeds 1 by at most p in all
+        weights = sorted(_padded([part + 1 for part in mu] + [1] * k, n)
+                         for s in range(p + 1) for mu in partitions_of(s)
+                         if 0 <= (k := n - d + p - s - len(mu)) <= n - len(mu))
         return ((wa, wb) for wa in weights for wb in weights if wa <= wb)
     return _minor_blocks(n, d, p, pairs, _orbit_size, lambda label: minor_column_image(n, label),
                          memory_cap_bytes)

@@ -317,6 +317,25 @@ def minor_codomain_basis(n: int, d: int, p: int) -> list:
     return [(I, J, w) for I in subs for J in subs for w in wedges]
 
 
+def minor_columns_by_scan(n: int, p: int, wa, wb) -> list:
+    """The reference for `flattening._minor_columns`: the columns (I, J, w)
+    of the minor map at weight (wa, wb), found by scanning every p-subset w
+    of the cells (i, j) with wa[i] and wb[j] nonzero, in wedge order, and
+    keeping those whose remainders I = wa - rows(w), J = wb - cols(w) are
+    0/1 vectors."""
+    cells = [i * n + j for i in range(n) if wa[i] for j in range(n) if wb[j]]
+    out = []
+    for w in combinations(cells, p):
+        rest_a, rest_b = list(wa), list(wb)
+        for x in w:
+            rest_a[x // n] -= 1
+            rest_b[x % n] -= 1
+        if {*rest_a, *rest_b} <= {0, 1}:
+            out.append((tuple(i + 1 for i, v in enumerate(rest_a) if v),
+                        tuple(j + 1 for j, v in enumerate(rest_b) if v), w))
+    return out
+
+
 def minor_koszul_matrix(n: int, d: int, p: int) -> LabelledMatrix:
     """Matrix of the minor-indexed Koszul map for the n x n determinant.
 

@@ -588,7 +588,7 @@ class TestBound:
         def enumerate_(*args):
             raise AssertionError("a column was listed before the request was refused")
 
-        monkeypatch.setattr(flattening, "combinations", enumerate_)
+        monkeypatch.setattr(flattening, "_minor_columns", enumerate_)
         start = time.perf_counter()
         code = main(["bound", "--poly", "det", "--n", str(n), "--method", "koszul-minor",
                      "--d", str(n // 2), "--p", str(p)])

@@ -4,6 +4,7 @@ import re
 import tracemalloc
 from collections import Counter
 import tempfile
+import time
 import weakref
 from fractions import Fraction
 from functools import cache
@@ -60,6 +61,7 @@ from oracles import (
     hwv_vector,
     lemma_shapes,
     minor_codomain_basis,
+    minor_columns_by_scan,
     minor_domain_basis,
     minor_koszul_matrix,
     minor_poly,
@@ -412,7 +414,7 @@ class TestHighestWeightBlocks:
             assert modular == rational, prime
 
     def test_oversized_request_fails_before_enumeration(self, monkeypatch):
-        monkeypatch.setattr(flattening, "combinations", None)  # enumerating would crash
+        monkeypatch.setattr(flattening, "_minor_columns", None)  # listing would crash
         with pytest.raises(ValueError, match="over the memory cap of 256 MiB"):
             list(highest_weight_blocks(60, 30, 2, memory_cap_bytes=256 << 20))
         with pytest.raises(ValueError, match="over the memory cap of 256 MiB"):
@@ -421,6 +423,22 @@ class TestHighestWeightBlocks:
             list(minor_orbit_blocks(200, 100, 2))
         # det24 fits the default cap: its blocks are charged, and listed only when iterated
         highest_weight_blocks(24, 12, 2)
+
+        # the orbit route lists its weights from partitions of at most p, and only the
+        # codomain's decomposition takes p + 1: at n=1262 it refuses its first block at once
+        partitions_of = partitions.partitions_of
+
+        def small_partitions(size, *args):
+            if size > 3:
+                raise AssertionError(f"partitions of {size} were listed")
+            return partitions_of(size, *args)
+
+        monkeypatch.setattr(partitions, "partitions_of", small_partitions)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="^the minor map at n=1262, d=631, p=2 builds at "
+                           "least 80022401568 columns, "):
+            minor_orbit_blocks(1262, 631, 2)
+        assert time.perf_counter() - start < 1
 
         def compute(*args):
             raise AssertionError("a weight was computed before one column was checked")
@@ -453,7 +471,7 @@ class TestHighestWeightBlocks:
         def enumerate_(*args):
             raise AssertionError("a column was listed before the request was checked")
 
-        monkeypatch.setattr(flattening, "combinations", enumerate_)
+        monkeypatch.setattr(flattening, "_minor_columns", enumerate_)
         if isinstance(message, dict):
             message = message[method]
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -467,21 +485,40 @@ class TestHighestWeightBlocks:
         block has at most as many rows as the codomain's weight space plus
         4p a column, and at most (n - d)^2 + 4p entries a column: the counts
         `_minor_blocks` charges, in the blocks' increasing pair-lex order.
-        The orbit route has no raising rows."""
+        The orbit route has no raising rows.  Each block's columns are the
+        scan's over its weight's cells (`minor_columns_by_scan`), in order,
+        and the orbit route has a block at every dominant pair with wa <= wb
+        whose domain weight space is nonzero."""
         for d, p in product(range(1, n), (1, 2)):
             m = n - d
             domain = partitions._decompose_wedge_tensor(m, p, n)
             codomain = partitions._decompose_wedge_tensor(m - 1, p + 1, n)
+            weights = [w + (0,) * (n - len(w)) for w in partitions.partitions_of(m + p, p + 1)
+                       if len(w) <= n]
             for route in (highest_weight_blocks, minor_orbit_blocks):
                 blocks = list(route(n, d, p))
                 assert [B.weight for _, B in blocks] == sorted(B.weight for _, B in blocks)
+                if route is minor_orbit_blocks:
+                    assert {B.weight for _, B in blocks} == {
+                        (wa, wb) for wa in weights for wb in weights
+                        if wa <= wb and partitions.weight_space_dim(domain, wa, wb)}
                 for _, B in blocks:
+                    assert B.cols == minor_columns_by_scan(n, p, *B.weight)
                     raisings = [len(minor_raisings(n, label)) for label in B.cols]
                     assert max(raisings) <= 4 * p
                     extra = sum(raisings) if route is highest_weight_blocks else 0
                     assert len(B.cols) == partitions.weight_space_dim(domain, *B.weight)
                     assert B.nrows <= partitions.weight_space_dim(codomain, *B.weight) + extra
                     assert len(B.entries) <= len(B.cols) * m * m + extra
+
+    @pytest.mark.parametrize("n,d,p", [(16, 4, 2), (24, 12, 2), (242, 121, 1)])
+    def test_columns_are_the_scan_of_their_cells(self, n, d, p):
+        """`_minor_columns` lists, in the same order, the columns the scan
+        over each weight's cells finds, at every weight of the kernel route,
+        without building a block."""
+        for a, b, _ in candidate_image(n, d, p):
+            wa, wb = a + (0,) * (n - len(a)), b + (0,) * (n - len(b))
+            assert flattening._minor_columns(n, p, wa, wb) == minor_columns_by_scan(n, p, wa, wb)
 
     @pytest.mark.parametrize("n,d,p", [(24, 12, 2), (60, 30, 1)])
     def test_charge_covers_the_traced_bytes(self, n, d, p):
