@@ -109,13 +109,17 @@ def optimal_d(n: int) -> int:
 
 
 def reference_bounds(n: int, which_poly: str = "det") -> dict:
-    """Named reference values for side-by-side comparison tables.
+    """Named reference values proved for the polynomial, for side-by-side
+    comparison tables: the determinant's from n = 2, the permanent's at
+    n = 3, and none for any other polynomial or n.
 
     The asymptotic estimate is a float annotation only, left out where it
     passes the float range (from n = 512); all other values are exact.
     """
-    if n < 2:
-        raise ValueError("n must be at least 2")
+    if which_poly == "perm" and n == 3:
+        return {"n": n, "poly": which_poly, "perm3_border_lower": 14, "perm3_border_upper": 16}
+    if which_poly != "det" or n < 2:
+        return {}
     out: dict = {"n": n, "poly": which_poly}
     half = n // 2
     out["classical_border_lower"] = comb(n, half) ** 2
@@ -130,9 +134,6 @@ def reference_bounds(n: int, which_poly: str = "det") -> dict:
         out["asymptotic_estimate"] = 2 ** (2 * n + 1) / (pi * n) + 2 ** (2 * n + 1) / (
             pi * n**4
         )
-    if which_poly == "perm" and n == 3:
-        out["perm3_border_lower"] = 14
-        out["perm3_border_upper"] = 16
     return out
 
 

@@ -52,7 +52,7 @@ def flattening_blocks(method: str, spec: str, n: int, d: int | None, p: int | No
     """The (orbit_size, block) pairs of a flattening of the polynomial named
     by `spec`, and t, the rank of the same flattening at a power of a linear
     form.  koszul-minor gives its highest-weight blocks, whose ranks
-    `certify` turns into the map's rank; minor-orbits, one block per orbit
+    `certificate` turns into the map's rank; minor-orbits, one block per orbit
     of the same map, is `verify`'s second route for it; both check the
     request and charge their blocks before any column is listed.  The pieri
     method takes the koszul-full branch at (1, 4), whatever d and p are
@@ -103,26 +103,39 @@ def flattening_blocks(method: str, spec: str, n: int, d: int | None, p: int | No
     return list(blocks), comb(n * n - 1, p)
 
 
-def certify(method: str, blocks: list, n: int, d: int | None, p: int | None,
-            prime: int | None,
-            memory_cap_bytes: int = exact_linalg.DEFAULT_MEMORY_CAP_BYTES):
-    """The rank certificate of `flattening_blocks`' blocks, mod `prime` or,
-    for prime=None, over the rationals.  For koszul-minor the blocks are
-    highest-weight blocks: the certificate's rank becomes the map's rank
-    read from their nullities, and its `modules` the image modules
-    (`flattening.image_modules`)."""
-    if prime is None:
-        cert = rank_rational(blocks, memory_cap_bytes=memory_cap_bytes)
-    else:
-        cert = rank_mod_p(blocks, prime, memory_cap_bytes=memory_cap_bytes)
+def certificate(method: str, spec: str, n: int, d: int | None, p: int | None,
+                prime: int = exact_linalg.DEFAULT_PRIME, rational: bool = False,
+                memory_cap_bytes: int = exact_linalg.DEFAULT_MEMORY_CAP_BYTES):
+    """The `bounds.BoundCertificate` that `bound` prints and `verify`
+    checks: the rank of `flattening_blocks`' blocks mod `prime` and, with
+    `rational`, over Q too, the larger rank giving the bound.  For
+    koszul-minor the blocks are highest-weight blocks: each rank
+    certificate's rank becomes the map's rank read from their nullities,
+    and its `modules` the image modules (`flattening.image_modules`)."""
+    from . import bounds
+
+    # weight blocks, few and small enough to rebuild every run
+    blocks, t = flattening_blocks(method, spec, n, d, p, memory_cap_bytes)
+    certs = [rank_mod_p(blocks, prime, memory_cap_bytes=memory_cap_bytes)]
+    if rational:
+        certs.append(rank_rational(blocks, memory_cap_bytes=memory_cap_bytes))
     if method == "koszul-minor":
         from .flattening import image_modules
 
-        nullities = {B.weight: len(B.cols) - r for (_, B), r in zip(blocks, cert.block_ranks)}
-        cert.rank, modules = image_modules(n, d, p, nullities)
-        cert.modules = [{"a": list(a), "b": list(b), "m": m, "schur_max": top}
-                        for a, b, m, top in modules]
-    return cert
+        for cert in certs:
+            nullities = {B.weight: len(B.cols) - r
+                         for (_, B), r in zip(blocks, cert.block_ranks)}
+            cert.rank, modules = image_modules(n, d, p, nullities)
+            cert.modules = [{"a": list(a), "b": list(b), "m": m, "schur_max": top}
+                            for a, b, m, top in modules]
+    if certs[0].rank != certs[-1].rank:
+        print("warning: modular and rational ranks disagree", file=sys.stderr)
+    if method == "pieri":
+        d = p = None
+    return bounds.BoundCertificate(
+        polynomial="file" if spec.startswith("file:") else spec,
+        method=method.replace("-", "_"), n=n, d=d, p=p,
+        rank_F=max(c.rank for c in certs), t=t, provenance=certs)
 
 
 def cmd_bound(args) -> int:
@@ -135,35 +148,23 @@ def cmd_bound(args) -> int:
         raise ValueError("--n must be at least 1")
     if args.memory_cap < 256:
         raise ValueError("--memory-cap must be at least 256 MiB")
-    cap = args.memory_cap << 20
-    n, method = args.n, args.method
+    n = args.n
     d = args.d if args.d is not None else max(1, n // 2)
     p = args.p if args.p is not None else 2
-    # weight blocks, few and small enough to rebuild every run
-    blocks, t = flattening_blocks(method, args.poly, n, d, p, cap)
-    if method == "pieri":
-        d = p = None
-    name = "file" if args.poly.startswith("file:") else args.poly
-    certs = [certify(method, blocks, n, d, p, args.prime, cap)]
-    if args.rational:
-        certs.append(certify(method, blocks, n, d, p, None, cap))
-        if certs[0].rank != certs[-1].rank:
-            print("warning: modular and rational ranks disagree", file=sys.stderr)
-    cert = bounds.BoundCertificate(
-        polynomial=name, method=method.replace("-", "_"), n=n, d=d, p=p,
-        rank_F=max(c.rank for c in certs), t=t, provenance=certs,
-    )
+    cert = certificate(args.method, args.poly, n, d, p, args.prime, args.rational,
+                       args.memory_cap << 20)
     if args.format == "json":
         print(cert.to_json())
     else:
-        print(f"polynomial      : {name} (n={n})")
-        print(f"method          : {method}" + (f" d={d} p={p}" if d else ""))
+        print(f"polynomial      : {cert.polynomial} (n={n})")
+        print(f"method          : {args.method}"
+              + (f" d={cert.d} p={cert.p}" if cert.d else ""))
         print(f"rank(F)         : {cert.rank_F}")
-        print(f"t               : {t}")
+        print(f"t               : {cert.t}")
         print(f"border rank >=  : {cert.bound}")
-        if n >= 2:  # where `bounds.reference_bounds` is defined
+        if refs := bounds.reference_bounds(n, cert.polynomial):
             print("reference bounds:")
-            for k, v in bounds.reference_bounds(n, name).items():
+            for k, v in refs.items():
                 print(f"  {k:24s} {v}")
     return 0
 
@@ -266,12 +267,11 @@ def run_suite(suite: str) -> bool:
                  all(bounds.image_dim_identity(n) and bounds.optimal_d(n) == n // 2
                      for n in range(5, 13)))
     for label, method, poly, n, d, p, rank, bound in rank_checks(suite):
-        blocks, t = flattening_blocks(method, poly, n, d, p)
-        r = certify(method, blocks, n, d, p, exact_linalg.DEFAULT_PRIME).rank
-        b = bounds.flattening_bound(r, t)
+        cert = certificate(method, poly, n, d, p)
+        r, b = cert.rank_F, cert.bound
         ok &= _check(f"{label}: rank {rank}, bound {bound}",
                      r == rank and b == bound,
-                     f"rank={r} bound={b} orbits={len(blocks)}")
+                     f"rank={r} bound={b} orbits={cert.provenance[0].orbits}")
     return bool(ok)
 
 

@@ -67,9 +67,10 @@ class RankCertificate:
     blocks ranked and `blocks` the weight blocks they stand for;
     `block_ranks` holds each block's own rank, in block order.
 
-    A caller that derives the rank from the block ranks in another way
-    replaces `rank` and may set `modules`, a list of JSON-ready records of
-    how the rank decomposes, which the JSON form then carries."""
+    `cli.certificate` derives the minor map's rank from the block ranks of
+    its highest-weight blocks: it replaces `rank` and sets `modules`, a
+    list of JSON-ready records of how the rank decomposes, which the JSON
+    form then carries."""
 
     def __init__(self, rank: int, prime: int | None, matrix_hash: str,
                  elapsed: float, blocks: int, block_ranks: list[int]):

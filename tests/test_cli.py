@@ -169,6 +169,51 @@ class TestBound:
         assert "border rank >=  : 38" in out
         assert "preliminary_bound" in out
 
+    DET_ROWS = ("classical_border_lower", "preliminary_bound", "main_bound",
+                "symmetric_rank_lower", "symmetric_rank_upper", "asymptotic_estimate")
+
+    def test_table_lists_no_det_values_for_another_polynomial(self, capsys, tmp_path):
+        """The reference block holds only values proved for the polynomial
+        ranked (`bounds.reference_bounds`): det's bounds say nothing of x^3,
+        a sum of two cubes or perm4, so those tables have no block."""
+        path = tmp_path / "cubes.json"
+        path.write_text(polynomial_json(random_low_rank(2, 3, 3, 0)))
+        for poly, n in (("power", 3), (f"file:{path}", 3), ("perm", 4)):
+            code, out = run(["bound", "--poly", poly, "--n", str(n), "--method",
+                             "koszul-full", "--d", "1", "--p", "1" if n == 4 else "2"], capsys)
+            assert code == 0 and "border rank >=  : " in out
+            assert "reference bounds" not in out
+            assert not any(row in out for row in self.DET_ROWS), poly
+
+    def test_perm3_table_lists_only_its_two_values(self, capsys):
+        code, out = run(["bound", "--poly", "perm", "--n", "3", "--method", "koszul-full",
+                         "--d", "1", "--p", "2"], capsys)
+        block = out.split("reference bounds:\n")[1]
+        assert [line.split() for line in block.splitlines()] == [
+            ["n", "3"], ["poly", "perm"],
+            ["perm3_border_lower", "14"], ["perm3_border_upper", "16"]]
+
+    @pytest.mark.parametrize("argv,args,rational", [
+        (["--poly", "det", "--n", "5", "--method", "koszul-minor"],
+         ("koszul-minor", "det", 5, 2, 2), False),
+        (["--poly", "det", "--n", "4", "--method", "koszul-full"],
+         ("koszul-full", "det", 4, 2, 2), False),
+        (["--poly", "perm", "--n", "3", "--method", "pieri", "--rational"],
+         ("pieri", "perm", 3, None, None), True),
+    ])
+    def test_json_is_the_certificate(self, capsys, argv, args, rational):
+        """`bound` prints `cli.certificate`'s certificate, the one `verify`
+        checks, elimination times aside."""
+        def masked(text):
+            rec = json.loads(text)
+            for c in rec["provenance"]:
+                del c["elapsed_ms"]
+            return rec
+
+        code, out = run(["bound", *argv, "--format", "json"], capsys)
+        assert code == 0
+        assert masked(out) == masked(cli.certificate(*args, rational=rational).to_json())
+
     def test_rational_flag(self, capsys):
         code, out = run(
             ["bound", "--poly", "det", "--n", "3", "--method", "koszul-minor",

@@ -47,7 +47,7 @@ from flatrank.polynomials import (
     variable_power,
 )
 from schur_flattening import PI3, PIERI_ROWS, PIERI_T, _tableau_groups, pieri_blocks
-from flatrank.cli import certify, flattening_blocks, load_polynomial
+from flatrank.cli import certificate, flattening_blocks, load_polynomial
 from oracles import (
     ALL_LEMMAS,
     P1_LEMMAS,
@@ -352,12 +352,12 @@ class TestHighestWeightBlocks:
     def test_equals_orbit_route_and_whole_matrix(self, n, d, p, prime):
         """The rank read from the highest-weight blocks equals the rank of
         every orbit block and of the whole matrix, mod p and over Q."""
-        hw = list(highest_weight_blocks(n, d, p))
-        orbits = list(minor_orbit_blocks(n, d, p))
         M = whole_minor_matrix(n, d, p)
         whole = sparse_rank(M.entries, p=prime)
-        assert certify("koszul-minor", hw, n, d, p, prime).rank == whole
-        assert certify("minor-orbits", orbits, n, d, p, prime).rank == whole
+        rank = lambda method: certificate(method, "det", n, d, p,
+                                          rational=prime is None).provenance[-1].rank
+        assert rank("koszul-minor") == whole
+        assert rank("minor-orbits") == whole
 
     @pytest.mark.parametrize("n,d,p", [(4, 2, 2), (5, 2, 2), (6, 3, 2), (7, 2, 1)])
     def test_one_block_per_transpose_pair_of_candidates(self, n, d, p):
@@ -374,8 +374,7 @@ class TestHighestWeightBlocks:
             assert all(_bidegree_of_label(label, n) == B.weight for label in B.cols)
 
     def test_modules_reach_their_schur_maximum_at_det5(self):
-        hw = list(highest_weight_blocks(5, 2, 2))
-        cert = certify("koszul-minor", hw, 5, 2, 2, DEFAULT_PRIME)
+        cert = certificate("koszul-minor", "det", 5, 2, 2).provenance[0]
         assert (cert.rank, cert.orbits, cert.blocks) == (29376, 5, 9)
         assert len(cert.modules) == 9
         assert all(rec["m"] == rec["schur_max"] == 1 for rec in cert.modules)
@@ -405,11 +404,10 @@ class TestHighestWeightBlocks:
     def test_every_prime_is_sound(self, n, d, p):
         """Primes at most the modules' degree n - d + p certify at most the
         rational rank (and, at these points, exactly it)."""
-        blocks = list(highest_weight_blocks(n, d, p))
-        rational = certify("koszul-minor", blocks, n, d, p, None).rank
+        rational = certificate("koszul-minor", "det", n, d, p, rational=True).provenance[1].rank
         assert rational == theoretical_image_dim(n, d, p)
         for prime in (3, 5, 7):
-            modular = certify("koszul-minor", blocks, n, d, p, prime).rank
+            modular = certificate("koszul-minor", "det", n, d, p, prime).rank_F
             assert modular <= rational, prime
             assert modular == rational, prime
 
@@ -1052,13 +1050,11 @@ class TestPieriRoute:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "cubic.json"
             path.write_text(polynomial_json(P))
-            blocks, t = flattening_blocks("pieri", f"file:{path}", 3, None, None)
+            cert = certificate("pieri", f"file:{path}", 3, None, None, rational=True)
         oracle = list(pieri_blocks(P, PI3, PIERI_ROWS))
-        assert t == PIERI_T
-        assert certify("pieri", blocks, 3, None, None, DEFAULT_PRIME).rank == \
-            rank_mod_p(oracle).rank
-        assert certify("pieri", blocks, 3, None, None, None).rank == \
-            rank_rational(oracle).rank
+        assert cert.t == PIERI_T
+        assert cert.provenance[0].rank == rank_mod_p(oracle).rank
+        assert cert.provenance[1].rank == rank_rational(oracle).rank
 
 
 
@@ -1080,8 +1076,7 @@ class TestHighestWeightVectors:
         (n, n // 2, 2), the ranks `verify --suite paper` certifies."""
         d = n // 2
         for p, lemmas in ((1, P1_LEMMAS), (2, P2_LEMMAS)):
-            blocks, _ = flattening_blocks("koszul-minor", "det", n, d, p)
-            cert = certify("koszul-minor", blocks, n, d, p, DEFAULT_PRIME)
+            cert = certificate("koszul-minor", "det", n, d, p).provenance[0]
             at_max = {(tuple(M["a"]), tuple(M["b"])) for M in cert.modules
                       if M["m"] == M["schur_max"]}
             for lid in lemmas:
