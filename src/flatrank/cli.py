@@ -109,9 +109,9 @@ def certificate(method: str, spec: str, n: int, d: int | None, p: int | None,
     """The `bounds.BoundCertificate` that `bound` prints and `verify`
     checks: the rank of `flattening_blocks`' blocks mod `prime` and, with
     `rational`, over Q too, the larger rank giving the bound.  For
-    koszul-minor the blocks are highest-weight blocks: each rank
-    certificate's rank becomes the map's rank read from their nullities,
-    and its `modules` the image modules (`flattening.image_modules`)."""
+    koszul-minor the blocks are highest-weight blocks, and
+    `flattening.image_modules` reads each rank certificate's rank and
+    `modules` from the blocks and their ranks."""
     from . import bounds
 
     # weight blocks, few and small enough to rebuild every run
@@ -123,11 +123,7 @@ def certificate(method: str, spec: str, n: int, d: int | None, p: int | None,
         from .flattening import image_modules
 
         for cert in certs:
-            nullities = {B.weight: len(B.cols) - r
-                         for (_, B), r in zip(blocks, cert.block_ranks)}
-            cert.rank, modules = image_modules(n, d, p, nullities)
-            cert.modules = [{"a": list(a), "b": list(b), "m": m, "schur_max": top}
-                            for a, b, m, top in modules]
+            cert.rank, cert.modules = image_modules(n, d, p, blocks, cert.block_ranks)
     if certs[0].rank != certs[-1].rank:
         print("warning: modular and rational ranks disagree", file=sys.stderr)
     if method == "pieri":
@@ -180,7 +176,8 @@ def cmd_decompose(args) -> int:
     # its float log10 is too near an integer to count its digits
     if abs((size := partitions.total_log10(modules, n)) - round(size)) < 1e-6:
         size = log10(partitions.total_dimension(modules, n))
-    if 0 < (limit := sys.get_int_max_str_digits()) < (digits := int(size) + 1):
+    # int() = 0 is no limit: Python before 3.10.7 prints any int and lacks the function
+    if 0 < (limit := getattr(sys, "get_int_max_str_digits", int)()) < (digits := int(size) + 1):
         raise ValueError(f"the total dimension at n={n} has {digits} digits, over "
                          f"Python's limit of {limit} for printing an integer")
     total = partitions.total_dimension(modules, n)

@@ -67,10 +67,10 @@ class RankCertificate:
     blocks ranked and `blocks` the weight blocks they stand for;
     `block_ranks` holds each block's own rank, in block order.
 
-    `cli.certificate` derives the minor map's rank from the block ranks of
-    its highest-weight blocks: it replaces `rank` and sets `modules`, a
-    list of JSON-ready records of how the rank decomposes, which the JSON
-    form then carries."""
+    `flattening.image_modules` reads the minor map's rank and `modules`, a
+    list of JSON-ready records of how the rank decomposes, from the block
+    ranks of its highest-weight blocks; `cli.certificate` puts them in
+    place of `rank` and `modules`, which the JSON form then carries."""
 
     def __init__(self, rank: int, prime: int | None, matrix_hash: str,
                  elapsed: float, blocks: int, block_ranks: list[int]):

@@ -314,13 +314,15 @@ def highest_weight_blocks(n: int, d: int, p: int,
                          memory_cap_bytes)
 
 
-def image_modules(n: int, d: int, p: int, nullity_by_weight: dict) -> tuple[int, list[tuple]]:
+def image_modules(n: int, d: int, p: int, blocks, ranks) -> tuple[int, list[dict]]:
     """The rank of the minor-indexed map, mod a prime or over Q, from the
-    nullities (columns less rank) of the blocks of `highest_weight_blocks`,
-    by weight: (rank, modules), with (a, b, m, schur_max) per candidate
+    (size, block) pairs of `highest_weight_blocks` and their ranks in block
+    order (`exact_linalg.RankCertificate.block_ranks`): (rank, modules),
+    with a record {"a", "b", "m", "schur_max"} per candidate
     S_a(A) x S_b(B) in decreasing pair-lex order, m = dom - nullity (at
-    least 0) its multiplicity in the image, dom the domain's, and rank =
-    sum(m * dim S_a * dim S_b).  m > schur_max is a RuntimeError.
+    least 0) its multiplicity in the image, the nullity (columns less rank)
+    that of the block at its weight, dom the domain's multiplicity, and
+    rank = sum(m * dim S_a * dim S_b).  m > schur_max is a RuntimeError.
 
     Soundness.  F is GL_n x GL_n-equivariant and defined over Z.  Over Q
     the vectors of weight (a, b) that every raising operator E kills are
@@ -333,14 +335,16 @@ def image_modules(n: int, d: int, p: int, nullity_by_weight: dict) -> tuple[int,
     """
     from .partitions import _decompose_wedge_tensor, candidate_image, schur_dim
 
-    domain, modules = _decompose_wedge_tensor(n - d, p, n), []
+    nullity = {B.weight: len(B.cols) - r for (_, B), r in zip(blocks, ranks)}
+    domain, modules, rank = _decompose_wedge_tensor(n - d, p, n), [], 0
     for a, b, top in reversed(candidate_image(n, d, p)):  # decreasing pair-lex order
         wa, wb = _padded(a, n), _padded(b, n)
-        m = max(0, domain[a, b] - nullity_by_weight[min((wa, wb), (wb, wa))])
+        m = max(0, domain[a, b] - nullity[min((wa, wb), (wb, wa))])
         if m > top:
             raise RuntimeError(f"multiplicity {m} of {a} x {b} exceeds its Schur maximum {top}")
-        modules.append((a, b, m, top))
-    return sum(m * schur_dim(a, n) * schur_dim(b, n) for a, b, m, _ in modules), modules
+        modules.append({"a": list(a), "b": list(b), "m": m, "schur_max": top})
+        rank += m * schur_dim(a, n) * schur_dim(b, n)
+    return rank, modules
 
 
 def check_named_terms(spec: str, n: int, d: int, p: int, cap: int) -> None:

@@ -68,15 +68,16 @@ class Polynomial:
         try:
             data = json.loads(text)
             n, degree = data["n"], data["degree"]
-            terms = {}
-            for rec in data["terms"]:
-                c = Fraction(int(rec["num"]), int(rec["den"]))
-                if (exps := tuple(rec["exps"])) in terms:
-                    raise ValueError(f"not a polynomial in JSON form: exponent vector "
-                                     f"{rec['exps']} appears twice")
-                terms[exps] = c.numerator if c.denominator == 1 else c
-        except (KeyError, TypeError, ZeroDivisionError) as exc:
+            recs = [(tuple(rec["exps"]), Fraction(int(rec["num"]), int(rec["den"])))
+                    for rec in data["terms"]]
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"not a polynomial in JSON form: {exc!r}") from None
+        terms = {}
+        for exps, c in recs:
+            if exps in terms:
+                raise ValueError(f"not a polynomial in JSON form: exponent vector "
+                                 f"{list(exps)} appears twice")
+            terms[exps] = c.numerator if c.denominator == 1 else c
         if not all(type(x) is int and x >= 0 for x in (n, degree, *chain(*terms))):
             raise ValueError("not a polynomial in JSON form: n, degree and "
                              "exponents must be nonnegative integers")

@@ -129,6 +129,15 @@ class TestDecompose:
             "flatrank: error: the total dimension at n=160000 has 96345 digits, over "
             "Python's limit of 4300 for printing an integer\n")
 
+    def test_python_without_a_digit_limit(self, capsys, monkeypatch):
+        """Python before 3.10.7 has no `sys.get_int_max_str_digits` and
+        prints any int: the table is the same as under a limit."""
+        argv = ["decompose", "--n", "5", "--d", "2", "--p", "2"]
+        code, out = run(argv, capsys)
+        assert code == 0 and "total dimension: 29376" in out
+        monkeypatch.delattr(sys, "get_int_max_str_digits")
+        assert run(argv, capsys) == (0, out)
+
     def test_total_at_the_digit_limit_prints(self, capsys):
         """At n=1060 the total has 647 digits: it prints under a limit of 647
         and is refused, naming its 647 digits, under a limit of 646."""
@@ -449,8 +458,19 @@ class TestBound:
          "not a polynomial"),
         (["--poly", "file:{text_n}", "--n", "3", "--method", "koszul-full"],
          "not a polynomial"),
+        (["--poly", "file:{not_json}", "--n", "3", "--method", "koszul-full"],
+         "not a polynomial in JSON form: JSONDecodeError('Expecting value"),
+        (["--poly", "file:{num_float}", "--n", "3", "--method", "koszul-full"],
+         "not a polynomial in JSON form: ValueError(\"invalid literal for int() with "
+         "base 10: '1.5'\")"),
+        (["--poly", "file:{num_text}", "--n", "3", "--method", "koszul-full"],
+         "not a polynomial in JSON form: ValueError(\"invalid literal for int() with "
+         "base 10: 'abc'\")"),
         (["--poly", "det", "--n", "3", "--method", "koszul-full", "--d", "1", "--p", "2",
           "--prime", "1073741790"], "1073741790 is not prime"),
+        # 41 * 43: no factor up to 37, so only Miller-Rabin refuses it
+        (["--poly", "det", "--n", "3", "--method", "koszul-full", "--d", "1", "--p", "2",
+          "--prime", "1763"], "1763 is not prime"),
         # its largest highest-weight blocks alone, about 383 MiB, would not fit in 256 MiB
         (["--poly", "det", "--n", "60", "--method", "koszul-minor", "--d", "30",
           "--p", "2", "--memory-cap", "256"], "over the memory cap of 256 MiB"),
@@ -474,6 +494,8 @@ class TestBound:
         text_n["n"] = "3"
         twice = json.loads(polynomial_json(variable_power((3, 3), 3, 3)))
         twice["terms"].append(dict(twice["terms"][0], num="-1"))
+        num_float, num_text = (json.loads(polynomial_json(det3)) for _ in range(2))
+        num_float["terms"][0]["num"], num_text["terms"][0]["num"] = "1.5", "abc"
         files = {
             "det3": polynomial_json(det3),
             "quartic": polynomial_json(random_low_rank(2, 4, 3, 5)),
@@ -481,6 +503,9 @@ class TestBound:
             "array": "[1, 2]",
             "text_n": json.dumps(text_n),
             "twice": json.dumps(twice),
+            "not_json": "n = 3",
+            "num_float": json.dumps(num_float),
+            "num_text": json.dumps(num_text),
         }
         paths = {name: tmp_path / f"{name}.json" for name in files}
         for name, text in files.items():
@@ -489,7 +514,7 @@ class TestBound:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("flatrank: error: ") and message in err
-        assert err.count("\n") == 1
+        assert err.count("\n") == 1 and err.count("not a polynomial") <= 1
 
     def test_full_map_size_guard_runs_before_the_polynomial_is_built(
             self, capsys, monkeypatch):
@@ -681,6 +706,20 @@ class TestBound:
                           for c in cert["provenance"]])
         assert [(m, r) for m, r, _ in certs[0]] == [("modular", 315), ("rational", 315)]
         assert certs[0] == certs[1]
+
+    def test_modular_rank_below_the_rational_rank_warns(self, capsys):
+        """Mod 3 the Pieri blocks of det3 lose rank 16: both ranks are
+        recorded, one warning line goes to stderr, and the bound is read
+        from the rational rank."""
+        code = main(["bound", "--poly", "det", "--n", "3", "--method", "pieri", "--rational",
+                     "--prime", "3", "--format", "json"])
+        captured = capsys.readouterr()
+        rec = json.loads(captured.out)
+        assert code == 0
+        assert captured.err == "warning: modular and rational ranks disagree\n"
+        assert [(c["method"], c["primes_used"], c["rank"]) for c in rec["provenance"]] == [
+            ("modular", [3], 934), ("rational", [], 950)]
+        assert (rec["rank"], rec["t"], rec["bound"]) == (950, 70, 14)
 
     @pytest.mark.parametrize("build,multiple,argv", [
         (lambda: scale(determinant_poly(3), Fraction(3, 7)),

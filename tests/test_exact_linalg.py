@@ -57,6 +57,17 @@ class TestPrimeField:
         assert is_prime(2) and is_prime(1073741789) and is_prime(999999937)
         assert not is_prime(1) and not is_prime(561) and not is_prime(10**9)
 
+    @pytest.mark.parametrize("m,prime", [
+        # 41 * 43 passes trial division; mod 1763, [[41, 1], [41, 1]] would have rank 2
+        (1763, False),
+        (3215031751, False),  # 151 * 751 * 28351, strong pseudoprime to bases 2, 3, 5, 7
+        (3825123056546413051, False),  # strong pseudoprime to every prime base up to 23
+        (2**61 - 1, True),
+        (2**62 - 57, True),
+    ])
+    def test_miller_rabin_past_trial_division(self, m, prime):
+        assert is_prime(m) is prime
+
 
 class TestSparseRank:
     def test_zero_matrix(self):
@@ -74,6 +85,11 @@ class TestSparseRank:
             for p in (5, None):
                 with pytest.raises(TypeError, match=re.escape(f"entry (0,1) is {v!r}, not an int")):
                     sparse_rank([(0, 0, 1), (0, 1, v)], p=p)
+
+    def test_duplicate_entries_are_refused(self):
+        for p in (5, None):
+            with pytest.raises(ValueError, match=re.escape("duplicate entry at (1,2)")):
+                sparse_rank([(0, 0, 1), (1, 2, 3), (1, 2, 4)], p=p)
 
     def test_matches_dense_oracle(self):
         rng = random.Random(0)

@@ -387,18 +387,20 @@ class TestHighestWeightBlocks:
         block rank that would give it m = 2 is an error, never a silently
         larger rank, and one that would give a negative m reads as 0."""
         blocks = list(highest_weight_blocks(4, 2, 2))
-        nullity = {B.weight: len(B.cols) - r
-                   for (_, B), r in zip(blocks, rank_mod_p(blocks).block_ranks)}
+        ranks = rank_mod_p(blocks).block_ranks
         hook, pad = (2, 1, 1), (2, 1, 1, 0)
+        k = [B.weight for _, B in blocks].index((pad, pad))
+        cols = len(blocks[k][1].cols)
+        with_nullity = lambda nullity: ranks[:k] + [cols - nullity] + ranks[k + 1:]
         assert partitions._decompose_wedge_tensor(2, 2, 4)[hook, hook] == 2
-        assert (hook, hook, 1) in candidate_image(4, 2, 2) and nullity[pad, pad] == 1
+        assert (hook, hook, 1) in candidate_image(4, 2, 2) and cols - ranks[k] == 1
         with pytest.raises(RuntimeError, match=re.escape(
                 "multiplicity 2 of (2, 1, 1) x (2, 1, 1) exceeds its Schur maximum 1")):
-            image_modules(4, 2, 2, {**nullity, (pad, pad): 0})
-        rank, modules = image_modules(4, 2, 2, {**nullity, (pad, pad): 3})
+            image_modules(4, 2, 2, blocks, with_nullity(0))
+        rank, modules = image_modules(4, 2, 2, blocks, with_nullity(3))
         assert rank == 4065 - schur_dim(hook, 4) ** 2
-        assert [m for _, _, m, _ in modules] == [int((a, b) != (hook, hook))
-                                                 for a, b, _, _ in modules]
+        assert [r["m"] for r in modules] == [int([r["a"], r["b"]] != [list(hook)] * 2)
+                                             for r in modules]
 
     @pytest.mark.parametrize("n,d,p", [(4, 2, 1), (4, 2, 2), (5, 2, 2), (6, 3, 2)])
     def test_every_prime_is_sound(self, n, d, p):
@@ -517,6 +519,22 @@ class TestHighestWeightBlocks:
         for a, b, _ in candidate_image(n, d, p):
             wa, wb = a + (0,) * (n - len(a)), b + (0,) * (n - len(b))
             assert flattening._minor_columns(n, p, wa, wb) == minor_columns_by_scan(n, p, wa, wb)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_codomain_labels_are_listed_at_wedge_p_plus_1(self, n):
+        """`_minor_columns` at wedge size p + 1 lists, once each, the
+        codomain labels (I', J', w') of a weight: those a witness row of F
+        can be taken from.  Checked at every weight of the codomain, for
+        every d whose codomain has a (p + 1)-wedge and p in {1, 2}."""
+        for d, p in product(range(1, n), (1, 2)):
+            if (n - d) ** 2 < p + 1:
+                continue
+            codomain = group_by_weight(minor_codomain_basis(n, d, p),
+                                       lambda label: _bidegree_of_label(label, n))
+            for (wa, wb), labels in codomain.items():
+                listed = flattening._minor_columns(n, p + 1, wa, wb)
+                assert len(set(listed)) == len(listed)
+                assert sorted(listed) == sorted(labels)
 
     @pytest.mark.parametrize("n,d,p", [(24, 12, 2), (60, 30, 1)])
     def test_charge_covers_the_traced_bytes(self, n, d, p):
