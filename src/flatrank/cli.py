@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from math import ceil, comb, lcm, log10
+from math import ceil, comb, lcm
 from pathlib import Path
 
 from . import exact_linalg
@@ -173,11 +173,14 @@ def cmd_decompose(args) -> int:
     n, d, p = args.n, args.d, args.p
     modules = partitions.candidate_image(n, d, p)
     # every dimension printed is at most the total, built only to print or where
-    # its float log10 is too near an integer to count its digits
-    if abs((size := partitions.total_log10(modules, n)) - round(size)) < 1e-6:
-        size = log10(partitions.total_dimension(modules, n))
+    # its float log10 is too near an integer k to count its digits, then counted
+    # exactly against 10**k
+    size = partitions.total_log10(modules, n)
+    digits = int(size) + 1
+    if abs(size - (k := round(size))) < 1e-6:
+        digits = k + (partitions.total_dimension(modules, n) >= 10 ** k)
     # int() = 0 is no limit: Python before 3.10.7 prints any int and lacks the function
-    if 0 < (limit := getattr(sys, "get_int_max_str_digits", int)()) < (digits := int(size) + 1):
+    if 0 < (limit := getattr(sys, "get_int_max_str_digits", int)()) < digits:
         raise ValueError(f"the total dimension at n={n} has {digits} digits, over "
                          f"Python's limit of {limit} for printing an integer")
     total = partitions.total_dimension(modules, n)

@@ -152,27 +152,26 @@ def sparse_rank(entries, p: int | None = None,
         # pivot row: min nnz, then lowest index
         pr = min(targets, key=lambda r: (len(rows[r]), r))
         pivrow = rows.pop(pr)
-        piv = pivrow[pc]
+        piv = pivrow.pop(pc)
         inv = None if p is None else pow(piv, p - 2, p)
         # detach pivot row
         targets.discard(pr)
         for c in pivrow:
-            if c != pc:
-                col_rows[c].discard(pr)
+            col_rows[c].discard(pr)
         # eliminate pc from all remaining rows
         for r in targets:
             row = rows[r]
+            a = row.pop(pc)
+            nnz -= 1
             if p is None:
-                g = gcd(piv, row[pc])
-                factor, scale = row[pc] // g, piv // g
+                g = gcd(piv, a)
+                factor, scale = a // g, piv // g
                 if scale != 1:
                     for c in row:
                         row[c] *= scale
             else:
-                factor = row[pc] * inv % p
+                factor = a * inv % p
             for c, v in pivrow.items():
-                if c == pc:
-                    continue
                 newv = row.get(c, 0) - factor * v
                 if p is not None:
                     newv %= p
@@ -185,8 +184,6 @@ def sparse_rank(entries, p: int | None = None,
                     del row[c]
                     col_rows[c].discard(r)
                     nnz -= 1
-            del row[pc]
-            nnz -= 1
             if not row:
                 del rows[r]
             elif p is None and (g := gcd(*row.values())) != 1:

@@ -9,7 +9,7 @@ from __future__ import annotations
 from functools import cache
 from itertools import combinations, groupby, product
 from math import fsum, lgamma, log, log10, prod
-from operator import add, ge, le
+from operator import ge, le
 
 Partition = tuple[int, ...]
 
@@ -69,27 +69,6 @@ def partitions_of(p: int, max_part: int | None = None):
             yield (first,) + rest
 
 
-def pieri_row(pi: Partition, d: int, N: int) -> list[Partition]:
-    """Partitions obtained from pi by adding d boxes, no two in the same column.
-
-    This is the horizontal-strip (Pieri) rule for tensoring with the d-th
-    symmetric power: each row i > 0 grows from pi[i] to at most pi[i-1],
-    and the first row takes the boxes left, however many.  Results with
-    more than N rows are discarded.
-    """
-    if len(pi) > N:
-        return []
-    rows = pi + (0,) * (len(pi) < N)  # a new row, if N allows
-    if not rows:
-        return [()] if d == 0 else []
-    results: list[Partition] = []
-    for grown in product(*(range(above - row + 1) for above, row in zip(rows, rows[1:]))):
-        if (first := d - sum(grown)) >= 0:
-            shape = (rows[0] + first, *map(add, rows[1:], grown))
-            results.append(shape if shape[-1] else shape[:-1])
-    return results
-
-
 @cache
 def kostka(shape: Partition, content) -> int:
     """Number of semistandard tableaux of the shape with content[i] entries
@@ -123,31 +102,37 @@ def weight_space_dim(modules: dict, wa, wb) -> int:
 def pieri_column(pi: Partition, k: int, N: int) -> list[Partition]:
     """Partitions obtained from pi by adding k boxes, no two in the same row.
 
-    Vertical-strip rule for tensoring with the k-th exterior power: the
-    conjugates of the horizontal strips added to conjugate(pi).  Results
-    with more than N rows are discarded.
+    Vertical-strip rule for tensoring with the k-th exterior power: in each
+    run of equal parts of pi the first g rows gain one box, and the boxes
+    left start new rows of one box.  Results with more than N rows are
+    discarded.
     """
-    pc = conjugate(pi)
-    return [mu for mu in map(conjugate, pieri_row(pc, k, len(pc) + 1)) if len(mu) <= N]
-
-
-def cauchy_wedge(p: int, n: int) -> dict:
-    """Decompose the p-th exterior power of A tensor B, both spaces
-    n-dimensional: {(lam, conjugate(lam)): 1} for each partition lam of p
-    fitting in an n x n box."""
-    return {(lam, conjugate(lam)): 1 for lam in partitions_of(p, n) if len(lam) <= n}
+    runs = [(part, len(list(run))) for part, run in groupby(pi)]
+    results: list[Partition] = []
+    for grown in product(*(range(r + 1) for _, r in runs)):
+        if 0 <= (new := k - sum(grown)) <= N - len(pi):
+            shape: list[int] = []
+            for (part, r), g in zip(runs, grown):
+                shape += [part + 1] * g + [part] * (r - g)
+            results.append(tuple(shape) + (1,) * new)
+    return results
 
 
 @cache
 def _decompose_wedge_tensor(wedge: int, p: int, n: int) -> dict:
     """Decomposition {(a, b): multiplicity} of
     wedge^wedge(A) x wedge^wedge(B) x wedge^p(A tensor B) over
-    GL(A) x GL(B), both spaces n-dimensional."""
+    GL(A) x GL(B), both spaces n-dimensional.
+
+    By the Cauchy rule wedge^p(A tensor B) is the sum, each once, of
+    S_lam(A) x S_lam'(B) over the partitions lam of p, lam' its conjugate;
+    the vertical-strip rule (`pieri_column`) then tensors each side with
+    its wedge power, keeping only shapes of at most n rows."""
     out: dict = {}
-    for (lam, lamc), mult in cauchy_wedge(p, n).items():
+    for lam in partitions_of(p, n):
         for a in pieri_column(lam, wedge, n):
-            for b in pieri_column(lamc, wedge, n):
-                out[a, b] = out.get((a, b), 0) + mult
+            for b in pieri_column(conjugate(lam), wedge, n):
+                out[a, b] = out.get((a, b), 0) + 1
     return out
 
 
@@ -158,7 +143,7 @@ def candidate_image(n: int, d: int, p: int) -> tuple[tuple[Partition, Partition,
 
     Intersection (with minimum multiplicities) of the domain decomposition
     with the codomain decomposition.  No shape has more than n rows:
-    `cauchy_wedge` and `pieri_column` keep only shapes that fit.
+    `pieri_column` keeps only shapes that fit.
     """
     if p not in (1, 2):
         raise ValueError(f"p must be 1 or 2, got {p}")

@@ -8,8 +8,7 @@ every polynomial built here, and Fractions otherwise.
 
 from __future__ import annotations
 
-from itertools import chain, permutations
-from operator import itemgetter
+from itertools import chain, compress, count, permutations
 
 Exponents = tuple[int, ...]
 
@@ -65,22 +64,28 @@ class Polynomial:
         import json
         from fractions import Fraction
 
+        def integer(rec, key):  # int() would read 1.5 as 1 and true as 1
+            if type(v := rec[key]) not in (int, str):
+                raise TypeError(f"{key} {json.dumps(v)} is not an integer")
+            return int(v)
+
         try:
             data = json.loads(text)
             n, degree = data["n"], data["degree"]
-            recs = [(tuple(rec["exps"]), Fraction(int(rec["num"]), int(rec["den"])))
+            recs = [(tuple(rec["exps"]), Fraction(integer(rec, "num"), integer(rec, "den")))
                     for rec in data["terms"]]
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"not a polynomial in JSON form: {exc!r}") from None
+        # before the duplicate test, which cannot hash a nested exponent list
+        if not all(type(x) is int and x >= 0 for x in (n, degree, *chain(*(e for e, _ in recs)))):
+            raise ValueError("not a polynomial in JSON form: n, degree and "
+                             "exponents must be nonnegative integers")
         terms = {}
         for exps, c in recs:
             if exps in terms:
                 raise ValueError(f"not a polynomial in JSON form: exponent vector "
                                  f"{list(exps)} appears twice")
             terms[exps] = c.numerator if c.denominator == 1 else c
-        if not all(type(x) is int and x >= 0 for x in (n, degree, *chain(*terms))):
-            raise ValueError("not a polynomial in JSON form: n, degree and "
-                             "exponents must be nonnegative integers")
         return Polynomial(n, degree, terms)
 
 
@@ -96,20 +101,27 @@ def is_symmetric(P: Polynomial) -> bool:
 
     Checked on generators: the swap of the first two rows and the cycle of
     all rows, the same two for columns, and transposition.  A product of
-    generators fixes P up to the product of their signs.
+    generators fixes P up to the product of their signs.  A generator
+    moves only the variables that occur, so beyond one read of its
+    exponent vector a term costs memory in its degree, not in n^2:
+    `check_full_map` charges a term 8 bytes a variable.
     """
     n = P.n
     if n == 1:  # every generator is the identity
         return True
     swap, cycle = [1, 0, *range(2, n)], [(i + 1) % n for i in range(n)]
-    gens = [[(k % n) * n + k // n for k in range(n * n)]]  # transposition
-    for perm in (swap, cycle):
-        gens.append([perm[k // n] * n + k % n for k in range(n * n)])
-        gens.append([k // n * n + perm[k % n] for k in range(n * n)])
-    negated = {e: -c for e, c in P.terms.items()}
-    for g in gens:  # exps -> exps o g, the action of g^-1
-        image = dict(zip(map(itemgetter(*g), P.terms), P.terms.values()))
-        if image != P.terms and image != negated:
+    gens = (lambda i, j: j * n + i,  # transposition
+            lambda i, j: swap[i] * n + j, lambda i, j: cycle[i] * n + j,
+            lambda i, j: i * n + swap[j], lambda i, j: i * n + cycle[j])
+    # each term as its sorted variables, with repetition
+    terms = {tuple(k for k in compress(count(), exps) for _ in range(exps[k])): c
+             for exps, c in P.terms.items()}
+    support = set(chain.from_iterable(terms))
+    negated = {m: -c for m, c in terms.items()}
+    for g in gens:
+        move = {k: g(*divmod(k, n)) for k in support}
+        image = {tuple(sorted(map(move.__getitem__, m))): c for m, c in terms.items()}
+        if image != terms and image != negated:
             return False
     return True
 

@@ -155,6 +155,27 @@ class TestDecompose:
             sys.set_int_max_str_digits(limit)
         assert "has 647 digits, over Python's limit of 646" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("total,code", [(10**4300 - 1, 0), (10**4300, 2)],
+                             ids=["4300-digits", "4301-digits"])
+    def test_digits_are_exact_at_an_integer_log10(self, capsys, monkeypatch, total, code):
+        """A total whose float log10 is within 1e-6 of an integer k has its
+        digits counted against 10**k: log10(10**4300 - 1) is 4300.0 in
+        floats, yet that total has 4300 digits and prints."""
+        monkeypatch.setattr(partitions, "total_log10", lambda modules, N: 4300.0)
+        monkeypatch.setattr(partitions, "total_dimension", lambda modules, N: total)
+        limit = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(4300)
+            assert main(["decompose", "--n", "5", "--d", "2", "--p", "2"]) == code
+            out, err = capsys.readouterr()
+            if code:
+                assert err == ("flatrank: error: the total dimension at n=5 has 4301 digits, "
+                               "over Python's limit of 4300 for printing an integer\n")
+            else:
+                assert f"total dimension: {total}\n" in out
+        finally:
+            sys.set_int_max_str_digits(limit)
+
 
 class TestBound:
     def test_minor_json(self, capsys):
@@ -466,6 +487,17 @@ class TestBound:
         (["--poly", "file:{num_text}", "--n", "3", "--method", "koszul-full"],
          "not a polynomial in JSON form: ValueError(\"invalid literal for int() with "
          "base 10: 'abc'\")"),
+        # int() would read 1.5 and true as 1 and 2.5 as 2, and rank another polynomial
+        (["--poly", "file:{num_half}", "--n", "3", "--method", "koszul-full"],
+         "not a polynomial in JSON form: TypeError('num 1.5 is not an integer')"),
+        (["--poly", "file:{num_true}", "--n", "3", "--method", "koszul-full"],
+         "not a polynomial in JSON form: TypeError('num true is not an integer')"),
+        (["--poly", "file:{den_half}", "--n", "3", "--method", "koszul-full"],
+         "not a polynomial in JSON form: TypeError('den 2.5 is not an integer')"),
+        # a list cannot be hashed for the repeated-vector test: checked before it
+        (["--poly", "file:{nested}", "--n", "3", "--method", "koszul-full"],
+         "not a polynomial in JSON form: n, degree and exponents must be nonnegative "
+         "integers"),
         (["--poly", "det", "--n", "3", "--method", "koszul-full", "--d", "1", "--p", "2",
           "--prime", "1073741790"], "1073741790 is not prime"),
         # 41 * 43: no factor up to 37, so only Miller-Rabin refuses it
@@ -496,6 +528,11 @@ class TestBound:
         twice["terms"].append(dict(twice["terms"][0], num="-1"))
         num_float, num_text = (json.loads(polynomial_json(det3)) for _ in range(2))
         num_float["terms"][0]["num"], num_text["terms"][0]["num"] = "1.5", "abc"
+        num_half, num_true, den_half, nested = (json.loads(polynomial_json(det3))
+                                                for _ in range(4))
+        num_half["terms"][0]["num"], num_true["terms"][0]["num"] = 1.5, True
+        den_half["terms"][0]["den"] = 2.5
+        nested["terms"][0]["exps"] = [[e] for e in nested["terms"][0]["exps"]]
         files = {
             "det3": polynomial_json(det3),
             "quartic": polynomial_json(random_low_rank(2, 4, 3, 5)),
@@ -506,6 +543,10 @@ class TestBound:
             "not_json": "n = 3",
             "num_float": json.dumps(num_float),
             "num_text": json.dumps(num_text),
+            "num_half": json.dumps(num_half),
+            "num_true": json.dumps(num_true),
+            "den_half": json.dumps(den_half),
+            "nested": json.dumps(nested),
         }
         paths = {name: tmp_path / f"{name}.json" for name in files}
         for name, text in files.items():

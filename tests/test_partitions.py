@@ -6,14 +6,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from flatrank.partitions import (
+    _decompose_wedge_tensor,
     candidate_image,
-    cauchy_wedge,
     conjugate,
     kostka,
     make_partition,
     partitions_of,
     pieri_column,
-    pieri_row,
     schur_dim,
     theoretical_image_dim,
     total_dimension,
@@ -115,11 +114,6 @@ class TestSchurDim:
 
 
 class TestPieri:
-    def test_row_examples(self):
-        assert pieri_row((), 3, 9) == [(3,)]
-        assert set(pieri_row((1,), 1, 2)) == {(2,), (1, 1)}
-        assert set(pieri_row((2, 1), 2, 3)) == {(4, 1), (3, 2), (3, 1, 1), (2, 2, 1)}
-
     def test_column_examples(self):
         assert pieri_column((), 3, 9) == [(1, 1, 1)]
         assert pieri_column((1,), 2, 2) == [(2, 1)]
@@ -132,41 +126,25 @@ class TestPieri:
         for pi in partitions_of(size):
             for k in range(5):
                 for N in range(9):
-                    for rule, same_column_forbidden in ((pieri_row, True),
-                                                        (pieri_column, False)):
-                        got = rule(pi, k, N)
-                        want = {m for m in brute_force_add_boxes(pi, k, same_column_forbidden)
-                                if len(m) <= N}
-                        assert len(got) == len(set(got)) and set(got) == want
-
-    @given(partitions, st.integers(1, 4), st.integers(1, 9))
-    def test_row_matches_brute_force(self, pi, d, N):
-        got = set(pieri_row(pi, d, N))
-        want = {m for m in brute_force_add_boxes(pi, d, True) if len(m) <= N}
-        assert got == want
+                    got = pieri_column(pi, k, N)
+                    want = {m for m in brute_force_add_boxes(pi, k, False) if len(m) <= N}
+                    assert len(got) == len(set(got)) and set(got) == want
 
     @given(partitions, st.integers(1, 4), st.integers(1, 9))
     def test_column_matches_brute_force(self, pi, k, N):
-        got = set(pieri_column(pi, k, N))
+        got = pieri_column(pi, k, N)
         want = {m for m in brute_force_add_boxes(pi, k, False) if len(m) <= N}
-        assert got == want
+        assert len(got) == len(set(got)) and set(got) == want
 
     @given(partitions, st.integers(1, 4), st.integers(1, 9))
     def test_column_via_conjugation(self, pi, k, N):
         got = set(pieri_column(pi, k, N))
         via_conj = {
             conjugate(m)
-            for m in pieri_row(conjugate(pi), k, 40)
+            for m in brute_force_add_boxes(conjugate(pi), k, True)
             if len(conjugate(m)) <= N
         }
         assert got == via_conj
-
-    @given(partitions, st.integers(1, 4))
-    def test_no_duplicates(self, pi, d):
-        row = pieri_row(pi, d, 9)
-        col = pieri_column(pi, d, 9)
-        assert len(row) == len(set(row))
-        assert len(col) == len(set(col))
 
 
 class TestKostka:
@@ -189,19 +167,22 @@ def triples(modules: dict) -> list:
 
 
 class TestCauchyWedge:
+    """`_decompose_wedge_tensor` with no wedge factor is the Cauchy
+    decomposition of wedge^p(A x B)."""
+
     def test_examples(self):
-        ml = cauchy_wedge(2, 3)
+        ml = _decompose_wedge_tensor(0, 2, 3)
         assert ml == {((2,), (1, 1)): 1, ((1, 1), (2,)): 1}
         assert total_dimension(triples(ml), 3) == comb(9, 2)
-        assert cauchy_wedge(0, 4) == {((), ()): 1}
-        ml1 = cauchy_wedge(1, 4)
+        assert _decompose_wedge_tensor(0, 0, 4) == {((), ()): 1}
+        ml1 = _decompose_wedge_tensor(0, 1, 4)
         assert ml1 == {((1,), (1,)): 1}
         assert total_dimension(triples(ml1), 4) == 16
 
     @pytest.mark.parametrize("p", range(5))
     @pytest.mark.parametrize("N", range(2, 7))
     def test_total_dimension(self, p, N):
-        assert total_dimension(triples(cauchy_wedge(p, N)), N) == comb(N * N, p)
+        assert total_dimension(triples(_decompose_wedge_tensor(0, p, N)), N) == comb(N * N, p)
 
 
 class TestDecompose:
