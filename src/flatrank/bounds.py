@@ -100,12 +100,7 @@ def optimal_d(n: int) -> int:
     """Argmax over d of the wedge-2 image dimension f(n,d) * C(n,d)^2."""
     if n < 5:
         raise ValueError("defined for n >= 5")
-    best_d, best_val = None, None
-    for d in range(1, n - 1):
-        val = f_formula(n, d) * comb(n, d) ** 2
-        if best_val is None or val > best_val:
-            best_d, best_val = d, val
-    return best_d
+    return max(range(1, n - 1), key=lambda d: f_formula(n, d) * comb(n, d) ** 2)
 
 
 def reference_bounds(n: int, which_poly: str = "det") -> dict:

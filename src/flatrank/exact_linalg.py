@@ -106,9 +106,11 @@ def sparse_rank(entries, p: int | None = None,
     the Markowitz rule, which minimises (r-1)(c-1) over candidate pivots.
 
     A heap entry (count, c) is live while len(col_rows[c]) == count; a
-    pivot column leaves `col_rows` when popped, and each pivot re-pushes
-    its row's columns.  The fill capped by `memory_cap_bytes` keeps the
-    entries of eliminated pivot rows.
+    pivot column leaves `col_rows` when popped.  After its elimination,
+    which touches only the pivot row's columns, each pivot detaches its
+    row from those columns and re-pushes the ones that still hold an
+    entry, so an emptied column is never queued.  The fill capped by
+    `memory_cap_bytes` keeps the entries of eliminated pivot rows.
 
     Entries must be ints (a TypeError otherwise: a rational entry reduced
     mod p would give a wrong rank silently); mod p they are reduced first.
@@ -147,17 +149,12 @@ def sparse_rank(entries, p: int | None = None,
         if targets is None or len(targets) != cnt:
             continue
         del col_rows[pc]
-        if not targets:
-            continue
         # pivot row: min nnz, then lowest index
         pr = min(targets, key=lambda r: (len(rows[r]), r))
         pivrow = rows.pop(pr)
         piv = pivrow.pop(pc)
         inv = None if p is None else pow(piv, p - 2, p)
-        # detach pivot row
         targets.discard(pr)
-        for c in pivrow:
-            col_rows[c].discard(pr)
         # eliminate pc from all remaining rows
         for r in targets:
             row = rows[r]
@@ -189,9 +186,10 @@ def sparse_rank(entries, p: int | None = None,
             elif p is None and (g := gcd(*row.values())) != 1:
                 for c in row:
                     row[c] //= g
-        for c in pivrow:
-            s = col_rows.get(c)
-            if s is not None:
+        for c in pivrow:  # detach the pivot row; re-queue its columns that still hold an entry
+            s = col_rows[c]
+            s.discard(pr)
+            if s:
                 heapq.heappush(heap, (len(s), c))
         rank += 1
         if nnz > cap_entries:

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from itertools import chain, compress, count, permutations
 
-Exponents = tuple[int, ...]
-
 
 def var_index(row: int, col: int, n: int) -> int:
     """Flat 0-based index of variable (row, col), both 1-based."""
@@ -126,32 +124,28 @@ def is_symmetric(P: Polynomial) -> bool:
     return True
 
 
-def _perm_monomial(perm, n: int) -> Exponents:
-    exps = [0] * (n * n)
-    for i, j in enumerate(perm, start=1):
-        exps[var_index(i, j, n)] += 1
-    return tuple(exps)
+def _leibniz(n: int, coefficient) -> Polynomial:
+    """The sum over permutations w of 1..n of coefficient(w) times the
+    diagonal product x_{1,w(1)} ... x_{n,w(n)}."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    terms = {}
+    for perm in permutations(range(1, n + 1)):
+        exps = [0] * (n * n)
+        for i, j in enumerate(perm, start=1):
+            exps[var_index(i, j, n)] += 1
+        terms[tuple(exps)] = coefficient(perm)
+    return Polynomial(n, n, terms)
 
 
 def determinant_poly(n: int) -> Polynomial:
     """Leibniz expansion of the n x n determinant."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    terms = {}
-    for perm in permutations(range(1, n + 1)):
-        sign = sort_sign(perm)[0]
-        terms[_perm_monomial(perm, n)] = sign
-    return Polynomial(n, n, terms)
+    return _leibniz(n, lambda perm: sort_sign(perm)[0])
 
 
 def permanent_poly(n: int) -> Polynomial:
     """All n! diagonal products with coefficient +1."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    terms = {}
-    for perm in permutations(range(1, n + 1)):
-        terms[_perm_monomial(perm, n)] = 1
-    return Polynomial(n, n, terms)
+    return _leibniz(n, lambda perm: 1)
 
 
 def sort_sign(seq) -> tuple[int, tuple[int, ...]] | None:

@@ -28,7 +28,7 @@ from flatrank.partitions import (
     make_partition,
     theoretical_image_dim,
 )
-from flatrank.polynomials import Exponents, Polynomial, sort_sign, var_index
+from flatrank.polynomials import Polynomial, sort_sign, var_index
 from schur_flattening import (
     Tableau,
     _canonical,
@@ -39,6 +39,8 @@ from schur_flattening import (
     pieri_column_image,
     rows_to_columns,
 )
+
+Exponents = tuple[int, ...]
 
 
 class LabelledMatrix(FlatteningMatrix):

@@ -89,7 +89,7 @@ class TestFormulas:
             assert image_dim_identity(n)
 
     def test_optimal_d_is_half(self):
-        for n in range(5, 13):
+        for n in range(5, 201):
             assert optimal_d(n) == n // 2
 
     def test_f_formula_domain(self):

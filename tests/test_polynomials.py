@@ -54,6 +54,12 @@ class TestConstructors:
         syms = sympy.symbols("x:9")
         M = sympy.Matrix(3, 3, syms)
         assert to_sympy(determinant_poly(3), syms) == sympy.expand(M.det())
+        # both Leibniz expansions, against sympy's own, at every n up to 4
+        for n in range(1, 5):
+            syms = sympy.symbols(f"x:{n * n}")
+            M = sympy.Matrix(n, n, syms)
+            assert to_sympy(determinant_poly(n), syms) == sympy.expand(M.det())
+            assert to_sympy(permanent_poly(n), syms) == sympy.expand(M.per())
 
     def test_perm3_monomials(self):
         # the six products listed for the permanent, all with coefficient +1
