@@ -15,7 +15,7 @@ from math import ceil, comb, lcm
 from pathlib import Path
 
 from . import exact_linalg
-from .exact_linalg import DEFAULT_MEMORY_CAP_BYTES, MemoryCapExceeded, rank_mod_p, rank_rational
+from .exact_linalg import MemoryCapExceeded, rank_mod_p, rank_rational
 
 
 def load_polynomial(spec: str, n: int):
@@ -47,7 +47,8 @@ PI3 = (2, 2, 2, 2, 1, 1, 1, 1)
 
 
 def flattening_blocks(method: str, spec: str, n: int, d: int | None, p: int | None,
-                      memory_cap_bytes: int = DEFAULT_MEMORY_CAP_BYTES) -> tuple[list, int]:
+                      memory_cap_bytes: int = exact_linalg.DEFAULT_MEMORY_CAP_BYTES
+                      ) -> tuple[list, int]:
     """The (orbit_size, block) pairs of a flattening of the polynomial named
     by `spec`, and t, the rank of the same flattening at a power of a linear
     form.  koszul-minor gives its highest-weight blocks, whose ranks
@@ -104,7 +105,7 @@ def flattening_blocks(method: str, spec: str, n: int, d: int | None, p: int | No
 
 def certificate(method: str, spec: str, n: int, d: int | None, p: int | None,
                 prime: int = exact_linalg.DEFAULT_PRIME, rational: bool = False,
-                memory_cap_bytes: int = DEFAULT_MEMORY_CAP_BYTES):
+                memory_cap_bytes: int = exact_linalg.DEFAULT_MEMORY_CAP_BYTES):
     """The `bounds.BoundCertificate` that `bound` prints and `verify`
     checks: the rank of `flattening_blocks`' blocks mod `prime` and, with
     `rational`, over Q too, the larger rank giving the bound.  For
@@ -300,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=int)
     sp.add_argument("--rational", action="store_true",
                     help="also certify the rank over the rationals")
-    sp.add_argument("--memory-cap", type=int, default=DEFAULT_MEMORY_CAP_BYTES >> 20,
+    sp.add_argument("--memory-cap", type=int, default=exact_linalg.DEFAULT_MEMORY_CAP_BYTES >> 20,
                     help="memory cap in MiB for the build-size guards and elimination fill")
     sp.add_argument("--prime", type=int, default=exact_linalg.DEFAULT_PRIME)
     sp.add_argument("--format", choices=["json", "table"], default="table")

@@ -108,9 +108,11 @@ def sparse_rank(entries, p: int | None = None,
     A heap entry (count, c) is live while len(col_rows[c]) == count; a
     pivot column leaves `col_rows` when popped.  After its elimination,
     which touches only the pivot row's columns, each pivot detaches its
-    row from those columns and re-pushes the ones that still hold an
-    entry, so an emptied column is never queued.  The fill capped by
-    `memory_cap_bytes` keeps the entries of eliminated pivot rows.
+    row from those columns, re-pushes the ones that still hold an entry
+    and drops the emptied ones from `col_rows` (no later fill reaches a
+    column that no row holds), so an emptied column is never queued.
+    The fill capped by `memory_cap_bytes` keeps the entries of
+    eliminated pivot rows.
 
     Entries must be ints (a TypeError otherwise: a rational entry reduced
     mod p would give a wrong rank silently); mod p they are reduced first.
@@ -145,10 +147,9 @@ def sparse_rank(entries, p: int | None = None,
 
     while heap:
         cnt, pc = heapq.heappop(heap)
-        targets = col_rows.get(pc)
-        if targets is None or len(targets) != cnt:
+        if len(col_rows.get(pc, ())) != cnt:
             continue
-        del col_rows[pc]
+        targets = col_rows.pop(pc)
         # pivot row: min nnz, then lowest index
         pr = min(targets, key=lambda r: (len(rows[r]), r))
         pivrow = rows.pop(pr)
@@ -191,6 +192,8 @@ def sparse_rank(entries, p: int | None = None,
             s.discard(pr)
             if s:
                 heapq.heappush(heap, (len(s), c))
+            else:
+                del col_rows[c]
         rank += 1
         if nnz > cap_entries:
             raise MemoryCapExceeded(

@@ -23,16 +23,19 @@ class Box:
 '''
 
 
-def test_counts_only_lines_that_hold_code(tmp_path, capsys):
+def test_counts_only_lines_that_hold_code():
     """import, class, def, and both lines of the two-line return: no
     docstring, comment or blank line."""
     assert code_lines.code_lines(FIXTURE) == 5
-    (tmp_path / "box.py").write_text(FIXTURE)
-    (tmp_path / "empty.py").write_text('"""Only a docstring."""\n')
-    assert code_lines.main([str(tmp_path)]) == 0
-    out = capsys.readouterr().out.splitlines()
-    assert [line.split() for line in out] == [["box.py", "5"], ["empty.py", "0"],
-                                              ["total", "5"]]
+
+
+def test_prints_each_module_of_src_and_the_total(capsys):
+    assert code_lines.main() == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    modules = sorted(code_lines.SRC.glob("*.py"))
+    counts = [code_lines.code_lines(f.read_text()) for f in modules]
+    assert rows == ([[f.name, str(k)] for f, k in zip(modules, counts)]
+                    + [["total", str(sum(counts))]])
 
 
 def test_a_string_statement_past_the_docstring_counts():

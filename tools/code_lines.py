@@ -1,7 +1,6 @@
 """Code lines of each module under `src/flatrank`, and their total.
 
     python3 tools/code_lines.py
-    python3 tools/code_lines.py path/to/package_or_module.py ...
 
 A code line holds a token other than a comment, a newline or an indent.
 Module, class and function docstrings are not counted, so a line counts
@@ -41,12 +40,9 @@ def code_lines(text: str) -> int:
     return len(lines)
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = sys.argv[1:] if argv is None else argv
-    files = sorted(f for p in (map(Path, args) if args else [SRC])
-                   for f in (p.glob("*.py") if p.is_dir() else [p]))
-    counts = {f: code_lines(f.read_text()) for f in files}
-    width = max((len(f.name) for f in files), default=0)
+def main() -> int:
+    counts = {f: code_lines(f.read_text()) for f in sorted(SRC.glob("*.py"))}
+    width = max(len(f.name) for f in counts)
     for f, k in counts.items():
         print(f"{f.name:<{width}}  {k:>5}")
     print(f"{'total':<{width}}  {sum(counts.values()):>5}")
