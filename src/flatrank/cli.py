@@ -1,5 +1,5 @@
 """Command-line interface: bound certificates, module decompositions, and
-the verification suites.
+the verification checks.
 
 Only `exact_linalg`, which every `bound` run uses, is imported with this
 module; each command imports the other modules it runs, so a run loads
@@ -114,7 +114,6 @@ def certificate(method: str, spec: str, n: int, d: int | None, p: int | None,
     `modules` from the blocks and their ranks."""
     from . import bounds
 
-    # weight blocks, few and small enough to rebuild every run
     blocks, t = flattening_blocks(method, spec, n, d, p, memory_cap_bytes)
     certs = [rank_mod_p(blocks, prime, memory_cap_bytes=memory_cap_bytes)]
     if rational:
@@ -201,8 +200,8 @@ def cmd_decompose(args) -> int:
     return 0
 
 
-def rank_checks(suite: str) -> list[tuple]:
-    """The ranks a suite certifies, as (label, method, poly, n, d, p,
+def rank_checks() -> list[tuple]:
+    """The ranks `verify` certifies, as (label, method, poly, n, d, p,
     expected rank, expected bound), each ranked on the blocks `bound` ranks
     for the method.  A number's second route is another row (the minor map
     against the full map, or its highest-weight blocks against its orbit
@@ -214,36 +213,31 @@ def rank_checks(suite: str) -> list[tuple]:
     from . import bounds
     from .partitions import theoretical_image_dim
 
-    rows = [
+    return [
         ("pieri power", "pieri", "power", 3, None, None, 70, 1),
         ("pieri det3", "pieri", "det", 3, None, None, 950, 14),
         ("pieri perm3", "pieri", "perm", 3, None, None, 934, 14),
         ("minor(4,2,1)", "koszul-minor", "det", 4, 2, 1, 560, 38),
         ("full det3 (d=1, p=2)", "koszul-full", "det", 3, 1, 2, 315, 12),
+    ] + [
+        (f"minor({n},{n // 2},{p}) = image dim, bound = {theorem}",
+         "koszul-minor", "det", n, n // 2, p,
+         theoretical_image_dim(n, n // 2, p), ceil(value(n)))
+        for p, theorem, value in ((1, "preliminary theorem", bounds.preliminary_theorem_value),
+                                  (2, "main theorem", bounds.main_theorem_value))
+        for n in range(5, 9)
+    ] + [
+        (f"minor({n},{n // 2},2) by orbit blocks = by highest weights",
+         "minor-orbits", "det", n, n // 2, 2, theoretical_image_dim(n, n // 2, 2),
+         ceil(bounds.main_theorem_value(n)))
+        for n in range(5, 9)
+    ] + [
+        ("full det5 (d=2, p=2) = minor(5,2,2), by contraction",
+         "koszul-full", "det", 5, 2, 2, 29376, 107),
+        ("minor(4,2,2) baseline", "koszul-minor", "det", 4, 2, 2, 4065, 39),
+        ("full det4 (d=2, p=2) = minor(4,2,2) = image dim", "koszul-full",
+         "det", 4, 2, 2, theoretical_image_dim(4, 2, 2), 39),
     ]
-    if suite == "paper":
-        rows += [
-            (f"minor({n},{n // 2},{p}) = image dim, bound = {theorem}",
-             "koszul-minor", "det", n, n // 2, p,
-             theoretical_image_dim(n, n // 2, p), ceil(value(n)))
-            for p, theorem, value in ((1, "preliminary theorem", bounds.preliminary_theorem_value),
-                                      (2, "main theorem", bounds.main_theorem_value))
-            for n in range(5, 9)
-        ]
-        rows += [
-            (f"minor({n},{n // 2},2) by orbit blocks = by highest weights",
-             "minor-orbits", "det", n, n // 2, 2, theoretical_image_dim(n, n // 2, 2),
-             ceil(bounds.main_theorem_value(n)))
-            for n in range(5, 9)
-        ]
-        rows += [
-            ("full det5 (d=2, p=2) = minor(5,2,2), by contraction",
-             "koszul-full", "det", 5, 2, 2, 29376, 107),
-            ("minor(4,2,2) baseline", "koszul-minor", "det", 4, 2, 2, 4065, 39),
-            ("full det4 (d=2, p=2) = minor(4,2,2) = image dim", "koszul-full",
-             "det", 4, 2, 2, theoretical_image_dim(4, 2, 2), 39),
-        ]
-    return rows
 
 
 def _check(name: str, ok: bool, detail: str = "") -> bool:
@@ -252,13 +246,13 @@ def _check(name: str, ok: bool, detail: str = "") -> bool:
     return ok
 
 
-def run_suite(suite: str) -> bool:
-    """quick: the dimension and formula checks and the small ranks; paper:
-    those and the paper's ranks.  Ranks are taken mod
-    `exact_linalg.DEFAULT_PRIME`."""
+def cmd_verify() -> int:
+    """The dimension and formula checks, then every row of `rank_checks`,
+    ranked mod `exact_linalg.DEFAULT_PRIME`."""
     from . import bounds
     from .partitions import schur_dim
 
+    t0 = time.time()
     ok = _check("schur dims 1050/1050/70",
                 schur_dim(PI3, 9) == 1050
                 and schur_dim((3,) + PI3, 9) == 1050
@@ -266,20 +260,13 @@ def run_suite(suite: str) -> bool:
     ok &= _check("formula identities n=5..12",
                  all(bounds.image_dim_identity(n) and bounds.optimal_d(n) == n // 2
                      for n in range(5, 13)))
-    for label, method, poly, n, d, p, rank, bound in rank_checks(suite):
+    for label, method, poly, n, d, p, rank, bound in rank_checks():
         cert = certificate(method, poly, n, d, p)
         r, b = cert.rank_F, cert.bound
         ok &= _check(f"{label}: rank {rank}, bound {bound}",
                      r == rank and b == bound,
                      f"rank={r} bound={b} orbits={cert.provenance[0].orbits}")
-    return bool(ok)
-
-
-def cmd_verify(args) -> int:
-    t0 = time.time()
-    ok = run_suite(args.suite)
-    print(f"suite {args.suite}: {'PASS' if ok else 'FAIL'} "
-          f"({time.time() - t0:.1f}s)")
+    print(f"verify: {'PASS' if ok else 'FAIL'} ({time.time() - t0:.1f}s)")
     return 0 if ok else 1
 
 
@@ -314,9 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--format", choices=["json", "table"], default="table")
     sp.set_defaults(func=cmd_decompose)
 
-    sp = sub.add_parser("verify", help="run a verification suite")
-    sp.add_argument("--suite", choices=["quick", "paper"], default="quick")
-    sp.set_defaults(func=cmd_verify)
+    sp = sub.add_parser("verify", help="re-certify the paper's ranks and bounds")
+    sp.set_defaults(func=lambda args: cmd_verify())
     return ap
 
 

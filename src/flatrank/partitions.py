@@ -44,10 +44,9 @@ def schur_dim(pi: Partition, N: int) -> int:
     """Dimension of the Schur module of shape pi over an N-dimensional space.
 
     Hook content formula: product over cells of (N + j - i) / hook(i, j).
-    Returns 0 when the shape has more rows than N.
+    It is 0 when the shape has more rows than N: the first cell of row N,
+    counting rows from 0, has content 0.
     """
-    if len(pi) > N:
-        return 0
     conj = conjugate(pi)
     contents = prod(N + j - i for i, r in enumerate(pi) for j in range(r))
     hooks = prod(r - j + conj[j] - i - 1 for i, r in enumerate(pi) for j in range(r))

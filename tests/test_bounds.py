@@ -56,7 +56,7 @@ class TestFormulas:
     def test_preliminary_value_is_the_wedge_1_image_dimension(self):
         """The wedge-1 theorem's value times t = n^2 - 1 is the module
         dimension count of the minor map at (n, n // 2, 1), the rank that
-        `verify --suite paper` certifies at n = 5..8."""
+        `verify` certifies at n = 5..8."""
         for n in range(3, 17):
             assert preliminary_theorem_value(n) * (n * n - 1) == \
                 theoretical_image_dim(n, n // 2, 1), n

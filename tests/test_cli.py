@@ -818,26 +818,29 @@ class TestBound:
 
 
 class TestVerify:
-    def test_quick_suite_passes(self, capsys):
-        code, out = run(["verify", "--suite", "quick"], capsys)
+    def test_verify_passes(self, capsys):
+        code, out = run(["verify"], capsys)
         assert code == 0
         assert "[FAIL]" not in out
-        assert "suite quick: PASS" in out
+        assert out.splitlines()[-1].startswith("verify: PASS")
 
-    def test_paper_suite_passes(self, capsys):
-        code, out = run(["verify", "--suite", "paper"], capsys)
-        assert code == 0
-        assert "[FAIL]" not in out
-        assert "suite paper: PASS" in out
+    def test_verify_prints_every_check_once(self, capsys):
+        """The dimension and formula checks, then one line per row of
+        `cli.rank_checks`, in its order: no row is skipped or repeated."""
+        _, out = run(["verify"], capsys)
+        passed = [line.split("  ")[0] for line in out.splitlines() if line.startswith("[PASS]")]
+        assert passed == [
+            "[PASS] schur dims 1050/1050/70", "[PASS] formula identities n=5..12",
+        ] + [f"[PASS] {label}: rank {rank}, bound {bound}"
+             for label, *_, rank, bound in cli.rank_checks()]
 
-    @pytest.mark.parametrize("suite", ["quick", "paper"])
-    def test_no_two_checks_rank_the_same_blocks(self, suite):
+    def test_no_two_checks_rank_the_same_blocks(self):
         """A computation is (method, poly, n, d, p), with pieri read as the
         full map at (d=1, p=4), which it ranks: a second row of the same
         computation would be no second route."""
         computations = [
             ("koszul-full", poly, n, 1, 4) if method == "pieri" else (method, poly, n, d, p)
-            for _, method, poly, n, d, p, _, _ in cli.rank_checks(suite)
+            for _, method, poly, n, d, p, _, _ in cli.rank_checks()
         ]
         assert len(set(computations)) == len(computations)
 
@@ -848,6 +851,8 @@ class TestVerify:
     ["verify", "--format", "json"],
     ["verify", "--memory-cap", "512"],
     ["verify", "--prime", "7"],
+    ["verify", "--suite", "quick"],
+    ["verify", "--suite", "paper"],
 ])
 def test_subcommands_take_only_the_options_they_read(capsys, argv):
     with pytest.raises(SystemExit) as exc:

@@ -1091,7 +1091,7 @@ class TestHighestWeightVectors:
         """Each lemma vector has its module's highest weight, and that
         module is one of the `koszul-minor` certificate's, with m at its
         Schur maximum: the p1 lemmas at (n, n // 2, 1) and the p2 lemmas at
-        (n, n // 2, 2), the ranks `verify --suite paper` certifies."""
+        (n, n // 2, 2), the ranks `verify` certifies."""
         d = n // 2
         for p, lemmas in ((1, P1_LEMMAS), (2, P2_LEMMAS)):
             cert = certificate("koszul-minor", "det", n, d, p).provenance[0]

@@ -107,7 +107,8 @@ class TestSchurDim:
     @pytest.mark.parametrize(
         "shape,N",
         [((2, 1), 3), ((3, 2), 4), ((2, 2, 1), 5), ((4,), 9),
-         ((2, 2, 2, 2, 1, 1, 1, 1), 9), ((3, 3, 2, 1), 6)],
+         ((2, 2, 2, 2, 1, 1, 1, 1), 9), ((3, 3, 2, 1), 6),
+         ((1, 1, 1, 1), 3), ((2, 2, 1), 2), ((3, 3, 2, 1), 3)],
     )
     def test_matches_ssyt_count(self, shape, N):
         assert schur_dim(shape, N) == count_ssyt(shape, N)

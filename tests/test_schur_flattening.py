@@ -368,7 +368,7 @@ class TestPieriOnCubes:
     @pytest.mark.parametrize("seed", range(4))
     def test_equals_the_full_map_at_d1_p4(self, seed):
         """`koszul-full --d 1 --p 4` gives det3 and perm3 their Pieri ranks
-        (`verify --suite paper`), and so it does on random cubics: two cubes
+        (`verify`), and so it does on random cubics: two cubes
         and `seed` random monomials.  (On random monomials alone a wrong
         weight per monomial only rescales the coefficients, which does not
         change a generic rank.)"""
