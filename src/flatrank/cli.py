@@ -165,8 +165,6 @@ def cmd_bound(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    import json
-
     from . import bounds, partitions
 
     n, d, p = args.n, args.d, args.p
@@ -183,14 +181,15 @@ def cmd_decompose(args) -> int:
         raise ValueError(f"the total dimension at n={n} has {digits} digits, over "
                          f"Python's limit of {limit} for printing an integer")
     total = partitions.total_dimension(modules, n)
+    dims = [(a, b, m, partitions.schur_dim(a, n), partitions.schur_dim(b, n))
+            for a, b, m in modules]
     if args.format == "json":
-        print(json.dumps([{"a": list(a), "b": list(b), "mult": m,
-                           "dim_a": partitions.schur_dim(a, n),
-                           "dim_b": partitions.schur_dim(b, n)} for a, b, m in modules]
-                         + [{"total_dim": total}]))
+        import json
+
+        print(json.dumps([{"a": list(a), "b": list(b), "mult": m, "dim_a": da, "dim_b": db}
+                          for a, b, m, da, db in dims] + [{"total_dim": total}]))
     else:
-        for a, b, m in modules:
-            da, db = partitions.schur_dim(a, n), partitions.schur_dim(b, n)
+        for a, b, m, da, db in dims:
             print(f"  {a} x {b}  mult {m}  dim {da}*{db} = {da * db}")
         print(f"total dimension: {total}")
         if p == 2 and 1 <= d <= n - 2:

@@ -40,14 +40,13 @@ def is_prime(m: int) -> bool:
     """Deterministic Miller-Rabin, valid for all m < 3.3e24."""
     if m < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if m % p == 0:
-            return m == p
     d, s = m - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
     for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        if m % a == 0:
+            return m == a
         x = pow(a, d, m)
         if x in (1, m - 1):
             continue
@@ -110,7 +109,9 @@ def sparse_rank(entries, p: int | None = None,
     which touches only the pivot row's columns, each pivot detaches its
     row from those columns, re-pushes the ones that still hold an entry
     and drops the emptied ones from `col_rows` (no later fill reaches a
-    column that no row holds), so an emptied column is never queued.
+    column that no row holds), so an emptied column is never queued.  A
+    fill entry lands in a column of the pivot row, which still holds it,
+    so that column's set is there to take the new row.
     The fill capped by `memory_cap_bytes` keeps the entries of
     eliminated pivot rows.
 
@@ -175,7 +176,7 @@ def sparse_rank(entries, p: int | None = None,
                     newv %= p
                 if newv:
                     if c not in row:
-                        col_rows.setdefault(c, set()).add(r)
+                        col_rows[c].add(r)
                         nnz += 1
                     row[c] = newv
                 elif c in row:

@@ -98,6 +98,20 @@ class TestDecompose:
         """The table and JSON outputs, byte for byte."""
         assert run(["decompose", *argv], capsys) == (0, expected)
 
+    def test_table_loads_no_json(self):
+        """`json` is imported only to print JSON, so the table does not load
+        it; -S keeps a site hook from loading it first."""
+        src = str(Path(flatrank.__file__).resolve().parents[1])
+        script = ("import contextlib, io, sys\n"
+                  f"sys.path.insert(0, {src!r})\n"
+                  "from flatrank.cli import main\n"
+                  "with contextlib.redirect_stdout(io.StringIO()):\n"
+                  "    code = main(['decompose', '--n', '5', '--d', '2', '--p', '2'])\n"
+                  "print(code, 'json' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
+                              text=True, timeout=60, env={"PYTHONDONTWRITEBYTECODE": "1"})
+        assert (proc.stdout, proc.stderr) == ("0 False\n", "")
+
     @pytest.mark.parametrize("fmt", ["table", "json"])
     def test_unprintable_total_is_one_line_error(self, fmt):
         """A total dimension past Python's limit on printing an int (4300

@@ -6,6 +6,7 @@ import sys
 import time
 import tracemalloc
 from fractions import Fraction
+from math import isqrt
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +57,10 @@ class TestPrimeField:
     def test_is_prime(self):
         assert is_prime(2) and is_prime(1073741789) and is_prime(999999937)
         assert not is_prime(1) and not is_prime(561) and not is_prime(10**9)
+        # each base is divided out in its own Miller-Rabin round: below 5000 and at
+        # squares and products of the largest bases, trial division agrees
+        for m in [*range(5000), 37 * 37, 37 * 41, 41 * 41, 43 * 43]:
+            assert is_prime(m) == (m > 1 and all(m % q for q in range(2, isqrt(m) + 1))), m
 
     @pytest.mark.parametrize("m,prime", [
         # 41 * 43 passes trial division; mod 1763, [[41, 1], [41, 1]] would have rank 2
