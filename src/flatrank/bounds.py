@@ -1,8 +1,6 @@
 """Closed-form lower bounds and conversion of flattening ranks to
 border-rank bound certificates."""
 
-from __future__ import annotations
-
 from math import ceil, comb, factorial, pi
 
 

@@ -6,13 +6,10 @@ module; each command imports the other modules it runs, so a run loads
 only those of its method and output format.
 """
 
-from __future__ import annotations
-
 import argparse
 import sys
 import time
 from math import ceil, comb, lcm
-from pathlib import Path
 
 from . import exact_linalg
 from .exact_linalg import MemoryCapExceeded, rank_mod_p, rank_rational
@@ -32,7 +29,8 @@ def load_polynomial(spec: str, n: int):
     if spec == "power":
         return variable_power((n, n), n, n)
     if spec.startswith("file:"):
-        P = Polynomial.from_json(Path(spec[5:]).read_text())
+        with open(spec[5:]) as f:
+            P = Polynomial.from_json(f.read())
         if P.n != n:
             raise ValueError(f"{spec} is a polynomial at n={P.n}, not at --n {n}")
         m = lcm(*(c.denominator for c in P.terms.values()))

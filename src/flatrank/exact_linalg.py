@@ -12,8 +12,6 @@ its rank over the rationals, so a single modular rank already certifies a
 lower bound.
 """
 
-from __future__ import annotations
-
 import heapq
 import time
 from math import gcd

@@ -20,8 +20,6 @@ of its candidate image modules, raising rows stacked under the map's
 the other maps imports `polynomials`.
 """
 
-from __future__ import annotations
-
 from bisect import bisect_left
 from itertools import combinations, permutations
 from math import comb, factorial
@@ -463,7 +461,7 @@ def _full_column_groups(P, p: int, duals, memory_cap_bytes: int) -> list:
         columns = comb(n * n, p) * len(duals)
         _check_bytes(f"the full map at n={n}, p={p} keeps all", [(columns, "columns")],
                      columns * _BYTES_PER_COLUMN, memory_cap_bytes)
-    wedges = list(combinations(range(n * n), p))
+    wedges = list(combinations(range(n * n), p)) if p else [()]  # one wedge, no pool of n² ints
     if not bigraded:
         return [(1, None, [(w, a) for w in wedges for a in duals])]
     dual_classes: dict = {}

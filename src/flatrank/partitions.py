@@ -4,8 +4,6 @@ Partitions are stored as tuples of positive integers, weakly decreasing,
 with no trailing zeros; the empty tuple is the trivial partition.
 """
 
-from __future__ import annotations
-
 from functools import cache
 from itertools import combinations, groupby, product
 from math import fsum, lgamma, log, log10, prod

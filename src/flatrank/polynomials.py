@@ -6,8 +6,6 @@ coefficients are exact rationals: ints where they are integers, as for
 every polynomial built here, and Fractions otherwise.
 """
 
-from __future__ import annotations
-
 from itertools import chain, compress, count, permutations
 
 

@@ -100,17 +100,10 @@ class TestDecompose:
 
     def test_table_loads_no_json(self):
         """`json` is imported only to print JSON, so the table does not load
-        it; -S keeps a site hook from loading it first."""
-        src = str(Path(flatrank.__file__).resolve().parents[1])
-        script = ("import contextlib, io, sys\n"
-                  f"sys.path.insert(0, {src!r})\n"
-                  "from flatrank.cli import main\n"
-                  "with contextlib.redirect_stdout(io.StringIO()):\n"
-                  "    code = main(['decompose', '--n', '5', '--d', '2', '--p', '2'])\n"
-                  "print(code, 'json' in sys.modules)")
-        proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
-                              text=True, timeout=60, env={"PYTHONDONTWRITEBYTECODE": "1"})
-        assert (proc.stdout, proc.stderr) == ("0 False\n", "")
+        it."""
+        argv = ["decompose", "--n", "5", "--d", "2", "--p", "2"]
+        loaded = loaded_by(f"from flatrank.cli import main\nassert main({argv!r}) == 0")
+        assert "json" not in loaded
 
     @pytest.mark.parametrize("fmt", ["table", "json"])
     def test_unprintable_total_is_one_line_error(self, fmt):
@@ -876,28 +869,30 @@ def test_subcommands_take_only_the_options_they_read(capsys, argv):
 
 def loaded_by(code: str) -> list[str]:
     """The modules a fresh interpreter loads while it runs `code`, beyond
-    those it holds at start-up; no bytecode is written."""
+    those it holds at start-up; no bytecode is written.  -S keeps a site
+    hook from loading any of them first, and the run writes no stderr."""
     src = str(Path(flatrank.__file__).resolve().parents[1])
     script = ("import contextlib, io, sys\n"
               "before = set(sys.modules)\n"
               "with contextlib.redirect_stdout(io.StringIO()):\n"
               + "".join(f"    {line}\n" for line in code.splitlines())
               + "print(*sorted(set(sys.modules) - before))")
-    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+    out = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True,
                          env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
                          check=True, timeout=120)
+    assert out.stderr == "", out.stderr
     return out.stdout.split()
 
 
 def test_importing_the_cli_loads_no_construction_or_introspection_modules():
     """A `bound` process imports only what its method runs: the cli module
     brings `exact_linalg`, and no dataclass machinery, OpenSSL, JSON or
-    Fraction code."""
+    Fraction code, no `pathlib` and no `__future__`."""
     loaded = loaded_by("import flatrank.cli")
     assert "flatrank.cli" in loaded
     for name in ("dataclasses", "inspect", "random",
                  "flatrank.schur_flattening", "flatrank.partitions", "flatrank.bounds",
-                 "_hashlib", "json", "fractions"):
+                 "_hashlib", "json", "fractions", "pathlib", "__future__"):
         assert name not in loaded, name
 
 
@@ -947,8 +942,8 @@ def test_a_json_bound_run_loads_no_openssl_or_fractions(argv):
     """Hashes use CPython's built-in sha256, and det and perm are ranked in
     int arithmetic on both routes: a `--format json` run, with or without
     `--rational`, loads neither OpenSSL nor `fractions`, `decimal` and
-    `numbers`."""
+    `numbers`; no module it runs loads `pathlib` or `__future__`."""
     argv = ["bound", *argv, "--format", "json"]
     loaded = loaded_by(f"from flatrank.cli import main\nassert main({argv!r}) == 0")
-    for name in ("_hashlib", "fractions", "decimal", "numbers"):
+    for name in ("_hashlib", "fractions", "decimal", "numbers", "pathlib", "__future__"):
         assert name not in loaded, name

@@ -789,6 +789,23 @@ class TestFullMap:
         with pytest.raises(ValueError, match="over the memory cap of 256 MiB"):
             flattening_blocks("koszul-full", "power", 7, 2, 5, memory_cap_bytes=256 << 20)
 
+    def test_the_one_wedge_at_p0_stays_under_its_charge(self):
+        """At p = 0 the guard charges C(n^2, 0) = 1 wedge, so the columns
+        are listed without a pool of the n^2 variables: at n = 300 the
+        bytes tracemalloc finds at the peak of listing and building the
+        blocks stay under a cap of 2 MiB, which the guard lets through."""
+        n, cap = 300, 2 << 20
+        P = variable_power((n, n), n, n)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            blocks = list(full_koszul_blocks(P, 1, 0, memory_cap_bytes=cap))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert rank_mod_p(blocks).rank == 1
+        assert peak < cap, peak
+
     @pytest.mark.parametrize("spec,n", [("det", 4), ("perm", 4), ("power", 4), ("quartic", 3)])
     def test_duals_and_terms_are_sorted_variable_tuples(self, tmp_path, spec, n):
         """At every d, the dividing duals are sorted tuples of d variables,
