@@ -385,8 +385,9 @@ def check_full_map(n: int, terms: int, degree: int, support: int, d: int, p: int
 def _dividing_duals(P, d: int) -> dict:
     """The dual monomials a of degree d dividing a monomial of P, each with
     the terms (m, c) of P it divides, one tuple per term; a and m are sorted
-    tuples of their variables with repetition, a in increasing order.  Each
-    m lists its sub-multisets of degree d, so x^e lists one a, not C(e, d).
+    tuples of their variables with repetition, m as in `Polynomial.monomials`
+    and a in increasing order.  Each m lists its sub-multisets of degree d,
+    so x^e lists one a, not C(e, d).
 
     Soundness.  d^a m = m!/(m - a)! x^(m - a) for a <= m, and 0 otherwise;
     distinct m give distinct m - a, so d^a P = 0 exactly when a divides no
@@ -395,8 +396,7 @@ def _dividing_duals(P, d: int) -> dict:
     permutation fixing P up to sign permutes the dividing duals, so the
     orbit argument of `weight_blocks` still holds."""
     divisors: dict = {}  # a -> terms
-    for exps, c in P.terms.items():
-        m = tuple(k for k, e in enumerate(exps) for _ in range(e))
+    for m, c in P.monomials.items():
         parts, term = {()}, (m, c)
         for least, k in enumerate(m, d + 1 - len(m)):  # past k, a shorter part misses d
             parts = {b for a in parts for b in (a, a + (k,)) if least <= len(b) <= d}
@@ -501,8 +501,8 @@ def full_koszul_blocks(P, d: int, p: int,
     columns of kept weights with dividing duals are enumerated
     (`_full_column_groups`, `_dividing_duals`).  A column (w, a) has
     weight wt(w) - wt(a)."""
-    support = max((len(e) - e.count(0) for e in P.terms), default=0)
-    check_full_map(P.n, len(P.terms), P.degree, support, d, p, memory_cap_bytes)
+    support = max(map(len, map(set, P.monomials)), default=0)
+    check_full_map(P.n, len(P.monomials), P.degree, support, d, p, memory_cap_bytes)
     duals, derivs = _dividing_duals(P, d), {}
     return weight_blocks(_full_column_groups(P, p, duals, memory_cap_bytes),
                          lambda label: full_column_image(label, duals, derivs), "full_block")

@@ -33,17 +33,23 @@ def torus_weight(variables, n: int) -> Weight:
 class Polynomial:
     """A homogeneous polynomial of `degree` in the n*n matrix variables:
     `terms` maps each exponent vector to its nonzero coefficient, an int or
-    a Fraction."""
+    a Fraction, and `monomials` maps each term's sorted variables, with
+    repetition, to the same coefficient.  No other module reads an
+    exponent vector: the full map and the symmetry tests read `monomials`."""
 
     def __init__(self, n: int, degree: int, terms: dict | None = None):
         self.n, self.degree = n, degree
         self.terms = {} if terms is None else terms
+        self.monomials = {}
         nv = n * n
         for exps, coeff in self.terms.items():
-            if len(exps) != nv or sum(exps) != degree:
+            m = tuple(k for k in compress(count(), exps) for _ in range(exps[k]))
+            # a negative exponent lists no variable, so it leaves sum(exps) < len(m)
+            if len(exps) != nv or not sum(exps) == len(m) == degree:
                 raise ValueError(f"bad exponent vector {exps} for degree {degree}")
             if coeff == 0:
                 raise ValueError("zero coefficients must not be stored")
+            self.monomials[m] = coeff
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
@@ -87,8 +93,7 @@ class Polynomial:
 
 def is_bigraded(P: Polynomial) -> bool:
     """Whether every monomial of P has the same torus weight."""
-    return len({torus_weight((k for k, e in enumerate(exps) for _ in range(e)), P.n)
-                for exps in P.terms}) <= 1
+    return len({torus_weight(m, P.n) for m in P.monomials}) <= 1
 
 
 def is_symmetric(P: Polynomial) -> bool:
@@ -98,20 +103,18 @@ def is_symmetric(P: Polynomial) -> bool:
     Checked on generators: the swap of the first two rows and the cycle of
     all rows, the same two for columns, and transposition.  A product of
     generators fixes P up to the product of their signs.  A generator
-    moves only the variables that occur, so beyond one read of its
-    exponent vector a term costs memory in its degree, not in n^2:
-    `check_full_map` charges a term 8 bytes a variable.
+    moves only the variables that occur, and each term is read as its
+    sorted variables (`Polynomial.monomials`), so a term costs memory in
+    its degree, not in n^2: `check_full_map` charges a term 8 bytes a
+    variable.
     """
-    n = P.n
+    n, terms = P.n, P.monomials
     if n == 1:  # every generator is the identity
         return True
     swap, cycle = [1, 0, *range(2, n)], [(i + 1) % n for i in range(n)]
     gens = (lambda i, j: j * n + i,  # transposition
             lambda i, j: swap[i] * n + j, lambda i, j: cycle[i] * n + j,
             lambda i, j: i * n + swap[j], lambda i, j: i * n + cycle[j])
-    # each term as its sorted variables, with repetition
-    terms = {tuple(k for k in compress(count(), exps) for _ in range(exps[k])): c
-             for exps, c in P.terms.items()}
     support = set(chain.from_iterable(terms))
     negated = {m: -c for m, c in terms.items()}
     for g in gens:

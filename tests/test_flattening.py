@@ -770,6 +770,19 @@ class TestFullMap:
         base = rank_mod_p([(1, full_koszul_matrix(make(n), 1, 2))]).rank
         assert rank_mod_p([(1, full_koszul_matrix(P, 1, 2))]).rank == base
 
+    @pytest.mark.parametrize("make", [
+        lambda: determinant_poly(3), lambda: permanent_poly(3),
+        lambda: variable_power((3, 3), 3, 3), lambda: random_low_rank(2, 3, 3, 5),
+    ], ids=["det3", "perm3", "power3", "non-graded-cubic"])
+    def test_reads_no_exponent_vector(self, make):
+        """The full map reads P's terms only as their sorted variables
+        (`Polynomial.monomials`): with `terms` gone, its size check, its
+        grouping and its blocks are the same, hash for hash."""
+        P, bare = make(), make()
+        bare.terms = None
+        blocks = lambda Q: [(size, B.basis_hash()) for size, B in full_koszul_blocks(Q, 1, 2)]
+        assert blocks(bare) == blocks(P)
+
     def test_rejects_bad_args(self):
         for build in (full_koszul_matrix, full_koszul_blocks):
             with pytest.raises(ValueError):

@@ -110,6 +110,8 @@ class TestPolynomialClass:
         {(1, 1, 0, 0, 0): Fraction(1)},  # too long
         {(1, 0, 0, 0): Fraction(1)},  # degree 1, not 2
         {(1, 1, 0, 0): Fraction(1), (2, 1, 0, 0): Fraction(1)},  # one bad vector of two
+        {(3, -1, 0, 0): Fraction(1)},  # a negative exponent, summing to 2
+        {(2, -1, 0, 0): Fraction(1)},  # a negative exponent, with variables x_1 x_1
     ])
     def test_bad_exponent_vector_is_a_value_error(self, terms):
         with pytest.raises(ValueError, match="bad exponent vector"):

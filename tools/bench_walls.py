@@ -37,6 +37,10 @@ ROWS = [
       "--d", str(d), "--p", "2", "--format", "json"])
     for d in (4, 3)
 ] + [
+    ("koszul-full power4000 (1,0)",
+     ["bound", "--poly", "power", "--n", "4000", "--method", "koszul-full",
+      "--d", "1", "--p", "0", "--memory-cap", "256", "--format", "json"]),
+] + [
     ("pieri file:random_low_rank(16,3,3,0)",
      ["bound", "--poly", f"file:{CUBIC}", "--n", "3", "--method", "pieri", "--format", "json"]),
 ]
