@@ -501,8 +501,7 @@ def full_koszul_blocks(P, d: int, p: int,
     columns of kept weights with dividing duals are enumerated
     (`_full_column_groups`, `_dividing_duals`).  A column (w, a) has
     weight wt(w) - wt(a)."""
-    support = max(map(len, map(set, P.monomials)), default=0)
-    check_full_map(P.n, len(P.monomials), P.degree, support, d, p, memory_cap_bytes)
+    check_full_map(P.n, len(P), P.degree, P.support, d, p, memory_cap_bytes)
     duals, derivs = _dividing_duals(P, d), {}
     return weight_blocks(_full_column_groups(P, p, duals, memory_cap_bytes),
                          lambda label: full_column_image(label, duals, derivs), "full_block")

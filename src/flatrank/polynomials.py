@@ -6,6 +6,7 @@ coefficients are exact rationals: ints where they are integers, as for
 every polynomial built here, and Fractions otherwise.
 """
 
+from functools import cached_property
 from itertools import chain, compress, count, permutations
 
 
@@ -33,23 +34,31 @@ def torus_weight(variables, n: int) -> Weight:
 class Polynomial:
     """A homogeneous polynomial of `degree` in the n*n matrix variables:
     `terms` maps each exponent vector to its nonzero coefficient, an int or
-    a Fraction, and `monomials` maps each term's sorted variables, with
-    repetition, to the same coefficient.  No other module reads an
-    exponent vector: the full map and the symmetry tests read `monomials`."""
+    a Fraction; its length is the number of terms and `support` is the
+    most variables in one term.  No other module reads an exponent vector:
+    the full map and the symmetry tests read `monomials`."""
 
     def __init__(self, n: int, degree: int, terms: dict | None = None):
         self.n, self.degree = n, degree
         self.terms = {} if terms is None else terms
-        self.monomials = {}
-        nv = n * n
-        for exps, coeff in self.terms.items():
-            m = tuple(k for k in compress(count(), exps) for _ in range(exps[k]))
-            # a negative exponent lists no variable, so it leaves sum(exps) < len(m)
-            if len(exps) != nv or not sum(exps) == len(m) == degree:
-                raise ValueError(f"bad exponent vector {exps} for degree {degree}")
+        for e, coeff in self.terms.items():  # compress(e, e): its nonzero exponents
+            if len(e) != n * n or sum(e) != degree or min(compress(e, e), default=0) < 0:
+                raise ValueError(f"bad exponent vector {e} for degree {degree}")
             if coeff == 0:
                 raise ValueError("zero coefficients must not be stored")
-            self.monomials[m] = coeff
+        self.support = max((len(e) - e.count(0) for e in self.terms), default=0)
+
+    def __len__(self) -> int:
+        return len(self.terms)
+
+    @cached_property
+    def monomials(self) -> dict:
+        """Each term's sorted variables, with repetition, mapped to its
+        coefficient.  A term lists `degree` of them, so they are built on
+        first read, once a caller has charged them from the length,
+        `degree` and `support` (`check_full_map`)."""
+        return {tuple(k for k in compress(count(), e) for _ in range(e[k])): c
+                for e, c in self.terms.items()}
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
@@ -154,12 +163,9 @@ def sort_sign(seq) -> tuple[int, tuple[int, ...]] | None:
     None if an entry repeats (a wedge or a column of a tableau with a
     repeated entry is zero)."""
     vals = tuple(seq)
-    inversions = 0
-    for i, x in enumerate(vals):
-        for y in vals[i + 1:]:
-            if x == y:
-                return None
-            inversions += x > y
+    if len(set(vals)) < len(vals):
+        return None
+    inversions = sum(x > y for i, x in enumerate(vals) for y in vals[i + 1:])
     return (-1 if inversions % 2 else 1), tuple(sorted(vals))
 
 

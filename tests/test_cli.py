@@ -691,6 +691,38 @@ class TestBound:
         assert len(proc.stderr) < 200 and "over the memory cap of 4096 MiB" in proc.stderr
         assert max(map(len, re.findall(r"\d+", proc.stderr))) <= len(str(4096 << 20))
 
+    @pytest.mark.parametrize("n,degree,argv,refusal", [
+        # the vector sums to 10**12, not 2
+        (2, 2, ["koszul-full", "--d", "1", "--p", "0"],
+         "bad exponent vector (1000000000000, 0, 0, 0) for degree 2"),
+        (2, 10**12, ["koszul-full", "--d", "1", "--p", "0"],
+         "the full map at n=2, d=1 may keep 1 terms"),
+        (3, 10**12, ["pieri"], "degree 1000000000000 does not match 3 added boxes"),
+    ])
+    def test_huge_exponent_in_a_file_is_refused_at_once(self, tmp_path, n, degree, argv,
+                                                        refusal):
+        """x_11^(10**12) lists 10**12 variables as its sorted variables: a
+        file holding it is refused in one line by the exponent check, the
+        full map's charge or the Pieri degree check, before any is listed.
+        The run gets 1 GiB of address space, so a listing fails at once."""
+        import resource
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"n": n, "degree": degree, "terms": [
+            {"exps": [10**12] + [0] * (n * n - 1), "num": 1, "den": 1}]}))
+        src = str(Path(flatrank.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "flatrank.cli", "bound", "--poly", f"file:{path}",
+             "--n", str(n), "--method", *argv],
+            capture_output=True, text=True, timeout=10, preexec_fn=limit,
+            env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"})
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith(f"flatrank: error: {refusal}")
+        assert proc.stderr.count("\n") == 1
+
     @pytest.mark.parametrize("n,p,refusal", [
         (74, 2, "the minor map at n=74, d=37, p=2 builds at least"),
         (300, 1, "the minor map at n=300, d=150, p=1 builds at least"),

@@ -775,11 +775,13 @@ class TestFullMap:
         lambda: variable_power((3, 3), 3, 3), lambda: random_low_rank(2, 3, 3, 5),
     ], ids=["det3", "perm3", "power3", "non-graded-cubic"])
     def test_reads_no_exponent_vector(self, make):
-        """The full map reads P's terms only as their sorted variables
-        (`Polynomial.monomials`): with `terms` gone, its size check, its
-        grouping and its blocks are the same, hash for hash."""
+        """The full map reads P's terms only through `Polynomial`: its
+        `len`, its `support` and its terms' sorted variables (`monomials`).
+        With `terms` cut to its size once those are built, the size check,
+        the grouping and the blocks are the same, hash for hash."""
         P, bare = make(), make()
-        bare.terms = None
+        assert bare.monomials  # built from `terms`, the one read of its vectors
+        bare.terms = dict.fromkeys(range(len(bare)))  # its size, no exponent vector
         blocks = lambda Q: [(size, B.basis_hash()) for size, B in full_koszul_blocks(Q, 1, 2)]
         assert blocks(bare) == blocks(P)
 
